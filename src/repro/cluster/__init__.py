@@ -10,7 +10,7 @@ independent devices):
 
 * the k-mer space is split into a fixed number of partitions by a
   splitmix64 hash over canonical cache keys
-  (:func:`repro.genomics.encoding.cache_key_kmer`), and partitions are
+  (:func:`repro.genomics.encoding.canonical_kmers`), and partitions are
   assigned to shard slots by **consistent hashing**
   (:class:`ConsistentHashRing`) so topology changes move a minimal set
   of partitions;

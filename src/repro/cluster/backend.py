@@ -31,7 +31,7 @@ lost or double-answered across a restart.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -107,7 +107,9 @@ class ClusterBackend(QueryBackendBase):
             sanitize if sanitize is not None else sanitize_active()
         )
         self._workers: Dict[int, _WorkerHandle] = {}
-        self._partition_worker: Dict[int, int] = {}
+        #: ``partition -> owning worker id`` (-1 while unowned); the
+        #: fan-out looks every k-mer's owner up here in one gather.
+        self._partition_worker = np.full(cluster.partitions, -1, dtype=np.int64)
         self._query_index = 0
         self._restart_count = 0
         self._handoff_count = 0
@@ -187,8 +189,7 @@ class ClusterBackend(QueryBackendBase):
         handle.partitions = sorted(partitions)
         handle.state = "live"
         handle.resident = ready["resident"]
-        for partition in handle.partitions:
-            self._partition_worker[partition] = worker_id
+        self._partition_worker[handle.partitions] = worker_id
         self._emit(
             "on_worker_spawned",
             worker_id,
@@ -242,30 +243,31 @@ class ClusterBackend(QueryBackendBase):
         if len(kmers) == 0:
             return []
         qid = self._query_index
-        queries = np.asarray(list(kmers), dtype=np.uint64)
+        queries = np.asarray(kmers, dtype=np.uint64)
         cache_keys = (
             canonical_kmers(queries, self.k) if self.canonical else queries
         )
-        parts = partition_ids(cache_keys, self.config.partitions)
-        groups: Dict[int, Tuple[List[int], List[int]]] = {}
-        for index, partition in enumerate(parts.tolist()):
-            owner = self._partition_worker[partition]
-            indices, sub = groups.setdefault(owner, ([], []))
-            indices.append(index)
-            sub.append(int(queries[index]))
-        results: List[Optional[BackendResult]] = [None] * len(queries)
+        owner_of = self._partition_worker[
+            partition_ids(cache_keys, self.config.partitions)
+        ]
+        # Group positions by owner: a stable sort keeps each worker's
+        # slice in request order, and the run boundaries split it.
+        order = np.argsort(owner_of, kind="stable")
+        owners, starts = np.unique(owner_of[order], return_index=True)
+        slices = np.split(order, starts[1:])
         # Ascending worker id for both send and receive: each pipe is
         # FIFO and the set of owners is a pure function of the batch,
         # so the schedule — and therefore the merged output — replays
         # identically run to run.
-        owners = sorted(groups)
-        for worker_id in owners:
-            indices, sub = groups[worker_id]
+        for worker_id, indices in zip(owners.tolist(), slices):
             handle = self._live_handle(worker_id)
-            self._emit("on_cluster_fanout", qid, worker_id, len(sub))
-            handle.conn.send({"op": "query", "qid": qid, "kmers": sub})
-        for worker_id in owners:
-            indices, sub = groups[worker_id]
+            self._emit("on_cluster_fanout", qid, worker_id, len(indices))
+            handle.conn.send(
+                {"op": "query", "qid": qid, "kmers": queries[indices]}
+            )
+        hit = np.zeros(queries.size, dtype=bool)
+        payload = np.zeros(queries.size, dtype=np.int64)
+        for worker_id, indices in zip(owners.tolist(), slices):
             handle = self._workers[worker_id]
             try:
                 reply = handle.conn.recv()
@@ -282,22 +284,19 @@ class ClusterBackend(QueryBackendBase):
                     f"worker {worker_id} answered query "
                     f"{reply.get('qid')}, expected {qid}"
                 )
-            triples = reply["results"]
-            if len(triples) != len(indices):
+            answered = len(reply["hit"])
+            if answered != len(indices) or len(reply["payload"]) != answered:
                 raise ClusterError(
-                    f"worker {worker_id} answered {len(triples)} k-mers "
+                    f"worker {worker_id} answered {answered} k-mers "
                     f"for a {len(indices)}-k-mer slice"
                 )
-            self._emit("on_cluster_reply", qid, worker_id, len(triples))
-            for index, (kmer, hit, payload) in zip(indices, triples):
-                results[index] = BackendResult(
-                    query=int(kmer), hit=bool(hit), payload=payload
-                )
-        merged = [r for r in results if r is not None]
-        if len(merged) != len(queries):
-            raise ClusterError(
-                f"merge dropped k-mers: {len(merged)} of {len(queries)}"
-            )
+            self._emit("on_cluster_reply", qid, worker_id, answered)
+            hit[indices] = reply["hit"]
+            payload[indices] = reply["payload"]
+        merged = [
+            BackendResult(query=q, hit=h, payload=p if h else None)
+            for q, h, p in zip(queries.tolist(), hit.tolist(), payload.tolist())
+        ]
         self._emit("on_cluster_merged", qid, len(merged))
         self._backend_stats.record(merged)
         return merged
@@ -379,7 +378,7 @@ class ClusterBackend(QueryBackendBase):
         moves: Dict[int, List[int]] = {}
         for partition in range(self.config.partitions):
             new_owner = new_owner_of[partition]
-            old_owner = self._partition_worker[partition]
+            old_owner = int(self._partition_worker[partition])
             if new_owner != old_owner:
                 moves.setdefault(old_owner, []).append(partition)
                 self._emit(

@@ -14,10 +14,11 @@ fork context).  A worker:
 * slices out *only the partitions it owns* (a boolean-mask subset of
   the mapped arrays, memory proportional to its share of the k-mer
   space — no worker materializes the full database);
-* answers ``query`` messages with ``(kmer, hit, payload)`` triples by
-  binary search over its owned slice.  A k-mer whose partition the
-  worker does not own is a routing bug and fails loudly instead of
-  returning a wrong miss.
+* answers ``query`` messages — a ``uint64`` array of k-mers — with a
+  ``hit`` bool array and a ``payload`` int64 array (0 where the k-mer
+  missed), by binary search over its owned slice.  A k-mer whose
+  partition the worker does not own is a routing bug and fails loudly
+  instead of returning a wrong miss.
 
 The parent speaks a tiny pickled-dict protocol over a
 ``multiprocessing.Pipe``: ``query`` / ``stats`` / ``own`` (replace the
@@ -30,7 +31,7 @@ parent can convert them into :class:`~repro.cluster.ClusterError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -99,10 +100,12 @@ class PartitionStore:
     def canonical(self) -> bool:
         return self.database.canonical
 
-    def query(self, kmers: List[int]) -> List[Tuple[int, bool, Optional[int]]]:
-        """Answer a routed sub-batch over the owned slice, in order."""
-        if not kmers:
-            return []
+    def query(self, kmers: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """Answer a routed sub-batch over the owned slice, in order.
+
+        Returns ``(hit, payload)``: a bool array and an int64 array of
+        the same length as ``kmers``, with payload 0 at every miss.
+        """
         queries = np.asarray(kmers, dtype=np.uint64)
         lookup = (
             canonical_kmers(queries, self.k) if self.canonical else queries
@@ -119,16 +122,11 @@ class PartitionStore:
             )
         positions = np.searchsorted(self.keys, lookup)
         in_range = positions < self.keys.size
-        found = np.zeros(lookup.size, dtype=bool)
-        found[in_range] = self.keys[positions[in_range]] == lookup[in_range]
-        out: List[Tuple[int, bool, Optional[int]]] = []
-        for kmer, pos, hit in zip(
-            queries.tolist(), positions.tolist(), found.tolist()
-        ):
-            out.append(
-                (kmer, hit, int(self.payloads[pos]) if hit else None)
-            )
-        return out
+        hit = np.zeros(lookup.size, dtype=bool)
+        hit[in_range] = self.keys[positions[in_range]] == lookup[in_range]
+        payload = np.zeros(lookup.size, dtype=np.int64)
+        payload[hit] = self.payloads[positions[hit]]
+        return hit, payload
 
     def resident(self) -> Dict[str, Any]:
         """What this process actually holds (smoke-test assertion)."""
@@ -179,14 +177,15 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             op = message.get("op")
             try:
                 if op == "query":
-                    results = store.query(message["kmers"])
-                    queries += len(results)
-                    hits += sum(1 for _, hit, _ in results if hit)
+                    hit, payload = store.query(message["kmers"])
+                    queries += int(hit.size)
+                    hits += int(hit.sum())
                     conn.send(
                         {
                             "ok": True,
                             "qid": message["qid"],
-                            "results": results,
+                            "hit": hit,
+                            "payload": payload,
                         }
                     )
                 elif op == "stats":

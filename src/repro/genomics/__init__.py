@@ -28,7 +28,6 @@ from .encoding import (
     MAX_PACKED_K,
     EncodingError,
     cache_key_kmer,
-    cache_key_kmers,
     canonical_kmer,
     canonical_kmers,
     decode_kmer,
@@ -76,7 +75,6 @@ __all__ = [
     "balanced_taxonomy",
     "MAX_PACKED_K",
     "cache_key_kmer",
-    "cache_key_kmers",
     "canonical_kmer",
     "canonical_kmers",
     "decode_kmer",

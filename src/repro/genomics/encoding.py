@@ -185,20 +185,30 @@ def revcomp_value(value: int, k: int) -> int:
     return result
 
 
+_PAIR_MASK = np.uint64(0x3333333333333333)
+_NIBBLE_MASK = np.uint64(0x0F0F0F0F0F0F0F0F)
+
+
 def revcomp_values(values: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized :func:`revcomp_value` over a ``uint64`` k-mer array."""
+    """Vectorized :func:`revcomp_value` over a ``uint64`` k-mer array.
+
+    Complementing a base flips both its bits, so the whole word is
+    inverted once; the 2-bit bases are then reversed across the word
+    (swap bases within nibbles, nibbles within bytes, then the bytes)
+    and shifted down so the k-mer's last base lands in the low bits.
+    Bits above the k-mer's ``2k`` are shifted out, as in the scalar
+    loop, which never reads them.
+    """
     if k <= 0 or k > MAX_PACKED_K:
         raise EncodingError(
             f"revcomp_values supports 1 <= k <= {MAX_PACKED_K}, got {k}"
         )
-    remaining = np.asarray(values, dtype=np.uint64).copy()
-    result = np.zeros_like(remaining)
-    base_mask = np.uint64(0b11)
-    shift = np.uint64(BITS_PER_BASE)
-    for _ in range(k):
-        result = (result << shift) | ((remaining & base_mask) ^ base_mask)
-        remaining >>= shift
-    return result
+    x = ~np.asarray(values, dtype=np.uint64)
+    x = ((x >> np.uint64(2)) & _PAIR_MASK) | ((x & _PAIR_MASK) << np.uint64(2))
+    x = ((x >> np.uint64(4)) & _NIBBLE_MASK) | (
+        (x & _NIBBLE_MASK) << np.uint64(4)
+    )
+    return x.byteswap() >> np.uint64(64 - BITS_PER_BASE * k)
 
 
 def canonical_kmers(values: np.ndarray, k: int) -> np.ndarray:
@@ -219,15 +229,6 @@ def cache_key_kmer(value: int, k: int, canonical: bool = True) -> int:
     service-layer result cache goes through (``repro.service.cache``).
     """
     return canonical_kmer(value, k) if canonical else value
-
-
-def cache_key_kmers(
-    values: Sequence[int], k: int, canonical: bool = True
-) -> List[int]:
-    """:func:`cache_key_kmer` over a query batch, in batch order."""
-    if not canonical:
-        return [int(v) for v in values]
-    return [canonical_kmer(int(v), k) for v in values]
 
 
 #: Largest k whose packed representation fits one 64-bit word, the

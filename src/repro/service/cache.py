@@ -11,9 +11,10 @@ massively across concurrent requests.  This module exploits that skew
   for it.
 * **hot-k-mer result cache** — a deterministic frequency-aware (LFU,
   oldest-first tie-break) cache of :class:`~repro.api.BackendResult`
-  keyed by :func:`repro.genomics.encoding.cache_key_kmer` (the
-  canonical form for canonical backends, the raw packed value
-  otherwise).  A cached key skips the device entirely.
+  keyed by the canonical form for canonical backends
+  (:func:`repro.genomics.encoding.canonical_kmers` over the whole
+  batch) and by the raw packed value otherwise.  A cached key skips
+  the device entirely.
 
 Identity is the contract: a backend answers a given k-mer the same way
 every time (the device is deterministic and replicas are built from the
@@ -43,11 +44,14 @@ by the dispatcher and passed into :meth:`price_batch`.
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..api import BackendResult
-from ..genomics.encoding import cache_key_kmers
+from ..genomics.encoding import canonical_kmers
 
 
 class CacheError(RuntimeError):
@@ -86,18 +90,20 @@ class BatchCachePlan:
     """
 
     #: The batch's flat k-mers, in request order (what ``_finish``
-    #: slices per request).
-    flat: Tuple[int, ...]
-    #: Cache key per flat position (canonical form when the backend
-    #: canonicalizes).
-    keys: Tuple[int, ...]
+    #: slices per request), as a ``uint64`` array.
+    queries: np.ndarray
+    #: Every distinct cache key of the batch, in first-occurrence order
+    #: (canonical form when the backend canonicalizes).
+    unique_keys: Tuple[int, ...]
+    #: Per flat position, the index of its key in ``unique_keys``.
+    slots: np.ndarray
     #: Unique missed keys in first-occurrence order — the device's
     #: actual work list under dedup.
     device_keys: Tuple[int, ...]
     #: Representative original k-mer per device key (its first
-    #: occurrence in ``flat``) — what is actually sent to the backend.
+    #: occurrence in ``queries``) — what is actually sent to the backend.
     device_kmers: Tuple[int, ...]
-    #: First-occurrence position in ``flat`` per device key (shadow
+    #: First-occurrence position in ``queries`` per device key (shadow
     #: mode extracts the device's answers from the full batch here).
     device_positions: Tuple[int, ...]
     #: Hit templates snapshotted at plan time, keyed by cache key.
@@ -105,11 +111,11 @@ class BatchCachePlan:
 
     @property
     def total_kmers(self) -> int:
-        return len(self.flat)
+        return int(self.queries.size)
 
     @property
     def unique_kmers(self) -> int:
-        return len(self.device_keys) + len(self.cached)
+        return len(self.unique_keys)
 
     @property
     def cache_hits(self) -> int:
@@ -118,12 +124,12 @@ class BatchCachePlan:
     @property
     def dedup_kmers(self) -> int:
         """Positions folded onto an earlier occurrence in this batch."""
-        return len(self.flat) - self.unique_kmers
+        return self.total_kmers - self.unique_kmers
 
     @property
     def saved_kmers(self) -> int:
         """Device k-mers avoided vs the uncached path (dedup + hits)."""
-        return len(self.flat) - len(self.device_keys)
+        return self.total_kmers - len(self.device_keys)
 
 
 class KmerResultCache:
@@ -135,6 +141,12 @@ class KmerResultCache:
     first with oldest-insertion tie-break — both orderings are pure
     functions of the request stream, so in the service's deterministic
     mode the cache state (and every counter below) replays exactly.
+
+    Entries never touched since insertion (frequency 1) sit in an
+    insertion-ordered queue: any of them is less frequent than every
+    touched entry, and among themselves the oldest goes first, so the
+    queue head is the victim whenever the queue is non-empty.  Only
+    touched entries pay for the heap.
     """
 
     def __init__(self, capacity: int, k: int, canonical: bool) -> None:
@@ -144,8 +156,11 @@ class KmerResultCache:
         self.k = k
         self.canonical = canonical
         self._entries: Dict[int, _Entry] = {}
-        #: Lazy-deletion LFU heap of ``(freq, seq, key)``; stale tuples
-        #: (freq no longer current, or key evicted) are skipped on pop.
+        #: Keys of the frequency-1 entries, oldest insertion first.
+        self._fresh: "OrderedDict[int, None]" = OrderedDict()
+        #: Lazy-deletion LFU heap of ``(freq, seq, key)`` over touched
+        #: entries (freq >= 2); stale tuples (freq no longer current,
+        #: or key evicted) are skipped on pop.
         self._heap: List[Tuple[int, int, int]] = []
         self._seq = 0
         # -- counters (all pure functions of the request stream in
@@ -179,39 +194,53 @@ class KmerResultCache:
         Counts every lookup, touches hit entries' frequencies (weighted
         by their occurrence count in the batch — hotness is per
         request, not per unique key), and snapshots hit templates.
+        Keys and their first occurrences are found with array
+        operations; only the distinct keys are probed one by one.
         """
-        keys = cache_key_kmers(flat, self.k, self.canonical)
-        occurrences: Dict[int, int] = {}
-        first_pos: Dict[int, int] = {}
-        for pos, key in enumerate(keys):
-            occurrences[key] = occurrences.get(key, 0) + 1
-            if key not in first_pos:
-                first_pos[key] = pos
+        queries = np.asarray(flat, dtype=np.uint64)
+        keys = canonical_kmers(queries, self.k) if self.canonical else queries
+        unique, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        # np.unique orders by key value; the plan keeps first-occurrence
+        # order, so rank the distinct keys by where they first appear.
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        unique_keys = unique[order].tolist()
+        first_pos = first[order].tolist()
         cached: Dict[int, BackendResult] = {}
         device_keys: List[int] = []
-        for key, count in occurrences.items():  # insertion-ordered
-            entry = self._entries.get(key)
+        device_positions: List[int] = []
+        entries = self._entries
+        hit_kmers = 0
+        for key, pos, count in zip(
+            unique_keys, first_pos, counts[order].tolist()
+        ):
+            entry = entries.get(key)
             if entry is not None:
                 cached[key] = entry.result
-                entry.freq += count
-                heapq.heappush(self._heap, (entry.freq, entry.seq, key))
-                self.hit_keys += 1
-                self.hit_kmers += count
+                self._touch(key, entry, count)
+                hit_kmers += count
             else:
                 device_keys.append(key)
-                self.miss_keys += 1
+                device_positions.append(pos)
         plan = BatchCachePlan(
-            flat=tuple(int(v) for v in flat),
-            keys=tuple(keys),
+            queries=queries,
+            unique_keys=tuple(unique_keys),
+            slots=rank[inverse.reshape(-1)],
             device_keys=tuple(device_keys),
-            device_kmers=tuple(flat[first_pos[key]] for key in device_keys),
-            device_positions=tuple(first_pos[key] for key in device_keys),
+            device_kmers=tuple(queries[device_positions].tolist()),
+            device_positions=tuple(device_positions),
             cached=cached,
         )
         self.batches += 1
         self.lookup_kmers += plan.total_kmers
+        self.hit_keys += len(cached)
+        self.hit_kmers += hit_kmers
+        self.miss_keys += len(device_keys)
         self.dedup_kmers += plan.dedup_kmers
-        self.device_kmers += len(plan.device_keys)
+        self.device_kmers += len(device_keys)
         return plan
 
     def complete(
@@ -220,10 +249,10 @@ class KmerResultCache:
         """Reassemble the full result list and absorb the new answers.
 
         ``device_results`` answers ``plan.device_kmers`` in order.  The
-        returned list matches ``plan.flat`` position for position, so
+        returned list matches ``plan.queries`` position for position, so
         the dispatcher's per-request response slicing is untouched by
-        caching.  Fan-out rewrites each template's ``query`` field to
-        the k-mer actually requested at that position (a canonical
+        caching.  Fan-out rewrites a template's ``query`` field to the
+        k-mer actually requested wherever the two differ (a canonical
         backend may serve one stored record to both strands).
         """
         if len(device_results) != len(plan.device_keys):
@@ -232,15 +261,18 @@ class KmerResultCache:
                 f"{len(plan.device_keys)}"
             )
         by_key: Dict[int, BackendResult] = dict(plan.cached)
-        for key, result in zip(plan.device_keys, device_results):
-            by_key[key] = result
-            self._insert(key, result)
-        full: List[BackendResult] = []
-        for kmer, key in zip(plan.flat, plan.keys):
-            template = by_key[key]
-            if template.query != kmer:
-                template = replace(template, query=kmer)
-            full.append(template)
+        by_key.update(zip(plan.device_keys, device_results))
+        self._absorb(plan.device_keys, device_results)
+        templates = [by_key[key] for key in plan.unique_keys]
+        full = [templates[slot] for slot in plan.slots.tolist()]
+        template_queries = np.fromiter(
+            (t.query for t in templates), dtype=np.uint64, count=len(templates)
+        )
+        strand_changed = np.flatnonzero(
+            template_queries[plan.slots] != plan.queries
+        )
+        for pos in strand_changed.tolist():
+            full[pos] = replace(full[pos], query=int(plan.queries[pos]))
         return full
 
     def self_check(
@@ -266,7 +298,8 @@ class KmerResultCache:
             ):
                 raise CacheCoherencyError(
                     f"cache divergence at batch position {pos} "
-                    f"(kmer {plan.flat[pos]}, key {plan.keys[pos]}): "
+                    f"(kmer {plan.queries[pos]}, "
+                    f"key {plan.unique_keys[plan.slots[pos]]}): "
                     f"served hit={got.hit} payload={got.payload}, device "
                     f"answered hit={want.hit} payload={want.payload}"
                 )
@@ -306,34 +339,58 @@ class KmerResultCache:
 
     # -- LFU internals -----------------------------------------------------
 
-    def _insert(self, key: int, result: BackendResult) -> None:
+    def _absorb(
+        self, keys: Sequence[int], results: Sequence[BackendResult]
+    ) -> None:
+        """Store a batch's device answers, in device order; an insert
+        into a full cache first evicts one victim."""
         if self.capacity <= 0:
             return
-        entry = self._entries.get(key)
-        if entry is not None:
-            # Shadow mode can re-answer an already-cached key; keep the
-            # original record (it is identical) and count the touch.
-            entry.freq += 1
-            heapq.heappush(self._heap, (entry.freq, entry.seq, key))
-            return
-        while len(self._entries) >= self.capacity:
-            self._evict_one()
-        self._seq += 1
-        entry = _Entry(result, freq=1, seq=self._seq)
-        self._entries[key] = entry
-        heapq.heappush(self._heap, (entry.freq, entry.seq, key))
-        self.insertions += 1
+        entries = self._entries
+        fresh = self._fresh
+        capacity = self.capacity
+        seq = self._seq
+        inserted = 0
+        for key, result in zip(keys, results):
+            entry = entries.get(key)
+            if entry is not None:
+                # Shadow mode, or another shard's batch, can re-answer
+                # an already-cached key; keep the original record (it
+                # is identical) and count the touch.
+                self._touch(key, entry, 1)
+                continue
+            if len(entries) >= capacity:
+                self._evict_one()
+            seq += 1
+            entries[key] = _Entry(result, 1, seq)
+            fresh[key] = None
+            inserted += 1
+        self._seq = seq
+        self.insertions += inserted
 
-    def _evict_one(self) -> None:
-        while self._heap:
-            freq, seq, key = heapq.heappop(self._heap)
-            entry = self._entries.get(key)
-            if entry is None or entry.freq != freq or entry.seq != seq:
-                continue  # stale heap tuple (touched since push)
-            del self._entries[key]
-            self.evictions += 1
-            return
-        raise CacheError("eviction requested from an empty heap")  # pragma: no cover
+    def _touch(self, key: int, entry: _Entry, count: int) -> None:
+        """Raise an entry's frequency by ``count``."""
+        if entry.freq == 1:
+            del self._fresh[key]
+        entry.freq += count
+        heapq.heappush(self._heap, (entry.freq, entry.seq, key))
+
+    def _evict_one(self) -> int:
+        """Drop the least-frequent, oldest entry; returns its key."""
+        if self._fresh:
+            key, _ = self._fresh.popitem(last=False)
+        else:
+            while True:
+                if not self._heap:  # pragma: no cover
+                    raise CacheError("eviction requested from an empty cache")
+                freq, seq, key = heapq.heappop(self._heap)
+                entry = self._entries.get(key)
+                if entry is not None and (entry.freq, entry.seq) == (freq, seq):
+                    break
+                # else: stale heap tuple (touched since push)
+        del self._entries[key]
+        self.evictions += 1
+        return key
 
     # -- observability -----------------------------------------------------
 

@@ -286,17 +286,22 @@ class ShardWorker:
         if self._on_crash is not None:
             await self._on_crash(self.shard_id, orphans)
         else:
-            for req in orphans:
-                if not req.future.done():
-                    req.future.set_exception(
-                        ShardCrashError(
-                            f"shard {self.shard_id} crashed; no failover"
-                        )
+            self._fail_requests(
+                orphans,
+                ShardCrashError(f"shard {self.shard_id} crashed; no failover"),
+            )
+
+    def _fail_requests(
+        self, requests: List[Request], exc: BaseException
+    ) -> None:
+        """Resolve every still-waiting request with ``exc``."""
+        for req in requests:
+            if not req.future.done():
+                req.future.set_exception(exc)
+                if hooks.OBSERVER is not None:
+                    hooks.OBSERVER.on_request_failed(
+                        self.scope, self.shard_id, _rid(req)
                     )
-                    if hooks.OBSERVER is not None:
-                        hooks.OBSERVER.on_request_failed(
-                            self.scope, self.shard_id, _rid(req)
-                        )
 
     async def _coalesce(self, batch: List[Request]) -> None:
         """Grow ``batch`` until the k-mer target or the linger expires."""
@@ -340,12 +345,19 @@ class ShardWorker:
         plan, send = self._plan_batch(flat)
         self._mark_executed(live, flat, index)
         self._mark_deduped(plan, index, len(send))
-        if self._executor is None:
-            results, wall_batch_ms, delta = self._query_blocking(send)
-        else:
-            results, wall_batch_ms, delta = await loop.run_in_executor(
-                self._executor, self._query_blocking, send
-            )
+        try:
+            if self._executor is None:
+                results, wall_batch_ms, delta = self._query_blocking(send)
+            else:
+                results, wall_batch_ms, delta = await loop.run_in_executor(
+                    self._executor, self._query_blocking, send
+                )
+        except Exception as exc:  # noqa: BLE001 - surfaced to callers
+            # The batch is answered with the backend's error instead of
+            # being left pending: callers see the failure rather than
+            # hang, and the shard goes on serving the next batch.
+            self._fail_requests(live, exc)
+            return
         self._finish(live, flat, results, wall_batch_ms, delta, loop, plan)
 
     def _prepare(
@@ -557,10 +569,14 @@ class ShardWorker:
         slots; returns None (the new ``pending``)."""
         future, live, flat, batch, plan = pending
         try:
-            results, wall_batch_ms, delta = future.result()
-            self._finish(
-                live, flat, results, wall_batch_ms, delta, loop, plan
-            )
+            error = future.exception()
+            if error is not None:
+                self._fail_requests(live, error)  # as in _dispatch
+            else:
+                results, wall_batch_ms, delta = future.result()
+                self._finish(
+                    live, flat, results, wall_batch_ms, delta, loop, plan
+                )
             self.health.batches += 1
         finally:
             for _ in batch:
@@ -610,9 +626,7 @@ class ShardWorker:
                     # answer — and resolve every waiting future so the
                     # coherency error surfaces to callers instead of
                     # hanging them behind a dead worker.
-                    for req in live:
-                        if not req.future.done():
-                            req.future.set_exception(exc)
+                    self._fail_requests(live, exc)
                     raise
                 results = served
             else:

@@ -11,6 +11,9 @@ also audited for exactly-once delivery.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -19,14 +22,17 @@ from repro.cluster import (
     AutoscalePolicy,
     ClusterAutoscaler,
     ClusterBackend,
+    ClusterError,
     ConsistentHashRing,
     PartitionError,
     partition_id,
     partition_ids,
 )
 from repro.cluster.worker import PartitionStore
+from repro.genomics import cache_key_kmer
 from repro.serialization import save_segments
-from repro.service import ClusterConfig
+from repro.service import ClassificationService, ClusterConfig, ServiceConfig
+from repro.service import hooks
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +258,27 @@ class TestPartitionStore:
         with pytest.raises(ValueError, match="out of range"):
             PartitionStore(segments, partitions=[16], num_partitions=16)
 
+    def test_query_returns_hit_and_payload_arrays(
+        self, segments, small_dataset
+    ):
+        db = small_dataset.database
+        store = PartitionStore(segments, partitions=range(16), num_partitions=16)
+        kmers = list(small_dataset.reads[0].kmers(small_dataset.k))
+        hit, payload = store.query(np.asarray(kmers, dtype=np.uint64))
+        assert hit.dtype == np.bool_ and payload.dtype == np.int64
+        expected = db.query(kmers, batched=False)
+        assert hit.tolist() == [r.hit for r in expected]
+        assert [p if h else None for h, p in zip(hit.tolist(), payload.tolist())] == [
+            r.payload for r in expected
+        ]
+        assert int(payload[~hit].sum()) == 0  # misses carry payload 0
+
+    def test_empty_query_returns_empty_arrays(self, segments):
+        store = PartitionStore(segments, partitions=[0, 1], num_partitions=16)
+        hit, payload = store.query(np.empty(0, dtype=np.uint64))
+        assert hit.shape == payload.shape == (0,)
+        assert hit.dtype == np.bool_ and payload.dtype == np.int64
+
     def test_resident_reports_slice_only(self, segments, small_dataset):
         store = PartitionStore(
             segments, partitions=[0, 1, 2], num_partitions=16
@@ -357,3 +384,138 @@ class TestClusterConfigValidation:
 
     def test_slots(self):
         assert ClusterConfig(workers=3, shards_per_worker=2).slots() == 6
+
+
+# ---------------------------------------------------------------------------
+# Wire protocol: uint64 slices out, (hit, payload) arrays back
+# ---------------------------------------------------------------------------
+
+
+class _FanoutRecorder:
+    """Observer that records fan-out slice sizes and forwards every
+    event to the observer it wraps (the session sanitizer, if any)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fanouts = []
+
+    def on_cluster_fanout(self, scope, qid, worker_id, num_kmers):
+        self.fanouts.append((qid, worker_id, num_kmers))
+        if self.inner is not None:
+            self.inner.on_cluster_fanout(scope, qid, worker_id, num_kmers)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@contextlib.contextmanager
+def _observer(observer):
+    previous = hooks.get_observer()
+    hooks.install(observer)
+    try:
+        yield observer
+    finally:
+        hooks.install(previous)
+
+
+class _TamperedConn:
+    """Parent pipe end whose query replies pass through ``tamper``."""
+
+    def __init__(self, conn, tamper):
+        self._conn = conn
+        self._tamper = tamper
+
+    def send(self, message):
+        self._conn.send(message)
+
+    def recv(self):
+        reply = self._conn.recv()
+        return self._tamper(reply) if "hit" in reply else reply
+
+    def close(self):
+        self._conn.close()
+
+
+class TestClusterWire:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_fanout_slices_match_per_kmer_grouping(
+        self, segments, small_dataset, workers
+    ):
+        kmers = [
+            kmer
+            for read in small_dataset.reads[:6]
+            for kmer in read.kmers(small_dataset.k)
+        ]
+        with _observer(_FanoutRecorder(hooks.get_observer())) as recorder:
+            with make_cluster(segments, workers=workers) as backend:
+                owner = {
+                    p: row["worker"]
+                    for row in backend.cluster_stats()["workers"]
+                    for p in row["partitions"]
+                }
+                backend.query(kmers)
+        # The per-element grouping the array path replaced: route each
+        # k-mer on its own, count slice sizes per owner.
+        expected = {}
+        for kmer in kmers:
+            key = cache_key_kmer(kmer, small_dataset.k, backend.canonical)
+            worker = owner[partition_id(key, 16)]
+            expected[worker] = expected.get(worker, 0) + 1
+        assert [(w, n) for _, w, n in recorder.fanouts] == sorted(
+            expected.items()
+        )
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            (lambda r: {**r, "qid": r["qid"] + 1}, "answered query"),
+            (
+                lambda r: {**r, "hit": r["hit"][:-1], "payload": r["payload"][:-1]},
+                "for a",
+            ),
+            (lambda r: {**r, "payload": r["payload"][:-1]}, "for a"),
+        ],
+        ids=["wrong-qid", "short-reply", "short-payload"],
+    )
+    def test_malformed_reply_raises(
+        self, segments, small_dataset, tamper, message
+    ):
+        kmers = list(small_dataset.reads[0].kmers(small_dataset.k))
+        # The aborted query leaves its fan-out unanswered on purpose, so
+        # this backend runs outside the session sanitizer.
+        with _observer(None):
+            with make_cluster(segments, workers=1) as backend:
+                handle = backend._workers[0]
+                handle.conn = _TamperedConn(handle.conn, tamper)
+                with pytest.raises(ClusterError, match=message):
+                    backend.query(kmers)
+
+
+class TestClusterServiceFailure:
+    @pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])
+    def test_closed_cluster_fails_requests_instead_of_hanging(
+        self, segments, small_dataset, pipelined
+    ):
+        backend = make_cluster(segments, workers=1)
+        config = ServiceConfig(
+            num_shards=1,
+            max_linger_s=0.0,
+            executor_threads=1 if pipelined else 0,
+            pipelined=pipelined,
+        )
+        service = ClassificationService([backend], config)
+        reads = small_dataset.reads[:2]
+
+        async def scenario():
+            await service.start()
+            try:
+                backend.close()
+                # Each request resolves with the backend's error; the
+                # shard keeps serving, so the next one fails too.
+                for read in reads:
+                    with pytest.raises(ClusterError, match="closed"):
+                        await asyncio.wait_for(service.submit(read), 30)
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
