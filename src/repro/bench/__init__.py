@@ -195,15 +195,15 @@ def bench_kernel_matrix(quick: bool) -> Tuple[float, Dict[str, int]]:
     Packs the bench dataset's sorted k-mers into the device's MSB-first
     transposed Region-1 layout, packs the query reads the same way, and
     times the sweep the packed match engine runs per batch: with a
-    single-word layout (every ``k <= 32`` under pure numpy) that is
-    ``pack_bit_columns`` + one XOR pass + the
-    :func:`repro.sieve.kernels.segment_divergence` min-trick reduction
-    + the hit ``argmin``; otherwise (multi-word rows, or numba forced
-    via ``SIEVE_KERNEL``) the full ``first_divergence`` matrix.  The
-    recorded wall time therefore tracks the kernel actually deployed,
-    and its ratio to ``device_lookup_batched`` is the kernel speedup
-    quoted in ``docs/PERFORMANCE.md``.  Counters are pure functions of
-    the seeded dataset, identical across implementations.
+    single-word layout (every ``k <= 32``) that is ``pack_bit_columns``
+    + the sorted-neighbour
+    :func:`repro.sieve.kernels.segment_divergence` over the ascending
+    reference words; otherwise (multi-word rows) the full
+    ``first_divergence`` matrix.  The recorded wall time therefore
+    tracks the kernel actually deployed, and its ratio to
+    ``device_lookup_batched`` is the kernel speedup quoted in
+    ``docs/PERFORMANCE.md``.  Counters are pure functions of the seeded
+    dataset, identical across both forms.
     """
     import numpy as np
 
@@ -228,17 +228,15 @@ def bench_kernel_matrix(quick: bool) -> Tuple[float, Dict[str, int]]:
     ref_bits = ((refs[None, :] >> shifts) & one).astype(np.uint8)
     query_bits = ((queries[None, :] >> shifts) & one).astype(np.uint8)
     seg_starts = np.arange(0, refs.size, segment_size)
-    impl = kernels.default_implementation()
-    single_word = kernels.words_for(rows) == 1 and impl == "numpy"
     start = time.perf_counter()
     ref_words = kernels.pack_bit_columns(ref_bits)
     query_words = kernels.pack_bit_columns(query_bits)
-    if single_word:
-        xor = query_words[0][:, None] ^ ref_words[0][None, :]
-        seg_div = kernels.segment_divergence(xor, rows, seg_starts)
-        first_hit = np.argmin(xor, axis=1)
+    if kernels.words_for(rows) == 1:
+        seg_div, first_hit, _ = kernels.segment_divergence(
+            ref_words[0], query_words[0], rows, seg_starts
+        )
     else:
-        div = kernels.first_divergence(ref_words, query_words, rows, impl=impl)
+        div = kernels.first_divergence(ref_words, query_words, rows)
         seg_div = np.maximum.reduceat(div, seg_starts, axis=1)
         first_hit = (div == rows).argmax(axis=1)
     wall_s = time.perf_counter() - start

@@ -130,6 +130,41 @@ class Subarray:
             bits = injector.on_subarray_load(self, row, col_start, bits)
         self._cells[row, col_start : col_start + len(bits)] = bits % 2
 
+    def load_bit_block(
+        self, row: int, col_starts: np.ndarray, bits: np.ndarray
+    ) -> None:
+        """Install one bit block at several column offsets in one store.
+
+        ``bits`` is ``(rows, width)``: it lands on rows ``[row, row +
+        rows)`` at columns ``[start, start + width)`` for every ``start``
+        in ``col_starts`` (load path; the replicated query batch of every
+        pattern group).  With a fault injector installed every (row,
+        start) goes through :meth:`load_bits`, in row-major order, so the
+        injector sees exactly the calls a per-run load would make.
+        """
+        bits = np.asarray(bits, dtype=np.uint8) % 2
+        col_starts = np.asarray(col_starts, dtype=np.intp)
+        if bits.ndim != 2:
+            raise ValueError(f"expected (rows, width) bits, got {bits.shape}")
+        num_rows, width = bits.shape
+        self._check_row(row)
+        self._check_row(row + num_rows - 1)
+        if col_starts.size and (
+            col_starts.min() < 0 or col_starts.max() + width > self.cols
+        ):
+            raise IndexError(
+                f"runs of {width} bits at {col_starts.tolist()} out of "
+                f"range [0, {self.cols})"
+            )
+        if hooks.INJECTOR is not None:
+            for r in range(num_rows):
+                for start in col_starts.tolist():
+                    self.load_bits(row + r, start, bits[r])
+            return
+        cells = self._cells[row : row + num_rows]
+        for start in col_starts.tolist():
+            cells[:, start : start + width] = bits
+
     def peek(self, row: int, col: int) -> int:
         """Read one stored bit without any timing effect (debug/tests)."""
         self._check_row(row)

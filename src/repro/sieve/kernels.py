@@ -8,24 +8,19 @@ query/column *first-divergence* row with one ``np.bitwise_xor`` pass
 plus a vectorized first-set-bit trick — the word-granularity analogue
 of what the sense-amplifier matchers do bit-serially.
 
-Two interchangeable implementations sit behind
-:func:`first_divergence`:
+:func:`first_divergence` locates the leading set bit of each XOR word
+with :func:`bit_length64`; the bit-identity property suite
+(``tests/test_kernels_properties.py``) compares it against a scalar
+reference sweep and against the scalar simulator.
 
-* ``"numpy"`` — always available.  The leading set bit of each XOR word
-  is located through its big-endian byte view: ``argmax`` finds the
-  first non-zero byte, a 256-entry table supplies the leading-zero
-  count inside it.
-* ``"numba"`` — an ``@njit`` scalar loop over the same packed words,
-  available when the optional ``[compiled]`` extra is installed
-  (``pip install .[compiled]``).  Selected automatically when
-  importable; force either with ``SIEVE_KERNEL=numpy|numba``.
+For single-word layouts whose stored reference words ascend,
+:func:`segment_divergence` skips the full XOR matrix altogether: it
+binary-searches each query's insertion point and reads only the two
+neighbouring columns per ETM segment.
 
-Both return identical ``int64`` matrices — the bit-identity property
-suite (``tests/test_kernels_properties.py``) compares them against each
-other and against the scalar simulator.  Tail bits past ``rows`` in the
-last word are zero on both sides of the XOR by construction
-(:func:`pack_bit_columns` zero-pads), so odd widths can never introduce
-a phantom divergence.
+Tail bits past ``rows`` in the last word are zero on both sides of the
+XOR by construction (:func:`pack_bit_columns` zero-pads), so odd widths
+can never introduce a phantom divergence.
 
 This module is deliberately free of wall-clock reads (SV012) and of
 mutable module state (SV009): fleet workers fork with these tables
@@ -35,23 +30,15 @@ mapped copy-on-write, and benchmarks time the kernels from outside.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
 #: Bits per packed word.
 WORD_BITS = 64
 
-#: Environment override for the implementation choice.
+#: Environment override for the engine choice.
 KERNEL_ENV_VAR = "SIEVE_KERNEL"
-
-try:  # pragma: no cover - exercised only with the [compiled] extra
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the container default
-    _njit = None
-    HAVE_NUMBA = False
 
 
 class KernelError(ValueError):
@@ -123,102 +110,90 @@ def pack_bit_columns(bits: np.ndarray) -> np.ndarray:
     )
 
 
-def available_implementations() -> tuple:
-    """Implementations usable in this interpreter, preferred first."""
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
 #: Engine names accepted by ``SIEVE_KERNEL`` (alongside the legacy
-#: implementation spellings ``numpy``/``numba``, which pin the packed
-#: kernel's implementation without forcing an engine).
-KERNEL_NAMES = ("packed", "packed-numpy", "packed-numba", "vector")
-
-
-def _forced() -> str:
-    """Validated ``SIEVE_KERNEL`` value, or ``""`` when unset."""
-    forced = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-    if forced and forced not in ("numpy", "numba") + KERNEL_NAMES:
-        raise KernelError(
-            f"{KERNEL_ENV_VAR}={forced!r} is not one of numpy/numba/"
-            + "/".join(KERNEL_NAMES)
-        )
-    if forced in ("numba", "packed-numba") and not HAVE_NUMBA:
-        raise KernelError(
-            f"{KERNEL_ENV_VAR}={forced} but numba is not installed "
-            "(pip install .[compiled])"
-        )
-    return forced
-
-
-def default_implementation() -> str:
-    """Active implementation: ``SIEVE_KERNEL`` override, else the best
-    available (numba when the ``[compiled]`` extra is installed)."""
-    forced = _forced()
-    if forced in ("numpy", "numba"):
-        return forced
-    if forced.startswith("packed-"):
-        return forced.partition("-")[2]
-    return available_implementations()[0]
+#: spelling ``numpy``, which leaves the engine at ``packed``).
+KERNEL_NAMES = ("packed", "packed-numpy", "vector")
 
 
 def default_kernel() -> str:
     """Active *engine* selection for batched device matching.
 
     ``SIEVE_KERNEL`` may name a full engine (``packed`` /
-    ``packed-numpy`` / ``packed-numba`` / ``vector``), forcing every
-    auto-path :meth:`~repro.sieve.device.SieveDevice.query` call onto
-    it — the CI matrix legs use this so kernel-selection bugs cannot
-    hide behind the default.  The legacy spellings ``numpy``/``numba``
-    pin only the packed implementation and leave the engine at
-    ``packed``; unset means ``packed``.
+    ``packed-numpy`` / ``vector``), forcing every auto-path
+    :meth:`~repro.sieve.device.SieveDevice.query` call onto it — the CI
+    matrix legs use this so kernel-selection bugs cannot hide behind
+    the default.  The legacy spelling ``numpy`` and an unset variable
+    both mean ``packed``.
     """
-    forced = _forced()
+    forced = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
+    if forced and forced not in ("numpy",) + KERNEL_NAMES:
+        raise KernelError(
+            f"{KERNEL_ENV_VAR}={forced!r} is not one of numpy/"
+            + "/".join(KERNEL_NAMES)
+        )
     if forced in KERNEL_NAMES:
         return forced
     return "packed"
 
 
 def segment_divergence(
-    xor: np.ndarray, rows: int, seg_starts: np.ndarray
-) -> np.ndarray:
-    """Max first-divergence per reference segment, single-word fast path.
+    ref_row: np.ndarray,
+    query_row: np.ndarray,
+    rows: int,
+    seg_starts: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max first-divergence per reference segment, sorted-neighbour form.
 
-    For layouts whose ``rows`` fit one packed word (``words_for(rows)
-    == 1`` — every ``k <= 32``), ``bit_length`` is monotone in the XOR
-    word, so the *maximum* first-divergence over a column range equals
-    ``64 - bit_length(min(xor))``: the whole per-segment reduction
-    collapses to one ``np.minimum.reduceat`` over the raw XOR matrix,
-    and the smear/popcount of :func:`bit_length64` only runs on the
-    tiny per-segment result instead of the full divergence matrix.
+    ``ref_row`` holds one packed word per reference column and must be
+    strictly ascending; ``query_row`` holds one packed word per query;
+    both pack ``rows <= 64`` bit rows (a single-word layout, every
+    ``k <= 32``).  ``seg_starts`` are the ascending segment start
+    offsets into ``ref_row``, the first one 0.
 
-    ``xor`` is the ``(N, R)`` query-word XOR reference-word matrix and
-    ``seg_starts`` the ascending segment start offsets into the ``R``
-    axis.  Returns ``(N, num_segments)`` int64: entry ``[n, s]`` is the
-    max first-divergence of query ``n`` over segment ``s`` — ``rows``
-    exactly when the segment holds a full match (tail bits past
-    ``rows`` are zero on both sides of the XOR, so a nonzero word
-    always diverges before ``rows``).
+    Against a fixed query ``q``, the first-divergence row of an
+    ascending word sequence is unimodal around ``q``'s insertion point
+    ``ins``: it never decreases up to ``ins - 1`` and never increases
+    from ``ins`` on.  The maximum over a contiguous segment ``[a, b)``
+    therefore sits at one of the two clipped neighbours
+    ``clip(ins - 1, a, b - 1)`` and ``clip(ins, a, b - 1)``, and is
+    ``64 - bit_length(min(q ^ left, q ^ right))`` — or ``rows`` when
+    that minimum is zero (tail bits past ``rows`` are zero on both
+    sides, so a nonzero word always diverges before ``rows``).
+
+    Returns ``(seg_div, hit_slot, any_hit)``: the ``(N, num_segments)``
+    int64 per-segment maxima, and per query the column ``ins`` (clipped
+    into range) plus whether that column equals the query — with unique
+    ascending words it is the only column that can.
     """
-    xor = np.asarray(xor, dtype=np.uint64)
-    if xor.ndim != 2:
-        raise KernelError(f"xor matrix must be 2-D, got shape {xor.shape}")
+    ref_row = np.asarray(ref_row, dtype=np.uint64)
+    query_row = np.asarray(query_row, dtype=np.uint64)
+    if ref_row.ndim != 1 or query_row.ndim != 1 or ref_row.size == 0:
+        raise KernelError(
+            "segment_divergence takes non-empty 1-D reference and 1-D "
+            f"query words, got shapes {ref_row.shape} and {query_row.shape}"
+        )
     if not 0 < rows <= WORD_BITS:
         raise KernelError(
             f"segment_divergence covers 1..{WORD_BITS} rows, got {rows}"
         )
-    seg_min = np.minimum.reduceat(xor, seg_starts, axis=1)
-    return np.where(
-        seg_min == np.uint64(0),
+    seg_starts = np.asarray(seg_starts, dtype=np.intp)
+    seg_last = np.append(seg_starts[1:], ref_row.size) - 1
+    ins = np.searchsorted(ref_row, query_row)[:, None]
+    left = ref_row[np.clip(ins - 1, seg_starts, seg_last)]
+    right = ref_row[np.clip(ins, seg_starts, seg_last)]
+    query = query_row[:, None]
+    nearest = np.minimum(left ^ query, right ^ query)
+    seg_div = np.where(
+        nearest == np.uint64(0),
         np.int64(rows),
-        WORD_BITS - bit_length64(seg_min),
+        WORD_BITS - bit_length64(nearest),
     )
+    hit_slot = np.minimum(ins[:, 0], ref_row.size - 1)
+    return seg_div, hit_slot, ref_row[hit_slot] == query_row
 
 
 def first_divergence(
-    ref_words: np.ndarray,
-    query_words: np.ndarray,
-    rows: int,
-    impl: Optional[str] = None,
+    ref_words: np.ndarray, query_words: np.ndarray, rows: int
 ) -> np.ndarray:
     """First-divergence row of every (query, reference-column) pair.
 
@@ -227,8 +202,7 @@ def first_divergence(
     (``W == words_for(rows)``).  Returns an ``(N, R)`` int64 matrix
     where entry ``[n, r]`` is the first row at which column ``r``
     differs from query ``n`` — or ``rows`` when they agree on every row
-    (a match).  ``impl`` forces ``"numpy"``/``"numba"``; the default
-    follows :func:`default_implementation`.
+    (a match).
     """
     ref_words = np.asarray(ref_words, dtype=np.uint64)
     query_words = np.asarray(query_words, dtype=np.uint64)
@@ -240,32 +214,7 @@ def first_divergence(
             f"expected {num_words} words for {rows} rows, got "
             f"{ref_words.shape[0]} (ref) and {query_words.shape[0]} (query)"
         )
-    chosen = impl if impl is not None else default_implementation()
-    if chosen == "numba":
-        if not HAVE_NUMBA:
-            raise KernelError(
-                "numba implementation requested but numba is not installed "
-                "(pip install .[compiled])"
-            )
-        out = np.empty(
-            (query_words.shape[1], ref_words.shape[1]), dtype=np.int64
-        )
-        _first_divergence_numba(
-            np.ascontiguousarray(ref_words),
-            np.ascontiguousarray(query_words),
-            rows,
-            out,
-        )
-        return out
-    if chosen != "numpy":
-        raise KernelError(f"unknown kernel implementation {chosen!r}")
-    return _first_divergence_numpy(ref_words, query_words, rows)
-
-
-def _first_divergence_numpy(
-    ref_words: np.ndarray, query_words: np.ndarray, rows: int
-) -> np.ndarray:
-    num_words, num_refs = ref_words.shape
+    num_refs = ref_words.shape[1]
     num_queries = query_words.shape[1]
     div = np.full((num_queries, num_refs), rows, dtype=np.int64)
     # Later words first: where an earlier word also differs, its (lower)
@@ -280,33 +229,3 @@ def _first_divergence_numpy(
         bit = WORD_BITS - bit_length64(xor)
         div = np.where(nonzero, w * WORD_BITS + bit, div)
     return div
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only with [compiled]
-
-    @_njit(cache=False)
-    def _first_divergence_numba(ref_words, query_words, rows, out):
-        num_words, num_refs = ref_words.shape
-        num_queries = query_words.shape[1]
-        for n in range(num_queries):
-            for r in range(num_refs):
-                d = rows
-                for w in range(num_words):
-                    x = query_words[w, n] ^ ref_words[w, r]
-                    if x != np.uint64(0):
-                        # 64 - bit_length(x) == leading zero count.
-                        c = 64
-                        while x != np.uint64(0):
-                            x = x >> np.uint64(1)
-                            c -= 1
-                        d = w * WORD_BITS + c
-                        break
-                out[n, r] = d
-
-else:
-
-    def _first_divergence_numba(ref_words, query_words, rows, out):
-        raise KernelError(
-            "numba implementation requested but numba is not installed "
-            "(pip install .[compiled])"
-        )

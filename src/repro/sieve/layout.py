@@ -321,24 +321,24 @@ class SubarrayLayout:
             matrix[:, self.ref_slot_columns[: len(kmers)]] = bits
         return matrix
 
-    def query_bit_matrix(self, queries: Sequence[int]) -> np.ndarray:
-        """Region-1 write image for a query batch: (2k, row_bits), with the
-        batch replicated into every group's query block.
+    def query_block_bits(self, queries: Sequence[int]) -> np.ndarray:
+        """Region-1 write image for a query batch: (2k, queries_per_group)
+        bits, which the load path replicates into every group's query
+        block.
 
-        Shorter batches leave the remaining query columns zero (those
-        slots are disabled at match time).
+        Column ``s`` holds batch slot ``s``; shorter batches leave the
+        remaining query columns zero (those slots are disabled at match
+        time).
         """
         if len(queries) > self.queries_per_group:
             raise LayoutError(
                 f"batch of {len(queries)} exceeds {self.queries_per_group} "
                 f"queries per group"
             )
-        matrix = np.zeros((self.kmer_rows, self.row_bits), dtype=np.uint8)
+        block = np.zeros((self.kmer_rows, self.queries_per_group), dtype=np.uint8)
         if len(queries):
-            bits = transpose_kmers(queries, self.k)
-            cols = self.query_column_matrix[:, : len(queries)]
-            matrix[:, cols.ravel()] = np.tile(bits, (1, self.num_groups))
-        return matrix
+            block[:, : len(queries)] = transpose_kmers(queries, self.k)
+        return block
 
     # -- regions 2 and 3 -----------------------------------------------------------
 

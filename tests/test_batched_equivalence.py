@@ -24,9 +24,12 @@ throughout, so the batched path's accounting is also sanitizer-checked.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultModel, StuckCell, fault_injection
 from repro.sieve.functional import SieveSubarraySim
 from repro.sieve.layout import LayoutError, SubarrayLayout
 
@@ -197,3 +200,83 @@ def test_device_level_batched_equals_scalar(small_layout, small_dataset):
     assert fast.stats == slow.stats
     for sid in fast.subarrays:
         assert fast.subarrays[sid].array.stats == slow.subarrays[sid].array.stats
+
+
+def _per_run_query_load(sim, queries, layer):
+    """Query-block write as one ``load_bits`` call per (row, group)."""
+    layout = sim.layout
+    block = layout.query_block_bits(list(queries))
+    base = layout.layer_base_row(layer)
+    for bit in range(layout.kmer_rows):
+        for g in range(layout.num_groups):
+            sim.array.load_bits(
+                base + bit, layout.query_columns(g).start, block[bit]
+            )
+
+
+def _query_loads(layout, model):
+    """Cells (and injector) after two query batches — the second one
+    shorter, so stale slots must be zeroed — via the block store and
+    via per-run loads."""
+    space = 1 << (2 * layout.k)
+    records = [(key, key % 7) for key in range(5, space, 4099)][
+        : layout.refs_per_subarray
+    ]
+    batches = [
+        ([records[0][0], 3, space - 1, records[5][0]], 1),
+        ([records[2][0]], 0),
+    ]
+    results = []
+    for block_store in (True, False):
+        injector = None if model is None else FaultInjector(model)
+        scope = nullcontext() if injector is None else fault_injection(injector)
+        with scope:
+            sim = SieveSubarraySim(layout, records)
+            for queries, layer in batches:
+                queries = queries[: layout.queries_per_group]
+                if block_store:
+                    sim.load_query_batch(queries, layer)
+                else:
+                    _per_run_query_load(sim, queries, layer)
+        results.append((sim.array.peek_rows(0, sim.array.rows).copy(), injector))
+    return results
+
+
+def test_query_block_store_matches_per_run_loads(small_layout):
+    (block_cells, _), (run_cells, _) = _query_loads(small_layout, None)
+    assert np.array_equal(block_cells, run_cells)
+
+
+def test_query_block_store_under_injector(small_layout):
+    """With an injector installed the block store makes the same
+    per-(row, group) load calls: identical loads, schedule and cells."""
+    stuck = StuckCell(
+        "unit0",
+        small_layout.layer_base_row(1),
+        int(small_layout.query_column_matrix[1, 2]),
+        1,
+    )
+    model = FaultModel(bit_flip_rate=0.05, stuck_cells=(stuck,), seed=11)
+    (block_cells, block_inj), (run_cells, run_inj) = _query_loads(
+        small_layout, model
+    )
+    assert block_inj.stats == run_inj.stats
+    assert block_inj.stats.stuck_applied > 0
+    assert block_inj.schedule == run_inj.schedule
+    assert np.array_equal(block_cells, run_cells)
+
+
+def test_load_bit_block_validation():
+    from repro.dram.subarray import Subarray
+
+    array = Subarray(8, 32)
+    starts = np.array([0, 16])
+    with pytest.raises(ValueError):
+        array.load_bit_block(0, starts, np.zeros((2, 3, 4), dtype=np.uint8))
+    with pytest.raises(IndexError):
+        array.load_bit_block(0, starts, np.zeros((2, 17), dtype=np.uint8))
+    with pytest.raises(IndexError):
+        array.load_bit_block(7, starts, np.zeros((2, 4), dtype=np.uint8))
+    array.load_bit_block(6, starts, np.full((2, 4), 3, dtype=np.uint8))
+    assert array.peek_rows(6, 8)[:, [0, 3, 16, 19]].all()
+    assert array.peek_rows(6, 8).sum() == 16

@@ -7,8 +7,9 @@ settings so CI never flakes:
   matrices (including odd widths whose last word carries zero tail
   bits), ``bit_length64`` agrees with Python's ``int.bit_length``,
   ``first_divergence`` agrees with a scalar reference sweep, and
-  ``segment_divergence`` (the single-word min-trick) agrees with the
-  per-segment max of the full divergence matrix;
+  ``segment_divergence`` (the single-word sorted-neighbour form) agrees
+  with the per-segment max of the full divergence matrix and with the
+  brute-force first matching column;
 * **helper round trips** — the vectorized ``_int_to_bits`` /
   ``_bits_to_int`` / ``_bit_rows_to_ints`` conversions invert each
   other and match Python's binary formatting;
@@ -16,11 +17,9 @@ settings so CI never flakes:
   (auto fast path, pinned general numpy sweep, PR-2 vector) produces
   outcomes, stats, and microarchitectural state bit-identical to the
   scalar path — with and without a nonzero :class:`FaultInjector`
-  bit-flip rate corrupting the loaded arrays.
-
-The numba legs (``packed-numba`` engine kernel, ``impl="numba"``
-first-divergence) run only when the optional ``[compiled]`` extra is
-installed and are skipped cleanly otherwise.
+  bit-flip rate corrupting the loaded arrays — and stuck cells that
+  break either fast-path guard route the auto engine through the
+  general sweep with the same bit-identity.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, FaultModel, fault_injection
+from repro.faults import FaultInjector, FaultModel, StuckCell, fault_injection
 from repro.sieve import kernels
 from repro.sieve.functional import (
     MATCH_KERNELS,
@@ -48,10 +47,6 @@ from .test_batched_equivalence import (
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
-
-needs_numba = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="numba not installed ([compiled] extra)"
-)
 
 
 def _random_bits(seed: int, rows: int, cols: int) -> np.ndarray:
@@ -161,7 +156,6 @@ class TestFirstDivergence:
             kernels.pack_bit_columns(ref_bits),
             kernels.pack_bit_columns(query_bits),
             rows,
-            impl="numpy",
         )
         assert np.array_equal(
             div, _reference_first_divergence(ref_bits, query_bits)
@@ -171,25 +165,51 @@ class TestFirstDivergence:
     @given(
         seed=st.integers(0, 2**31 - 1),
         rows=st.integers(1, kernels.WORD_BITS),
-        num_refs=st.integers(1, 24),
-        num_queries=st.integers(1, 6),
         data=st.data(),
     )
-    def test_segment_divergence_is_per_segment_max(
-        self, seed, rows, num_refs, num_queries, data
-    ):
-        ref_bits = _random_bits(seed, rows, num_refs)
-        query_bits = _random_bits(seed + 1, rows, num_queries)
-        query_bits[:, 0] = ref_bits[:, 0]
-        segment_size = data.draw(st.integers(1, num_refs))
-        seg_starts = np.arange(0, num_refs, segment_size)
-        ref_words = kernels.pack_bit_columns(ref_bits)
-        query_words = kernels.pack_bit_columns(query_bits)
-        xor = query_words[0][:, None] ^ ref_words[0][None, :]
-        got = kernels.segment_divergence(xor, rows, seg_starts)
-        full = kernels.first_divergence(ref_words, query_words, rows)
+    def test_segment_divergence_is_per_segment_max(self, seed, rows, data):
+        """Sorted-neighbour form == brute force over every column: the
+        per-segment max of the full divergence matrix, and the first
+        all-equal column for hits."""
+        rng = np.random.default_rng(seed)
+        space = 1 << rows
+        num_refs = data.draw(st.integers(1, min(space, 24)))
+        values = np.unique(
+            rng.integers(0, space, size=num_refs, dtype=np.uint64)
+        )
+        num_refs = values.size
+        # Segments of any width, one-reference segments included.
+        cuts = data.draw(
+            st.sets(st.integers(1, max(num_refs - 1, 1)), max_size=num_refs)
+        )
+        seg_starts = np.array(
+            sorted({0} | {c for c in cuts if c < num_refs}), dtype=np.intp
+        )
+        # Random queries, plus below the minimum, above the maximum, and
+        # exactly on (and next to) every segment boundary.
+        lo, hi = int(values[0]), int(values[-1])
+        probes = rng.integers(0, space, size=4, dtype=np.uint64).tolist()
+        probes += [max(lo - 1, 0), min(hi + 1, space - 1), 0, space - 1]
+        for start in seg_starts:
+            edge = int(values[start])
+            probes += [edge, max(edge - 1, 0), min(edge + 1, space - 1)]
+        query = np.array(probes, dtype=np.uint64)
+        shift = np.uint64(kernels.WORD_BITS - rows)
+        ref_row, query_row = values << shift, query << shift
+
+        seg_div, hit_slot, any_hit = kernels.segment_divergence(
+            ref_row, query_row, rows, seg_starts
+        )
+        full = kernels.first_divergence(
+            ref_row[None, :], query_row[None, :], rows
+        )
         assert np.array_equal(
-            got, np.maximum.reduceat(full, seg_starts, axis=1)
+            seg_div, np.maximum.reduceat(full, seg_starts, axis=1)
+        )
+        hits = full == rows
+        assert np.array_equal(any_hit, hits.any(axis=1))
+        assert np.array_equal(
+            hit_slot[any_hit], hits.argmax(axis=1)[any_hit]
         )
 
     def test_word_count_mismatch_rejected(self):
@@ -200,65 +220,33 @@ class TestFirstDivergence:
         with pytest.raises(KernelError):
             kernels.first_divergence(ref, ref, 64)
 
-    def test_unknown_impl_rejected(self):
-        words = np.zeros((1, 2), dtype=np.uint64)
-        with pytest.raises(KernelError):
-            kernels.first_divergence(words, words, 8, impl="simd")
-
     def test_segment_divergence_validation(self):
-        xor = np.zeros((2, 4), dtype=np.uint64)
+        refs = np.arange(4, dtype=np.uint64)
         starts = np.array([0, 2])
         with pytest.raises(KernelError):
-            kernels.segment_divergence(xor[0], 8, starts)
+            kernels.segment_divergence(refs[None, :], refs, 8, starts)
         with pytest.raises(KernelError):
-            kernels.segment_divergence(xor, 65, starts)
+            kernels.segment_divergence(refs[:0], refs, 8, starts[:1])
         with pytest.raises(KernelError):
-            kernels.segment_divergence(xor, 0, starts)
-
-    @needs_numba
-    @SETTINGS
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        rows=st.sampled_from([1, 26, 64, 65, 130]),
-        num_refs=st.integers(1, 10),
-        num_queries=st.integers(1, 5),
-    )
-    def test_numba_matches_numpy(self, seed, rows, num_refs, num_queries):
-        ref_words = kernels.pack_bit_columns(
-            _random_bits(seed, rows, num_refs)
-        )
-        query_words = kernels.pack_bit_columns(
-            _random_bits(seed + 1, rows, num_queries)
-        )
-        assert np.array_equal(
-            kernels.first_divergence(ref_words, query_words, rows, "numba"),
-            kernels.first_divergence(ref_words, query_words, rows, "numpy"),
-        )
-
-    def test_numba_unavailable_raises(self):
-        if kernels.HAVE_NUMBA:
-            pytest.skip("numba installed; the stub is unreachable")
-        words = np.zeros((1, 2), dtype=np.uint64)
+            kernels.segment_divergence(refs, refs, 65, starts)
         with pytest.raises(KernelError):
-            kernels.first_divergence(words, words, 8, impl="numba")
+            kernels.segment_divergence(refs, refs, 0, starts)
 
 
 class TestImplementationSelection:
-    def test_available(self):
-        impls = kernels.available_implementations()
-        assert "numpy" in impls
-        assert ("numba" in impls) == kernels.HAVE_NUMBA
-
     def test_env_override(self, monkeypatch):
+        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
+        assert kernels.default_kernel() == "packed"
+        for name in kernels.KERNEL_NAMES:
+            monkeypatch.setenv(kernels.KERNEL_ENV_VAR, name)
+            assert kernels.default_kernel() == name
+        # The legacy implementation spelling keeps the default engine.
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        assert kernels.default_implementation() == "numpy"
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "vhdl")
-        with pytest.raises(KernelError):
-            kernels.default_implementation()
-        if not kernels.HAVE_NUMBA:
-            monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numba")
+        assert kernels.default_kernel() == "packed"
+        for bad in ("vhdl", "numba", "packed-numba"):
+            monkeypatch.setenv(kernels.KERNEL_ENV_VAR, bad)
             with pytest.raises(KernelError):
-                kernels.default_implementation()
+                kernels.default_kernel()
 
 
 class TestIntBitsRoundTrip:
@@ -297,12 +285,7 @@ class TestIntBitsRoundTrip:
             _bit_rows_to_ints(np.zeros((2, 7), dtype=np.uint8))
 
 
-# Engine kernels testable in this interpreter (numba leg when present).
-_ENGINE_KERNELS = [
-    k
-    for k in MATCH_KERNELS
-    if kernels.HAVE_NUMBA or k != "packed-numba"
-]
+_ENGINE_KERNELS = list(MATCH_KERNELS)
 
 
 def _trial(seed: int):
@@ -363,11 +346,98 @@ class TestEngineBitIdentity:
         with pytest.raises(FunctionalError):
             sim.match_all(kernel="quantum")
 
-    def test_packed_numba_unavailable_raises(self):
-        if kernels.HAVE_NUMBA:
-            pytest.skip("numba installed; the stub is unreachable")
-        layout, records, queries, _ = _trial(1)
-        sim = SieveSubarraySim(layout, records)
-        sim.load_query_batch(queries, sim.route_layer(queries[0]))
-        with pytest.raises(KernelError):
-            sim.match_all(kernel="packed-numba")
+
+def _guard_case(layout):
+    """Records and queries whose words all have a clear MSB (row 0), so a
+    stuck-at-1 cell in row 0 raises exactly one word above its peers."""
+    space = 1 << (2 * layout.k)
+    records = [(key, 10 + key % 13) for key in range(17, space // 2, 997)][
+        : layout.refs_per_layer
+    ]
+    queries = [records[0][0], records[1][0] ^ 2, records[-1][0], 5][
+        : layout.queries_per_group
+    ]
+    return records, queries
+
+
+class TestFastPathGuards:
+    """The auto engine runs the sorted-neighbour kernel only when (a) the
+    layer's stored words ascend and (b) every group holds the same query
+    replica; each broken guard falls back to the general sweep and stays
+    bit-identical to the scalar replay on the corrupted cells."""
+
+    @staticmethod
+    def _run(layout, records, queries, model, monkeypatch):
+        calls = []
+        original = kernels.segment_divergence
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "segment_divergence", spy)
+
+        def build(match):
+            injector = FaultInjector(model)
+            with fault_injection(injector):
+                sim = SieveSubarraySim(layout, records)
+                sim.load_query_batch(queries, 0)
+                outcomes = match(sim)
+            return sim, outcomes, injector
+
+        scalar, s_out, s_inj = build(
+            lambda sim: [sim.match_slot(s) for s in range(len(queries))]
+        )
+        fast, f_out, f_inj = build(lambda sim: sim.match_all())
+        assert f_inj.schedule == s_inj.schedule
+        assert_equivalent(scalar, fast, s_out, f_out)
+        return len(calls), s_out
+
+    def test_pristine_cells_take_fast_path(self, small_layout, monkeypatch):
+        records, queries = _guard_case(small_layout)
+        calls, outcomes = self._run(
+            small_layout, records, queries, FaultModel(), monkeypatch
+        )
+        assert calls == 1
+        assert [o.hit for o in outcomes] == [True, False, True, False]
+
+    def test_stuck_cell_breaking_order_falls_back(
+        self, small_layout, monkeypatch
+    ):
+        records, queries = _guard_case(small_layout)
+        stuck = StuckCell(
+            "unit0",
+            small_layout.layer_base_row(0),
+            int(small_layout.ref_slot_columns[0]),
+            1,
+        )
+        calls, outcomes = self._run(
+            small_layout,
+            records,
+            queries,
+            FaultModel(stuck_cells=(stuck,)),
+            monkeypatch,
+        )
+        assert calls == 0
+        # Slot 0 now reads as a different k-mer: its query misses.
+        assert not outcomes[0].hit and outcomes[2].hit
+
+    def test_corrupted_query_replica_falls_back(
+        self, small_layout, monkeypatch
+    ):
+        records, queries = _guard_case(small_layout)
+        last_group = small_layout.num_groups - 1
+        stuck = StuckCell(
+            "unit0",
+            small_layout.layer_base_row(0),
+            int(small_layout.query_column_matrix[last_group, 0]),
+            1,
+        )
+        calls, _ = self._run(
+            small_layout,
+            records,
+            queries,
+            FaultModel(stuck_cells=(stuck,)),
+            monkeypatch,
+        )
+        assert calls == 0

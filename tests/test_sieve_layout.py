@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.genomics.encoding import bits_to_kmer
 from repro.sieve import LayoutError, SubarrayLayout
+from repro.sieve.functional import SieveSubarraySim
 from repro.sieve.layout import GROUP_WIDTH, QUERIES_PER_GROUP, REFS_PER_GROUP
 
 
@@ -181,22 +182,26 @@ class TestBitImages:
 
     def test_query_matrix_replicated(self, small_layout):
         queries = [3, 77]
-        matrix = small_layout.query_bit_matrix(queries)
-        first_group = None
+        block = small_layout.query_block_bits(queries)
+        assert block.shape == (
+            small_layout.kmer_rows,
+            small_layout.queries_per_group,
+        )
+        assert not block[:, len(queries) :].any()
+        for j, q in enumerate(queries):
+            assert bits_to_kmer(list(block[:, j]), small_layout.k) == q
+        # Loading the batch replicates the block into every group.
+        sim = SieveSubarraySim(small_layout, [(5, 1)])
+        sim.load_query_batch(queries, 0)
+        cells = sim.array.peek_rows(0, small_layout.kmer_rows)
         for g in range(small_layout.num_groups):
-            cols = list(small_layout.query_columns(g))[: len(queries)]
-            block = matrix[:, cols]
-            if first_group is None:
-                first_group = block
-            else:
-                np.testing.assert_array_equal(block, first_group)
-            for j, q in enumerate(queries):
-                assert bits_to_kmer(list(block[:, j]), small_layout.k) == q
+            cols = small_layout.query_column_matrix[g]
+            np.testing.assert_array_equal(cells[:, cols], block)
 
     def test_query_matrix_batch_limit(self, small_layout):
         too_many = list(range(small_layout.queries_per_group + 1))
         with pytest.raises(LayoutError):
-            small_layout.query_bit_matrix(too_many)
+            small_layout.query_block_bits(too_many)
 
     @given(st.data())
     def test_ref_matrix_property(self, data):
