@@ -51,7 +51,7 @@ def test_device_lookup_throughput(benchmark, loaded_device):
     def lookup():
         q = pool[state["i"] % len(pool)]
         state["i"] += 1
-        return device.lookup(q)
+        return device.query([q], batched=False)[0]
 
     benchmark(lookup)
 
@@ -59,4 +59,4 @@ def test_device_lookup_throughput(benchmark, loaded_device):
 def test_device_batch_throughput(benchmark, loaded_device):
     device, queries = loaded_device
     batch = queries[:128]
-    benchmark.pedantic(device.lookup_many, args=(batch,), rounds=3, iterations=1)
+    benchmark.pedantic(device.query, args=(batch,), rounds=3, iterations=1)

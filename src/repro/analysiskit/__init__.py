@@ -3,7 +3,7 @@
 Two halves (see ``docs/CORRECTNESS.md``):
 
 * **static**: a simulator-aware AST lint pass (``python -m repro.lint``)
-  with rules SV001-SV006 over unit suffixes, float equality, Command
+  with rules SV001-SV005 over unit suffixes, float equality, Command
   exhaustiveness, nondeterminism, and mutable defaults, plus the
   concurrency/determinism rules SV007-SV012 (event-loop blocking,
   un-awaited coroutines, fork-unsafe shared state, unbounded awaits,

@@ -1,4 +1,4 @@
-"""Simulator-specific lint rules (SV001-SV013).
+"""Simulator-specific lint rules (SV001-SV005, SV007-SV012).
 
 These encode the invariants the trace-driven model's numbers rest on —
 unit-suffix discipline, deterministic randomness, exhaustive command
@@ -6,10 +6,10 @@ dispatch — as machine-checked rules instead of docstring conventions.
 SV007-SV012 extend the catalog to the concurrency layers: event-loop
 blocking, un-awaited coroutines, fork-unsafe shared state, unbounded
 awaits, order-nondeterministic set iteration, and unsanctioned
-wall-clock reads.  SV013 guards the versioned service API: the
-deprecated flat ``stats()`` spellings read only through shims, never
-in checked-in code.  See ``docs/CORRECTNESS.md`` for the full catalog
-with rationale and suppression syntax.
+wall-clock reads.  SV006 and SV013 are retired (they policed
+compatibility shims that no longer exist); their IDs are not reused.
+See ``docs/CORRECTNESS.md`` for the full catalog with rationale and
+suppression syntax.
 """
 
 from __future__ import annotations
@@ -660,48 +660,6 @@ class MutableDefaultRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# SV006 — deprecated query-surface names
-# --------------------------------------------------------------------------
-
-#: Deprecated attribute name -> replacement, per the PR-4 API redesign
-#: (docs/PERFORMANCE.md migration notes).  Exact-name matching on
-#: attribute *access*: shim definitions (`def lookup`) stay legal, any
-#: in-repo call/reference to them does not.
-DEPRECATED_QUERY_ATTRS: Dict[str, str] = {
-    "lookup": "query() (or get() on index structures)",
-    "lookup_many": "query()",
-    "match_batch": "match_all()",
-}
-
-
-class DeprecatedQueryApiRule(Rule):
-    rule_id = "SV006"
-    title = "deprecated query API"
-    rationale = (
-        "The `lookup`/`lookup_many`/`match_batch` split was collapsed "
-        "into the unified `QueryBackend.query()` surface (repro.api). "
-        "The old names survive only as DeprecationWarning shims for "
-        "external callers; in-repo call sites must use `query()` / "
-        "`get()` / `match_all()` so hit-rate accounting stays on the "
-        "one shared path."
-    )
-
-    def check(self, source: FileSource) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in DEPRECATED_QUERY_ATTRS
-            ):
-                replacement = DEPRECATED_QUERY_ATTRS[node.attr]
-                yield self.finding(
-                    source,
-                    node,
-                    f"`.{node.attr}` is a deprecated query surface; "
-                    f"use {replacement}",
-                )
-
-
-# --------------------------------------------------------------------------
 # Shared helpers for the concurrency rules (SV007-SV012)
 # --------------------------------------------------------------------------
 
@@ -799,7 +757,7 @@ BLOCKING_CALLS: Set[str] = {
 #: Method names that are CPU-heavy or do sync file I/O in this codebase.
 #: ``query``/``classify`` are the QueryBackend surface — in async code
 #: they must go through the dispatcher's executor seam
-#: (``ShardWorker._dispatch``), never be called inline on the loop.
+#: (``ShardWorker._launch``), never be called inline on the loop.
 BLOCKING_METHODS: Set[str] = {
     "query",
     "classify",
@@ -1499,95 +1457,18 @@ class WallClockRule(Rule):
                 )
 
 
-# --------------------------------------------------------------------------
-# SV013 — deprecated flat stats keys
-# --------------------------------------------------------------------------
-
-#: Deprecated v1 flat stats key -> the grouped sieve-stats-v2 path.
-#: Mirrors repro.service.stats.DEPRECATED_STATS_KEYS (kept literal here
-#: so the lint pass stays importable without the service package).
-DEPRECATED_STATS_SUBSCRIPTS: Dict[str, str] = {
-    "config": 'stats["service"]["config"]',
-    "k": 'stats["service"]["k"]',
-    "shards": 'stats["health"]["shards"]',
-    "healthy_shards": 'stats["health"]["healthy_shards"]',
-    "degraded": 'stats["health"]["degraded"]',
-    "sim_time_ns": 'stats["clocks"]["sim_time_ns"]',
-    "sim_energy_nj": 'stats["clocks"]["sim_energy_nj"]',
-}
-
-
-def _is_stats_receiver(node: ast.AST) -> bool:
-    """Whether ``node`` plausibly holds a service ``stats()`` payload.
-
-    Matched shapes — a name spelled like a stats payload
-    (``stats``, ``stats_u``, ``shard_stats``) or a direct
-    ``something.stats()[...]`` call — keep the rule away from unrelated
-    dicts that happen to share key spellings.
-    """
-    if isinstance(node, ast.Name):
-        name = node.id
-        return (
-            name == "stats"
-            or name.startswith("stats_")
-            or name.endswith("_stats")
-        )
-    if isinstance(node, ast.Call):
-        func = node.func
-        return isinstance(func, ast.Attribute) and func.attr == "stats"
-    return False
-
-
-class DeprecatedStatsKeyRule(Rule):
-    rule_id = "SV013"
-    title = "deprecated flat stats key"
-    rationale = (
-        "The service stats payload is versioned (sieve-stats-v2, "
-        "repro.service.stats): per-shard health, clocks, cache, and "
-        "cluster facts live under grouped section keys. The old flat "
-        "spellings survive only as DeprecationWarning shims for "
-        "external callers; in-repo readers must use the grouped paths "
-        "so the shims can eventually be dropped."
-    )
-
-    def check(self, source: FileSource) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Subscript):
-                continue
-            if not _is_stats_receiver(node.value):
-                continue
-            # Python 3.9+: Subscript.slice is the index expression.
-            index = node.slice
-            if not (
-                isinstance(index, ast.Constant)
-                and isinstance(index.value, str)
-            ):
-                continue
-            key = index.value
-            replacement = DEPRECATED_STATS_SUBSCRIPTS.get(key)
-            if replacement is not None:
-                yield self.finding(
-                    source,
-                    node,
-                    f"flat stats key `[{key!r}]` is a deprecated "
-                    f"sieve-stats-v1 spelling; read {replacement}",
-                )
-
-
 ALL_RULES: Tuple[Rule, ...] = (
     UnitSuffixRule(),
     FloatEqualityRule(),
     CommandExhaustivenessRule(),
     NondeterminismRule(),
     MutableDefaultRule(),
-    DeprecatedQueryApiRule(),
     AsyncBlockingCallRule(),
     UnawaitedCoroutineRule(),
     ForkUnsafeStateRule(),
     UnboundedAwaitRule(),
     SetIterationOrderRule(),
     WallClockRule(),
-    DeprecatedStatsKeyRule(),
 )
 
 

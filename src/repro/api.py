@@ -4,13 +4,8 @@ Every k-mer matching engine in this repository — the functional Sieve
 device, the software baselines (Kraken-, CLARK-, and sorted-list-style
 classifiers), the plain :class:`~repro.genomics.database.KmerDatabase`,
 and the row-major in-situ baseline — answers the same question: *which
-reference taxon, if any, does this k-mer belong to?*  Historically each
-engine exposed its own signature (``lookup`` returning ``Optional[int]``
-vs ``DeviceResponse``, ``lookup_many(batched=)``, ``match_batch``),
-which forced the experiment harness and the classification loop into
-per-engine adapters.
-
-This module defines the one surface they all implement now:
+reference taxon, if any, does this k-mer belong to?*  This module
+defines the one surface they all implement:
 
 ``query(kmers, *, batched=True) -> List[BackendResult]``
     The batch query path.  ``batched=False`` asks engines that have a
@@ -25,10 +20,6 @@ This module defines the one surface they all implement now:
 ``stats() -> BackendStats``
     Uniform hit-rate accounting across all engines.
 
-The old names survive as thin shims that emit ``DeprecationWarning``;
-lint rule SV006 (``python -m repro.lint``) keeps the repository itself
-off them.
-
 This module is a *leaf*: it imports nothing from the rest of the
 package at module level, so any engine module can import it without
 cycles.
@@ -36,7 +27,6 @@ cycles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -268,22 +258,6 @@ class ScalarQueryBackendBase(QueryBackendBase):
         return results
 
 
-# ---------------------------------------------------------------------------
-# Deprecation machinery
-# ---------------------------------------------------------------------------
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard shim warning (``stacklevel=3``: the caller of
-    the deprecated method, not the shim body)."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (see docs/PERFORMANCE.md "
-        "migration notes)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def __getattr__(name: str) -> Any:
     # `Classification` is an alias for the shared per-read result type;
     # resolved lazily to keep this module a leaf.
@@ -304,5 +278,4 @@ __all__ = [
     "QueryBackendBase",
     "ScalarQueryBackendBase",
     "classification_from_results",
-    "warn_deprecated",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from ..api import BackendCapabilities, ScalarQueryBackendBase, warn_deprecated
+from ..api import BackendCapabilities, ScalarQueryBackendBase
 
 #: Memory-image field sizes (12-byte records, Section II).
 BUCKET_SLOT_BYTES = 8
@@ -98,11 +98,6 @@ class ChainedHashTable:
             idx = self._next[idx]
         return None
 
-    def lookup(self, key: int) -> Optional[int]:
-        """Deprecated name for :meth:`get` (PR-4 API unification)."""
-        warn_deprecated("ChainedHashTable.lookup()", "ChainedHashTable.get()")
-        return self.get(key)
-
     def traced_lookup(self, key: int) -> LookupTrace:
         """Lookup that records every byte address it touches."""
         bucket = self._bucket_of(key)
@@ -171,8 +166,3 @@ class ClarkClassifier(ScalarQueryBackendBase):
             batched=False,
             degraded=self.degraded,
         )
-
-    def lookup(self, kmer: int) -> Optional[int]:
-        """Deprecated name for :meth:`get` (PR-4 API unification)."""
-        warn_deprecated("ClarkClassifier.lookup()", "ClarkClassifier.get()")
-        return self.get(kmer)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..api import BackendCapabilities, ScalarQueryBackendBase, warn_deprecated
+from ..api import BackendCapabilities, ScalarQueryBackendBase
 from ..genomics.encoding import BITS_PER_BASE
 from ..genomics.sequence import DnaSequence
 
@@ -107,13 +107,6 @@ class SignatureSortedIndex:
     def get(self, kmer: int) -> Optional[int]:
         """Plain lookup: taxon or None."""
         return self.traced_lookup(kmer).taxon
-
-    def lookup(self, kmer: int) -> Optional[int]:
-        """Deprecated name for :meth:`get` (PR-4 API unification)."""
-        warn_deprecated(
-            "SignatureSortedIndex.lookup()", "SignatureSortedIndex.get()"
-        )
-        return self.get(kmer)
 
     def traced_lookup(self, kmer: int) -> BucketLookup:
         """Binary-search lookup recording the addresses it touches."""
@@ -209,8 +202,3 @@ class KrakenClassifier(ScalarQueryBackendBase):
             batched=False,
             degraded=self.degraded,
         )
-
-    def lookup(self, kmer: int) -> Optional[int]:
-        """Deprecated name for :meth:`get` (PR-4 API unification)."""
-        warn_deprecated("KrakenClassifier.lookup()", "KrakenClassifier.get()")
-        return self.get(kmer)

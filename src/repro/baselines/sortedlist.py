@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from ..api import BackendCapabilities, ScalarQueryBackendBase, warn_deprecated
+from ..api import BackendCapabilities, ScalarQueryBackendBase
 
 #: Record size: 8-byte k-mer + 4-byte taxon (Section II).
 RECORD_BYTES = 12
@@ -56,11 +56,6 @@ class SortedKmerList:
 
     def get(self, kmer: int) -> Optional[int]:
         return self.traced_lookup(kmer).taxon
-
-    def lookup(self, kmer: int) -> Optional[int]:
-        """Deprecated name for :meth:`get` (PR-4 API unification)."""
-        warn_deprecated("SortedKmerList.lookup()", "SortedKmerList.get()")
-        return self.get(kmer)
 
     def traced_lookup(self, kmer: int) -> SortedLookup:
         """Binary search recording every record address touched."""
@@ -118,10 +113,3 @@ class SortedListClassifier(ScalarQueryBackendBase):
             batched=False,
             degraded=self.degraded,
         )
-
-    def lookup(self, kmer: int) -> Optional[int]:
-        """Deprecated name for :meth:`get` (PR-4 API unification)."""
-        warn_deprecated(
-            "SortedListClassifier.lookup()", "SortedListClassifier.get()"
-        )
-        return self.get(kmer)

@@ -21,7 +21,6 @@ from ..api import (
     BackendResult,
     BackendStats,
     classification_from_results,
-    warn_deprecated,
 )
 from .encoding import canonical_kmer, canonical_kmers, decode_kmer, pack_kmers
 from .sequence import DnaSequence
@@ -139,11 +138,6 @@ class KmerDatabase:
         """
         return self._table.get(self._normalize(kmer))
 
-    def lookup(self, kmer: int) -> Optional[int]:
-        """Deprecated name for :meth:`get` (PR-4 API unification)."""
-        warn_deprecated("KmerDatabase.lookup()", "KmerDatabase.get()")
-        return self.get(kmer)
-
     def _lookup_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted key array + aligned payload array (cached)."""
         if self._lookup_cache is None:
@@ -218,11 +212,6 @@ class KmerDatabase:
         ]
         self._backend_stats.record(results)
         return results
-
-    def lookup_many(self, kmers: Sequence[int]) -> List[Optional[int]]:
-        """Deprecated payload-list shim over :meth:`query`."""
-        warn_deprecated("KmerDatabase.lookup_many()", "KmerDatabase.query()")
-        return self._bulk_payloads(kmers)
 
     def classify(self, read: DnaSequence):
         """Classify one read through the shared vote-counting path."""

@@ -53,7 +53,7 @@ from .dispatcher import (
 from .metrics import Counter, Histogram, MetricsRegistry
 from .client import ServiceClient
 from .server import ClassificationService
-from .stats import DEPRECATED_STATS_KEYS, STATS_SCHEMA, StatsPayload
+from .stats import STATS_SCHEMA
 
 __all__ = [
     "BatchCachePlan",
@@ -62,7 +62,6 @@ __all__ = [
     "ClassificationService",
     "ClusterConfig",
     "Counter",
-    "DEPRECATED_STATS_KEYS",
     "DeadlineExceededError",
     "KmerResultCache",
     "Histogram",
@@ -76,6 +75,5 @@ __all__ = [
     "ServiceResponse",
     "ShardCrashError",
     "ShardHealth",
-    "StatsPayload",
     "hooks",
 ]

@@ -108,6 +108,21 @@ def _rid(request: Request) -> int:
     return request.req_id if request.req_id is not None else id(request)
 
 
+@dataclass
+class _InFlight:
+    """A launched batch awaiting :meth:`ShardWorker._retire`."""
+
+    #: Every request coalesced into the batch (each owes a task_done).
+    batch: List[Request]
+    #: The requests still live at launch and their flattened k-mers.
+    live: List[Request]
+    flat: List[int]
+    plan: Optional[BatchCachePlan]
+    #: Resolves to the :meth:`ShardWorker._query_blocking` result;
+    #: ``None`` when every request expired and nothing launched.
+    future: Optional["asyncio.Future[Any]"]
+
+
 @dataclass(frozen=True)
 class ServiceResponse:
     """What a completed request resolves to."""
@@ -208,24 +223,51 @@ class ShardWorker:
     async def run(self) -> None:
         """Serve until cancelled (or chaos-crashed).
 
-        Each iteration dispatches one batch.  When a chaos plan
-        schedules a crash, the loop fails *before* executing the batch
-        (requests are never half-answered), hands every orphaned
-        request to the failover callback, and exits.
+        One pass per batch: accept, coalesce, consult chaos, prepare,
+        retire the in-flight batch (if any), launch.  The in-flight
+        depth is 1 under ``config.pipelined``: accept/coalesce/prepare
+        of batch N+1 then overlaps device simulation of batch N on the
+        executor.  Otherwise it is 0 and each batch retires right after
+        launch.  At either depth one device batch runs per shard and
+        launches only after its predecessor retired, so execution stays
+        exactly-once and in admission order (the
+        :class:`~repro.analysiskit.ScheduleSanitizer` invariants) and
+        responses are identical; only the host/device overlap changes.
 
-        With ``config.pipelined`` (and the executor seam installed) the
-        loop overlaps host-side accept/coalesce/prepare of batch N+1
-        with device simulation of batch N — see :meth:`_run_pipelined`.
+        A chaos crash retires the in-flight batch, then fails the new
+        one *before* executing it (requests are never half-answered),
+        hands every orphan to the failover callback, and exits.  On
+        cancellation (``stop``) or any other exit, every request still
+        unanswered — accepted, in flight, or queued — resolves with a
+        :class:`ServiceError`.
         """
-        if self.config.pipelined and self._executor is not None:
-            await self._run_pipelined()
-            return
-        while True:
-            # Idle accept: blocks until the next request arrives, by
-            # design unbounded (shutdown is via task cancellation).
-            first = await self.queue.get()  # lint: disable=SV010 (idle accept; cancelled on stop)
-            batch = [first]
-            try:
+        loop = asyncio.get_running_loop()
+        depth = 1 if self.config.pipelined else 0
+        batch: List[Request] = []
+        inflight: Optional[_InFlight] = None
+        getter: Optional["asyncio.Task[Request]"] = None
+        try:
+            while True:
+                if inflight is None:
+                    # Idle accept: blocks until the next request arrives,
+                    # by design unbounded (shutdown is via cancellation).
+                    batch = [await self.queue.get()]  # lint: disable=SV010 (idle accept; cancelled on stop)
+                else:
+                    # Wake on whichever lands first: the next request
+                    # (coalesce batch N+1) or the in-flight batch N.
+                    getter = asyncio.ensure_future(self.queue.get())
+                    done, _ = await asyncio.wait({getter, inflight.future}, return_when=asyncio.FIRST_COMPLETED)  # lint: disable=SV010 (accept or retire, whichever lands first; cancelled on stop)
+                    if inflight.future in done:
+                        await self._retire(inflight, loop)
+                        inflight = None
+                    if getter not in done:
+                        # Back to a plain accept; a cancelled queue.get
+                        # leaves its request in the queue.
+                        getter.cancel()
+                        getter = None
+                        continue
+                    batch = [getter.result()]
+                    getter = None
                 await self._coalesce(batch)
                 index = self._batch_index
                 self._batch_index += 1
@@ -248,48 +290,161 @@ class ShardWorker:
                     await asyncio.sleep(action.stall_s)
                     self.health.state = "healthy"
                 if action is not None and action.crash:
-                    raise ShardCrashError(
-                        f"shard {self.shard_id} crashed before batch {index}"
-                    )
-                await self._dispatch(batch, index)
-                self.health.batches += 1
-            except ShardCrashError:
-                await self._fail(batch)
-                return
-            finally:
-                for _ in batch:
-                    self.queue.task_done()
+                    if inflight is not None:
+                        await self._retire(inflight, loop)
+                        inflight = None
+                    await self._fail(batch)
+                    return
+                live, flat = self._prepare(batch, loop)
+                if inflight is not None:
+                    await self._retire(inflight, loop)
+                inflight = self._launch(batch, live, flat, index, loop)
+                batch = []
+                if depth == 0 or inflight.future is None:
+                    await self._retire(inflight, loop)
+                    inflight = None
+        finally:
+            if getter is not None:
+                if getter.done() and not getter.cancelled():
+                    batch.append(getter.result())
+                getter.cancel()
+            self._release(batch)
+            if inflight is not None:
+                self._release(inflight.batch)
+            self.release_queued()
 
-    async def _fail(self, batch: List[Request]) -> None:
-        """Crash path: mark the shard dead, orphan in-flight + queued
-        requests, and either fail them or hand them to failover."""
-        self.health.state = "crashed"
-        self.health.crashes += 1
-        self.metrics.counter("shard_crashes_total").inc()
-        orphans = [req for req in batch if not req.future.done()]
-        # Drain whatever was still queued behind the crashing batch
-        # (task_done for each so drain() can still complete).
+    def _launch(
+        self,
+        batch: List[Request],
+        live: List[Request],
+        flat: List[int],
+        index: int,
+        loop: "asyncio.AbstractEventLoop",
+    ) -> _InFlight:
+        """Start a prepared batch on the backend.
+
+        This is the executor seam SV007 polices.  Cache planning and
+        the execute event stay on the event loop, after the previous
+        batch retired and populated the cache (so both depths build the
+        same plan); the blocking backend ``query()``
+        (:meth:`_query_blocking`) then runs inline when ``executor`` is
+        unset — the deterministic default — or off the loop via
+        ``run_in_executor``.  A batch whose requests all expired
+        launches nothing.
+        """
+        if not live:
+            return _InFlight(batch, live, flat, None, None)
+        plan, send = self._plan_batch(flat)
+        self._mark_executed(live, flat, index)
+        self._mark_deduped(plan, index, len(send))
+        if self._executor is not None:
+            future = loop.run_in_executor(
+                self._executor, self._query_blocking, send
+            )
+        else:
+            future = loop.create_future()
+            try:
+                future.set_result(self._query_blocking(send))
+            except Exception as exc:  # noqa: BLE001 - raised again at retire
+                future.set_exception(exc)
+        return _InFlight(batch, live, flat, plan, future)
+
+    async def _retire(
+        self, inflight: _InFlight, loop: "asyncio.AbstractEventLoop"
+    ) -> None:
+        """Complete a launched batch: the only path that answers it.
+
+        A backend error answers the batch with that error instead of
+        leaving it pending — callers see the failure rather than hang,
+        and the shard goes on serving.  The queue slots are released
+        only here, so ``drain()``'s ``queue.join()`` waits for in-flight
+        device work.
+        """
+        try:
+            if inflight.future is not None:
+                try:
+                    results, wall_batch_ms, delta = await inflight.future  # lint: disable=SV010 (the one in-flight device batch; the backend query always returns)
+                except Exception as exc:  # noqa: BLE001 - surfaced to callers
+                    self._fail_requests(inflight.live, exc)
+                else:
+                    self._finish(
+                        inflight.live,
+                        inflight.flat,
+                        results,
+                        wall_batch_ms,
+                        delta,
+                        loop,
+                        inflight.plan,
+                    )
+            self.health.batches += 1
+        finally:
+            self._release(inflight.batch)
+
+    def _take_queued(self) -> List[Request]:
+        """Empty the queue without answering what it held."""
+        queued: List[Request] = []
         while True:
             try:
-                orphans.append(self.queue.get_nowait())
+                queued.append(self.queue.get_nowait())
             except asyncio.QueueEmpty:
-                break
+                return queued
+
+    def _release(self, requests: List[Request]) -> None:
+        """Give back the queue slots of requests this worker is done
+        with, first failing any still unanswered with a
+        :class:`ServiceError`.  Empties ``requests``, so releasing the
+        same list twice is harmless."""
+        self._fail_requests(
+            requests,
+            ServiceError(f"shard {self.shard_id} stopped before answering"),
+        )
+        for _ in requests:
             self.queue.task_done()
-        if not orphans:
-            return
-        self.health.redispatched += len(orphans)
-        self.metrics.counter("redispatched_total").inc(len(orphans))
-        if hooks.OBSERVER is not None:
-            hooks.OBSERVER.on_requests_orphaned(
-                self.scope, self.shard_id, [_rid(req) for req in orphans]
-            )
-        if self._on_crash is not None:
-            await self._on_crash(self.shard_id, orphans)
-        else:
-            self._fail_requests(
-                orphans,
-                ShardCrashError(f"shard {self.shard_id} crashed; no failover"),
-            )
+        requests.clear()
+
+    def release_queued(self) -> None:
+        """Fail and release every request still waiting in the queue
+        (shutdown; also covers a worker cancelled before it ever ran)."""
+        self._release(self._take_queued())
+
+    async def _fail(self, batch: List[Request]) -> None:
+        """Crash path: mark the shard dead, orphan the batch + queued
+        requests, and either fail them or hand them to failover.
+
+        Releases ``batch``'s queue slots last (after failover re-queued
+        its requests elsewhere, so ``drain()`` cannot slip past them)
+        and empties it."""
+        try:
+            self.health.state = "crashed"
+            self.health.crashes += 1
+            self.metrics.counter("shard_crashes_total").inc()
+            orphans = [req for req in batch if not req.future.done()]
+            # task_done for each queued request so drain() can complete.
+            queued = self._take_queued()
+            for _ in queued:
+                self.queue.task_done()
+            orphans.extend(queued)
+            if not orphans:
+                return
+            self.health.redispatched += len(orphans)
+            self.metrics.counter("redispatched_total").inc(len(orphans))
+            if hooks.OBSERVER is not None:
+                hooks.OBSERVER.on_requests_orphaned(
+                    self.scope, self.shard_id, [_rid(req) for req in orphans]
+                )
+            if self._on_crash is not None:
+                await self._on_crash(self.shard_id, orphans)
+            else:
+                self._fail_requests(
+                    orphans,
+                    ShardCrashError(
+                        f"shard {self.shard_id} crashed; no failover"
+                    ),
+                )
+        finally:
+            for _ in batch:
+                self.queue.task_done()
+            batch.clear()
 
     def _fail_requests(
         self, requests: List[Request], exc: BaseException
@@ -328,37 +483,6 @@ class ShardWorker:
                 return
             batch.append(nxt)
             gathered += len(nxt.kmers)
-
-    async def _dispatch(self, batch: List[Request], index: int) -> None:
-        """Execute one batch: filter expired, query, slice, resolve.
-
-        This is the executor seam SV007 polices: the blocking backend
-        ``query()`` (:meth:`_query_blocking`) runs inline when
-        ``executor`` is unset — the deterministic default — or off the
-        loop via ``run_in_executor``.  Deadline filtering and future
-        resolution always stay on the event loop.
-        """
-        loop = asyncio.get_running_loop()
-        live, flat = self._prepare(batch, loop)
-        if not live:
-            return
-        plan, send = self._plan_batch(flat)
-        self._mark_executed(live, flat, index)
-        self._mark_deduped(plan, index, len(send))
-        try:
-            if self._executor is None:
-                results, wall_batch_ms, delta = self._query_blocking(send)
-            else:
-                results, wall_batch_ms, delta = await loop.run_in_executor(
-                    self._executor, self._query_blocking, send
-                )
-        except Exception as exc:  # noqa: BLE001 - surfaced to callers
-            # The batch is answered with the backend's error instead of
-            # being left pending: callers see the failure rather than
-            # hang, and the shard goes on serving the next batch.
-            self._fail_requests(live, exc)
-            return
-        self._finish(live, flat, results, wall_batch_ms, delta, loop, plan)
 
     def _prepare(
         self, batch: List[Request], loop: "asyncio.AbstractEventLoop"
@@ -444,144 +568,6 @@ class ShardWorker:
             plan.cache_hits,
             device_kmers,
         )
-
-    async def _run_pipelined(self) -> None:
-        """Overlapped dispatch loop (``config.pipelined``).
-
-        While batch N simulates on the executor thread, this loop is
-        already blocking on the queue, coalescing, and host-side
-        preparing batch N+1.  Exactly one device batch is ever in
-        flight per shard, and it launches only after its predecessor
-        completed — execution stays exactly-once and in admission
-        order (the :class:`~repro.analysiskit.ScheduleSanitizer`
-        invariants), so responses are bit-identical to the serial
-        schedule; only the host/device overlap changes.
-
-        ``task_done`` for a launched batch's requests is deferred to
-        its completion (:meth:`_retire`), so ``drain()``'s
-        ``queue.join()`` keeps waiting for in-flight device work.
-        """
-        loop = asyncio.get_running_loop()
-        pending: Optional[
-            Tuple[
-                Any,
-                List[Request],
-                List[int],
-                List[Request],
-                Optional[BatchCachePlan],
-            ]
-        ]
-        pending = None
-        get_task: Optional["asyncio.Task[Request]"] = None
-        try:
-            while True:
-                if get_task is None:
-                    get_task = asyncio.ensure_future(self.queue.get())  # lint: disable=SV010 (idle accept; cancelled on stop)
-                waits = {get_task}
-                if pending is not None:
-                    waits.add(pending[0])
-                # Wake on whichever lands first: the next request (start
-                # coalescing batch N+1) or the in-flight device batch
-                # (retire batch N).  asyncio.wait never raises.
-                done, _ = await asyncio.wait(waits, return_when=asyncio.FIRST_COMPLETED)  # lint: disable=SV010 (idle accept; cancelled on stop)
-                if pending is not None and pending[0] in done:
-                    pending = self._retire(pending, loop)
-                if get_task not in done:
-                    continue
-                first = get_task.result()
-                get_task = None
-                batch = [first]
-                try:
-                    await self._coalesce(batch)
-                    index = self._batch_index
-                    self._batch_index += 1
-                    if hooks.OBSERVER is not None:
-                        hooks.OBSERVER.on_batch_coalesced(
-                            self.scope,
-                            self.shard_id,
-                            index,
-                            [(_rid(req), len(req.kmers)) for req in batch],
-                        )
-                    action = (
-                        self.chaos.before_batch(self.shard_id, index)
-                        if self.chaos is not None
-                        else None
-                    )
-                    if action is not None and action.stall_s > 0:
-                        self.health.state = "stalled"
-                        self.health.stalls += 1
-                        self.metrics.counter("shard_stalls_total").inc()
-                        await asyncio.sleep(action.stall_s)
-                        self.health.state = "healthy"
-                    if action is not None and action.crash:
-                        raise ShardCrashError(
-                            f"shard {self.shard_id} crashed before batch "
-                            f"{index}"
-                        )
-                    # Host-side prep of this batch overlaps the pending
-                    # device batch; the launch below waits for it.
-                    live, flat = self._prepare(batch, loop)
-                    if pending is not None:
-                        await asyncio.wait({pending[0]})  # lint: disable=SV010 (single in-flight device batch; backend query always returns)
-                        pending = self._retire(pending, loop)
-                    if live:
-                        # Cache planning happens at launch time, after
-                        # the previous batch retired (and populated the
-                        # cache) — the same plan a serial schedule
-                        # would build.
-                        plan, send = self._plan_batch(flat)
-                        self._mark_executed(live, flat, index)
-                        self._mark_deduped(plan, index, len(send))
-                        future = loop.run_in_executor(
-                            self._executor, self._query_blocking, send
-                        )
-                        pending = (future, live, flat, batch, plan)
-                    else:
-                        self.health.batches += 1
-                        for _ in batch:
-                            self.queue.task_done()
-                except ShardCrashError:
-                    if pending is not None:
-                        await asyncio.wait({pending[0]})  # lint: disable=SV010 (in-flight batch completes before the crash path orphans the rest)
-                        pending = self._retire(pending, loop)
-                    try:
-                        await self._fail(batch)
-                    finally:
-                        for _ in batch:
-                            self.queue.task_done()
-                    return
-        finally:
-            if get_task is not None:
-                get_task.cancel()
-
-    def _retire(
-        self,
-        pending: Tuple[
-            Any,
-            List[Request],
-            List[int],
-            List[Request],
-            Optional[BatchCachePlan],
-        ],
-        loop: "asyncio.AbstractEventLoop",
-    ) -> None:
-        """Resolve a completed in-flight batch and release its queue
-        slots; returns None (the new ``pending``)."""
-        future, live, flat, batch, plan = pending
-        try:
-            error = future.exception()
-            if error is not None:
-                self._fail_requests(live, error)  # as in _dispatch
-            else:
-                results, wall_batch_ms, delta = future.result()
-                self._finish(
-                    live, flat, results, wall_batch_ms, delta, loop, plan
-                )
-            self.health.batches += 1
-        finally:
-            for _ in batch:
-                self.queue.task_done()
-        return None
 
     def _query_blocking(
         self, flat: List[int]

@@ -49,7 +49,8 @@ def install(observer: Any) -> None:
     * ``on_request_expired(scope, shard_id, req_id)`` — deadline passed
       before dispatch,
     * ``on_request_failed(scope, shard_id, req_id)`` — resolved with an
-      error (crash without failover, total outage),
+      error (crash without failover, total outage, stop without
+      drain),
     * ``on_requests_orphaned(scope, shard_id, req_ids)`` — a crashing
       shard handed these requests to failover,
     * ``on_service_quiesce(scope)`` — drain completed; every admitted

@@ -30,7 +30,7 @@ from .cache import KmerResultCache
 from .config import ServiceConfig
 from .dispatcher import Request, ServiceError, ServiceResponse, ShardWorker, _rid
 from .metrics import MetricsRegistry
-from .stats import STATS_SCHEMA, StatsPayload
+from .stats import STATS_SCHEMA
 
 
 class ClassificationService:
@@ -158,7 +158,11 @@ class ClassificationService:
             hooks.OBSERVER.on_service_quiesce(self)
 
     async def stop(self, drain: bool = True) -> None:
-        """Graceful shutdown: optionally drain, then cancel the workers."""
+        """Graceful shutdown: optionally drain, then cancel the workers.
+
+        Without a drain, every request still unanswered resolves with a
+        :class:`ServiceError` (the worker loops fail what they hold).
+        """
         if drain and self._tasks:
             await self.drain()
         for task in self._tasks:
@@ -166,6 +170,10 @@ class ClassificationService:
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
+        for shard in self.shards:
+            # A worker cancelled before its first step never ran its
+            # loop, so nothing released its queue yet.
+            shard.release_queued()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
 
@@ -329,29 +337,27 @@ class ClassificationService:
                     merged = DeviceStats()
                 merged.absorb(device_stats)
         sim_time_ns = sum(w.sim_time_ns for w in self.shards)
-        out = StatsPayload(
-            {
-                "schema": STATS_SCHEMA,
-                "service": {
-                    "config": self.config.to_dict(),
-                    "k": self.k,
-                },
-                "health": {
-                    "shards": shard_rows,
-                    "healthy_shards": sum(
-                        1 for w in self.shards if w.health.state != "crashed"
-                    ),
-                    "degraded": degraded,
-                },
-                "clocks": {
-                    "sim_time_ns": sim_time_ns,
-                    "sim_energy_nj": sum(
-                        w.sim_energy_nj for w in self.shards
-                    ),
-                },
-                "metrics": self.metrics.snapshot(),
-            }
-        )
+        out: Dict[str, Any] = {
+            "schema": STATS_SCHEMA,
+            "service": {
+                "config": self.config.to_dict(),
+                "k": self.k,
+            },
+            "health": {
+                "shards": shard_rows,
+                "healthy_shards": sum(
+                    1 for w in self.shards if w.health.state != "crashed"
+                ),
+                "degraded": degraded,
+            },
+            "clocks": {
+                "sim_time_ns": sim_time_ns,
+                "sim_energy_nj": sum(
+                    w.sim_energy_nj for w in self.shards
+                ),
+            },
+            "metrics": self.metrics.snapshot(),
+        }
         if self.cache is not None:
             out["cache"] = self.cache.counters()
         if self.extender is not None:

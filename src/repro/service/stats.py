@@ -19,55 +19,9 @@ section keys:
     Optional sections, present only when the corresponding subsystem
     is active (cache counters, chaos observations, deployment ledger,
     :class:`repro.cluster.ClusterBackend` topology).
-
-The v1 flat spellings still *read* — :class:`StatsPayload` resolves
-them through ``__missing__`` with a :class:`DeprecationWarning` — but
-they are not stored: ``json.dumps(stats)`` emits only the v2 layout.
-Lint rule SV013 bans the deprecated spellings in src/tests (the same
-enforcement SV006 applies to the pre-protocol query API).
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Dict, Tuple
-
 #: Version stamp carried in every payload under ``stats["schema"]``.
 STATS_SCHEMA = "sieve-stats-v2"
-
-#: v1 flat key -> (v2 section, v2 key).  These spellings keep working
-#: through the :class:`StatsPayload` shim but warn; SV013 bans them in
-#: checked-in code.
-DEPRECATED_STATS_KEYS: Dict[str, Tuple[str, str]] = {
-    "config": ("service", "config"),
-    "k": ("service", "k"),
-    "shards": ("health", "shards"),
-    "healthy_shards": ("health", "healthy_shards"),
-    "degraded": ("health", "degraded"),
-    "sim_time_ns": ("clocks", "sim_time_ns"),
-    "sim_energy_nj": ("clocks", "sim_energy_nj"),
-}
-
-
-class StatsPayload(dict):
-    """A ``sieve-stats-v2`` payload with v1 compatibility reads.
-
-    Behaves exactly like the dict it is — iteration, ``json.dumps``,
-    ``in``, and ``.get`` all see only the stored v2 keys.  Subscripting
-    a *deprecated v1 key* (``stats["healthy_shards"]``) resolves to the
-    grouped location (``stats["health"]["healthy_shards"]``) and emits
-    a :class:`DeprecationWarning` naming the replacement.
-    """
-
-    def __missing__(self, key: Any) -> Any:
-        moved = DEPRECATED_STATS_KEYS.get(key)
-        if moved is None:
-            raise KeyError(key)
-        section, new_key = moved
-        warnings.warn(
-            f"stats[{key!r}] is deprecated ({STATS_SCHEMA} groups it); "
-            f"read stats[{section!r}][{new_key!r}] instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self[section][new_key]

@@ -24,7 +24,6 @@ from ..api import (
     BackendResult,
     BackendStats,
     classification_from_results,
-    warn_deprecated,
 )
 from ..dram.geometry import DramGeometry
 from ..genomics.database import KmerDatabase
@@ -242,23 +241,6 @@ class SieveDevice:
                 for (pos, _), outcome in zip(batch, outcomes):
                     responses[pos] = self._record(outcome, sid)
         return [r for r in responses if r is not None]
-
-    def lookup(self, kmer: int) -> DeviceResponse:
-        """Deprecated single-query shim over :meth:`query`.
-
-        Equivalent to the historical scalar path: one k-mer routed,
-        loaded as its own batch of one, and matched command by command
-        (identical responses and functional counters).
-        """
-        warn_deprecated("SieveDevice.lookup()", "SieveDevice.query()")
-        return self.query([kmer], batched=False)[0]
-
-    def lookup_many(
-        self, kmers: Sequence[int], batched: bool = True
-    ) -> List[DeviceResponse]:
-        """Deprecated batch shim over :meth:`query`."""
-        warn_deprecated("SieveDevice.lookup_many()", "SieveDevice.query()")
-        return self.query(kmers, batched=batched)
 
     # -- protocol surface ------------------------------------------------------
 

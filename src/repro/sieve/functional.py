@@ -346,17 +346,6 @@ class SieveSubarraySim:
 
     # -- batched matching -----------------------------------------------------
 
-    def match_batch(
-        self, slots: Optional[Sequence[int]] = None
-    ) -> List[MatchOutcome]:
-        """Deprecated name for :meth:`match_all` (PR-4 API unification)."""
-        from ..api import warn_deprecated
-
-        warn_deprecated(
-            "SieveSubarraySim.match_batch()", "SieveSubarraySim.match_all()"
-        )
-        return self.match_all(slots)
-
     def match_all(
         self,
         slots: Optional[Sequence[int]] = None,

@@ -7,15 +7,9 @@ row-major in-situ baseline through the unified ``query()`` /
 they agree with each other.  The session fixture keeps the DRAM
 protocol sanitizer active throughout, so conformance runs double as a
 protocol audit of the device-backed engines.
-
-The deprecated-shim tests intentionally call the old names; those call
-sites carry ``lint: disable=SV006`` so the repo's own lint self-check
-stays clean.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -311,78 +305,3 @@ class TestFaultedConformance:
                 assert backend.capabilities().degraded is False, name
             finally:
                 close_backend(backend)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated-shim behavior (SV006 suppressed on purpose)
-# ---------------------------------------------------------------------------
-
-
-class TestDeprecationShims:
-    def test_device_lookup_warns_and_matches_query(
-        self, small_dataset, small_layout
-    ):
-        device = SieveDevice.from_database(
-            small_dataset.database, layout=small_layout
-        )
-        kmer = next(iter(small_dataset.database.items()))[0]
-        with pytest.warns(DeprecationWarning, match="SieveDevice.lookup"):
-            old = device.lookup(kmer)  # lint: disable=SV006
-        new = device.query([kmer], batched=False)[0]
-        assert (old.query, old.hit, old.payload) == (
-            new.query,
-            new.hit,
-            new.payload,
-        )
-
-    def test_device_lookup_many_warns(self, small_dataset, small_layout):
-        device = SieveDevice.from_database(
-            small_dataset.database, layout=small_layout
-        )
-        kmers = [kmer for kmer, _ in small_dataset.database.items()][:4]
-        with pytest.warns(DeprecationWarning, match="lookup_many"):
-            old = device.lookup_many(kmers)  # lint: disable=SV006
-        assert [r.payload for r in old] == [
-            r.payload for r in device.query(kmers)
-        ]
-
-    def test_database_lookup_warns(self, small_dataset):
-        db = small_dataset.database
-        kmer = next(iter(db.items()))[0]
-        with pytest.warns(DeprecationWarning, match="KmerDatabase.lookup"):
-            assert db.lookup(kmer) == db.get(kmer)  # lint: disable=SV006
-
-    @pytest.mark.parametrize("name", ["kraken", "clark", "sortedlist"])
-    def test_classifier_lookup_warns(
-        self, name, small_dataset, small_layout
-    ):
-        backend = make_backend(name, small_dataset, small_layout)
-        kmer = next(iter(small_dataset.database.items()))[0]
-        with pytest.warns(DeprecationWarning, match="lookup"):
-            assert backend.lookup(kmer) == backend.get(  # lint: disable=SV006
-                kmer
-            )
-
-    def test_match_batch_shim_warns(self, small_dataset, small_layout):
-        device = SieveDevice.from_database(
-            small_dataset.database, layout=small_layout
-        )
-        kmer = next(iter(small_dataset.database.items()))[0]
-        sid = device.index.route(kmer)
-        sim = device.subarrays[sid]
-        sim.load_query_batch([kmer], sim.route_layer(kmer))
-        with pytest.warns(DeprecationWarning, match="match_batch"):
-            old = sim.match_batch()  # lint: disable=SV006
-        assert old[0].hit
-
-    def test_new_surface_is_warning_free(self, small_dataset, small_layout):
-        device = SieveDevice.from_database(
-            small_dataset.database, layout=small_layout
-        )
-        kmers = [kmer for kmer, _ in small_dataset.database.items()][:4]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            device.query(kmers)
-            device.stats()
-            device.capabilities()
-            small_dataset.database.query(kmers)

@@ -181,7 +181,7 @@ def test_match_all_slot_subset(small_layout):
 
 
 def test_device_level_batched_equals_scalar(small_layout, small_dataset):
-    """Whole-device equivalence: ``lookup_many`` batched vs scalar on
+    """Whole-device equivalence: ``query`` batched vs scalar on
     the shared synthetic dataset — responses and DeviceStats."""
     from repro.sieve import SieveDevice
 

@@ -1,6 +1,6 @@
 """Self-hosting check: the repo must satisfy its own lint rules.
 
-Running the SV001-SV013 pass over ``src/`` and ``tests/`` inside the
+Running the SV001-SV012 pass over ``src/`` and ``tests/`` inside the
 suite means a change that regresses unit discipline, determinism,
 dispatch exhaustiveness, or async/fork safety fails CI even if nobody
 ran ``python -m repro.lint`` by hand.  Also runs ``ruff``/``mypy`` when
@@ -30,10 +30,15 @@ def test_repo_satisfies_own_lint_rules():
     assert not findings, f"repo violates its own lint rules:\n{details}"
 
 
+#: Rule IDs retired with the code they policed; never reused.
+RETIRED_IDS = {"SV006", "SV013"}
+
+
 def test_rule_catalog_is_stable():
     """The documented rule IDs exist exactly once each."""
     ids = [rule.rule_id for rule in ALL_RULES]
-    assert ids == [f"SV{n:03d}" for n in range(1, 14)]
+    expected = [f"SV{n:03d}" for n in range(1, 13)]
+    assert ids == [i for i in expected if i not in RETIRED_IDS]
     for rule in ALL_RULES:
         assert rule.title and rule.rationale
 
@@ -44,21 +49,39 @@ _SUPPRESSION_RE = re.compile(r"#\s*lint:\s*disable=([A-Z0-9_,\s]+)(.*)$")
 _CONCURRENCY_IDS = {f"SV{n:03d}" for n in range(7, 13)}
 
 
-def test_concurrency_suppressions_are_justified():
-    """Every SV007-SV012 suppression carries a trailing justification."""
-    bare = []
+def _suppressions():
+    """Yield ``(location, line, match, suppressed ids)`` for every
+    suppression comment in src and tests."""
     for path in iter_python_files([str(SRC), str(TESTS)]):
         for lineno, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
             match = _SUPPRESSION_RE.search(line)
-            if not match:
-                continue
-            ids = {part.strip() for part in match.group(1).split(",")}
-            if not (ids & _CONCURRENCY_IDS):
-                continue
-            if not match.group(2).strip():
-                bare.append(f"{path}:{lineno}: {line.strip()}")
+            if match:
+                ids = {part.strip() for part in match.group(1).split(",")}
+                yield f"{path}:{lineno}", line, match, ids
+
+
+def test_suppressions_name_live_rules():
+    """A ``lint: disable=`` naming an unknown or retired ID suppresses
+    nothing and outlives the rule it was written for."""
+    known = {rule.rule_id for rule in ALL_RULES}
+    stale = [
+        f"{where}: {line.strip()}"
+        for where, line, _, ids in _suppressions()
+        if ids - known
+    ]
+    details = "\n".join(stale)
+    assert not stale, f"suppression(s) of unknown rule IDs:\n{details}"
+
+
+def test_concurrency_suppressions_are_justified():
+    """Every SV007-SV012 suppression carries a trailing justification."""
+    bare = [
+        f"{where}: {line.strip()}"
+        for where, line, match, ids in _suppressions()
+        if ids & _CONCURRENCY_IDS and not match.group(2).strip()
+    ]
     details = "\n".join(bare)
     assert not bare, f"unjustified SV007-SV012 suppression(s):\n{details}"
 

@@ -502,11 +502,16 @@ class TestInstallation:
 
 
 class DoubleDispatchWorker(ShardWorker):
-    """Chaos rig: executes every batch twice (the bug SV-class hunts)."""
+    """Chaos rig: executes every batch twice (the bug SV-class hunts).
 
-    async def _dispatch(self, batch, index):
-        await super()._dispatch(batch, index)
-        await super()._dispatch(batch, index)
+    Each batch launches normally; once it retires, the same live slice
+    launches again under the same batch index.
+    """
+
+    async def _retire(self, inflight, loop):
+        await super()._retire(inflight, loop)
+        index = self._batch_index - 1
+        self._launch([], inflight.live, inflight.flat, index, loop)
 
 
 def small_config(**overrides):

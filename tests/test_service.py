@@ -58,6 +58,15 @@ async def serve_all(service, reads, deadline_s=None):
     return responses
 
 
+#: The three dispatch modes: inline (no executor), executor at
+#: in-flight depth 0, and pipelined (executor at depth 1).
+DISPATCH_MODES = {
+    "inline": {},
+    "executor": {"executor_threads": 1},
+    "pipelined": {"executor_threads": 1, "pipelined": True},
+}
+
+
 class TestCoalescingIdentity:
     def test_bit_identical_to_sequential_scalar(
         self, small_dataset, small_layout
@@ -206,6 +215,38 @@ class TestLifecycle:
 
         asyncio.run(drive())
 
+    @pytest.mark.parametrize("turns", [0, 1], ids=["unstarted", "running"])
+    @pytest.mark.parametrize("mode", list(DISPATCH_MODES))
+    def test_stop_without_drain_answers_every_request(
+        self, small_dataset, small_layout, mode, turns
+    ):
+        """``stop(drain=False)`` leaves no admitted request pending.
+
+        With no loop turn before the stop the workers are cancelled
+        before their first step, so every request fails with a
+        :class:`ServiceError`; after one turn the executor modes are
+        cancelled mid-batch and inline mode may already have answered.
+        """
+        service = make_service(
+            small_dataset, small_layout, **DISPATCH_MODES[mode]
+        )
+
+        async def drive():
+            futures = [service.submit(r) for r in small_dataset.reads]
+            await service.start()
+            for _ in range(turns):
+                await asyncio.sleep(0)
+            await service.stop(drain=False)
+            _, pending = await asyncio.wait(futures, timeout=1.0)
+            return futures, pending
+
+        futures, pending = asyncio.run(drive())
+        assert not pending
+        errors = [future.exception() for future in futures]
+        assert all(e is None or isinstance(e, ServiceError) for e in errors)
+        if turns == 0:
+            assert all(isinstance(e, ServiceError) for e in errors)
+
     def test_deadline_expires_in_queue(self, small_dataset, small_layout):
         service = make_service(small_dataset, small_layout, num_shards=1)
 
@@ -248,36 +289,26 @@ class TestObservability:
         assert stats["observed"]["pipeline"]["bottleneck"]
         json.dumps(stats)  # the /stats payload must serialize
 
-    def test_deprecated_flat_keys_warn_and_alias(
-        self, small_dataset, small_layout
-    ):
-        """The v1 flat keys stay readable one release, loudly.
-
-        The intentional v1 reads below carry ``lint: disable=SV013`` so
-        the repo's own lint self-check stays clean (SV013 bans
-        deprecated flat stats keys everywhere else).
-        """
-        from repro.service import DEPRECATED_STATS_KEYS
-
-        service = make_service(small_dataset, small_layout)
-        asyncio.run(serve_all(service, small_dataset.reads))
-        stats = service.stats()
-        for old_key, (section, new_key) in DEPRECATED_STATS_KEYS.items():
-            with pytest.warns(DeprecationWarning, match=old_key):
-                legacy = stats[old_key]  # lint: disable=SV013
-            assert legacy == stats[section][new_key]
-
     def test_json_payload_emits_only_v2_keys(
         self, small_dataset, small_layout
     ):
-        from repro.service import DEPRECATED_STATS_KEYS, STATS_SCHEMA
+        from repro.service import STATS_SCHEMA
 
         service = make_service(small_dataset, small_layout)
         asyncio.run(serve_all(service, small_dataset.reads))
         payload = json.loads(json.dumps(service.stats()))
         assert payload["schema"] == STATS_SCHEMA
-        for old_key in DEPRECATED_STATS_KEYS:
-            assert old_key not in payload
+        # Sieve shards without cache or extender: the grouped sections
+        # plus the two served-traffic projections, nothing flat.
+        assert set(payload) == {
+            "schema",
+            "service",
+            "health",
+            "clocks",
+            "metrics",
+            "observed",
+            "deployment",
+        }
 
     def test_shard_stats_merge_matches_totals(
         self, small_dataset, small_layout
@@ -505,6 +536,84 @@ class TestPipelinedDispatch:
                 true_taxon=read.taxon_id,
             )
             assert response.classification == expected
+
+
+class _GatedBackend:
+    """Delegates to ``inner``; its first ``query()`` (on the executor
+    thread) blocks until ``gate`` is set or ``timeout_s`` passes and
+    records which happened."""
+
+    def __init__(self, inner, gate, timeout_s):
+        self.inner = inner
+        self.gate = gate
+        self.timeout_s = timeout_s
+        self.opened = []
+
+    def capabilities(self):
+        return self.inner.capabilities()
+
+    def stats(self):
+        return self.inner.stats()
+
+    def query(self, kmers, batched=True):
+        if not self.opened:
+            self.opened.append(self.gate.wait(self.timeout_s))
+        return self.inner.query(kmers, batched=batched)
+
+
+class _CoalesceSpy:
+    """Schedule observer that sets ``gate`` when batch 1 coalesces and
+    forwards every event to the observer it replaces."""
+
+    def __init__(self, inner, gate):
+        self.inner = inner
+        self.gate = gate
+
+    def on_batch_coalesced(self, scope, shard_id, index, entries):
+        if index == 1:
+            self.gate.set()
+        if self.inner is not None:
+            self.inner.on_batch_coalesced(scope, shard_id, index, entries)
+
+    def __getattr__(self, name):
+        if self.inner is not None:
+            return getattr(self.inner, name)
+        return lambda *args: None
+
+
+class TestInFlightDepth:
+    """Depth 1 coalesces batch N+1 while batch N is still running on
+    the device; depth 0 does not start batch N+1 until N retired."""
+
+    @pytest.mark.parametrize("pipelined", [False, True], ids=["depth0", "depth1"])
+    def test_next_batch_coalesces_during_device_work(
+        self, small_dataset, pipelined
+    ):
+        import threading
+
+        from repro.service import hooks
+
+        gate = threading.Event()
+        backend = _GatedBackend(small_dataset.database, gate, timeout_s=0.5)
+        config = ServiceConfig(
+            num_shards=1,
+            max_batch_kmers=1,  # one request per batch
+            max_linger_s=0.0,
+            executor_threads=1,
+            pipelined=pipelined,
+        )
+        service = ClassificationService([backend], config)
+        previous = hooks.get_observer()
+        hooks.install(_CoalesceSpy(previous, gate))
+        try:
+            responses = asyncio.run(
+                serve_all(service, small_dataset.reads[:2])
+            )
+        finally:
+            hooks.install(previous)
+        assert len(responses) == 2
+        # Batch 0's query saw batch 1 coalesce only when pipelined.
+        assert backend.opened == [pipelined]
 
 
 class TestHotKmerCache:
