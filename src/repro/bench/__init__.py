@@ -131,9 +131,7 @@ def bench_host_lookup(quick: bool) -> Tuple[float, Dict[str, int]]:
     return wall_s, {"queries": len(queries), "hits": hits}
 
 
-def _device_lookup(
-    quick: bool, batched: bool, kernel: str = "packed"
-) -> Tuple[float, Dict[str, int]]:
+def _device_lookup(quick: bool, batched: bool) -> Tuple[float, Dict[str, int]]:
     from ..sieve import SieveDevice, SubarrayLayout
 
     dataset = _dataset(quick)
@@ -145,7 +143,7 @@ def _device_lookup(
         {kmer for read in dataset.reads for kmer in read.kmers(dataset.k)}
     )
     start = time.perf_counter()
-    responses = device.query(queries, batched=batched, kernel=kernel)
+    responses = device.query(queries, batched=batched)
     wall_s = time.perf_counter() - start
     return wall_s, {
         "queries": device.stats.queries,
@@ -158,25 +156,14 @@ def _device_lookup(
     }
 
 
-def bench_device_lookup_batched(quick: bool) -> Tuple[float, Dict[str, int]]:
-    """Bit-accurate device lookups through the vectorized batch engine.
-
-    Pinned to the PR-2 ``vector`` kernel: this scenario is both the
-    regression guard for that engine and the wall-time denominator the
-    ``kernel_matrix`` speedup in ``docs/PERFORMANCE.md`` is quoted
-    against.  The bit-packed engine gets its own scenarios below.
-    """
-    return _device_lookup(quick, batched=True, kernel="vector")
-
-
 def bench_device_lookup_packed(quick: bool) -> Tuple[float, Dict[str, int]]:
-    """Same lookups through the bit-packed ``packed`` kernel.
+    """Bit-accurate device lookups through the bit-packed batch engine.
 
-    Counters must match ``device_lookup_batched`` exactly (the packed
+    Counters must match ``device_lookup_scalar`` exactly (the batched
     engine is bit-identical); the wall-time gap between the two
-    scenarios is the end-to-end win from ``repro.sieve.kernels``.
+    scenarios is the end-to-end win from ``SieveSubarraySim.match_all``.
     """
-    return _device_lookup(quick, batched=True, kernel="packed")
+    return _device_lookup(quick, batched=True)
 
 
 def bench_device_lookup_scalar(quick: bool) -> Tuple[float, Dict[str, int]]:
@@ -201,7 +188,7 @@ def bench_kernel_matrix(quick: bool) -> Tuple[float, Dict[str, int]]:
     reference words; otherwise (multi-word rows) the full
     ``first_divergence`` matrix.  The recorded wall time therefore
     tracks the kernel actually deployed, and its ratio to
-    ``device_lookup_batched`` is the kernel speedup quoted in
+    ``device_lookup_scalar`` is the kernel speedup quoted in
     ``docs/PERFORMANCE.md``.  Counters are pure functions of the seeded
     dataset, identical across both forms.
     """
@@ -599,7 +586,6 @@ def bench_read_mapping_insitu(quick: bool) -> Tuple[float, Dict[str, int]]:
 BENCHMARKS: Dict[str, BenchFn] = {
     "database_build": bench_database_build,
     "host_lookup": bench_host_lookup,
-    "device_lookup_batched": bench_device_lookup_batched,
     "device_lookup_packed": bench_device_lookup_packed,
     "device_lookup_scalar": bench_device_lookup_scalar,
     "kernel_matrix": bench_kernel_matrix,
@@ -709,7 +695,9 @@ def compare_to_baseline(
     :data:`WALL_GRACE_S`; counters fail on any difference (they are
     seeded-deterministic).  Benchmarks absent
     from the baseline are reported so the baseline gets refreshed when
-    the registry grows.
+    the registry grows, and baseline entries naming no registered
+    benchmark are reported as stale so a deleted scenario cannot leave
+    a dead row.  Registered entries the run skipped (``--only``) pass.
     """
     if threshold <= 1.0:
         raise BenchError(f"threshold must be > 1.0, got {threshold}")
@@ -737,6 +725,13 @@ def compare_to_baseline(
                 f"{result.name}: counters changed: baseline "
                 f"{base_counters!r} != current {result.counters!r}"
             )
+    if isinstance(recorded, dict):
+        failures.extend(
+            f"{name}: stale baseline entry, no such benchmark "
+            "(delete it from the baseline)"
+            for name in recorded
+            if name not in BENCHMARKS
+        )
     return failures
 
 

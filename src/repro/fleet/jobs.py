@@ -248,7 +248,6 @@ class SegmentLookupJob(Job):
 
     db_segments: str = ""
     num_queries: int = 200
-    kernel: str = "packed"
 
     def key(self) -> str:
         """Identity by segment *content*, not location: two directories
@@ -257,7 +256,7 @@ class SegmentLookupJob(Job):
         return (
             f"{type(self).__name__}("
             f"db_segments=<content:{self.cache_token()}>,"
-            f"num_queries={self.num_queries!r},kernel={self.kernel!r})"
+            f"num_queries={self.num_queries!r})"
         )
 
     def cache_token(self) -> str:
@@ -283,7 +282,7 @@ class SegmentLookupJob(Job):
             int(x)
             for x in rng.integers(0, 4**database.k, size=self.num_queries // 2)
         ]
-        responses = device.query(present + probes, kernel=self.kernel)
+        responses = device.query(present + probes)
         return {
             "db_records": len(database),
             "queries": device.stats.queries,

@@ -291,17 +291,20 @@ class ClassificationService:
                             self, from_shard, _rid(req)
                         )
                 continue
-            # Re-admit is announced *before* the put: the put can yield,
-            # and the target worker may coalesce the request before this
-            # coroutine resumes.
-            if hooks.OBSERVER is not None:
-                hooks.OBSERVER.on_request_admitted(
-                    self, target.shard_id, _rid(req), len(req.kmers)
-                )
             # Blocking put is the failover contract (see docstring):
             # accepted work waits for room rather than being re-rejected.
             await target.queue.put(req)  # lint: disable=SV010 (deliberate blocking put; failover never re-rejects accepted work)
             self.metrics.counter("submitted_total").inc()
+            # Re-admit is announced *after* the put, i.e. at the queue
+            # position the request really took: while a full queue
+            # blocks the put, fresh submissions are admitted and queued
+            # ahead of it.  ``Queue.put`` does not yield between its
+            # ``put_nowait`` and returning, so the target worker cannot
+            # coalesce the request before this announcement.
+            if hooks.OBSERVER is not None:
+                hooks.OBSERVER.on_request_admitted(
+                    self, target.shard_id, _rid(req), len(req.kmers)
+                )
 
     # -- observability --------------------------------------------------------
 

@@ -180,11 +180,7 @@ class SieveDevice:
     # -- query paths ----------------------------------------------------------
 
     def query(
-        self,
-        kmers: Sequence[int],
-        *,
-        batched: bool = True,
-        kernel: Optional[str] = None,
+        self, kmers: Sequence[int], *, batched: bool = True
     ) -> List[DeviceResponse]:
         """The unified batch path: group per destination subarray,
         batches of <= 64 (:class:`repro.api.QueryBackend` surface).
@@ -195,23 +191,12 @@ class SieveDevice:
         reorder only for API convenience).
 
         ``batched=True`` (the default) matches each loaded batch through
-        the vectorized :meth:`~repro.sieve.functional.SieveSubarraySim.
-        match_all` fast path — ``kernel`` selects its engine (the
-        bit-packed uint64 kernel by default, ``"vector"`` for the PR-2
-        per-query path); ``batched=False`` replays the scalar
-        command-by-command path.  All paths produce identical responses
-        and functional counters (the equivalence is test-enforced).
-
-        ``kernel=None`` (the default) resolves through
-        :func:`repro.sieve.kernels.default_kernel`, so ``SIEVE_KERNEL``
-        can force an engine (``packed-numpy``, ``vector``, ...) on the
-        auto path; explicit callers stay pinned regardless of the
-        environment.
+        the bit-packed :meth:`~repro.sieve.functional.SieveSubarraySim.
+        match_all` engine; ``batched=False`` replays the scalar
+        command-by-command path, the reference.  Both produce identical
+        responses and functional counters (the equivalence is
+        test-enforced).
         """
-        from . import kernels as _kernels
-
-        if kernel is None:
-            kernel = _kernels.default_kernel()
         responses: List[Optional[DeviceResponse]] = [None] * len(kmers)
         per_dest: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
         kmers = [self._normalize(kmer) for kmer in kmers]
@@ -235,7 +220,7 @@ class SieveDevice:
                 )
                 self.stats.batches += 1
                 if batched:
-                    outcomes = sim.match_all(kernel=kernel)
+                    outcomes = sim.match_all()
                 else:
                     outcomes = [sim.match_slot(slot) for slot in range(len(batch))]
                 for (pos, _), outcome in zip(batch, outcomes):

@@ -36,12 +36,6 @@ from .etm import EtmPipeline
 from .layout import OFFSET_BITS, PAYLOAD_BITS, LayoutError, SubarrayLayout
 from .matcher import MatcherArray
 
-#: Engines accepted by :meth:`SieveSubarraySim.match_all`: the packed
-#: uint64 kernel (``packed-numpy`` pins its general per-group sweep) or
-#: the PR-2 per-query vectorized path kept as the reference fast path.
-MATCH_KERNELS = ("packed", "packed-numpy", "vector")
-
-
 class FunctionalError(RuntimeError):
     """Raised on protocol errors in the functional simulator."""
 
@@ -346,96 +340,6 @@ class SieveSubarraySim:
 
     # -- batched matching -----------------------------------------------------
 
-    def match_all(
-        self,
-        slots: Optional[Sequence[int]] = None,
-        kernel: str = "packed",
-    ) -> List[MatchOutcome]:
-        """Match loaded batch slots in one vectorized pass.
-
-        Fast path equivalent to ``[self.match_slot(s) for s in slots]``:
-        instead of replaying row activations one Python-level DRAM command
-        at a time, it computes every query's per-column *first-divergence*
-        row analytically.  Everything observable is synthesized to match
-        the scalar path bit for bit:
-
-        * :class:`MatchOutcome` fields, including ``rows_activated``
-          under the ETM's one-row-late interrupt semantics and the SR
-          drain (``etm_flush_cycles``) from the closed-form SR recurrence;
-        * :class:`~repro.dram.subarray.SubarrayStats` counters (ACT/PRE
-          pairs charged analytically);
-        * matcher / ETM pipeline state after the final query.
-
-        ``kernel`` selects the engine:
-
-        * ``"packed"`` (default) — the :mod:`repro.sieve.kernels`
-          uint64-word path: Region-1 columns and query replicas are
-          bit-packed; a single-word layout with ascending stored words
-          and identical query replicas takes the sorted-neighbour
-          ``segment_divergence`` fast path, anything else the general
-          per-group ``first_divergence`` sweep (``"packed-numpy"``
-          forces that sweep);
-        * ``"vector"`` — the PR-2 per-query uint8 comparison, retained
-          as the reference fast path the bit-identity suites compare
-          the packed kernel (and the scalar path) against.
-        """
-        if slots is None:
-            slots = range(len(self._batch))
-        if kernel != "vector":
-            if kernel not in MATCH_KERNELS:
-                raise FunctionalError(
-                    f"unknown match kernel {kernel!r}; expected one of "
-                    f"{MATCH_KERNELS}"
-                )
-            return self._match_all_packed(
-                list(slots), pinned=kernel == "packed-numpy"
-            )
-        layout = self.layout
-        layer = self._batch_layer
-        records = self._layer_records[layer]
-        enable = self._layer_enable(layer)
-        num_refs = len(records)
-        total_rows = layout.kmer_rows
-        base = layout.layer_base_row(layer)
-        region1 = self.array.peek_rows(base, base + total_rows)
-        enable_cols = layout.ref_slot_columns[:num_refs]
-        group_of_slot = layout.column_group_index[:num_refs]
-        segment_of_slot = enable_cols // self.etm.segment_size
-        ref_bits = region1[:, enable_cols]
-        self.matchers.set_enable(enable)
-        outcomes: List[MatchOutcome] = []
-        for batch_slot in slots:
-            if not 0 <= batch_slot < len(self._batch):
-                raise FunctionalError(
-                    f"batch slot {batch_slot} out of range "
-                    f"[0, {len(self._batch)})"
-                )
-            query = self._batch[batch_slot]
-            # Per-group query replicas, broadcast to each slot's group.
-            replicas = region1[:, layout.query_column_matrix[:, batch_slot]]
-            query_bits = replicas[:, group_of_slot]
-            diverged = ref_bits != query_bits
-            has_diff = diverged.any(axis=0)
-            first_div = np.where(
-                has_diff, diverged.argmax(axis=0), total_rows
-            ).astype(np.int64)
-            # Per-segment survival horizon: segment g's OR is live after
-            # row cycle t iff seg_max[g] >= t.
-            seg_max = np.full(self.etm.num_segments, -1, dtype=np.int64)
-            np.maximum.at(seg_max, segment_of_slot, first_div)
-            hit_mask = ~has_diff
-            if hit_mask.any():
-                outcomes.append(
-                    self._batch_hit(
-                        query, layer, enable_cols[hit_mask], seg_max, total_rows
-                    )
-                )
-            else:
-                outcomes.append(
-                    self._batch_miss(query, layer, int(first_div.max()), seg_max)
-                )
-        return outcomes
-
     def _packed_layer(
         self, layer: int, region1: np.ndarray, enable_cols: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -472,38 +376,46 @@ class SieveSubarraySim:
             self._ref_words_cache[layer] = cached
         return cached
 
-    def _match_all_packed(
-        self, slots: List[int], pinned: bool
-    ) -> List[MatchOutcome]:
-        """Packed-word engine behind :meth:`match_all`.
+    def match_all(self) -> List[MatchOutcome]:
+        """Match every slot of the loaded batch in one vectorized pass.
 
-        The layer's per-segment first-divergence maxima come either from
-        one sorted-neighbour :func:`repro.sieve.kernels.segment_divergence`
-        call or from one :func:`repro.sieve.kernels.first_divergence`
-        call per pattern group; hits, misses, ETM horizons, SR drains
-        and Region-2/3 fetches are then synthesized batch-wide with the
-        same closed forms the PR-2 path applies per query.  Bit-identity
-        with the scalar and PR-2 paths is property-test enforced
+        Fast path equivalent to ``[self.match_slot(s) for s in
+        range(len(batch))]``: instead of replaying row activations one
+        Python-level DRAM command at a time, it computes every query's
+        per-column *first-divergence* row analytically from Region-1
+        columns and query replicas bit-packed into uint64 words
+        (:mod:`repro.sieve.kernels`).  The layer's per-segment
+        first-divergence maxima come from one sorted-neighbour
+        :func:`~repro.sieve.kernels.segment_divergence` call when the
+        stored cells allow it — a single-word layout (``k <= 32``) whose
+        stored words ascend and whose groups hold identical query
+        replicas — and otherwise from one
+        :func:`~repro.sieve.kernels.first_divergence` sweep per pattern
+        group (multi-word rows, or words or replicas corrupted by
+        faults).  Everything observable is then synthesized batch-wide,
+        bit for bit as the scalar path produces it:
+
+        * :class:`MatchOutcome` fields, including ``rows_activated``
+          under the ETM's one-row-late interrupt semantics and the SR
+          drain (``etm_flush_cycles``) from the closed-form SR recurrence;
+        * :class:`~repro.dram.subarray.SubarrayStats` counters (ACT/PRE
+          pairs charged analytically);
+        * matcher / ETM pipeline state after the final query.
+
+        Bit-identity with the scalar replay is property-test enforced
         (tests/test_kernels_properties.py).
         """
         layout = self.layout
         layer = self._batch_layer
-        for batch_slot in slots:
-            if not 0 <= batch_slot < len(self._batch):
-                raise FunctionalError(
-                    f"batch slot {batch_slot} out of range "
-                    f"[0, {len(self._batch)})"
-                )
         self.matchers.set_enable(self._layer_enable(layer))
-        if not slots:
+        num_queries = len(self._batch)
+        if not num_queries:
             return []
         num_refs = len(self._layer_records[layer])
         total_rows = layout.kmer_rows
         base = layout.layer_base_row(layer)
-        num_queries = len(slots)
         region1 = self.array.peek_rows(base, base + total_rows)
         enable_cols = layout.ref_slot_columns[:num_refs]
-        slot_arr = np.asarray(slots, dtype=np.intp)
 
         # Reference words are packed once per layer; the query block is
         # read per batch, every group's replica separately (each group
@@ -522,10 +434,10 @@ class SieveSubarraySim:
         # words ascend (cached per layer) and (b) every group broadcasts
         # the same replica of each query, so group 0's replica is the
         # only one to pack.  Anything else (multi-word rows,
-        # fault-corrupted order or replicas, or "packed-numpy") runs the
-        # general per-group sweep.
-        if not pinned and ascending and bool(np.all(qbits == qbits[:, :1])):
-            query_words = kernels.pack_bit_columns(qbits[:, 0, slot_arr])
+        # fault-corrupted order or replicas) runs the general per-group
+        # sweep.
+        if ascending and bool(np.all(qbits == qbits[:, :1])):
+            query_words = kernels.pack_bit_columns(qbits[:, 0, :num_queries])
             seg_div, first_hit, any_hit = kernels.segment_divergence(
                 ref_words[0], query_words[0], total_rows, seg_starts
             )
@@ -542,7 +454,7 @@ class SieveSubarraySim:
                 if lo == hi:
                     continue
                 div[:, lo:hi] = kernels.first_divergence(
-                    ref_words[:, lo:hi], qwords[:, g, slot_arr], total_rows
+                    ref_words[:, lo:hi], qwords[:, g, :num_queries], total_rows
                 )
             hit_matrix = div == total_rows
             any_hit = hit_matrix.any(axis=1)
@@ -551,8 +463,8 @@ class SieveSubarraySim:
             seg_max[:, seg_ids] = np.maximum.reduceat(div, seg_starts, axis=1)
             last_hits = hit_matrix[num_queries - 1]
 
-        # Batch-wide outcome synthesis (same closed forms as the PR-2
-        # path, applied to all queries at once).
+        # Batch-wide outcome synthesis: the scalar path's ETM and SR
+        # closed forms, applied to all queries at once.
         if self.etm_enabled:
             early = ~any_hit & (last_div <= total_rows - 2)
         else:
@@ -609,8 +521,8 @@ class SieveSubarraySim:
         outcomes: List[MatchOutcome] = []
         # Plain Python scalars: per-element numpy indexing would dominate
         # this loop.
-        for batch_slot, hit, column, payload, flush, rows, stopped in zip(
-            slots,
+        for query, hit, column, payload, flush, rows, stopped in zip(
+            self._batch,
             any_hit.tolist(),
             columns.tolist(),
             payloads.tolist(),
@@ -618,7 +530,6 @@ class SieveSubarraySim:
             rows_act.tolist(),
             early.tolist(),
         ):
-            query = self._batch[batch_slot]
             if hit:
                 segment = column // segment_size
                 # Closed-form ColumnFinder run: the shifter stops at the
@@ -658,79 +569,17 @@ class SieveSubarraySim:
                         etm_terminated_early=stopped,
                     )
                 )
-        # Matcher/ETM state after the batch: a per-slot replay's final
-        # load_state wins, so only the last slot's state is installed.
+        # Matcher/ETM state after the batch, exactly as a scalar replay
+        # leaves it: the final slot's state wins.
         last = num_queries - 1
+        steps = int(compares[last])
         latches = np.zeros(layout.row_bits, dtype=np.uint8)
         if any_hit[last]:
             latches[enable_cols[last_hits]] = 1
-        self._sync_pipeline_state(seg_max[last], int(compares[last]), latches)
-        return outcomes
-
-    def _sync_pipeline_state(self, seg_max: np.ndarray, steps: int,
-                             latches: np.ndarray) -> None:
-        """Leave matcher/ETM state exactly as a scalar replay would."""
         self.matchers.load_state(latches, steps)
-        segment_or = (seg_max >= steps).astype(np.uint8)
         self.etm.load_state(
-            segment_or, _sr_live(seg_max, steps).astype(np.uint8), steps
+            (seg_max[last] >= steps).astype(np.uint8),
+            _sr_live(seg_max[last], steps).astype(np.uint8),
+            steps,
         )
-
-    def _batch_hit(
-        self,
-        query: int,
-        layer: int,
-        hit_columns: np.ndarray,
-        seg_max: np.ndarray,
-        total_rows: int,
-    ) -> MatchOutcome:
-        """Synthesize the scalar hit path: all rows activate, SR drain,
-        Column Finder, then real Region-2/3 fetches."""
-        latches = np.zeros(self.layout.row_bits, dtype=np.uint8)
-        latches[hit_columns] = 1
-        self.array.charge_untimed_accesses(total_rows)
-        self._sync_pipeline_state(seg_max, total_rows, latches)
-        flush = self.etm.flush_cycles_after_last_row()
-        cf = self.finder.find(latches, strict=False)
-        payload = self._fetch_record(layer, cf)
-        return MatchOutcome(
-            query=query,
-            hit=True,
-            payload=payload,
-            column=cf.column,
-            layer=layer,
-            rows_activated=total_rows + 2,
-            etm_flush_cycles=flush,
-            cf=cf,
-            etm_terminated_early=False,
-        )
-
-    def _batch_miss(
-        self, query: int, layer: int, last_divergence: int, seg_max: np.ndarray
-    ) -> MatchOutcome:
-        """Synthesize the scalar miss path under ETM one-row-late
-        semantics: the interrupt races the already-issued next ACT."""
-        total_rows = self.layout.kmer_rows
-        if self.etm_enabled and last_divergence <= total_rows - 2:
-            compares = last_divergence + 1
-            rows_activated = last_divergence + 2
-            terminated_early = True
-        else:
-            compares = total_rows
-            rows_activated = total_rows
-            terminated_early = False
-        self.array.charge_untimed_accesses(rows_activated)
-        self._sync_pipeline_state(
-            seg_max, compares, np.zeros(self.layout.row_bits, dtype=np.uint8)
-        )
-        return MatchOutcome(
-            query=query,
-            hit=False,
-            payload=None,
-            column=None,
-            layer=layer,
-            rows_activated=rows_activated,
-            etm_flush_cycles=0,
-            cf=None,
-            etm_terminated_early=terminated_early,
-        )
+        return outcomes

@@ -1,9 +1,9 @@
 """Bit-packed first-divergence kernels (word-parallel Region-1 matching).
 
-The PR-2 batched engine compares Region-1 reference columns against a
-query one ``uint8`` *bit* per element.  These kernels pack the same bit
-columns into ``uint64`` words (MSB-first, matching Region-1 row order:
-row ``r`` lands at bit ``63 - r`` of word ``r // 64``) and compute every
+These kernels back ``SieveSubarraySim.match_all``
+(:mod:`repro.sieve.functional`).  They pack Region-1 bit columns into
+``uint64`` words (MSB-first, matching Region-1 row order: row ``r``
+lands at bit ``63 - r`` of word ``r // 64``) and compute every
 query/column *first-divergence* row with one ``np.bitwise_xor`` pass
 plus a vectorized first-set-bit trick — the word-granularity analogue
 of what the sense-amplifier matchers do bit-serially.
@@ -29,7 +29,6 @@ mapped copy-on-write, and benchmarks time the kernels from outside.
 
 from __future__ import annotations
 
-import os
 from typing import Tuple
 
 import numpy as np
@@ -37,12 +36,9 @@ import numpy as np
 #: Bits per packed word.
 WORD_BITS = 64
 
-#: Environment override for the engine choice.
-KERNEL_ENV_VAR = "SIEVE_KERNEL"
-
 
 class KernelError(ValueError):
-    """Raised on invalid kernel inputs or implementation selection."""
+    """Raised on invalid kernel inputs."""
 
 
 def _build_pop8() -> np.ndarray:
@@ -108,32 +104,6 @@ def pack_bit_columns(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(
         padded.reshape(num_words, 8, cols) << shifts[None, :, None], axis=1
     )
-
-
-#: Engine names accepted by ``SIEVE_KERNEL`` (alongside the legacy
-#: spelling ``numpy``, which leaves the engine at ``packed``).
-KERNEL_NAMES = ("packed", "packed-numpy", "vector")
-
-
-def default_kernel() -> str:
-    """Active *engine* selection for batched device matching.
-
-    ``SIEVE_KERNEL`` may name a full engine (``packed`` /
-    ``packed-numpy`` / ``vector``), forcing every auto-path
-    :meth:`~repro.sieve.device.SieveDevice.query` call onto it — the CI
-    matrix legs use this so kernel-selection bugs cannot hide behind
-    the default.  The legacy spelling ``numpy`` and an unset variable
-    both mean ``packed``.
-    """
-    forced = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-    if forced and forced not in ("numpy",) + KERNEL_NAMES:
-        raise KernelError(
-            f"{KERNEL_ENV_VAR}={forced!r} is not one of numpy/"
-            + "/".join(KERNEL_NAMES)
-        )
-    if forced in KERNEL_NAMES:
-        return forced
-    return "packed"
 
 
 def segment_divergence(

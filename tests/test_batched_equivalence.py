@@ -161,25 +161,6 @@ def test_batch_then_scalar_interleaving(small_layout):
     assert mixed.array.stats == twin.array.stats
 
 
-def test_match_all_slot_subset(small_layout):
-    """``match_all(slots=...)`` matches only the requested slots, in
-    the requested order, identical to the scalar slots."""
-    space = 1 << (2 * small_layout.k)
-    records = [(key, key % 5) for key in range(1, space, 12345)][
-        : small_layout.refs_per_subarray
-    ]
-    queries = [records[0][0], records[0][0] ^ 3][
-        : small_layout.queries_per_group
-    ]
-    reference = SieveSubarraySim(small_layout, records)
-    subset = SieveSubarraySim(small_layout, records)
-    reference.load_query_batch(queries, 0)
-    subset.load_query_batch(queries, 0)
-    want = reference.match_slot(len(queries) - 1)
-    got = subset.match_all(slots=[len(queries) - 1])
-    assert got == [want]
-
-
 def test_device_level_batched_equals_scalar(small_layout, small_dataset):
     """Whole-device equivalence: ``query`` batched vs scalar on
     the shared synthetic dataset — responses and DeviceStats."""

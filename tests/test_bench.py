@@ -56,9 +56,9 @@ class TestCompare:
         assert compare_to_baseline(current, baseline_for(base)) == []
 
     def test_counter_drift_fails_even_when_faster(self):
-        base = [result("device_lookup_batched", counters={"hits": 5})]
+        base = [result("device_lookup_packed", counters={"hits": 5})]
         current = [
-            result("device_lookup_batched", wall_s=0.1, counters={"hits": 6})
+            result("device_lookup_packed", wall_s=0.1, counters={"hits": 6})
         ]
         failures = compare_to_baseline(current, baseline_for(base))
         assert len(failures) == 1
@@ -69,6 +69,19 @@ class TestCompare:
         current = [result("database_build"), result("figure_regen")]
         failures = compare_to_baseline(current, baseline_for(base))
         assert any("missing from baseline" in f for f in failures)
+
+    def test_stale_baseline_entry_fails(self):
+        """A baseline row naming no registered benchmark (a deleted
+        scenario) is reported; a registered row the run skipped is not."""
+        base = [
+            result("database_build"),
+            result("host_lookup"),
+            result("retired_scenario"),
+        ]
+        current = [result("database_build")]
+        failures = compare_to_baseline(current, baseline_for(base))
+        assert len(failures) == 1
+        assert failures[0].startswith("retired_scenario: stale")
 
     def test_threshold_must_exceed_one(self):
         with pytest.raises(BenchError):
@@ -90,7 +103,7 @@ class TestRegistry:
     def test_batched_and_scalar_counters_agree(self):
         results = run_benchmarks(
             quick=True,
-            only=["device_lookup_batched", "device_lookup_scalar"],
+            only=["device_lookup_packed", "device_lookup_scalar"],
         )
         assert results[0].counters == results[1].counters
 
@@ -269,6 +282,6 @@ def test_committed_baseline_matches_current_counters():
     failures = [
         f
         for f in compare_to_baseline(results, baseline)
-        if "counters" in f or "missing" in f
+        if "counters" in f or "missing" in f or "stale" in f
     ]
     assert failures == []

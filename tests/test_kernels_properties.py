@@ -13,13 +13,13 @@ settings so CI never flakes:
 * **helper round trips** — the vectorized ``_int_to_bits`` /
   ``_bits_to_int`` / ``_bit_rows_to_ints`` conversions invert each
   other and match Python's binary formatting;
-* **engine** — ``match_all`` under every entry of ``MATCH_KERNELS``
-  (auto fast path, pinned general numpy sweep, PR-2 vector) produces
-  outcomes, stats, and microarchitectural state bit-identical to the
-  scalar path — with and without a nonzero :class:`FaultInjector`
-  bit-flip rate corrupting the loaded arrays — and stuck cells that
-  break either fast-path guard route the auto engine through the
-  general sweep with the same bit-identity.
+* **engine** — ``match_all`` produces outcomes, stats, and
+  microarchitectural state bit-identical to the scalar path — with and
+  without a nonzero :class:`FaultInjector` bit-flip rate corrupting the
+  loaded arrays — on single-word layouts (the sorted-neighbour kernel)
+  and on 2-word ``k > 32`` layouts (the per-group sweep); stuck cells
+  that break either fast-path guard route it through the sweep with the
+  same bit-identity.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, FaultModel, StuckCell, fault_injection
 from repro.sieve import kernels
 from repro.sieve.functional import (
-    MATCH_KERNELS,
     SieveSubarraySim,
     _bit_rows_to_ints,
     _bits_to_int,
@@ -233,22 +232,6 @@ class TestFirstDivergence:
             kernels.segment_divergence(refs, refs, 0, starts)
 
 
-class TestImplementationSelection:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        assert kernels.default_kernel() == "packed"
-        for name in kernels.KERNEL_NAMES:
-            monkeypatch.setenv(kernels.KERNEL_ENV_VAR, name)
-            assert kernels.default_kernel() == name
-        # The legacy implementation spelling keeps the default engine.
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        assert kernels.default_kernel() == "packed"
-        for bad in ("vhdl", "numba", "packed-numba"):
-            monkeypatch.setenv(kernels.KERNEL_ENV_VAR, bad)
-            with pytest.raises(KernelError):
-                kernels.default_kernel()
-
-
 class TestIntBitsRoundTrip:
     @SETTINGS
     @given(data=st.data(), width=st.integers(1, 64))
@@ -285,40 +268,81 @@ class TestIntBitsRoundTrip:
             _bit_rows_to_ints(np.zeros((2, 7), dtype=np.uint8))
 
 
-_ENGINE_KERNELS = list(MATCH_KERNELS)
+def _wide_trial(k: int, seed: int):
+    """A 2-word Region-1 layout (``32 < k <= 64``): no stored cells can
+    satisfy the single-word sorted-neighbour kernel, so ``match_all``
+    runs the per-group ``first_divergence`` sweep even on pristine
+    cells.  The batch mixes exact hits, a last-row near miss, a
+    first-row miss and a random probe; the ETM is on at odd ``k``."""
+    rng = np.random.default_rng(30_000 + seed)
+    layout = SubarrayLayout(
+        k=k,
+        row_bits=72,
+        rows_per_subarray=256,
+        refs_per_group=8,
+        queries_per_group=4,
+        layers=2,
+    )
+    assert kernels.words_for(layout.kmer_rows) == 2
+
+    def draw() -> int:
+        return (int(rng.integers(0, 1 << k)) << k) | int(rng.integers(0, 1 << k))
+
+    kmers = sorted({draw() for _ in range(layout.refs_per_subarray)})
+    records = [(kmer, int(rng.integers(0, 2**16))) for kmer in kmers]
+    # The batch is matched against the second layer (queries[0] routes
+    # there); its first-row and last-row misses flip a record's MSB/LSB.
+    layer_two = records[layout.refs_per_layer :]
+    queries = [
+        layer_two[3][0],
+        layer_two[5][0] ^ 1,
+        layer_two[-1][0] ^ (1 << (2 * k - 1)),
+        draw(),
+    ]
+    return layout, records, queries, k % 2 == 1
 
 
-def _trial(seed: int):
-    rng = np.random.default_rng(20_000 + seed)
+def _case_seed(case) -> int:
+    """Integer seed of an engine case (``"k40"`` -> 40)."""
+    return case if isinstance(case, int) else int(case[1:])
+
+
+def _trial(case, salt: int = 0):
+    """Engine inputs: a random single-word trial for an integer case, or
+    a :func:`_wide_trial` for ``"k33"`` / ``"k40"``."""
+    if isinstance(case, str):
+        return _wide_trial(_case_seed(case), salt)
+    rng = np.random.default_rng(20_000 + salt + case)
     trial = None
     while trial is None:
         trial = random_trial(rng)
     return trial
 
 
+WIDE_CASES = ["k33", "k40"]
+
+
 class TestEngineBitIdentity:
-    @pytest.mark.parametrize("kernel", _ENGINE_KERNELS)
-    @pytest.mark.parametrize("seed", range(6))
-    def test_every_kernel_matches_scalar(self, kernel, seed):
-        layout, records, queries, etm_enabled = _trial(seed)
+    @pytest.mark.parametrize("case", [*range(6), *WIDE_CASES])
+    def test_every_kernel_matches_scalar(self, case):
+        layout, records, queries, etm_enabled = _trial(case)
         scalar = SieveSubarraySim(layout, records, etm_enabled=etm_enabled)
         fast = SieveSubarraySim(layout, records, etm_enabled=etm_enabled)
         layer = scalar.route_layer(queries[0])
         scalar.load_query_batch(queries, layer)
         fast.load_query_batch(queries, layer)
         s_out = [scalar.match_slot(s) for s in range(len(queries))]
-        f_out = fast.match_all(kernel=kernel)
+        f_out = fast.match_all()
         assert_equivalent(scalar, fast, s_out, f_out)
 
-    @pytest.mark.parametrize("kernel", _ENGINE_KERNELS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bit_identity_under_faults(self, kernel, seed):
+    @pytest.mark.parametrize("case", [*range(4), *WIDE_CASES])
+    def test_bit_identity_under_faults(self, case):
         """Load-time bit flips corrupt every replica identically (same
-        seeded model, fresh injector per build), so the packed engines
+        seeded model, fresh injector per build), so the batched engine
         must reproduce the scalar path's answers on the *corrupted*
         arrays too."""
-        layout, records, queries, etm_enabled = _trial(100 + seed)
-        model = FaultModel(bit_flip_rate=2e-2, seed=9_000 + seed)
+        layout, records, queries, etm_enabled = _trial(case, salt=100)
+        model = FaultModel(bit_flip_rate=2e-2, seed=9_000 + _case_seed(case))
 
         def build(match):
             injector = FaultInjector(model)
@@ -333,18 +357,9 @@ class TestEngineBitIdentity:
         scalar, s_out, s_inj = build(
             lambda sim: [sim.match_slot(s) for s in range(len(queries))]
         )
-        fast, f_out, f_inj = build(lambda sim: sim.match_all(kernel=kernel))
+        fast, f_out, f_inj = build(lambda sim: sim.match_all())
         assert f_inj.stats.bits_flipped == s_inj.stats.bits_flipped
         assert_equivalent(scalar, fast, s_out, f_out)
-
-    def test_unknown_kernel_rejected(self):
-        layout, records, queries, _ = _trial(0)
-        sim = SieveSubarraySim(layout, records)
-        sim.load_query_batch(queries, sim.route_layer(queries[0]))
-        from repro.sieve.functional import FunctionalError
-
-        with pytest.raises(FunctionalError):
-            sim.match_all(kernel="quantum")
 
 
 def _guard_case(layout):

@@ -608,3 +608,48 @@ class TestIntegration:
         assert len(responses) == len(small_dataset.reads)
         assert sanitizer.violations_raised == 0
         assert service.shards[0].health.state == "crashed"
+
+    def test_failover_into_full_queue_keeps_admission_order(
+        self, sanitizer, small_dataset, small_layout
+    ):
+        """A redispatched orphan blocked on a full survivor queue is
+        admitted where it lands: a fresh submission that takes the
+        freed slot first also runs first, and the audit stays clean."""
+        from repro.faults import ChaosInjector, ChaosPlan
+
+        kmers_per_read = len(list(small_dataset.reads[0].kmers(small_dataset.k)))
+        # Shard 0 crashes on its first batch while shard 1 stalls on its
+        # own, so the orphans must wait for room on shard 1.
+        plan = ChaosPlan(crashes=((0, 0),), stalls=((1, 0, 0.02),))
+        backends = [
+            self.make_backend(small_dataset, small_layout) for _ in range(2)
+        ]
+        service = ClassificationService(
+            backends,
+            small_config(
+                num_shards=2, queue_depth=2, max_batch_kmers=kmers_per_read
+            ),
+            chaos=ChaosInjector(plan),
+        )
+        reads = small_dataset.reads
+
+        async def drive():
+            # Fill both queues, so the failover put blocks on shard 1.
+            futures = [service.submit(r) for r in reads[:4]]
+            await service.start()
+            # Once shard 1 frees a slot, a fresh submission races the
+            # blocked failover put for it.
+            for _ in range(100):
+                await asyncio.sleep(0)
+                shard1 = service.shards[1].queue
+                if service.shards[0].health.state == "crashed" and not shard1.full():
+                    futures.append(service.submit(reads[4]))
+                    break
+            responses = await asyncio.gather(*futures)
+            await service.stop(drain=True)
+            return responses
+
+        responses = asyncio.run(asyncio.wait_for(drive(), timeout=30))
+        assert len(responses) == 5
+        assert sanitizer.violations_raised == 0
+        assert service.shards[0].health.redispatched > 0
