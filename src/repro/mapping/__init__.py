@@ -4,21 +4,15 @@ Any :class:`repro.api.QueryBackend` — the scalar database, the Sieve
 device, the sharded service, the multi-process cluster — plays the
 seed-location *filter* role that compute-in-memory hardware plays in
 published read-mapping stacks; the host resolves surviving seeds to
-reference locations and verifies them with banded semi-global
-alignment, priced either analytically (host SIMD) or through the DRAM
-ledger (in-situ extension).
+reference locations and verifies them with bit-parallel semi-global
+alignment over band-clipped windows, priced either analytically (host
+SIMD) or through the DRAM ledger (in-situ extension).
 
 Run ``python -m repro.mapping`` for a self-checking demo of the
 mapping service request type over a cluster topology.
 """
 
-from .aligner import (
-    AlignmentError,
-    SemiglobalResult,
-    banded_edit_distance,
-    edit_distance,
-    semiglobal_distance,
-)
+from .aligner import SemiglobalResult, semiglobal_distance
 from .cost import (
     ExtensionModelError,
     ExtensionStats,
@@ -40,7 +34,6 @@ from .pipeline import (
 from .seeds import Candidate, SeedIndex, SeedIndexError
 
 __all__ = [
-    "AlignmentError",
     "Candidate",
     "EXTENSION_MODES",
     "ExtensionModelError",
@@ -58,8 +51,6 @@ __all__ = [
     "SeedIndex",
     "SeedIndexError",
     "SemiglobalResult",
-    "banded_edit_distance",
     "build_extension_model",
-    "edit_distance",
     "semiglobal_distance",
 ]

@@ -1,125 +1,53 @@
-"""Vectorized banded edit-distance alignment for the extend stage.
+"""Bit-parallel semi-global alignment for the extend stage.
 
-Seed-filter-and-extend read mapping (docs/MAPPING.md) needs exactly
-two alignment primitives, both Levenshtein-cost (unit substitutions and
-indels — the substitution-heavy short-read regime the paper's Table II
-profiles model, with indel tolerance so the band semantics are honest):
+Seed-filter-and-extend read mapping (docs/MAPPING.md) verifies each
+candidate with one primitive, :func:`semiglobal_distance`: align the
+whole read against a reference *window* with free gaps at the window's
+ends (the read is consumed end to end; the window is entered and left
+anywhere), at unit Levenshtein cost.  The candidate windows the seed
+stage produces are already clipped to ``read_length + 2 * band``
+columns, so the window slack *is* the band.
 
-* :func:`banded_edit_distance` — *global* distance restricted to the
-  diagonal band ``|i - j| <= band``.  Any alignment with at most
-  ``band`` edits stays inside the band (each indel shifts the diagonal
-  by one), so the banded value **equals** the unbanded distance
-  whenever that distance is ``<= band``; a value that would exceed the
-  band is reported as ``None`` ("more than ``band`` edits").  This is
-  the property the hypothesis suite pins against a brute-force
-  reference DP.
-* :func:`semiglobal_distance` — the extension verifier: align the whole
-  read against a reference *window* with free gaps at the window's
-  ends (the read must be consumed end to end; the window is entered
-  and left anywhere).  The candidate windows the seed stage produces
-  are already clipped to ``read_length + 2 * band`` columns, so the
-  window slack *is* the band.
+The distance is computed with Myers' bit-vector algorithm (Myers,
+J. ACM 1999, in Hyyrö's formulation).  The read is the pattern: bit
+``i`` of each vector stands for read row ``i + 1`` of the modelled
+``(m + 1) x (n + 1)`` DP, and plain Python ints serve as ``m``-bit
+vectors, so there is no 64-base word limit.  For every read byte ``c``
+a match mask ``peq[c]`` holds the rows whose base equals ``c`` by exact
+byte comparison (two ``N`` bytes match, as in the DP).  One window
+column then updates the vertical deltas ``Pv``/``Mv`` (+1/-1 between
+adjacent rows) with a handful of word operations::
 
-Both run the DP one read-row at a time over numpy arrays.  The
-insertion recurrence ``cur[j] = min(t[j], cur[j-1] + 1)`` — a serial
-scan at first sight — is closed into one vector step by the min-plus
-prefix identity::
+    Xv = Eq | Mv
+    Xh = (((Eq & Pv) + Pv) ^ Pv) | Eq
+    Ph = Mv | ~(Xh | Pv)          Mh = Pv & Xh
+    Ph <<= 1                      Mh <<= 1
+    Pv = Mh | ~(Xv | Ph)          Mv = Ph & Xv
 
-    cur[j] = min_{i <= j} ( t[i] + (j - i) )
-           = minimum.accumulate(t - arange)[j] + j
+Complement is ``^ mask``; a carry or shift can set bit ``m``, which
+nothing reads and the mask on ``Pv`` clears.  Row 0 is all zeros (free
+starts in the window), so no carry enters the shifted ``Ph``.  The last
+row starts at ``m`` in column 0 and moves by the horizontal delta at
+bit ``m - 1``; the answer is its minimum over all columns, exactly the
+DP's ``min`` of the last row.
 
-which is exact for unit indel cost.  The banded variant keeps rows in
-band-offset coordinates (``d = j - i + band``), so its work per row is
-``2 * band + 1`` cells, not ``n``.
-
-Every entry point reports the number of DP cells it computed; the
-mapping cost models (:mod:`repro.mapping.cost`) charge host or in-situ
-time per cell from these counts.
+:attr:`SemiglobalResult.cells` is the size of that *modelled* DP,
+``m * (n + 1)``, not the host's word operations: the mapping cost
+models (:mod:`repro.mapping.cost`) price host or in-situ extension per
+DP cell from it.  The row-at-a-time numpy DP in
+``tests/test_mapping_properties.py`` is the reference it is checked
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
-
-
-class AlignmentError(ValueError):
-    """Raised on invalid alignment parameters."""
-
-
-def _codes(s: str) -> np.ndarray:
-    """Byte codes of a sequence string (comparison only, no decode)."""
-    return np.frombuffer(s.encode("ascii"), dtype=np.uint8)
-
-
-def edit_distance(a: str, b: str) -> int:
-    """Unbanded Levenshtein distance (vectorized full DP).
-
-    The unrestricted reference the banded variant collapses to when the
-    band covers the true distance; also used directly by tests and the
-    brute-force full-scan baseline.
-    """
-    m, n = len(a), len(b)
-    if m == 0 or n == 0:
-        return m + n
-    a_codes = _codes(a)
-    b_codes = _codes(b)
-    idx = np.arange(n + 1, dtype=np.int64)
-    prev = idx.copy()
-    for i in range(1, m + 1):
-        t = prev + 1
-        t[1:] = np.minimum(t[1:], prev[:-1] + (b_codes != a_codes[i - 1]))
-        prev = np.minimum.accumulate(t - idx) + idx
-    return int(prev[n])
-
-
-def banded_edit_distance(a: str, b: str, band: int) -> Optional[int]:
-    """Levenshtein distance if it is ``<= band``, else ``None``.
-
-    Restricting the DP to ``|i - j| <= band`` only discards alignments
-    with more than ``band`` indels, and every alignment with at most
-    ``band`` total edits satisfies the restriction — so the result is
-    *exact* below the band and the band is a clean error budget, never
-    an approximation knob.
-    """
-    if band < 0:
-        raise AlignmentError(f"band must be >= 0, got {band}")
-    m, n = len(a), len(b)
-    if abs(m - n) > band:
-        return None
-    if m == 0 or n == 0:
-        return m + n if m + n <= band else None
-    a_codes = _codes(a)
-    b_codes = _codes(b)
-    width = 2 * band + 1
-    offsets = np.arange(width, dtype=np.int64)
-    inf = m + n + 1
-    # Row 0 in offset coordinates: column j = d - band costs j inserts.
-    j_row = offsets - band
-    prev = np.where((j_row >= 0) & (j_row <= n), j_row, inf)
-    for i in range(1, m + 1):
-        j_row = i - band + offsets
-        valid = (j_row >= 0) & (j_row <= n)
-        # Substitution arrives from (i-1, j-1): the *same* offset d.
-        j_sub = np.clip(j_row - 1, 0, n - 1)
-        sub = prev + (b_codes[j_sub] != a_codes[i - 1])
-        sub = np.where(j_row >= 1, sub, inf)
-        # Deletion (consume a[i-1], j unchanged) arrives from offset d+1.
-        dele = np.concatenate((prev[1:], [inf])) + 1
-        t = np.minimum(sub, dele)
-        t = np.where(valid, t, inf)
-        # Insertion closure along the row (see module docstring).
-        cur = np.minimum.accumulate(t - offsets) + offsets
-        prev = np.where(valid, np.minimum(cur, inf), inf)
-    distance = int(prev[n - m + band])
-    return distance if distance <= band else None
+from typing import Dict
 
 
 @dataclass(frozen=True)
 class SemiglobalResult:
-    """Extension outcome: best distance over the window + DP work done."""
+    """Extension outcome: best distance over the window + modelled DP cells."""
 
     distance: int
     cells: int
@@ -129,8 +57,7 @@ def semiglobal_distance(read: str, window: str) -> SemiglobalResult:
     """Best edit distance of ``read`` against any substring of ``window``.
 
     Semi-global ("glocal") alignment: the read is consumed end to end,
-    the window contributes free leading/trailing gaps (row 0 is all
-    zeros; the answer is the minimum of the last row).  This is the
+    the window contributes free leading/trailing gaps.  This is the
     verification step of seed-and-extend — the window is the candidate
     neighbourhood a surviving seed's diagonal selects.
     """
@@ -139,23 +66,31 @@ def semiglobal_distance(read: str, window: str) -> SemiglobalResult:
         return SemiglobalResult(0, 0)
     if n == 0:
         return SemiglobalResult(m, 0)
-    read_codes = _codes(read)
-    window_codes = _codes(window)
-    idx = np.arange(n + 1, dtype=np.int64)
-    prev = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        t = prev + 1
-        t[1:] = np.minimum(
-            t[1:], prev[:-1] + (window_codes != read_codes[i - 1])
-        )
-        prev = np.minimum.accumulate(t - idx) + idx
-    return SemiglobalResult(int(prev.min()), m * (n + 1))
+    peq: Dict[int, int] = {}
+    bit = 1
+    for code in read.encode("ascii"):
+        peq[code] = peq.get(code, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv = mask, 0
+    score = best = m
+    for code in window.encode("ascii"):
+        eq = peq.get(code, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+            if score < best:
+                best = score
+        ph <<= 1
+        pv = ((mh << 1) | ((xv | ph) ^ mask)) & mask
+        mv = ph & xv
+    return SemiglobalResult(best, m * (n + 1))
 
 
-__all__ = [
-    "AlignmentError",
-    "SemiglobalResult",
-    "banded_edit_distance",
-    "edit_distance",
-    "semiglobal_distance",
-]
+__all__ = ["SemiglobalResult", "semiglobal_distance"]

@@ -21,7 +21,11 @@ the DRAM ledger:
   PAPERS.md.
 
 Both keep running totals in :class:`ExtensionStats`; the mapping
-service exposes them under ``stats()["mapping"]``.
+service exposes them under ``stats()["mapping"]``.  ``dp_cells`` counts
+the cells of the *modelled* ``m x (n + 1)`` semi-global DP per
+candidate (:attr:`repro.mapping.aligner.SemiglobalResult.cells`), not
+the host's instructions: the host computes the same distance with
+Myers' bit-vector algorithm, ``n`` word steps per candidate.
 """
 
 from __future__ import annotations

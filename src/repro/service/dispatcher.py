@@ -634,7 +634,6 @@ class ShardWorker:
         m.histogram("batch_sim_ns").observe(sim_ns)
 
         pos = 0
-        done_at = loop.time()
         for req in live:
             chunk = results[pos : pos + len(req.kmers)]
             pos += len(req.kmers)
@@ -654,7 +653,10 @@ class ShardWorker:
                 m.histogram("mapping_candidates").observe(
                     mapping.candidates
                 )
-            wall_ms = (done_at - req.enqueued_at) * 1e3
+            # Stamped after this request's own extension, so the
+            # reported latency covers it (and every earlier extension
+            # of the batch its future waited behind).
+            wall_ms = (loop.time() - req.enqueued_at) * 1e3
             m.histogram("request_latency_ms").observe(wall_ms)
             m.counter("completed_total").inc()
             if not req.future.done():

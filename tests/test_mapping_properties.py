@@ -2,9 +2,12 @@
 
 Three pillars pin :mod:`repro.mapping` (docs/MAPPING.md):
 
-1. **Aligner exactness** — the vectorized DPs (full, banded,
-   semi-global) are hypothesis-checked against brute-force plain-Python
-   references.  The banded variant must *equal* the unbanded distance
+1. **Aligner exactness** — the bit-parallel ``semiglobal_distance`` is
+   hypothesis-checked against a brute-force plain-Python reference and
+   against the row-at-a-time numpy DP kept here as a test reference
+   (long reads past one 64-bit word, non-ACGT bytes, short windows).
+   The numpy full and banded edit-distance DPs are checked against
+   brute force too: the banded one must *equal* the unbanded distance
    whenever that distance fits the band, and report ``None`` otherwise
    — the band is an error budget, never an approximation knob.
 2. **Seed-and-extend completeness** — for a planted read, every
@@ -28,8 +31,11 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import time
 from pathlib import Path
+from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,15 +47,13 @@ from repro.fleet.jobs import MappingSweepJob
 from repro.genomics import KmerDatabase, build_dataset
 from repro.genomics.sequence import DnaSequence
 from repro.mapping import (
-    AlignmentError,
     MappingConfig,
     MappingError,
     ReadMapper,
     SeedExtender,
     SeedIndex,
     SeedIndexError,
-    banded_edit_distance,
-    edit_distance,
+    SemiglobalResult,
     semiglobal_distance,
 )
 from repro.serialization import save_segments
@@ -101,6 +105,101 @@ def hamming(a: str, b: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Vectorized DP references (numpy, one read-row at a time)
+#
+# The insertion recurrence ``cur[j] = min(t[j], cur[j-1] + 1)`` closes
+# into one vector step by the min-plus prefix identity
+# ``cur[j] = minimum.accumulate(t - arange)[j] + j`` (exact for unit
+# indel cost).  The banded DP keeps rows in band-offset coordinates
+# ``d = j - i + band``, so its work per row is ``2 * band + 1`` cells.
+# ---------------------------------------------------------------------------
+
+
+def _codes(s: str) -> np.ndarray:
+    return np.frombuffer(s.encode("ascii"), dtype=np.uint8)
+
+
+def edit_distance(a: str, b: str) -> int:
+    """Unbanded Levenshtein distance (vectorized full DP)."""
+    m, n = len(a), len(b)
+    if m == 0 or n == 0:
+        return m + n
+    a_codes = _codes(a)
+    b_codes = _codes(b)
+    idx = np.arange(n + 1, dtype=np.int64)
+    prev = idx.copy()
+    for i in range(1, m + 1):
+        t = prev + 1
+        t[1:] = np.minimum(t[1:], prev[:-1] + (b_codes != a_codes[i - 1]))
+        prev = np.minimum.accumulate(t - idx) + idx
+    return int(prev[n])
+
+
+def banded_edit_distance(a: str, b: str, band: int) -> Optional[int]:
+    """Levenshtein distance if it is ``<= band``, else ``None``.
+
+    Restricting the DP to ``|i - j| <= band`` only discards alignments
+    with more than ``band`` indels, and every alignment with at most
+    ``band`` total edits satisfies the restriction, so the result is
+    exact below the band.
+    """
+    if band < 0:
+        raise ValueError(f"band must be >= 0, got {band}")
+    m, n = len(a), len(b)
+    if abs(m - n) > band:
+        return None
+    if m == 0 or n == 0:
+        return m + n if m + n <= band else None
+    a_codes = _codes(a)
+    b_codes = _codes(b)
+    width = 2 * band + 1
+    offsets = np.arange(width, dtype=np.int64)
+    inf = m + n + 1
+    # Row 0 in offset coordinates: column j = d - band costs j inserts.
+    j_row = offsets - band
+    prev = np.where((j_row >= 0) & (j_row <= n), j_row, inf)
+    for i in range(1, m + 1):
+        j_row = i - band + offsets
+        valid = (j_row >= 0) & (j_row <= n)
+        # Substitution arrives from (i-1, j-1): the *same* offset d.
+        j_sub = np.clip(j_row - 1, 0, n - 1)
+        sub = prev + (b_codes[j_sub] != a_codes[i - 1])
+        sub = np.where(j_row >= 1, sub, inf)
+        # Deletion (consume a[i-1], j unchanged) arrives from offset d+1.
+        dele = np.concatenate((prev[1:], [inf])) + 1
+        t = np.minimum(sub, dele)
+        t = np.where(valid, t, inf)
+        cur = np.minimum.accumulate(t - offsets) + offsets
+        prev = np.where(valid, np.minimum(cur, inf), inf)
+    distance = int(prev[n - m + band])
+    return distance if distance <= band else None
+
+
+def dp_semiglobal(read: str, window: str) -> int:
+    """Semi-global distance by the full ``(m + 1) x (n + 1)`` DP.
+
+    Row 0 is all zeros (free leading gap in the window); the answer is
+    the minimum of the last row (free trailing gap).
+    """
+    m, n = len(read), len(window)
+    if m == 0:
+        return 0
+    if n == 0:
+        return m
+    read_codes = _codes(read)
+    window_codes = _codes(window)
+    idx = np.arange(n + 1, dtype=np.int64)
+    prev = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, m + 1):
+        t = prev + 1
+        t[1:] = np.minimum(
+            t[1:], prev[:-1] + (window_codes != read_codes[i - 1])
+        )
+        prev = np.minimum.accumulate(t - idx) + idx
+    return int(prev.min())
+
+
+# ---------------------------------------------------------------------------
 # Aligner exactness
 # ---------------------------------------------------------------------------
 
@@ -130,8 +229,70 @@ def test_banded_is_exact_within_band_else_none(a, b, band):
 def test_semiglobal_matches_brute_force(read, window):
     outcome = semiglobal_distance(read, window)
     assert outcome.distance == ref_semiglobal(read, window)
+    assert outcome.distance == dp_semiglobal(read, window)
     if window:
         assert outcome.cells == len(read) * (len(window) + 1)
+
+
+def assert_matches_dp(read: str, window: str) -> None:
+    outcome = semiglobal_distance(read, window)
+    assert outcome.distance == dp_semiglobal(read, window)
+    # The modelled DP's size; an empty window computes no cells.
+    assert outcome.cells == (len(read) * (len(window) + 1) if window else 0)
+
+
+@st.composite
+def read_in_window(draw, alphabet="ACGT", min_read=65, max_read=300):
+    """A read plus a window: an edited copy of it inside random flanks,
+    or (one case in four) unrelated random sequence."""
+
+    def text(lo, hi):
+        return st.text(alphabet=alphabet, min_size=lo, max_size=hi)
+
+    read = draw(text(min_read, max_read))
+    if draw(st.integers(0, 3)) == 0:
+        return read, draw(text(0, max_read + 20))
+    body = list(read)
+    for _ in range(draw(st.integers(0, 12))):
+        pos = draw(st.integers(0, len(body)))
+        op = draw(st.sampled_from("sid"))
+        base = draw(st.sampled_from(alphabet))
+        if op == "i" or pos == len(body):
+            body.insert(pos, base)
+        elif op == "s":
+            body[pos] = base
+        else:
+            del body[pos]
+    return read, draw(text(0, 10)) + "".join(body) + draw(text(0, 10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=read_in_window())
+def test_semiglobal_matches_dp_past_one_word(case):
+    # 65-300 bases: a fixed 64-bit port would drop the high rows.
+    assert_matches_dp(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=read_in_window(alphabet="ACGTNacgtn-*", min_read=1, max_read=90))
+def test_semiglobal_matches_dp_on_non_acgt_bytes(case):
+    # Match masks compare bytes exactly: two ``N`` bytes are a match.
+    assert_matches_dp(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), read=st.text(alphabet="ACGTN", min_size=1, max_size=150))
+def test_semiglobal_matches_dp_on_windows_shorter_than_read(data, read):
+    window = data.draw(st.text(alphabet="ACGTN", max_size=len(read) - 1))
+    assert_matches_dp(read, window)
+
+
+@settings(max_examples=25, deadline=None)
+@given(read=st.text(alphabet="ACGTN", min_size=1, max_size=300))
+def test_semiglobal_of_identical_read_and_window_is_zero(read):
+    outcome = semiglobal_distance(read, read)
+    assert outcome.distance == 0
+    assert outcome.cells == len(read) * (len(read) + 1)
 
 
 def test_aligner_edge_cases():
@@ -139,9 +300,10 @@ def test_aligner_edge_cases():
     assert edit_distance("ACG", "") == 3
     assert banded_edit_distance("", "AC", 1) is None
     assert banded_edit_distance("", "AC", 2) == 2
-    assert semiglobal_distance("", "ACGT").distance == 0
-    assert semiglobal_distance("ACG", "").distance == 3
-    with pytest.raises(AlignmentError):
+    assert semiglobal_distance("", "ACGT") == SemiglobalResult(0, 0)
+    assert semiglobal_distance("ACG", "") == SemiglobalResult(3, 0)
+    assert semiglobal_distance("NN", "ANNA").distance == 0
+    with pytest.raises(ValueError):
         banded_edit_distance("A", "A", -1)
 
 
@@ -296,19 +458,24 @@ def mapping_digest(payloads) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def serve_mapping_payloads(dataset, backends, config):
-    service = ClassificationService(
-        backends, config, extender=golden_extender(dataset)
-    )
+def serve_mappings(service, reads):
+    """Submit every read at once, drain, and return the responses."""
 
     async def drive():
         await service.start()
-        futures = [service.submit_mapping(read) for read in dataset.reads]
+        futures = [service.submit_mapping(read) for read in reads]
         responses = await asyncio.gather(*futures)
         await service.stop(drain=True)
         return responses
 
-    responses = asyncio.run(drive())
+    return asyncio.run(drive())
+
+
+def serve_mapping_payloads(dataset, backends, config):
+    service = ClassificationService(
+        backends, config, extender=golden_extender(dataset)
+    )
+    responses = serve_mappings(service, dataset.reads)
     return [r.mapping.to_payload() for r in responses], service.stats()
 
 
@@ -553,3 +720,44 @@ def test_service_rejects_extender_k_mismatch(small_dataset):
     )
     with pytest.raises(ServiceError):
         ClassificationService([small_dataset.database], extender=wrong_k)
+
+
+class SlowExtender(SeedExtender):
+    """A seed extender whose every ``extend`` costs a fixed host sleep."""
+
+    def __init__(self, *args, sleep_s: float, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sleep_s = sleep_s
+
+    def extend(self, read, results):
+        time.sleep(self.sleep_s)
+        return super().extend(read, results)
+
+
+def test_mapping_latency_includes_host_extension(golden_dataset):
+    """``wall_ms`` is stamped after each request's own extension: in one
+    coalesced batch the last answer waited for every read's extension."""
+    reads = golden_dataset.reads[:4]
+    sleep_s = 0.03
+    extender = SlowExtender(
+        SeedIndex.from_genomes(golden_dataset.genomes, golden_dataset.k),
+        golden_dataset.genomes,
+        MappingConfig(**MAPPING_GOLDEN["mapping_config"]),
+        sleep_s=sleep_s,
+    )
+    service = ClassificationService(
+        [golden_dataset.database],
+        ServiceConfig(num_shards=1, max_batch_kmers=4096, max_linger_s=0.0),
+        extender=extender,
+    )
+    responses = serve_mappings(service, reads)
+    assert [r.coalesced_requests for r in responses] == [len(reads)] * len(
+        reads
+    )
+    assert [r.mapping.read_id for r in responses] == [
+        read.seq_id for read in reads
+    ]
+    walls = [r.wall_ms for r in responses]
+    assert walls[-1] >= len(reads) * sleep_s * 1e3
+    assert walls == sorted(walls)
+    assert service.stats()["mapping"]["reads"] == len(reads)
