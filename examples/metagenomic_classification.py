@@ -106,12 +106,14 @@ def main() -> None:
 
     print("\nSieve device functional counters:")
     stats = device.stats
-    dispatched = [r for r in stats.rows_per_query if r > 0]
+    histogram = stats.rows_histogram
+    dispatched = int(histogram[1:].sum())
+    dispatched_rows = sum(r * n for r, n in enumerate(histogram.tolist()))
     print(f"  {stats.queries} requests, {stats.hits} hits "
           f"({stats.hit_rate:.1%}), {stats.index_filtered} filtered by the "
           f"host index")
     print(f"  mean row activations per dispatched query: "
-          f"{sum(dispatched) / len(dispatched):.1f} of {2 * K} "
+          f"{dispatched_rows / dispatched:.1f} of {2 * K} "
           f"(ETM early termination)")
     print(f"  query-batch write commands: {stats.write_commands}")
 

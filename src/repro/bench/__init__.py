@@ -14,6 +14,7 @@ Usage::
     python -m repro.bench                 # full workloads
     python -m repro.bench --quick         # CI smoke scale
     python -m repro.bench --baseline benchmarks/BENCH_baseline.json
+    python -m repro.bench --trajectory    # wall/counter trend of history
 
 Each run writes ``BENCH_<rev>.json`` (``<rev>`` is the short git
 revision, or ``local`` outside a checkout).  With ``--baseline`` the run
@@ -28,6 +29,7 @@ absorb machine variation.  See ``docs/PERFORMANCE.md``.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -733,6 +735,54 @@ def compare_to_baseline(
             if name not in BENCHMARKS
         )
     return failures
+
+
+def _history_order(path: Path) -> List[object]:
+    """Sort key placing ``run9.json`` before ``run10.json``."""
+    return [
+        int(part) if part.isdigit() else part
+        for part in re.split(r"(\d+)", path.stem)
+    ]
+
+
+def format_trajectory(history_dir: Path, baseline: Dict[str, object]) -> str:
+    """One row per scenario, one column per payload in ``history_dir``.
+
+    Each cell is the recorded wall seconds, marked ``✓`` when that
+    run's counters equal ``baseline``'s and ``✗`` when they differ (or
+    the baseline has no such scenario); ``-`` marks a scenario the run
+    did not record.  Files are ordered by name, numbers numerically.
+    """
+    paths = sorted(history_dir.glob("*.json"), key=_history_order)
+    if not paths:
+        raise BenchError(f"no history payloads in {history_dir}")
+    runs = [load_baseline(path)["benchmarks"] for path in paths]
+    recorded = baseline["benchmarks"]
+    names = [name for name in BENCHMARKS if any(name in run for run in runs)]
+    names += sorted({n for run in runs for n in run} - set(names))
+    width = max(len(name) for name in names)
+    columns = [max(len(path.stem), 9) for path in paths]
+    lines = [
+        " ".join(
+            [f"{'scenario':<{width}}"]
+            + [f"{p.stem:>{w}}" for p, w in zip(paths, columns)]
+        )
+    ]
+    for name in names:
+        cells = []
+        for run, w in zip(runs, columns):
+            entry = run.get(name)
+            if entry is None:
+                cells.append(f"{'-':>{w}}")
+                continue
+            base = recorded.get(name) if isinstance(recorded, dict) else None
+            same = isinstance(base, dict) and base.get("counters") == entry.get(
+                "counters"
+            )
+            mark = "✓" if same else "✗"
+            cells.append(f"{float(entry['wall_s']):.3f} {mark}".rjust(w))
+        lines.append(" ".join([f"{name:<{width}}"] + cells))
+    return "\n".join(lines)
 
 
 def format_results(results: Sequence[BenchResult]) -> str:

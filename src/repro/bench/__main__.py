@@ -2,7 +2,8 @@
 
 Runs the tracked benchmarks, writes ``BENCH_<rev>.json``, and (with
 ``--baseline``) fails with exit status 1 when any benchmark regresses
-past the threshold or its functional counters drift.
+past the threshold or its functional counters drift.  ``--trajectory``
+instead prints the committed history of such payloads as one table.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import (
     BenchError,
     compare_to_baseline,
     format_results,
+    format_trajectory,
     git_revision,
     load_baseline,
     run_benchmarks,
@@ -60,6 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     parser.add_argument(
+        "--trajectory",
+        type=Path,
+        nargs="?",
+        const=Path("benchmarks/history"),
+        metavar="DIR",
+        help="print the wall time of every scenario across the payloads "
+        "in DIR (default: %(const)s) and whether their counters equal "
+        "--baseline (default: DIR/../BENCH_baseline.json); runs nothing",
+    )
+    parser.add_argument(
         "--jobs",
         "-j",
         type=int,
@@ -72,6 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trajectory is not None:
+        baseline_path = args.baseline or (
+            args.trajectory.parent / "BENCH_baseline.json"
+        )
+        try:
+            print(format_trajectory(args.trajectory, load_baseline(baseline_path)))
+        except BenchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return 0
     only = args.only.split(",") if args.only else None
     try:
         results = run_benchmarks(quick=args.quick, only=only, jobs=args.jobs)

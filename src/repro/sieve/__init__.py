@@ -29,7 +29,7 @@ from .extensions import (
     technology_comparison,
 )
 from .etm import DEFAULT_SEGMENT_SIZE, EtmError, EtmPipeline
-from .functional import FunctionalError, MatchOutcome, SieveSubarraySim
+from .functional import FunctionalError, MatchBatch, MatchOutcome, SieveSubarraySim
 from .index import INDEX_ENTRY_BYTES, IndexEntry, SubarrayIndex
 from .layout import (
     GROUP_WIDTH,
@@ -90,6 +90,7 @@ __all__ = [
     "EtmError",
     "EtmPipeline",
     "FunctionalError",
+    "MatchBatch",
     "MatchOutcome",
     "SieveSubarraySim",
     "INDEX_ENTRY_BYTES",

@@ -15,9 +15,10 @@ examples run; the paper-scale benchmarks use the analytic
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..api import (
     BackendCapabilities,
@@ -27,8 +28,9 @@ from ..api import (
 )
 from ..dram.geometry import DramGeometry
 from ..genomics.database import KmerDatabase
-from .functional import MatchOutcome, SieveSubarraySim
-from .index import SubarrayIndex
+from ..genomics.encoding import canonical_kmers
+from .functional import MatchBatch, SieveSubarraySim
+from .index import SubarrayIndex, key_array
 from .layout import SubarrayLayout
 
 
@@ -42,7 +44,7 @@ class DeviceError(ValueError):
 DeviceResponse = BackendResult
 
 
-@dataclass
+@dataclass(eq=False)
 class DeviceStats:
     """Aggregate functional counters across a device's lifetime.
 
@@ -50,6 +52,10 @@ class DeviceStats:
     protocol-wide :class:`repro.api.BackendStats`, so the device
     satisfies :class:`repro.api.QueryBackend` while existing callers
     keep reading the rich attribute counters directly.
+
+    ``rows_histogram[r]`` counts the queries that activated ``r`` rows
+    (``r == 0``: filtered by the host index); its length is fixed by
+    the device's ``k``, so it does not grow with the query count.
     """
 
     queries: int = 0
@@ -58,7 +64,26 @@ class DeviceStats:
     row_activations: int = 0
     write_commands: int = 0
     batches: int = 0
-    rows_per_query: List[int] = field(default_factory=list)
+    rows_histogram: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
+
+    def _counters(self) -> Tuple[int, ...]:
+        return (
+            self.queries,
+            self.hits,
+            self.index_filtered,
+            self.row_activations,
+            self.write_commands,
+            self.batches,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeviceStats):
+            return NotImplemented
+        return self._counters() == other._counters() and np.array_equal(
+            self.rows_histogram, other.rows_histogram
+        )
 
     @property
     def hit_rate(self) -> float:
@@ -81,7 +106,11 @@ class DeviceStats:
         self.row_activations += other.row_activations
         self.write_commands += other.write_commands
         self.batches += other.batches
-        self.rows_per_query.extend(other.rows_per_query)
+        size = max(self.rows_histogram.size, other.rows_histogram.size)
+        merged = np.zeros(size, dtype=np.int64)
+        merged[: self.rows_histogram.size] += self.rows_histogram
+        merged[: other.rows_histogram.size] += other.rows_histogram
+        self.rows_histogram = merged
 
 
 class SieveDevice:
@@ -109,20 +138,16 @@ class SieveDevice:
         #: canonicalize queries before consulting the range index, just
         #: as the software classifiers do.
         self.canonical = canonical
-        self.stats = DeviceStats()
+        # Rows activated per query run 0 (filtered) .. 2k + 2 (a hit).
+        self.stats = DeviceStats(
+            rows_histogram=np.zeros(layout.kmer_rows + 3, dtype=np.int64)
+        )
         # Snapshot fault state at construction: a device loaded while an
         # active fault model was installed holds corrupted cells for its
         # whole lifetime, even after the injector is uninstalled.
         from ..faults import degraded_mode
 
         self.degraded = degraded_mode()
-
-    def _normalize(self, kmer: int) -> int:
-        if not self.canonical:
-            return kmer
-        from ..genomics.encoding import canonical_kmer
-
-        return canonical_kmer(kmer, self.layout.k)
 
     @classmethod
     def from_database(
@@ -182,50 +207,100 @@ class SieveDevice:
     def query(
         self, kmers: Sequence[int], *, batched: bool = True
     ) -> List[DeviceResponse]:
-        """The unified batch path: group per destination subarray,
-        batches of <= 64 (:class:`repro.api.QueryBackend` surface).
+        """The unified batch path (:class:`repro.api.QueryBackend`
+        surface): route every k-mer, group them per destination
+        (subarray, layer), load each destination's k-mers as batches of
+        <= 64 and match them together.
+
+        Routing is array-wide: one :meth:`SubarrayIndex.route_many`
+        search, then one :meth:`SieveSubarraySim.route_layers` search
+        per subarray hit.  Destinations are served in the order of
+        their first k-mer, each destination's k-mers in request order.
+        ``batched=True`` (the default) matches each destination's
+        batches in one :meth:`~repro.sieve.functional.SieveSubarraySim.
+        match_all` pass; ``batched=False`` replays the scalar
+        command-by-command :meth:`~repro.sieve.functional.
+        SieveSubarraySim.match_slot` path after each load, the
+        reference.  Both produce identical responses and functional
+        counters (the equivalence is test-enforced).
 
         Responses are returned in request order even though requests to
         different subarrays complete out of order (Section IV-E: the host
         accumulates payloads per sequence, no reordering needed — we
-        reorder only for API convenience).
-
-        ``batched=True`` (the default) matches each loaded batch through
-        the bit-packed :meth:`~repro.sieve.functional.SieveSubarraySim.
-        match_all` engine; ``batched=False`` replays the scalar
-        command-by-command path, the reference.  Both produce identical
-        responses and functional counters (the equivalence is
-        test-enforced).
+        reorder only for API convenience).  A canonical device answers
+        for the canonical k-mer, which is what ``query`` reports.
         """
-        responses: List[Optional[DeviceResponse]] = [None] * len(kmers)
-        per_dest: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-        kmers = [self._normalize(kmer) for kmer in kmers]
-        for pos, kmer in enumerate(kmers):
-            sid = self.index.route(kmer)
-            if sid is None:
-                self.stats.queries += 1
-                self.stats.index_filtered += 1
-                self.stats.rows_per_query.append(0)
-                responses[pos] = DeviceResponse(kmer, False, None, None, 0, 0)
-            else:
-                layer = self.subarrays[sid].route_layer(kmer)
-                per_dest[(sid, layer)].append((pos, kmer))
+        kmers = key_array(kmers)
+        if self.canonical:
+            kmers = canonical_kmers(kmers, self.layout.k)
+        count = kmers.size
+        sids = self.index.route_many(kmers)
+        routed = np.flatnonzero(sids >= 0)
+        layers = np.zeros(count, dtype=np.int64)
+        for sid in np.flatnonzero(np.bincount(sids[routed])).tolist():
+            mask = sids == sid
+            layers[mask] = self.subarrays[sid].route_layers(kmers[mask])
+        # Group by destination: the stable sort keeps request order within
+        # one, and destinations are served in the order of their first
+        # k-mer.
+        keys = sids[routed] * self.layout.layers + layers[routed]
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        bounds = np.append(starts, order.size).tolist()
+
+        hit = np.zeros(count, dtype=bool)
+        payload = np.zeros(count, dtype=np.int64)
+        rows = np.zeros(count, dtype=np.int64)
+        flush = np.zeros(count, dtype=np.int64)
         batch_size = self.layout.queries_per_group
-        for (sid, layer), requests in per_dest.items():
-            sim = self.subarrays[sid]
-            for start in range(0, len(requests), batch_size):
-                batch = requests[start : start + batch_size]
-                self.stats.write_commands += sim.load_query_batch(
-                    [kmer for _, kmer in batch], layer
-                )
+        for group in np.argsort(order[starts]).tolist():
+            positions = routed[order[bounds[group] : bounds[group + 1]]]
+            sim = self.subarrays[int(sids[positions[0]])]
+            layer = int(layers[positions[0]])
+            requests = kmers[positions].tolist()
+            outcomes = []
+            for lo in range(0, len(requests), batch_size):
+                batch = requests[lo : lo + batch_size]
+                self.stats.write_commands += sim.load_query_batch(batch, layer)
                 self.stats.batches += 1
-                if batched:
-                    outcomes = sim.match_all()
-                else:
-                    outcomes = [sim.match_slot(slot) for slot in range(len(batch))]
-                for (pos, _), outcome in zip(batch, outcomes):
-                    responses[pos] = self._record(outcome, sid)
-        return [r for r in responses if r is not None]
+                if not batched:
+                    outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
+            result = (
+                sim.match_all()
+                if batched
+                else MatchBatch.from_outcomes(layer, outcomes)
+            )
+            hit[positions] = result.hit
+            payload[positions] = result.payload
+            rows[positions] = result.rows_activated
+            flush[positions] = result.etm_flush_cycles
+
+        stats = self.stats
+        stats.queries += count
+        stats.index_filtered += count - routed.size
+        stats.hits += int(np.count_nonzero(hit))
+        stats.row_activations += int(rows.sum())
+        stats.rows_histogram += np.bincount(
+            rows, minlength=stats.rows_histogram.size
+        )
+        return [
+            DeviceResponse(
+                query,
+                is_hit,
+                value if is_hit else None,
+                sid if sid >= 0 else None,
+                activated,
+                cycles,
+            )
+            for query, is_hit, value, sid, activated, cycles in zip(
+                kmers.tolist(),
+                hit.tolist(),
+                payload.tolist(),
+                sids.tolist(),
+                rows.tolist(),
+                flush.tolist(),
+            )
+        ]
 
     # -- protocol surface ------------------------------------------------------
 
@@ -269,21 +344,6 @@ class SieveDevice:
         results = self.query(list(read.kmers(self.layout.k)))
         return classification_from_results(
             read.seq_id, results, true_taxon=read.taxon_id
-        )
-
-    def _record(self, outcome: MatchOutcome, sid: int) -> DeviceResponse:
-        self.stats.queries += 1
-        self.stats.row_activations += outcome.rows_activated
-        self.stats.rows_per_query.append(outcome.rows_activated)
-        if outcome.hit:
-            self.stats.hits += 1
-        return DeviceResponse(
-            query=outcome.query,
-            hit=outcome.hit,
-            payload=outcome.payload,
-            subarray_id=sid,
-            rows_activated=outcome.rows_activated,
-            etm_flush_cycles=outcome.etm_flush_cycles,
         )
 
     # -- accounting ----------------------------------------------------------------

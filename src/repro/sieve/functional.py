@@ -23,7 +23,6 @@ and the test suite checks the outcomes against a plain
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,8 +32,10 @@ from ..dram.subarray import Subarray
 from . import kernels
 from .column_finder import ColumnFinder, ColumnFindResult
 from .etm import EtmPipeline
+from .index import key_array
 from .layout import OFFSET_BITS, PAYLOAD_BITS, LayoutError, SubarrayLayout
 from .matcher import MatcherArray
+
 
 class FunctionalError(RuntimeError):
     """Raised on protocol errors in the functional simulator."""
@@ -53,6 +54,50 @@ class MatchOutcome:
     etm_flush_cycles: int
     cf: Optional[ColumnFindResult]
     etm_terminated_early: bool
+
+
+@dataclass(frozen=True, eq=False)
+class MatchBatch:
+    """Columnar result of one :meth:`SieveSubarraySim.match_all` pass.
+
+    One entry per query of every batch loaded since the previous
+    ``match_all()``, in load order, all matched against ``layer``.  The
+    columns carry :class:`MatchOutcome`'s fields: ``payload`` and
+    ``column`` are 0 where ``hit`` is False, and a hit's
+    ``rows_activated`` includes its two Region-2/3 fetch activations.
+    """
+
+    layer: int
+    hit: np.ndarray
+    payload: np.ndarray
+    column: np.ndarray
+    rows_activated: np.ndarray
+    etm_flush_cycles: np.ndarray
+    terminated_early: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.hit.size)
+
+    @classmethod
+    def from_outcomes(
+        cls, layer: int, outcomes: Sequence[MatchOutcome]
+    ) -> "MatchBatch":
+        """Columns of scalar :meth:`SieveSubarraySim.match_slot` outcomes."""
+        return cls(
+            layer=layer,
+            hit=np.array([o.hit for o in outcomes], dtype=bool),
+            payload=np.array([o.payload or 0 for o in outcomes], dtype=np.int64),
+            column=np.array([o.column or 0 for o in outcomes], dtype=np.int64),
+            rows_activated=np.array(
+                [o.rows_activated for o in outcomes], dtype=np.int64
+            ),
+            etm_flush_cycles=np.array(
+                [o.etm_flush_cycles for o in outcomes], dtype=np.int64
+            ),
+            terminated_early=np.array(
+                [o.etm_terminated_early for o in outcomes], dtype=bool
+            ),
+        )
 
 
 def _int_to_bits(value: int, width: int) -> np.ndarray:
@@ -135,6 +180,10 @@ class SieveSubarraySim:
         self.finder = ColumnFinder(self.etm)
         self._batch: List[int] = []
         self._batch_layer = 0
+        #: Query-block cells of every batch loaded since the last
+        #: :meth:`match_all`, each ``(2k, groups, batch size)`` and read
+        #: right after its load, so load-time fault corruption is kept.
+        self._pending: List[np.ndarray] = []
         self.batch_loads = 0
         self.write_commands = 0
         #: Match-Enable masks keyed by (layer, record count); rebuilt when
@@ -153,7 +202,9 @@ class SieveSubarraySim:
             self.records[i : i + per_layer]
             for i in range(0, len(self.records), per_layer)
         ]
-        self._layer_firsts = [chunk[0][0] for chunk in self._layer_records]
+        self._layer_firsts = key_array(
+            [chunk[0][0] for chunk in self._layer_records]
+        )
         self._load_references()
 
     @property
@@ -184,26 +235,48 @@ class SieveSubarraySim:
 
     def route_layer(self, kmer: int) -> int:
         """Layer whose sorted range should contain ``kmer``."""
-        pos = bisect.bisect_right(self._layer_firsts, kmer) - 1
-        return max(pos, 0)
+        return int(self.route_layers(key_array([kmer]))[0])
+
+    def route_layers(self, kmers: np.ndarray) -> np.ndarray:
+        """:meth:`route_layer` of every k-mer in a :func:`key_array`."""
+        pos = np.searchsorted(self._layer_firsts, kmers, side="right") - 1
+        return np.maximum(pos, 0)
 
     def load_query_batch(self, queries: Sequence[int], layer: int = 0) -> int:
         """Write a batch into every group's query block of ``layer``;
         returns the number of prefetch-width write commands charged
-        (Section IV-A: groups x 2k)."""
+        (Section IV-A: groups x 2k).
+
+        The batch joins the ones :meth:`match_all` will match next; they
+        must all target one layer.
+        """
         if not queries:
             raise FunctionalError("query batch must be non-empty")
         if not 0 <= layer < self.num_layers_used:
             raise FunctionalError(
                 f"layer {layer} out of range [0, {self.num_layers_used})"
             )
+        if self._pending and layer != self._batch_layer:
+            raise FunctionalError(
+                f"batches for layer {self._batch_layer} are pending; "
+                f"match_all() before loading layer {layer}"
+            )
         layout = self.layout
+        base = layout.layer_base_row(layer)
         # Every group holds its own replica of the same block.
         self.array.load_bit_block(
-            layout.layer_base_row(layer),
+            base,
             layout.query_column_matrix[:, 0],
             layout.query_block_bits(list(queries)),
         )
+        # Copy the cells as stored (faults included) before a later load
+        # overwrites them: group g's slot s sits at column
+        # g * group_width + query_col_offset + s.
+        start = layout.query_col_offset
+        groups = self.array.peek_rows(base, base + layout.kmer_rows)[
+            :, : layout.num_groups * layout.group_width
+        ].reshape(layout.kmer_rows, layout.num_groups, layout.group_width)
+        self._pending.append(groups[:, :, start : start + len(queries)].copy())
         self._batch = list(queries)
         self._batch_layer = layer
         self.batch_loads += 1
@@ -231,12 +304,23 @@ class SieveSubarraySim:
 
     # -- matching ------------------------------------------------------------
 
+    def discard_pending(self) -> None:
+        """Drop the batches queued for :meth:`match_all`.
+
+        For callers that replay the loaded block command by command
+        instead (:meth:`match_slot`, the Type-2 compute-buffer relay), so
+        nothing accumulates on the scalar paths.
+        """
+        self._pending = []
+
     def match_slot(self, batch_slot: int) -> MatchOutcome:
-        """Match one query of the loaded batch against the batch's layer."""
+        """Match one query of the last loaded batch against its layer,
+        command by command (the scalar reference of :meth:`match_all`)."""
         if not 0 <= batch_slot < len(self._batch):
             raise FunctionalError(
                 f"batch slot {batch_slot} out of range [0, {len(self._batch)})"
             )
+        self.discard_pending()
         layout = self.layout
         layer = self._batch_layer
         query = self._batch[batch_slot]
@@ -376,56 +460,58 @@ class SieveSubarraySim:
             self._ref_words_cache[layer] = cached
         return cached
 
-    def match_all(self) -> List[MatchOutcome]:
-        """Match every slot of the loaded batch in one vectorized pass.
+    def match_all(self) -> MatchBatch:
+        """Match every batch loaded since the last call in one pass.
 
-        Fast path equivalent to ``[self.match_slot(s) for s in
-        range(len(batch))]``: instead of replaying row activations one
-        Python-level DRAM command at a time, it computes every query's
-        per-column *first-divergence* row analytically from Region-1
-        columns and query replicas bit-packed into uint64 words
-        (:mod:`repro.sieve.kernels`).  The layer's per-segment
-        first-divergence maxima come from one sorted-neighbour
-        :func:`~repro.sieve.kernels.segment_divergence` call when the
-        stored cells allow it — a single-word layout (``k <= 32``) whose
-        stored words ascend and whose groups hold identical query
-        replicas — and otherwise from one
+        Columnar equivalent of loading each batch and running
+        ``[self.match_slot(s) for s in range(len(batch))]`` on it:
+        instead of replaying row activations one Python-level DRAM
+        command at a time, it computes every query's per-column
+        *first-divergence* row analytically from Region-1 columns and
+        the query replicas each load stored, bit-packed into uint64
+        words (:mod:`repro.sieve.kernels`).  The per-segment
+        first-divergence maxima of all pending queries come from one
+        sorted-neighbour :func:`~repro.sieve.kernels.segment_divergence`
+        call when the stored cells allow it — a single-word layout
+        (``k <= 32``) whose stored words ascend and whose groups hold
+        identical query replicas — and otherwise from one
         :func:`~repro.sieve.kernels.first_divergence` sweep per pattern
-        group (multi-word rows, or words or replicas corrupted by
-        faults).  Everything observable is then synthesized batch-wide,
-        bit for bit as the scalar path produces it:
+        group and loaded batch (multi-word rows, or words or replicas
+        corrupted by faults).  Everything observable is then
+        synthesized for all pending queries at once, bit for bit as the
+        scalar path produces it:
 
-        * :class:`MatchOutcome` fields, including ``rows_activated``
+        * the :class:`MatchBatch` columns, including ``rows_activated``
           under the ETM's one-row-late interrupt semantics and the SR
           drain (``etm_flush_cycles``) from the closed-form SR recurrence;
         * :class:`~repro.dram.subarray.SubarrayStats` counters (ACT/PRE
           pairs charged analytically);
-        * matcher / ETM pipeline state after the final query.
+        * matcher / ETM pipeline state after the final query of the
+          final batch.
 
         Bit-identity with the scalar replay is property-test enforced
-        (tests/test_kernels_properties.py).
+        (tests/test_kernels_properties.py, tests/test_batched_equivalence.py).
         """
         layout = self.layout
         layer = self._batch_layer
         self.matchers.set_enable(self._layer_enable(layer))
-        num_queries = len(self._batch)
-        if not num_queries:
-            return []
+        pending, self._pending = self._pending, []
+        if not pending:
+            return MatchBatch.from_outcomes(layer, [])
         num_refs = len(self._layer_records[layer])
         total_rows = layout.kmer_rows
         base = layout.layer_base_row(layer)
         region1 = self.array.peek_rows(base, base + total_rows)
         enable_cols = layout.ref_slot_columns[:num_refs]
 
-        # Reference words are packed once per layer; the query block is
-        # read per batch, every group's replica separately (each group
-        # broadcasts its own — possibly fault-corrupted — replica).
+        # Reference words are packed once per layer; each group's query
+        # replica was saved separately at load (each group broadcasts its
+        # own — possibly fault-corrupted — replica).
         ref_words, group_bounds, seg_ids, seg_starts, ascending = (
             self._packed_layer(layer, region1, enable_cols)
         )
-        qbits = region1[:, layout.query_column_matrix.ravel()].reshape(
-            total_rows, layout.num_groups, layout.queries_per_group
-        )
+        qbits = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=2)
+        num_queries = qbits.shape[2]
         seg_max = np.full(
             (num_queries, self.etm.num_segments), -1, dtype=np.int64
         )
@@ -435,9 +521,10 @@ class SieveSubarraySim:
         # the same replica of each query, so group 0's replica is the
         # only one to pack.  Anything else (multi-word rows,
         # fault-corrupted order or replicas) runs the general per-group
-        # sweep.
+        # sweep, one loaded batch at a time so no (queries x refs)
+        # matrix spans the whole destination.
         if ascending and bool(np.all(qbits == qbits[:, :1])):
-            query_words = kernels.pack_bit_columns(qbits[:, 0, :num_queries])
+            query_words = kernels.pack_bit_columns(qbits[:, 0])
             seg_div, first_hit, any_hit = kernels.segment_divergence(
                 ref_words[0], query_words[0], total_rows, seg_starts
             )
@@ -445,26 +532,34 @@ class SieveSubarraySim:
             last_div = seg_div.max(axis=1)
             last_hits = np.arange(num_refs) == first_hit[num_queries - 1]
         else:
-            qwords = kernels.pack_bit_columns(
-                qbits.reshape(total_rows, -1)
-            ).reshape(-1, layout.num_groups, layout.queries_per_group)
-            div = np.empty((num_queries, num_refs), dtype=np.int64)
-            for g in range(layout.num_groups):
-                lo, hi = int(group_bounds[g]), int(group_bounds[g + 1])
-                if lo == hi:
-                    continue
-                div[:, lo:hi] = kernels.first_divergence(
-                    ref_words[:, lo:hi], qwords[:, g, :num_queries], total_rows
+            any_hit = np.empty(num_queries, dtype=bool)
+            first_hit = np.empty(num_queries, dtype=np.int64)
+            last_div = np.empty(num_queries, dtype=np.int64)
+            stop = 0
+            for block in pending:
+                start, stop = stop, stop + block.shape[2]
+                qwords = kernels.pack_bit_columns(
+                    block.reshape(total_rows, -1)
+                ).reshape(-1, layout.num_groups, block.shape[2])
+                div = np.empty((block.shape[2], num_refs), dtype=np.int64)
+                for g in range(layout.num_groups):
+                    lo, hi = int(group_bounds[g]), int(group_bounds[g + 1])
+                    if lo == hi:
+                        continue
+                    div[:, lo:hi] = kernels.first_divergence(
+                        ref_words[:, lo:hi], qwords[:, g], total_rows
+                    )
+                hit_matrix = div == total_rows
+                any_hit[start:stop] = hit_matrix.any(axis=1)
+                first_hit[start:stop] = hit_matrix.argmax(axis=1)
+                last_div[start:stop] = div.max(axis=1)
+                seg_max[start:stop, seg_ids] = np.maximum.reduceat(
+                    div, seg_starts, axis=1
                 )
-            hit_matrix = div == total_rows
-            any_hit = hit_matrix.any(axis=1)
-            first_hit = hit_matrix.argmax(axis=1)
-            last_div = div.max(axis=1)
-            seg_max[:, seg_ids] = np.maximum.reduceat(div, seg_starts, axis=1)
-            last_hits = hit_matrix[num_queries - 1]
+            last_hits = hit_matrix[-1]
 
-        # Batch-wide outcome synthesis: the scalar path's ETM and SR
-        # closed forms, applied to all queries at once.
+        # Outcome synthesis for every pending query: the scalar path's
+        # ETM and SR closed forms.
         if self.etm_enabled:
             early = ~any_hit & (last_div <= total_rows - 2)
         else:
@@ -478,15 +573,17 @@ class SieveSubarraySim:
         # SR drain after the final row (hits consult it): the drain
         # length counts from the lowest live SR stage.
         live = _sr_live(seg_max, total_rows)
-        flush_all = np.where(
-            live.any(axis=1),
+        flush = np.where(
+            any_hit & live.any(axis=1),
             self.etm.num_segments - live.argmax(axis=1),
             0,
         )
 
-        # Region-2/3 fetches for every hit, batch-wide: peek the stored
-        # cells (activation copies them to the row buffer unchanged) and
-        # charge the two ACT/PRE pairs analytically.
+        # Region-2/3 fetches for every hit: peek the stored cells
+        # (activation copies them to the row buffer unchanged) and
+        # charge the two ACT/PRE pairs analytically.  The Column Finder
+        # takes the first live latch (strict=False), which is the lowest
+        # hit column since enable_cols ascend.
         hit_pos = np.flatnonzero(any_hit)
         payloads = np.zeros(num_queries, dtype=np.int64)
         columns = np.zeros(num_queries, dtype=np.int64)
@@ -517,60 +614,8 @@ class SieveSubarraySim:
             payloads[hit_pos] = _bit_rows_to_ints(pbits)
             self.array.charge_untimed_accesses(2 * hit_pos.size)
 
-        segment_size = self.etm.segment_size
-        outcomes: List[MatchOutcome] = []
-        # Plain Python scalars: per-element numpy indexing would dominate
-        # this loop.
-        for query, hit, column, payload, flush, rows, stopped in zip(
-            self._batch,
-            any_hit.tolist(),
-            columns.tolist(),
-            payloads.tolist(),
-            flush_all.tolist(),
-            rows_act.tolist(),
-            early.tolist(),
-        ):
-            if hit:
-                segment = column // segment_size
-                # Closed-form ColumnFinder run: the shifter stops at the
-                # first live latch (strict=False), which is the lowest
-                # hit column since enable_cols ascend.
-                cf = ColumnFindResult(
-                    column=column,
-                    segment=segment,
-                    bsr_shift_cycles=segment + 1,
-                    copy_cycles=1,
-                    rs_shift_cycles=column - segment * segment_size + 1,
-                )
-                outcomes.append(
-                    MatchOutcome(
-                        query=query,
-                        hit=True,
-                        payload=payload,
-                        column=column,
-                        layer=layer,
-                        rows_activated=total_rows + 2,
-                        etm_flush_cycles=flush,
-                        cf=cf,
-                        etm_terminated_early=False,
-                    )
-                )
-            else:
-                outcomes.append(
-                    MatchOutcome(
-                        query=query,
-                        hit=False,
-                        payload=None,
-                        column=None,
-                        layer=layer,
-                        rows_activated=rows,
-                        etm_flush_cycles=0,
-                        cf=None,
-                        etm_terminated_early=stopped,
-                    )
-                )
-        # Matcher/ETM state after the batch, exactly as a scalar replay
-        # leaves it: the final slot's state wins.
+        # Matcher/ETM state after the last query, exactly as a scalar
+        # replay leaves it.
         last = num_queries - 1
         steps = int(compares[last])
         latches = np.zeros(layout.row_bits, dtype=np.uint8)
@@ -582,4 +627,12 @@ class SieveSubarraySim:
             _sr_live(seg_max[last], steps).astype(np.uint8),
             steps,
         )
-        return outcomes
+        return MatchBatch(
+            layer=layer,
+            hit=any_hit,
+            payload=payloads,
+            column=columns,
+            rows_activated=rows_act + 2 * any_hit,
+            etm_flush_cycles=flush,
+            terminated_early=early,
+        )

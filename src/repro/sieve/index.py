@@ -13,12 +13,26 @@ misses and are answered at the host without touching the accelerator.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: Bytes per index entry: 8-byte subarray ID + two packed k-mers (8 B each).
 INDEX_ENTRY_BYTES = 24
+
+
+def key_array(kmers: Sequence[int]) -> np.ndarray:
+    """Packed k-mers as an array that compares exactly.
+
+    ``uint64`` when every value fits one word (``k <= 32``); Python
+    ints in an object array otherwise (the multi-word ``k > 32``
+    layouts), never the ``float64`` numpy would infer for a mix.
+    """
+    try:
+        return np.asarray(kmers, dtype=np.uint64)
+    except OverflowError:
+        return np.asarray(kmers, dtype=object)
 
 
 class IndexError_(ValueError):
@@ -53,7 +67,12 @@ class SubarrayIndex:
                     f"{prev.subarray_id} ends at {prev.last_kmer}, "
                     f"{cur.subarray_id} starts at {cur.first_kmer}"
                 )
-        self._firsts = [e.first_kmer for e in self._entries]
+        # Routing tables, built once: every call routes through them.
+        self._firsts = key_array([e.first_kmer for e in self._entries])
+        self._lasts = key_array([e.last_kmer for e in self._entries])
+        self._ids = np.array(
+            [e.subarray_id for e in self._entries], dtype=np.int64
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -64,13 +83,18 @@ class SubarrayIndex:
 
     def route(self, kmer: int) -> Optional[int]:
         """Destination subarray ID for a query, or None (guaranteed miss)."""
-        pos = bisect.bisect_right(self._firsts, kmer) - 1
-        if pos < 0:
-            return None
-        entry = self._entries[pos]
-        if kmer <= entry.last_kmer:
-            return entry.subarray_id
-        return None
+        sid = int(self.route_many(key_array([kmer]))[0])
+        return None if sid < 0 else sid
+
+    def route_many(self, kmers: np.ndarray) -> np.ndarray:
+        """:meth:`route` of every k-mer in a :func:`key_array`, with -1
+        for a guaranteed miss (one binary search for the whole array)."""
+        if not self._entries:
+            return np.full(len(kmers), -1, dtype=np.int64)
+        pos = np.searchsorted(self._firsts, kmers, side="right") - 1
+        clipped = np.maximum(pos, 0)
+        routed = (pos >= 0) & (kmers <= self._lasts[clipped])
+        return np.where(routed, self._ids[clipped], -1)
 
     def size_bytes(self) -> int:
         """Host memory footprint of the table."""

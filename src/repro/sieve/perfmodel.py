@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..dram.energy import DDR4_ENERGY, DramEnergy
 from ..dram.geometry import SIEVE_32GB, DramGeometry
 from ..dram.timing import SIEVE_TIMING, DramTiming
@@ -135,15 +137,28 @@ class EspModel:
 
     @classmethod
     def from_rows(cls, rows: Sequence[int], total_rows: int) -> "EspModel":
-        """Empirical distribution from functional-simulator measurements."""
-        counted = [r for r in rows if r > 0]
-        if not counted:
+        """Empirical distribution from per-query rows activated."""
+        return cls.from_histogram(
+            np.bincount(np.asarray(rows, dtype=np.int64)), total_rows
+        )
+
+    @classmethod
+    def from_histogram(cls, counts: np.ndarray, total_rows: int) -> "EspModel":
+        """Empirical distribution from a rows-activated histogram
+        (``counts[r]`` queries activated ``r`` rows; ``r == 0`` means
+        filtered at the host and is ignored, ``r > total_rows`` folds
+        into ``total_rows``)."""
+        counts = np.asarray(counts, dtype=np.int64)
+        folded = np.zeros(total_rows, dtype=np.int64)
+        np.add.at(
+            folded,
+            np.minimum(np.arange(1, counts.size), total_rows) - 1,
+            counts[1:],
+        )
+        n = int(folded.sum())
+        if not n:
             raise ModelError("no dispatched queries in the trace")
-        probs = [0.0] * total_rows
-        for r in counted:
-            probs[min(r, total_rows) - 1] += 1.0
-        n = len(counted)
-        return cls(tuple(p / n for p in probs))
+        return cls(tuple(c / n for c in folded.tolist()))
 
     @classmethod
     def uniform_random(cls, k: int, candidates: int, interrupt_lag_rows: int = 1) -> "EspModel":
@@ -204,18 +219,15 @@ class WorkloadStats:
     @classmethod
     def from_functional(cls, name: str, k: int, stats) -> "WorkloadStats":
         """Summarize a functional run's :class:`DeviceStats`."""
-        dispatched = [r for r in stats.rows_per_query if r > 0]
-        filtered = stats.queries - len(dispatched)
-        # Hits include 2 payload-fetch activations; strip them so the ESP
-        # distribution covers pattern rows only.
-        total_rows = 2 * k
-        rows = [min(r, total_rows) for r in dispatched]
+        filtered = stats.queries - int(stats.rows_histogram[1:].sum())
+        # Hits include 2 payload-fetch activations; the histogram fold
+        # strips them so the ESP distribution covers pattern rows only.
         return cls(
             name=name,
             k=k,
             num_kmers=stats.queries,
             hit_rate=stats.hit_rate,
-            esp=EspModel.from_rows(rows, total_rows),
+            esp=EspModel.from_histogram(stats.rows_histogram, 2 * k),
             index_filtered_fraction=filtered / stats.queries if stats.queries else 0.0,
         )
 

@@ -11,7 +11,8 @@ agree:
 
 * the full ``MatchOutcome`` dataclass per slot (hit, payload, column,
   ``rows_activated`` under the one-row-late ETM interrupt, flush
-  cycles, early-termination flag, the CF result),
+  cycles, early-termination flag, the CF result), rebuilt from the
+  columnar ``MatchBatch`` by :func:`outcomes_from_batch`,
 * the subarray's ``SubarrayStats`` (activations, precharges, reads,
   writes),
 * the post-batch microarchitectural state: matcher latches and compare
@@ -28,12 +29,57 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultModel, StuckCell, fault_injection
-from repro.sieve.functional import SieveSubarraySim
+from repro.sieve.column_finder import ColumnFindResult
+from repro.sieve.functional import (
+    FunctionalError,
+    MatchBatch,
+    MatchOutcome,
+    SieveSubarraySim,
+)
 from repro.sieve.layout import LayoutError, SubarrayLayout
 
 TRIAL_SEEDS = list(range(12))
+
+
+def outcomes_from_batch(sim, queries, batch: MatchBatch):
+    """Per-query :class:`MatchOutcome` records of a ``match_all`` batch.
+
+    A hit's Column Finder result is the closed form of the shifter run:
+    it stops at the first live latch (``strict=False``), which is the
+    reported column.
+    """
+    assert len(batch) == len(queries)
+    segment_size = sim.etm.segment_size
+    outcomes = []
+    for i, query in enumerate(queries):
+        hit = bool(batch.hit[i])
+        column = int(batch.column[i])
+        segment = column // segment_size
+        cf = ColumnFindResult(
+            column=column,
+            segment=segment,
+            bsr_shift_cycles=segment + 1,
+            copy_cycles=1,
+            rs_shift_cycles=column - segment * segment_size + 1,
+        )
+        outcomes.append(
+            MatchOutcome(
+                query=query,
+                hit=hit,
+                payload=int(batch.payload[i]) if hit else None,
+                column=column if hit else None,
+                layer=batch.layer,
+                rows_activated=int(batch.rows_activated[i]),
+                etm_flush_cycles=int(batch.etm_flush_cycles[i]),
+                cf=cf if hit else None,
+                etm_terminated_early=bool(batch.terminated_early[i]),
+            )
+        )
+    return outcomes
 
 
 def random_trial(rng: np.random.Generator):
@@ -90,7 +136,7 @@ def run_both(layout, records, queries, etm_enabled):
     scalar.load_query_batch(queries, layer)
     batched.load_query_batch(queries, layer)
     scalar_outcomes = [scalar.match_slot(slot) for slot in range(len(queries))]
-    batched_outcomes = batched.match_all()
+    batched_outcomes = outcomes_from_batch(batched, queries, batched.match_all())
     return scalar, batched, scalar_outcomes, batched_outcomes
 
 
@@ -217,6 +263,9 @@ def _query_loads(layout, model):
                 queries = queries[: layout.queries_per_group]
                 if block_store:
                     sim.load_query_batch(queries, layer)
+                    # Match before switching layers (a load never
+                    # queues behind another layer's pending batch).
+                    sim.match_all()
                 else:
                     _per_run_query_load(sim, queries, layer)
         results.append((sim.array.peek_rows(0, sim.array.rows).copy(), injector))
@@ -261,3 +310,219 @@ def test_load_bit_block_validation():
     array.load_bit_block(6, starts, np.full((2, 4), 3, dtype=np.uint8))
     assert array.peek_rows(6, 8)[:, [0, 3, 16, 19]].all()
     assert array.peek_rows(6, 8).sum() == 16
+
+
+# -- multi-batch match_all and the columnar device path ----------------------
+
+MULTI_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+def _columns(batches):
+    """Every :class:`MatchBatch` column, concatenated over ``batches``."""
+    return {
+        name: np.concatenate([getattr(batch, name) for batch in batches])
+        for name in (
+            "hit",
+            "payload",
+            "column",
+            "rows_activated",
+            "etm_flush_cycles",
+            "terminated_early",
+        )
+    }
+
+
+@MULTI_SETTINGS
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    num_batches=st.integers(2, 4),
+    faulty=st.booleans(),
+)
+def test_pending_batches_match_like_separate_rounds(seed, num_batches, faulty):
+    """N loads then one ``match_all()`` equal N load-and-match rounds and
+    the scalar replay: every column, the ACT/PRE counters, the matcher
+    latches and the ETM state — also on cells a nonzero-rate fault
+    injector corrupted at load time."""
+    rng = np.random.default_rng(seed)
+    trial = None
+    while trial is None:
+        trial = random_trial(rng)
+    layout, records, _, etm_enabled = trial
+    space = 1 << (2 * layout.k)
+    batches = [
+        [
+            records[int(rng.integers(0, len(records)))][0]
+            if rng.random() < 0.5
+            else int(rng.integers(0, space))
+            for _ in range(int(rng.integers(1, layout.queries_per_group + 1)))
+        ]
+        for _ in range(num_batches)
+    ]
+    model = FaultModel(bit_flip_rate=2e-2 if faulty else 0.0, seed=seed)
+    layer_pick = int(rng.integers(0, 1 << 16))
+
+    def build(drive):
+        injector = FaultInjector(model)
+        with fault_injection(injector):
+            sim = SieveSubarraySim(layout, records, etm_enabled=etm_enabled)
+            results = drive(sim, layer_pick % sim.num_layers_used)
+        return sim, results, injector
+
+    def pooled(sim, layer):
+        for queries in batches:
+            sim.load_query_batch(queries, layer)
+        return [sim.match_all()]
+
+    def rounds(sim, layer):
+        out = []
+        for queries in batches:
+            sim.load_query_batch(queries, layer)
+            out.append(sim.match_all())
+        return out
+
+    def scalar(sim, layer):
+        out = []
+        for queries in batches:
+            sim.load_query_batch(queries, layer)
+            outcomes = [sim.match_slot(s) for s in range(len(queries))]
+            out.append(MatchBatch.from_outcomes(layer, outcomes))
+        return out
+
+    one, one_out, one_inj = build(pooled)
+    assert len(one_out[0]) == sum(len(b) for b in batches)
+    assert one._pending == []
+    flat = [q for queries in batches for q in queries]
+    for reference in (build(rounds), build(scalar)):
+        sim, out, injector = reference
+        assert injector.stats == one_inj.stats
+        want = _columns(out)
+        got = _columns(one_out)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        assert_equivalent(
+            sim,
+            one,
+            outcomes_from_batch(sim, flat, MatchBatch(out[0].layer, **want)),
+            outcomes_from_batch(one, flat, one_out[0]),
+        )
+
+
+def test_load_into_other_layer_while_pending_rejected(small_layout):
+    records = [(key, key % 5) for key in range(3, 1 << 18, 997)][
+        : small_layout.refs_per_subarray
+    ]
+    sim = SieveSubarraySim(small_layout, records)
+    sim.load_query_batch([records[0][0]], 0)
+    with pytest.raises(FunctionalError):
+        sim.load_query_batch([records[-1][0]], 1)
+    sim.load_query_batch([records[1][0]], 0)
+    assert len(sim.match_all()) == 2
+    assert len(sim.match_all()) == 0
+    sim.load_query_batch([records[-1][0]], 1)
+    sim.match_slot(0)  # the scalar path leaves nothing queued
+    sim.load_query_batch([records[0][0]], 0)
+    assert len(sim.match_all()) == 1
+
+
+def _device_from_records(layout, records):
+    """A device over raw sorted records (any ``k``, no KmerDatabase)."""
+    from repro.sieve import SieveDevice
+    from repro.sieve.index import SubarrayIndex
+
+    index, chunks = SubarrayIndex.build(
+        [kmer for kmer, _ in records], layout.refs_per_subarray
+    )
+    payload_of = dict(records)
+    subarrays = {
+        sid: SieveSubarraySim(layout, [(kmer, payload_of[kmer]) for kmer in chunk])
+        for sid, chunk in enumerate(chunks)
+    }
+    return SieveDevice(index, subarrays, layout)
+
+
+def _device_case(case, small_dataset, small_layout):
+    """(device factory, k, expected answers) of one device flavour."""
+    from repro.genomics.database import KmerDatabase
+    from repro.sieve import SieveDevice
+
+    if case == "wide":
+        rng = np.random.default_rng(77)
+        layout = SubarrayLayout(
+            k=33,
+            row_bits=72,
+            rows_per_subarray=256,
+            refs_per_group=8,
+            queries_per_group=4,
+            layers=2,
+        )
+        # 66-bit k-mers: most exceed one word, so routing compares ints.
+        kmers = sorted(
+            {
+                (int(high) << 4) | int(low)
+                for high, low in zip(
+                    rng.integers(1, 1 << 62, size=250), rng.integers(0, 16, size=250)
+                )
+            }
+        )
+        records = [(kmer, int(rng.integers(0, 2**16))) for kmer in kmers]
+        return (lambda: _device_from_records(layout, records)), 33, dict(records)
+    database = small_dataset.database
+    if case == "canonical":
+        database = KmerDatabase.from_genomes(
+            ((g, g.taxon_id) for g in small_dataset.genomes),
+            small_dataset.k,
+            canonical=True,
+            taxonomy=small_dataset.taxonomy,
+        )
+    return (
+        lambda: SieveDevice.from_database(database, layout=small_layout),
+        small_dataset.k,
+        dict(database.sorted_records()),
+    )
+
+
+@pytest.mark.parametrize("case", ["plain", "canonical", "wide"])
+def test_device_batched_equals_unbatched_on_mixed_calls(
+    case, small_dataset, small_layout
+):
+    """``query(batched=True) == query(batched=False)`` on calls mixing
+    hits across layers and subarrays, index-filtered gaps, random
+    misses, duplicates and an empty call — responses, DeviceStats,
+    every subarray's ACT/PRE counters and final latches/ETM state."""
+    from repro.genomics.encoding import canonical_kmer
+
+    make, k, answers = _device_case(case, small_dataset, small_layout)
+    fast, slow = make(), make()
+    stored = sorted(answers)
+    entries = fast.index.entries
+    gaps = [
+        (a.last_kmer + b.first_kmer) // 2
+        for a, b in zip(entries, entries[1:])
+        if b.first_kmer - a.last_kmer > 1
+    ]
+    assert len(entries) > 1 and gaps
+    rng = np.random.default_rng(5)
+    space = 1 << (2 * k)
+    calls = [[]]
+    for size in (1, 7, 40, 150):
+        call = [stored[int(i)] for i in rng.integers(0, len(stored), size)]
+        call += [(int(v) * space) >> 62 for v in rng.integers(0, 1 << 62, size)]
+        call += gaps[: size % 5 + 1] + [0, space - 1] + call[: size // 3]
+        calls.append([call[int(i)] for i in rng.permutation(len(call))])
+    for call in calls:
+        got = fast.query(call, batched=True)
+        want = slow.query(call, batched=False)
+        assert got == want
+        for query, response in zip(call, got):
+            key = canonical_kmer(query, k) if fast.canonical else query
+            assert type(response.query) is int and response.query == key
+            assert response.payload == answers.get(key)
+        assert fast.stats == slow.stats
+    assert fast.stats.index_filtered > 0
+    assert fast.stats.rows_histogram.sum() == fast.stats.queries
+    for sid, sim in fast.subarrays.items():
+        twin = slow.subarrays[sid]
+        assert sim.array.stats == twin.array.stats
+        assert np.array_equal(sim.matchers.latches, twin.matchers.latches)
+        assert sim.etm.cycles == twin.etm.cycles
+        assert np.array_equal(sim.etm._sr, twin.etm._sr)

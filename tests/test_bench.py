@@ -285,3 +285,29 @@ def test_committed_baseline_matches_current_counters():
         if "counters" in f or "missing" in f or "stale" in f
     ]
     assert failures == []
+
+
+def test_trajectory_tabulates_history(tmp_path, capsys):
+    """One row per scenario, one column per history file (numeric
+    order), wall seconds with a counter check against the baseline."""
+    history = tmp_path / "history"
+    history.mkdir()
+    base = [result("database_build", counters={"kmers": 5}), result("host_lookup")]
+    (tmp_path / "BENCH_baseline.json").write_text(json.dumps(baseline_for(base)))
+    runs = {
+        "run10": [
+            result("database_build", wall_s=0.25, counters={"kmers": 6}),
+            result("host_lookup", wall_s=0.5),
+        ],
+        "run9": [result("database_build", wall_s=0.125, counters={"kmers": 5})],
+    }
+    for stem, results in runs.items():
+        (history / f"{stem}.json").write_text(json.dumps(baseline_for(results)))
+    assert bench_main(["--trajectory", str(history)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["scenario", "run9", "run10"]
+    assert [row.split() for row in rows] == [
+        ["database_build", "0.125", "✓", "0.250", "✗"],
+        ["host_lookup", "-", "0.500", "✓"],
+    ]
+    assert bench_main(["--trajectory", str(tmp_path / "missing")]) == 2

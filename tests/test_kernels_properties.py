@@ -42,6 +42,7 @@ from repro.sieve.layout import SubarrayLayout
 
 from .test_batched_equivalence import (
     assert_equivalent,
+    outcomes_from_batch,
     random_trial,
 )
 
@@ -332,7 +333,7 @@ class TestEngineBitIdentity:
         scalar.load_query_batch(queries, layer)
         fast.load_query_batch(queries, layer)
         s_out = [scalar.match_slot(s) for s in range(len(queries))]
-        f_out = fast.match_all()
+        f_out = outcomes_from_batch(fast, queries, fast.match_all())
         assert_equivalent(scalar, fast, s_out, f_out)
 
     @pytest.mark.parametrize("case", [*range(4), *WIDE_CASES])
@@ -357,7 +358,9 @@ class TestEngineBitIdentity:
         scalar, s_out, s_inj = build(
             lambda sim: [sim.match_slot(s) for s in range(len(queries))]
         )
-        fast, f_out, f_inj = build(lambda sim: sim.match_all())
+        fast, f_out, f_inj = build(
+            lambda sim: outcomes_from_batch(sim, queries, sim.match_all())
+        )
         assert f_inj.stats.bits_flipped == s_inj.stats.bits_flipped
         assert_equivalent(scalar, fast, s_out, f_out)
 
@@ -403,7 +406,9 @@ class TestFastPathGuards:
         scalar, s_out, s_inj = build(
             lambda sim: [sim.match_slot(s) for s in range(len(queries))]
         )
-        fast, f_out, f_inj = build(lambda sim: sim.match_all())
+        fast, f_out, f_inj = build(
+            lambda sim: outcomes_from_batch(sim, queries, sim.match_all())
+        )
         assert f_inj.schedule == s_inj.schedule
         assert_equivalent(scalar, fast, s_out, f_out)
         return len(calls), s_out

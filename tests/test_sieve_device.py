@@ -83,7 +83,7 @@ class TestLookup:
         assert device.stats.queries == 5
         assert device.stats.hits == 5
         assert device.stats.hit_rate == 1.0
-        assert len(device.stats.rows_per_query) == 5
+        assert device.stats.rows_histogram.sum() == 5
         assert device.stats.row_activations > 0
 
 
