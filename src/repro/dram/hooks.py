@@ -59,8 +59,9 @@ def install_injector(injector: Any) -> None:
     * ``on_subarray_load(subarray, row, col_start, bits) -> bits`` —
       called on the untimed data-install path
       (:meth:`~repro.dram.subarray.Subarray.load_row` /
-      :meth:`~repro.dram.subarray.Subarray.load_bits`); returns the bit
-      vector actually stored (weak-cell flips, stuck-at cells),
+      :meth:`~repro.dram.subarray.Subarray.load_bits`, which the block
+      stores call once per run while an injector is installed); returns
+      the bit vector actually stored (weak-cell flips, stuck-at cells),
     * ``on_memsys_access(system, bank, row, kind, latency_ns) -> float``
       — called per :class:`~repro.dram.memsys.MemorySystem` access;
       returns *extra* latency (ns) injected for this access (command

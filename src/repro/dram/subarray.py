@@ -7,6 +7,13 @@ out, written, and precharged.  Activation counts are tracked so
 functional runs can be converted into latency/energy with the timing and
 energy models.
 
+Database images are installed through an untimed load path: whole rows
+(:meth:`Subarray.load_row`), single runs (:meth:`Subarray.load_bits`),
+and two block stores — a replicated block (:meth:`Subarray.
+load_bit_block`, the query batch) and row-major fixed-width entries
+(:meth:`Subarray.load_entries`, Regions 2 and 3).  A fault injector sees
+every row or run the block stores would write one at a time.
+
 Only one row may be open at a time (single-row activation is the core of
 Sieve's design argument, Section III); multi-row activation is modelled
 separately in :mod:`repro.insitu` for the Ambit/ComputeDRAM baselines.
@@ -118,7 +125,12 @@ class Subarray:
         self._cells[row] = bits % 2
 
     def load_bits(self, row: int, col_start: int, bits: np.ndarray) -> None:
-        """Install a partial row starting at ``col_start`` (load path)."""
+        """Install a partial row starting at ``col_start`` (load path).
+
+        The single-run store the fault injector sees: the block stores
+        :meth:`load_bit_block` and :meth:`load_entries` fall back to one
+        call per run when an injector is installed.
+        """
         self._check_row(row)
         if col_start < 0 or col_start + len(bits) > self.cols:
             raise IndexError(
@@ -164,6 +176,44 @@ class Subarray:
         cells = self._cells[row : row + num_rows]
         for start in col_starts.tolist():
             cells[:, start : start + width] = bits
+
+    def load_entries(self, row: int, bits: np.ndarray) -> None:
+        """Install fixed-width entries row-major from column 0 of ``row``.
+
+        ``bits`` is ``(entries, width)``: entry ``i`` lands on row ``row
+        + i // per_row`` at column ``(i % per_row) * width``, with
+        ``per_row = cols // width`` whole entries per row (entries never
+        straddle rows).  This is the Region-2/3 offset and payload
+        layout, stored as one block write per region (load path).  With
+        a fault injector installed every entry goes through
+        :meth:`load_bits`, in entry order, so the injector sees exactly
+        the calls a per-entry load would make.
+        """
+        bits = np.asarray(bits, dtype=np.uint8) % 2
+        if bits.ndim != 2 or not 0 < bits.shape[1] <= self.cols:
+            raise ValueError(
+                f"expected (entries, width <= {self.cols}) bits, got {bits.shape}"
+            )
+        count, width = bits.shape
+        per_row = self.cols // width
+        self._check_row(row)
+        if not count:
+            return
+        self._check_row(row + (count - 1) // per_row)
+        if hooks.INJECTOR is not None:
+            rows, slots = np.divmod(np.arange(count), per_row)
+            for r, start, entry in zip(
+                (row + rows).tolist(), (slots * width).tolist(), bits
+            ):
+                self.load_bits(r, start, entry)
+            return
+        full, tail = divmod(count, per_row)
+        span = per_row * width
+        self._cells[row : row + full, :span] = bits[: full * per_row].reshape(
+            full, span
+        )
+        if tail:
+            self._cells[row + full, : tail * width] = bits[full * per_row :].ravel()
 
     def peek(self, row: int, col: int) -> int:
         """Read one stored bit without any timing effect (debug/tests)."""

@@ -162,22 +162,22 @@ class SieveDevice:
         records = database.sorted_records()
         if not records:
             raise DeviceError("cannot load an empty database")
-        index, chunks = SubarrayIndex.build(
-            [kmer for kmer, _ in records], layout.refs_per_subarray
-        )
-        if geometry is not None and len(chunks) > geometry.total_subarrays:
+        per_subarray = layout.refs_per_subarray
+        index, _ = SubarrayIndex.build([kmer for kmer, _ in records], per_subarray)
+        if geometry is not None and len(index) > geometry.total_subarrays:
             raise DeviceError(
-                f"database needs {len(chunks)} subarrays but geometry "
+                f"database needs {len(index)} subarrays but geometry "
                 f"provides {geometry.total_subarrays}"
             )
-        payload_of = dict(records)
-        subarrays = {}
-        for sid, chunk in enumerate(chunks):
-            subarrays[sid] = SieveSubarraySim(
+        # The index chunks are contiguous slices of the sorted records.
+        subarrays = {
+            sid: SieveSubarraySim(
                 layout,
-                [(kmer, payload_of[kmer]) for kmer in chunk],
+                records[start : start + per_subarray],
                 etm_enabled=etm_enabled,
             )
+            for sid, start in enumerate(range(0, len(records), per_subarray))
+        }
         return cls(index, subarrays, layout, geometry, canonical=database.canonical)
 
     @classmethod

@@ -109,6 +109,23 @@ def _int_to_bits(value: int, width: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="big")[8 * num_bytes - width :]
 
 
+def _ints_to_bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """Row-wise :func:`_int_to_bits`: ``(N, width)`` MSB-first bit rows.
+
+    One ``unpackbits`` over every entry of a Region-2/3 image; ``width``
+    must be 8, 16, 32 or 64 bits.
+    """
+    if width not in (8, 16, 32, 64):
+        raise FunctionalError(f"entry width must be 8/16/32/64 bits, got {width}")
+    if len(values):
+        low, high = min(values), max(values)
+        if low < 0 or high >= 1 << width:
+            bad = low if low < 0 else high
+            raise FunctionalError(f"value {bad} does not fit in {width} bits")
+    raw = np.array(values, dtype=f">u{width // 8}")
+    return np.unpackbits(raw.view(np.uint8)).reshape(len(values), width)
+
+
 def _bits_to_int(bits: np.ndarray) -> int:
     """Integer from an MSB-first bit vector (vectorized via packbits)."""
     bits = np.asarray(bits, dtype=np.uint8)
@@ -225,13 +242,16 @@ class SieveSubarraySim:
                 self.array.load_row(base + bit, ref_matrix[bit])
             # Region 2: offset of each slot's payload (identity mapping
             # here, but fetched through the array like the real device).
-            for slot in range(len(chunk)):
-                row, col = layout.offset_location(layer, slot)
-                self.array.load_bits(row, col, _int_to_bits(slot, OFFSET_BITS))
+            # Regions 2 and 3 are row-major, so each is one block store.
+            offset_row = base + layout.kmer_rows
+            self.array.load_entries(
+                offset_row, _ints_to_bit_rows(range(len(chunk)), OFFSET_BITS)
+            )
             # Region 3: payloads.
-            for slot, (_, payload) in enumerate(chunk):
-                row, col = layout.payload_location(layer, slot)
-                self.array.load_bits(row, col, _int_to_bits(payload, PAYLOAD_BITS))
+            self.array.load_entries(
+                offset_row + layout.offset_rows,
+                _ints_to_bit_rows([p for _, p in chunk], PAYLOAD_BITS),
+            )
 
     def route_layer(self, kmer: int) -> int:
         """Layer whose sorted range should contain ``kmer``."""

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..dram.subarray import Subarray
-from .functional import _bits_to_int, _int_to_bits
+from .functional import _bits_to_int, _int_to_bits, _ints_to_bit_rows
 from .layout import OFFSET_BITS, PAYLOAD_BITS, LayoutError
 
 #: Bank I/O width: one burst delivers one batch of reference bits.
@@ -155,12 +155,15 @@ class Type1BankSim:
             image = np.zeros(layout.row_bits, dtype=np.uint8)
             image[: len(self.records)] = bits[row]
             self.array.load_row(row, image)
-        for slot in range(len(self.records)):
-            row, col = layout.offset_location(slot)
-            self.array.load_bits(row, col, _int_to_bits(slot, OFFSET_BITS))
-        for slot, (_, payload) in enumerate(self.records):
-            row, col = layout.payload_location(slot)
-            self.array.load_bits(row, col, _int_to_bits(payload, PAYLOAD_BITS))
+        # Regions 2 (offsets) and 3 (payloads): one block store each.
+        self.array.load_entries(
+            layout.kmer_rows,
+            _ints_to_bit_rows(range(len(self.records)), OFFSET_BITS),
+        )
+        self.array.load_entries(
+            layout.kmer_rows + layout.offset_rows,
+            _ints_to_bit_rows([p for _, p in self.records], PAYLOAD_BITS),
+        )
 
     # -- matching -------------------------------------------------------------
 
