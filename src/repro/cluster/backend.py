@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..api import BackendCapabilities, BackendResult, QueryBackendBase
+from ..api import BackendCapabilities, QueryBackendBase, ResultBatch
 from ..genomics.encoding import canonical_kmers
 from ..serialization import read_segment_manifest
 from ..service import hooks
@@ -230,9 +230,11 @@ class ClusterBackend(QueryBackendBase):
 
     def query(
         self, kmers: Sequence[int], *, batched: bool = True
-    ) -> List[BackendResult]:
+    ) -> ResultBatch:
         """Fan a batch out to owning workers; merge in request order.
 
+        The workers' ``hit``/``payload`` arrays are scattered straight
+        into the returned :class:`~repro.api.ResultBatch`'s columns.
         ``batched`` is accepted for protocol uniformity and ignored —
         the wire protocol is already batch-shaped.
         """
@@ -240,10 +242,12 @@ class ClusterBackend(QueryBackendBase):
             raise ClusterError("cluster is closed")
         self._query_index += 1
         self._run_due_restarts()
-        if len(kmers) == 0:
-            return []
-        qid = self._query_index
         queries = np.asarray(kmers, dtype=np.uint64)
+        hit = np.zeros(queries.size, dtype=bool)
+        payload = np.zeros(queries.size, dtype=np.int64)
+        if queries.size == 0:
+            return ResultBatch(queries, hit, payload)
+        qid = self._query_index
         cache_keys = (
             canonical_kmers(queries, self.k) if self.canonical else queries
         )
@@ -265,8 +269,6 @@ class ClusterBackend(QueryBackendBase):
             handle.conn.send(
                 {"op": "query", "qid": qid, "kmers": queries[indices]}
             )
-        hit = np.zeros(queries.size, dtype=bool)
-        payload = np.zeros(queries.size, dtype=np.int64)
         for worker_id, indices in zip(owners.tolist(), slices):
             handle = self._workers[worker_id]
             try:
@@ -293,10 +295,7 @@ class ClusterBackend(QueryBackendBase):
             self._emit("on_cluster_reply", qid, worker_id, answered)
             hit[indices] = reply["hit"]
             payload[indices] = reply["payload"]
-        merged = [
-            BackendResult(query=q, hit=h, payload=p if h else None)
-            for q, h, p in zip(queries.tolist(), hit.tolist(), payload.tolist())
-        ]
+        merged = ResultBatch(queries, hit, payload)
         self._emit("on_cluster_merged", qid, len(merged))
         self._backend_stats.record(merged)
         return merged

@@ -18,9 +18,10 @@ import numpy as np
 
 from ..api import (
     BackendCapabilities,
-    BackendResult,
     BackendStats,
+    ResultBatch,
     classification_from_results,
+    key_array,
 )
 from .encoding import canonical_kmer, canonical_kmers, decode_kmer, pack_kmers
 from .sequence import DnaSequence
@@ -162,22 +163,21 @@ class KmerDatabase:
             self._lookup_cache = (sorted_keys, sorted_payloads)
         return self._lookup_cache
 
-    def _bulk_payloads(self, kmers: Sequence[int]) -> List[Optional[int]]:
+    def _bulk_lookup(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Bulk :meth:`get`: sorted-array binary search in one pass.
 
-        Queries are canonicalized vectorized, then resolved against the
-        cached sorted key array with ``np.searchsorted`` — the software
+        Returns ``(hit, payload)`` columns for a :func:`~repro.api.
+        key_array` of queries (payload 0 at misses).  Queries are
+        canonicalized vectorized, then resolved against the cached
+        sorted key array with ``np.searchsorted`` — the software
         analogue of the device's batched dispatch, and the path the
         benchmark harness tracks for host-side lookup throughput.
         """
-        if len(kmers) == 0:
-            return []
-        try:
-            queries = np.asarray(kmers, dtype=np.uint64)
-        except (OverflowError, ValueError) as exc:
+        if queries.dtype != np.uint64:
             raise DatabaseError(
-                f"query k-mers out of range for k={self.k}: {exc}"
-            ) from None
+                f"query k-mers out of range for k={self.k}: not all fit "
+                f"one 64-bit word"
+            )
         if self.k < 32 and bool((queries >= (1 << (2 * self.k))).any()):
             bad = int(queries[queries >= (1 << (2 * self.k))][0])
             raise DatabaseError(f"k-mer {bad} out of range for k={self.k}")
@@ -186,30 +186,30 @@ class KmerDatabase:
         keys, payloads = self._lookup_arrays()
         positions = np.searchsorted(keys, queries)
         in_range = positions < len(keys)
-        found = np.zeros(len(queries), dtype=bool)
-        found[in_range] = keys[positions[in_range]] == queries[in_range]
-        return [
-            int(payloads[pos]) if hit else None
-            for pos, hit in zip(positions.tolist(), found.tolist())
-        ]
+        hit = np.zeros(len(queries), dtype=bool)
+        hit[in_range] = keys[positions[in_range]] == queries[in_range]
+        payload = np.zeros(len(queries), dtype=np.int64)
+        payload[hit] = payloads[positions[hit]]
+        return hit, payload
 
     def query(
         self, kmers: Sequence[int], *, batched: bool = True
-    ) -> List[BackendResult]:
+    ) -> ResultBatch:
         """Unified batch query (:class:`repro.api.QueryBackend` surface).
 
         ``batched`` selects between the vectorized searchsorted pass and
-        a scalar per-k-mer dict probe; both produce identical payloads
-        (the host has no command-level protocol to replay).
+        a scalar per-k-mer dict probe; both produce identical answers
+        (the host has no command-level protocol to replay).  The
+        ``queries`` column echoes the k-mers as asked, not their
+        canonical form.
         """
+        queries = key_array(kmers)
         if batched:
-            payloads = self._bulk_payloads(kmers)
+            results = ResultBatch(queries, *self._bulk_lookup(queries))
         else:
-            payloads = [self.get(kmer) for kmer in kmers]
-        results = [
-            BackendResult(query=kmer, hit=payload is not None, payload=payload)
-            for kmer, payload in zip(kmers, payloads)
-        ]
+            results = ResultBatch.from_payloads(
+                queries, [self.get(kmer) for kmer in queries.tolist()]
+            )
         self._backend_stats.record(results)
         return results
 

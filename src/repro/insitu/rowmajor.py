@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api import BackendCapabilities, BackendResult, QueryBackendBase
+from ..api import BackendCapabilities, QueryBackendBase, ResultBatch, key_array
 from ..genomics.encoding import BITS_PER_BASE, kmer_bits
 from ..sieve.perfmodel import (
     QueryCost,
@@ -161,18 +161,18 @@ class RowMajorMatcher(QueryBackendBase):
 
     def query(
         self, kmers: Sequence[int], *, batched: bool = True
-    ) -> list:
-        results = []
-        for kmer in kmers:
-            outcome = self.match(kmer)
-            results.append(
-                BackendResult(
-                    query=kmer,
-                    hit=outcome.hit,
-                    payload=outcome.payload,
-                    rows_activated=outcome.rows_compared,
-                )
-            )
+    ) -> ResultBatch:
+        queries = key_array(kmers)
+        outcomes = [self.match(kmer) for kmer in queries.tolist()]
+        results = ResultBatch.from_payloads(
+            queries,
+            [outcome.payload for outcome in outcomes],
+            rows_activated=np.fromiter(
+                (outcome.rows_compared for outcome in outcomes),
+                dtype=np.int64,
+                count=len(outcomes),
+            ),
+        )
         self._backend_stats.record(results)
         return results
 

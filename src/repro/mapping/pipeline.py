@@ -28,9 +28,11 @@ identical whether extension runs inline, in the service dispatcher's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..api import BackendResult, QueryBackend
+import numpy as np
+
+from ..api import BackendResult, QueryBackend, ResultBatch
 from ..genomics.sequence import DnaSequence
 from .aligner import semiglobal_distance
 from .cost import HostExtensionModel, InsituExtensionModel
@@ -178,9 +180,17 @@ class SeedExtender:
         return self.seed_index.k
 
     def extend(
-        self, read: DnaSequence, results: Sequence[BackendResult]
+        self,
+        read: DnaSequence,
+        results: Union[ResultBatch, Sequence[BackendResult]],
     ) -> MappingResult:
-        """Map one read from its per-k-mer filter answers (pure)."""
+        """Map one read from its per-k-mer filter answers (pure).
+
+        ``results`` is the read's slice of a backend's
+        :class:`~repro.api.ResultBatch` (a record list is read through
+        :meth:`~repro.api.ResultBatch.from_results`); the seeds are its
+        hit positions and their ``queries``."""
+        results = ResultBatch.from_results(results)
         expected = read.kmer_count(self.k)
         if len(results) != expected:
             raise MappingError(
@@ -188,11 +198,10 @@ class SeedExtender:
                 f"{len(results)} filter results were supplied"
             )
         cfg = self.config
-        seed_hits = [
-            (offset, int(result.query))
-            for offset, result in enumerate(results)
-            if result.hit
-        ]
+        offsets = np.flatnonzero(results.hit)
+        seed_hits = list(
+            zip(offsets.tolist(), results.queries[offsets].tolist())
+        )
         ranked = [
             c
             for c in self.seed_index.candidates(seed_hits)

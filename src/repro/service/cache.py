@@ -10,18 +10,23 @@ massively across concurrent requests.  This module exploits that skew
   out to every position (and thus every requesting future) that asked
   for it.
 * **hot-k-mer result cache** — a deterministic frequency-aware (LFU,
-  oldest-first tie-break) cache of :class:`~repro.api.BackendResult`
+  oldest-first tie-break) cache of per-k-mer ``(hit, payload)`` answers
   keyed by the canonical form for canonical backends
   (:func:`repro.genomics.encoding.canonical_kmers` over the whole
   batch) and by the raw packed value otherwise.  A cached key skips
   the device entirely.
+
+Both run on columns: :meth:`KmerResultCache.plan` and
+:meth:`~KmerResultCache.complete` take and return
+:class:`~repro.api.ResultBatch` arrays, and the store itself is
+sorted-key arrays, so no per-k-mer record is built on the way.
 
 Identity is the contract: a backend answers a given k-mer the same way
 every time (the device is deterministic and replicas are built from the
 same reference), and canonical backends answer a k-mer and its reverse
 complement identically — so serving a recorded answer is bit-identical
 to re-querying, for classification purposes (``hit``/``payload``; the
-recorded device micro-events ride along).  ``ServiceConfig.
+device's micro-events are not recorded).  ``ServiceConfig.
 cache_self_check`` runs the cache in *shadow mode*: the device still
 executes the full batch and every cache/dedup answer is compared
 against it position by position — a mismatch raises
@@ -43,14 +48,12 @@ by the dispatcher and passed into :meth:`price_batch`.
 
 from __future__ import annotations
 
-import heapq
-from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..api import BackendResult
+from ..api import BackendResult, ResultBatch
 from ..genomics.encoding import canonical_kmers
 
 
@@ -66,17 +69,83 @@ class CacheCoherencyError(CacheError):
     """
 
 
-class _Entry:
-    """One cached result with its LFU bookkeeping."""
+class _LfuStore:
+    """The cached answers as columns sorted by key.
 
-    __slots__ = ("result", "freq", "seq")
+    ``keys`` (ascending ``uint64``) with aligned ``hit``, ``payload`` (0
+    at a miss), ``freq`` (lookups since insertion, counting the insert)
+    and ``seq`` (insertion sequence number, the eviction tie-break).
+    Lookups are one ``searchsorted``; a batch's evictions and inserts
+    are merged in with one pass over each column, never a re-sort.
+    """
 
-    def __init__(self, result: BackendResult, freq: int, seq: int) -> None:
-        self.result = result
-        self.freq = freq
-        #: Insertion sequence number — the deterministic eviction
-        #: tie-break (equal frequency evicts the oldest insertion).
-        self.seq = seq
+    __slots__ = ("keys", "hit", "payload", "freq", "seq")
+
+    def __init__(self) -> None:
+        self.keys = np.zeros(0, dtype=np.uint64)
+        self.hit = np.zeros(0, dtype=bool)
+        self.payload = np.zeros(0, dtype=np.int64)
+        self.freq = np.zeros(0, dtype=np.int64)
+        self.seq = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self.keys.size)
+
+    def find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(row, found)`` per key; ``row`` is -1 where not found."""
+        row = np.full(keys.size, -1, dtype=np.int64)
+        if self.keys.size:
+            rows = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+            found = self.keys[rows] == keys
+            row[found] = rows[found]
+        return row, row >= 0
+
+    def oldest_fresh(self, count: int) -> np.ndarray:
+        """Rows of the (up to) ``count`` oldest frequency-1 entries,
+        oldest first."""
+        fresh = np.flatnonzero(self.freq == 1)
+        if count < fresh.size:
+            fresh = fresh[np.argpartition(self.seq[fresh], count - 1)[:count]]
+        return fresh[np.argsort(self.seq[fresh])]
+
+    def least_used(self) -> np.ndarray:
+        """Row of the least ``(freq, seq)`` entry, as a 1-array."""
+        least = np.flatnonzero(self.freq == self.freq.min())
+        return least[np.argmin(self.seq[least])].reshape(1)
+
+    def replace(
+        self,
+        drop: np.ndarray,
+        keys: np.ndarray,
+        hit: np.ndarray,
+        payload: np.ndarray,
+        seq: np.ndarray,
+    ) -> None:
+        """Delete rows ``drop``, then insert absent ``keys`` at
+        frequency 1."""
+        keep: Any = slice(None)  # every row, without a copy
+        if drop.size:
+            keep = np.ones(self.keys.size, dtype=bool)
+            keep[drop] = False
+        kept = self.keys[keep]
+        order = np.argsort(keys)
+        # Row of each new key after the merge: its insertion point among
+        # the kept keys plus the new keys merged before it.
+        new_rows = np.searchsorted(kept, keys[order]) + np.arange(keys.size)
+        old_rows = np.ones(kept.size + keys.size, dtype=bool)
+        old_rows[new_rows] = False
+        for name, values in (
+            ("keys", keys[order]),
+            ("hit", hit[order]),
+            ("payload", payload[order]),
+            ("freq", 1),
+            ("seq", seq[order]),
+        ):
+            column = getattr(self, name)
+            merged = np.empty(old_rows.size, dtype=column.dtype)
+            merged[old_rows] = column[keep]
+            merged[new_rows] = values
+            setattr(self, name, merged)
 
 
 @dataclass(frozen=True)
@@ -84,9 +153,10 @@ class BatchCachePlan:
     """How one coalesced batch splits into cached vs device work.
 
     Built by :meth:`KmerResultCache.plan` on the event-loop thread at
-    batch launch.  ``cached`` snapshots the hit templates at plan time,
-    so evictions that happen while the device batch is in flight can
-    never lose an answer the plan already promised.
+    batch launch.  ``unique_hit``/``unique_payload`` snapshot the cached
+    answers at plan time, so evictions that happen while the device
+    batch is in flight can never lose an answer the plan already
+    promised.
     """
 
     #: The batch's flat k-mers, in request order (what ``_finish``
@@ -94,20 +164,24 @@ class BatchCachePlan:
     queries: np.ndarray
     #: Every distinct cache key of the batch, in first-occurrence order
     #: (canonical form when the backend canonicalizes).
-    unique_keys: Tuple[int, ...]
+    unique_keys: np.ndarray
     #: Per flat position, the index of its key in ``unique_keys``.
     slots: np.ndarray
+    #: Per unique key: answered from the cache (True) or by the device.
+    cached: np.ndarray
+    #: Per unique key, the cached answer (False / 0 for device keys
+    #: until :meth:`KmerResultCache.complete` fills them in).
+    unique_hit: np.ndarray
+    unique_payload: np.ndarray
     #: Unique missed keys in first-occurrence order — the device's
     #: actual work list under dedup.
-    device_keys: Tuple[int, ...]
+    device_keys: np.ndarray
     #: Representative original k-mer per device key (its first
     #: occurrence in ``queries``) — what is actually sent to the backend.
-    device_kmers: Tuple[int, ...]
+    device_kmers: np.ndarray
     #: First-occurrence position in ``queries`` per device key (shadow
-    #: mode extracts the device's answers from the full batch here).
-    device_positions: Tuple[int, ...]
-    #: Hit templates snapshotted at plan time, keyed by cache key.
-    cached: Dict[int, BackendResult]
+    #: mode takes the device's answers from the full batch here).
+    device_positions: np.ndarray
 
     @property
     def total_kmers(self) -> int:
@@ -115,11 +189,11 @@ class BatchCachePlan:
 
     @property
     def unique_kmers(self) -> int:
-        return len(self.unique_keys)
+        return int(self.unique_keys.size)
 
     @property
     def cache_hits(self) -> int:
-        return len(self.cached)
+        return self.unique_kmers - int(self.device_keys.size)
 
     @property
     def dedup_kmers(self) -> int:
@@ -129,7 +203,7 @@ class BatchCachePlan:
     @property
     def saved_kmers(self) -> int:
         """Device k-mers avoided vs the uncached path (dedup + hits)."""
-        return self.total_kmers - len(self.device_keys)
+        return self.total_kmers - int(self.device_keys.size)
 
 
 class KmerResultCache:
@@ -142,11 +216,11 @@ class KmerResultCache:
     functions of the request stream, so in the service's deterministic
     mode the cache state (and every counter below) replays exactly.
 
-    Entries never touched since insertion (frequency 1) sit in an
-    insertion-ordered queue: any of them is less frequent than every
-    touched entry, and among themselves the oldest goes first, so the
-    queue head is the victim whenever the queue is non-empty.  Only
-    touched entries pay for the heap.
+    The store is sorted-key columns (:class:`_LfuStore`).  A batch's
+    device answers are absorbed in device order with the exact result
+    of inserting them one by one, each insert into a full cache first
+    evicting the least ``(freq, seq)`` entry; the victims are computed
+    with array operations (see :meth:`_insert_run`).
     """
 
     def __init__(self, capacity: int, k: int, canonical: bool) -> None:
@@ -155,13 +229,7 @@ class KmerResultCache:
         self.capacity = capacity
         self.k = k
         self.canonical = canonical
-        self._entries: Dict[int, _Entry] = {}
-        #: Keys of the frequency-1 entries, oldest insertion first.
-        self._fresh: "OrderedDict[int, None]" = OrderedDict()
-        #: Lazy-deletion LFU heap of ``(freq, seq, key)`` over touched
-        #: entries (freq >= 2); stale tuples (freq no longer current,
-        #: or key evicted) are skipped on pop.
-        self._heap: List[Tuple[int, int, int]] = []
+        self._store = _LfuStore()
         self._seq = 0
         # -- counters (all pure functions of the request stream in
         # deterministic mode) --
@@ -184,7 +252,7 @@ class KmerResultCache:
         self._priced_device_kmers = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store)
 
     # -- batch planning (event-loop thread only) ---------------------------
 
@@ -193,116 +261,112 @@ class KmerResultCache:
 
         Counts every lookup, touches hit entries' frequencies (weighted
         by their occurrence count in the batch — hotness is per
-        request, not per unique key), and snapshots hit templates.
-        Keys and their first occurrences are found with array
-        operations; only the distinct keys are probed one by one.
+        request, not per unique key), and snapshots their answers.
+        Keys, first occurrences and cache hits are all found with array
+        operations.
         """
         queries = np.asarray(flat, dtype=np.uint64)
         keys = canonical_kmers(queries, self.k) if self.canonical else queries
         unique, first, inverse, counts = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True
         )
+        store = self._store
+        row, found = store.find(unique)
+        hit_rows = row[found]
+        np.add.at(store.freq, hit_rows, counts[found])
         # np.unique orders by key value; the plan keeps first-occurrence
         # order, so rank the distinct keys by where they first appear.
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        unique_keys = unique[order].tolist()
-        first_pos = first[order].tolist()
-        cached: Dict[int, BackendResult] = {}
-        device_keys: List[int] = []
-        device_positions: List[int] = []
-        entries = self._entries
-        hit_kmers = 0
-        for key, pos, count in zip(
-            unique_keys, first_pos, counts[order].tolist()
-        ):
-            entry = entries.get(key)
-            if entry is not None:
-                cached[key] = entry.result
-                self._touch(key, entry, count)
-                hit_kmers += count
-            else:
-                device_keys.append(key)
-                device_positions.append(pos)
+        unique_hit = np.zeros(unique.size, dtype=bool)
+        unique_payload = np.zeros(unique.size, dtype=np.int64)
+        unique_hit[found] = store.hit[hit_rows]
+        unique_payload[found] = store.payload[hit_rows]
+        cached = found[order]
+        device_index = np.flatnonzero(~cached)
+        device_positions = first[order][device_index]
+        unique_keys = unique[order]
         plan = BatchCachePlan(
             queries=queries,
-            unique_keys=tuple(unique_keys),
+            unique_keys=unique_keys,
             slots=rank[inverse.reshape(-1)],
-            device_keys=tuple(device_keys),
-            device_kmers=tuple(queries[device_positions].tolist()),
-            device_positions=tuple(device_positions),
             cached=cached,
+            unique_hit=unique_hit[order],
+            unique_payload=unique_payload[order],
+            device_keys=unique_keys[device_index],
+            device_kmers=queries[device_positions],
+            device_positions=device_positions,
         )
+        device = int(device_index.size)
         self.batches += 1
         self.lookup_kmers += plan.total_kmers
-        self.hit_keys += len(cached)
-        self.hit_kmers += hit_kmers
-        self.miss_keys += len(device_keys)
+        self.hit_keys += plan.cache_hits
+        self.hit_kmers += int(counts[found].sum())
+        self.miss_keys += device
         self.dedup_kmers += plan.dedup_kmers
-        self.device_kmers += len(device_keys)
+        self.device_kmers += device
         return plan
 
     def complete(
-        self, plan: BatchCachePlan, device_results: Sequence[BackendResult]
-    ) -> List[BackendResult]:
-        """Reassemble the full result list and absorb the new answers.
+        self,
+        plan: BatchCachePlan,
+        device_results: Union[ResultBatch, Sequence[BackendResult]],
+    ) -> ResultBatch:
+        """Fan the answers out to every position and absorb the new ones.
 
         ``device_results`` answers ``plan.device_kmers`` in order.  The
-        returned list matches ``plan.queries`` position for position, so
-        the dispatcher's per-request response slicing is untouched by
-        caching.  Fan-out rewrites a template's ``query`` field to the
-        k-mer actually requested wherever the two differ (a canonical
-        backend may serve one stored record to both strands).
+        returned batch matches ``plan.queries`` position for position
+        (its ``queries`` column *is* ``plan.queries``), so the
+        dispatcher's per-request slicing is untouched by caching and a
+        canonical key serves both strands under the k-mer each asked.
         """
-        if len(device_results) != len(plan.device_keys):
+        device = ResultBatch.from_results(device_results)
+        if len(device) != plan.device_keys.size:
             raise CacheError(
-                f"device answered {len(device_results)} k-mers, plan sent "
-                f"{len(plan.device_keys)}"
+                f"device answered {len(device)} k-mers, plan sent "
+                f"{plan.device_keys.size}"
             )
-        by_key: Dict[int, BackendResult] = dict(plan.cached)
-        by_key.update(zip(plan.device_keys, device_results))
-        self._absorb(plan.device_keys, device_results)
-        templates = [by_key[key] for key in plan.unique_keys]
-        full = [templates[slot] for slot in plan.slots.tolist()]
-        template_queries = np.fromiter(
-            (t.query for t in templates), dtype=np.uint64, count=len(templates)
-        )
-        strand_changed = np.flatnonzero(
-            template_queries[plan.slots] != plan.queries
-        )
-        for pos in strand_changed.tolist():
-            full[pos] = replace(full[pos], query=int(plan.queries[pos]))
-        return full
+        hit = plan.unique_hit.copy()
+        payload = plan.unique_payload.copy()
+        misses = ~plan.cached
+        hit[misses] = device.hit
+        payload[misses] = device.payload
+        self._absorb(plan.device_keys, device.hit, device.payload)
+        return ResultBatch(plan.queries, hit[plan.slots], payload[plan.slots])
 
     def self_check(
         self,
         plan: BatchCachePlan,
-        served: Sequence[BackendResult],
-        reference: Sequence[BackendResult],
+        served: Union[ResultBatch, Sequence[BackendResult]],
+        reference: Union[ResultBatch, Sequence[BackendResult]],
     ) -> None:
         """Shadow-mode verification: served answers must equal the
         device's fresh answers on ``(query, hit, payload)`` — the
         fields classification depends on.  Raises
         :class:`CacheCoherencyError` on the first divergence."""
+        served = ResultBatch.from_results(served)
+        reference = ResultBatch.from_results(reference)
         if len(served) != len(reference):
             raise CacheCoherencyError(
                 f"cache served {len(served)} results for a batch of "
                 f"{len(reference)}"
             )
-        for pos, (got, want) in enumerate(zip(served, reference)):
-            if (got.query, got.hit, got.payload) != (
-                want.query,
-                want.hit,
-                want.payload,
-            ):
-                raise CacheCoherencyError(
-                    f"cache divergence at batch position {pos} "
-                    f"(kmer {plan.queries[pos]}, "
-                    f"key {plan.unique_keys[plan.slots[pos]]}): "
-                    f"served hit={got.hit} payload={got.payload}, device "
-                    f"answered hit={want.hit} payload={want.payload}"
-                )
+        diverged = np.flatnonzero(
+            (served.queries != reference.queries)
+            | (served.hit != reference.hit)
+            | (served.payload != reference.payload)
+        )
+        if diverged.size:
+            pos = int(diverged[0])
+            got, want = served[pos], reference[pos]
+            raise CacheCoherencyError(
+                f"cache divergence at batch position {pos} "
+                f"(kmer {plan.queries[pos]}, "
+                f"key {plan.unique_keys[plan.slots[pos]]}): "
+                f"served hit={got.hit} payload={got.payload}, device "
+                f"answered hit={want.hit} payload={want.payload}"
+            )
         self.self_checked_kmers += len(served)
 
     def price_batch(
@@ -340,57 +404,77 @@ class KmerResultCache:
     # -- LFU internals -----------------------------------------------------
 
     def _absorb(
-        self, keys: Sequence[int], results: Sequence[BackendResult]
-    ) -> None:
-        """Store a batch's device answers, in device order; an insert
-        into a full cache first evicts one victim."""
+        self, keys: np.ndarray, hit: np.ndarray, payload: np.ndarray
+    ) -> np.ndarray:
+        """Store a batch's device answers, in device order; returns the
+        evicted keys in eviction order.
+
+        A key already stored (shadow mode, or another shard's batch
+        answered it since this batch's plan) keeps its original record
+        (it is identical) and counts a touch instead — unless an
+        earlier insert of this absorb evicted it, in which case it is
+        inserted again.  The answers between two such keys are new and
+        go in as one :meth:`_insert_run`.
+        """
         if self.capacity <= 0:
-            return
-        entries = self._entries
-        fresh = self._fresh
-        capacity = self.capacity
-        seq = self._seq
-        inserted = 0
-        for key, result in zip(keys, results):
-            entry = entries.get(key)
-            if entry is not None:
-                # Shadow mode, or another shard's batch, can re-answer
-                # an already-cached key; keep the original record (it
-                # is identical) and count the touch.
-                self._touch(key, entry, 1)
-                continue
-            if len(entries) >= capacity:
-                self._evict_one()
-            seq += 1
-            entries[key] = _Entry(result, 1, seq)
-            fresh[key] = None
-            inserted += 1
-        self._seq = seq
-        self.insertions += inserted
+            return keys[:0]
+        store = self._store
+        evicted = []
+        start = 0
+        for i in np.flatnonzero(store.find(keys)[1]).tolist():
+            evicted.append(
+                self._insert_run(keys[start:i], hit[start:i], payload[start:i])
+            )
+            row, found = store.find(keys[i : i + 1])
+            if found[0]:
+                store.freq[row[0]] += 1
+                start = i + 1
+            else:
+                start = i
+        evicted.append(
+            self._insert_run(keys[start:], hit[start:], payload[start:])
+        )
+        return np.concatenate(evicted)
 
-    def _touch(self, key: int, entry: _Entry, count: int) -> None:
-        """Raise an entry's frequency by ``count``."""
-        if entry.freq == 1:
-            del self._fresh[key]
-        entry.freq += count
-        heapq.heappush(self._heap, (entry.freq, entry.seq, key))
+    def _insert_run(
+        self, keys: np.ndarray, hit: np.ndarray, payload: np.ndarray
+    ) -> np.ndarray:
+        """Insert absent keys in order, as one-by-one inserts would;
+        returns the evicted keys in eviction order.
 
-    def _evict_one(self) -> int:
-        """Drop the least-frequent, oldest entry; returns its key."""
-        if self._fresh:
-            key, _ = self._fresh.popitem(last=False)
-        else:
-            while True:
-                if not self._heap:  # pragma: no cover
-                    raise CacheError("eviction requested from an empty cache")
-                freq, seq, key = heapq.heappop(self._heap)
-                entry = self._entries.get(key)
-                if entry is not None and (entry.freq, entry.seq) == (freq, seq):
-                    break
-                # else: stale heap tuple (touched since push)
-        del self._entries[key]
-        self.evictions += 1
-        return key
+        Inserting one key at a time, each into a full cache evicting the
+        least ``(freq, seq)`` entry, has a closed form.  Frequency-1
+        entries are the least frequent and leave in insertion order, and
+        every new key joins them at the back.  So while the store has a
+        free slot or a frequency-1 entry when the run starts, the victims
+        are the head of ``[stored frequency-1 entries by seq] + keys``.
+        Otherwise (full, every entry touched) the first victim is the
+        least ``(freq, seq)`` touched entry and each later insert evicts
+        the run's previous new key, so only the last one stays.
+        """
+        count = int(keys.size)
+        if count == 0:
+            return keys
+        store = self._store
+        seq = self._seq + 1 + np.arange(count, dtype=np.int64)
+        self._seq += count
+        self.insertions += count
+        free = self.capacity - len(store)
+        evictions = max(0, count - free)
+        drop = np.zeros(0, dtype=np.int64)
+        skipped = 0  # leading run keys evicted by later inserts
+        if evictions:
+            drop = store.oldest_fresh(evictions)
+            skipped = evictions - drop.size
+            if drop.size + free == 0:
+                drop = store.least_used()
+                skipped = evictions - 1
+            self.evictions += evictions
+        victims = np.concatenate([store.keys[drop], keys[:skipped]])
+        store.replace(
+            drop, keys[skipped:], hit[skipped:], payload[skipped:], seq[skipped:]
+        )
+        return victims
 
     # -- observability -----------------------------------------------------
 
@@ -398,7 +482,7 @@ class KmerResultCache:
         """JSON-serializable cache state for ``stats()["cache"]``."""
         return {
             "capacity": self.capacity,
-            "entries": len(self._entries),
+            "entries": len(self._store),
             "canonical_keys": self.canonical,
             "batches": self.batches,
             "lookup_kmers": self.lookup_kmers,

@@ -4,10 +4,12 @@ One :class:`ShardWorker` owns one :class:`repro.api.QueryBackend`
 replica.  Its loop blocks on the queue, then coalesces whatever else is
 waiting — up to ``max_batch_kmers`` k-mers, lingering at most
 ``max_linger_s`` for stragglers — into a single batched ``query()``
-call, and slices the flat response list back into per-request
-classifications through the same vote-counting helper every sequential
-path uses (:func:`repro.api.classification_from_results`).  That shared
-slicing is why coalescing is bit-identical to sequential execution.
+call, and slices the flat :class:`~repro.api.ResultBatch` back into
+per-request classifications through the same vote-counting helper every
+sequential path uses (:func:`repro.api.classification_from_results`).
+That shared slicing is why coalescing is bit-identical to sequential
+execution; each slice is a view of the batch's columns, so no per-k-mer
+record is built on the way.
 
 Each batch is priced on two clocks: host wall time around the
 ``query()`` call, and *simulated device time* from the backend's
@@ -21,9 +23,11 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api import QueryBackend, classification_from_results
+import numpy as np
+
+from ..api import QueryBackend, ResultBatch, classification_from_results
 from . import hooks
 from .cache import BatchCachePlan, CacheCoherencyError, KmerResultCache
 from .config import ServiceConfig
@@ -530,7 +534,7 @@ class ShardWorker:
 
     def _plan_batch(
         self, flat: List[int]
-    ) -> Tuple[Optional[BatchCachePlan], List[int]]:
+    ) -> Tuple[Optional[BatchCachePlan], Sequence[int]]:
         """Dedup/cache planning at batch launch (event-loop thread).
 
         Returns the plan (``None`` when the stage is disabled) and the
@@ -543,7 +547,7 @@ class ShardWorker:
         plan = self.cache.plan(flat)
         if self.config.cache_self_check:
             return plan, flat
-        return plan, list(plan.device_kmers)
+        return plan, plan.device_kmers
 
     def _mark_deduped(
         self, plan: Optional[BatchCachePlan], index: int, device_kmers: int
@@ -570,12 +574,16 @@ class ShardWorker:
         )
 
     def _query_blocking(
-        self, flat: List[int]
-    ) -> Tuple[List[Any], float, Dict[str, int]]:
+        self, flat: Sequence[int]
+    ) -> Tuple[ResultBatch, float, Dict[str, int]]:
         """The blocking half of a batch (safe off the event loop)."""
         wall_start = time.perf_counter()
         before = self._perf_counters()
-        results = self.backend.query(flat) if flat else []
+        results = (
+            self.backend.query(flat)
+            if len(flat)
+            else ResultBatch.from_payloads((), ())
+        )
         wall_batch_ms = (time.perf_counter() - wall_start) * 1e3
         after = self._perf_counters()
         delta = {key: after[key] - before.get(key, 0) for key in after}
@@ -585,7 +593,7 @@ class ShardWorker:
         self,
         live: List[Request],
         flat: List[int],
-        results: List[Any],
+        results: ResultBatch,
         wall_batch_ms: float,
         delta: Dict[str, int],
         loop: "asyncio.AbstractEventLoop",
@@ -599,12 +607,13 @@ class ShardWorker:
         if plan is not None and self.cache is not None:
             # ``results`` currently answers what was *sent* (the miss
             # representatives, or the full batch in shadow mode);
-            # reassemble the full per-position list so the request
+            # reassemble the full per-position batch so the request
             # slicing below is untouched by caching.
             device_executed = len(results)
             if self.config.cache_self_check:
-                device_results = [results[p] for p in plan.device_positions]
-                served = self.cache.complete(plan, device_results)
+                served = self.cache.complete(
+                    plan, results[plan.device_positions]
+                )
                 try:
                     self.cache.self_check(plan, served, results)
                 except CacheCoherencyError as exc:
@@ -627,7 +636,7 @@ class ShardWorker:
             m.counter("device_kmers_total").inc(device_executed)
         m.counter("batches_total").inc()
         m.counter("kmers_total").inc(len(flat))
-        m.counter("hits_total").inc(sum(1 for r in results if r.hit))
+        m.counter("hits_total").inc(int(np.count_nonzero(results.hit)))
         m.histogram("batch_occupancy").observe(len(live))
         m.histogram("batch_kmers").observe(len(flat))
         m.histogram("batch_wall_ms").observe(wall_batch_ms)
@@ -664,7 +673,7 @@ class ShardWorker:
                     ServiceResponse(
                         classification=classification,
                         num_kmers=len(req.kmers),
-                        hits=sum(1 for r in chunk if r.hit),
+                        hits=int(np.count_nonzero(chunk.hit)),
                         coalesced_requests=len(live),
                         batch_kmers=len(flat),
                         sim_batch_ns=sim_ns,

@@ -15,7 +15,7 @@ from .controller import (
     sample_requests,
     validate_steady_state,
 )
-from .device import DeviceError, DeviceResponse, DeviceStats, SieveDevice
+from .device import DeviceError, DeviceStats, SieveDevice
 from .device_sim import (
     DeviceEventSim,
     DeviceSimConfig,
@@ -79,7 +79,6 @@ __all__ = [
     "ColumnFinderError",
     "ColumnFindResult",
     "DeviceError",
-    "DeviceResponse",
     "DeviceStats",
     "SieveDevice",
     "DeviceEventSim",

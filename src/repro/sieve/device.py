@@ -16,32 +16,27 @@ examples run; the paper-scale benchmarks use the analytic
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..api import (
     BackendCapabilities,
-    BackendResult,
     BackendStats,
+    ResultBatch,
     classification_from_results,
+    key_array,
 )
 from ..dram.geometry import DramGeometry
 from ..genomics.database import KmerDatabase
 from ..genomics.encoding import canonical_kmers
 from .functional import MatchBatch, SieveSubarraySim
-from .index import SubarrayIndex, key_array
+from .index import SubarrayIndex
 from .layout import SubarrayLayout
 
 
 class DeviceError(ValueError):
     """Raised on capacity or protocol errors."""
-
-
-#: Answer to one k-mer request.  Since the PR-4 API unification this is
-#: the shared :class:`repro.api.BackendResult` under its historical
-#: name; ``subarray_id is None`` marks an index-filtered host-side miss.
-DeviceResponse = BackendResult
 
 
 @dataclass(eq=False)
@@ -206,7 +201,7 @@ class SieveDevice:
 
     def query(
         self, kmers: Sequence[int], *, batched: bool = True
-    ) -> List[DeviceResponse]:
+    ) -> ResultBatch:
         """The unified batch path (:class:`repro.api.QueryBackend`
         surface): route every k-mer, group them per destination
         (subarray, layer), load each destination's k-mers as batches of
@@ -227,8 +222,11 @@ class SieveDevice:
         Responses are returned in request order even though requests to
         different subarrays complete out of order (Section IV-E: the host
         accumulates payloads per sequence, no reordering needed — we
-        reorder only for API convenience).  A canonical device answers
-        for the canonical k-mer, which is what ``query`` reports.
+        reorder only for API convenience), as one
+        :class:`~repro.api.ResultBatch` carrying the micro-event columns
+        (``subarray_id`` -1 where the index filtered the query).  A
+        canonical device answers for the canonical k-mer, which is what
+        the ``queries`` column reports.
         """
         kmers = key_array(kmers)
         if self.canonical:
@@ -283,24 +281,7 @@ class SieveDevice:
         stats.rows_histogram += np.bincount(
             rows, minlength=stats.rows_histogram.size
         )
-        return [
-            DeviceResponse(
-                query,
-                is_hit,
-                value if is_hit else None,
-                sid if sid >= 0 else None,
-                activated,
-                cycles,
-            )
-            for query, is_hit, value, sid, activated, cycles in zip(
-                kmers.tolist(),
-                hit.tolist(),
-                payload.tolist(),
-                sids.tolist(),
-                rows.tolist(),
-                flush.tolist(),
-            )
-        ]
+        return ResultBatch(kmers, hit, payload, sids, rows, flush)
 
     # -- protocol surface ------------------------------------------------------
 

@@ -28,11 +28,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..api import key_array
 from ..dram.subarray import Subarray
 from . import kernels
 from .column_finder import ColumnFinder, ColumnFindResult
 from .etm import EtmPipeline
-from .index import key_array
 from .layout import OFFSET_BITS, PAYLOAD_BITS, LayoutError, SubarrayLayout
 from .matcher import MatcherArray
 

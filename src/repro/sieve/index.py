@@ -18,21 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..api import key_array
+
 #: Bytes per index entry: 8-byte subarray ID + two packed k-mers (8 B each).
 INDEX_ENTRY_BYTES = 24
-
-
-def key_array(kmers: Sequence[int]) -> np.ndarray:
-    """Packed k-mers as an array that compares exactly.
-
-    ``uint64`` when every value fits one word (``k <= 32``); Python
-    ints in an object array otherwise (the multi-word ``k > 32``
-    layouts), never the ``float64`` numpy would infer for a mix.
-    """
-    try:
-        return np.asarray(kmers, dtype=np.uint64)
-    except OverflowError:
-        return np.asarray(kmers, dtype=object)
 
 
 class IndexError_(ValueError):

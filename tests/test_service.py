@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import classification_from_results
@@ -748,8 +749,6 @@ class TestHotKmerCache:
     def test_shadow_mode_raises_on_poisoned_cache(
         self, small_dataset, small_layout
     ):
-        from dataclasses import replace
-
         from repro.genomics import cache_key_kmer
 
         service = make_service(
@@ -770,11 +769,14 @@ class TestHotKmerCache:
                 small_dataset.k,
                 service.cache.canonical,
             )
-            entry = service.cache._entries[key]
+            store = service.cache._store
+            row, found = store.find(np.asarray([key], dtype=np.uint64))
+            assert found[0]
             # Corrupt one stored payload: the shadow pass re-answers
             # the batch on the device and must catch the lie instead
             # of serving it.
-            entry.result = replace(entry.result, hit=True, payload=999_999)
+            store.hit[row] = True
+            store.payload[row] = 999_999
             retry = service.submit(probe)
             try:
                 await retry
@@ -818,7 +820,7 @@ class TestKmerResultCacheUnit:
     def _filled(self, capacity=2, k=5, canonical=False):
         cache = KmerResultCache(capacity, k, canonical)
         plan = cache.plan([1, 2, 1])
-        assert plan.device_keys == (1, 2)
+        assert plan.device_keys.tolist() == [1, 2]
         assert plan.dedup_kmers == 1
         cache.complete(plan, [self._result(1, 10), self._result(2)])
         return cache
@@ -840,8 +842,7 @@ class TestKmerResultCacheUnit:
         cache.complete(cache.plan([1]), [])
         plan = cache.plan([3])
         cache.complete(plan, [self._result(3, 30)])
-        assert 2 not in cache._entries
-        assert set(cache._entries) == {1, 3}
+        assert cache._store.keys.tolist() == [1, 3]
         assert cache.evictions == 1
 
     def test_eviction_is_deterministic(self):
@@ -853,7 +854,7 @@ class TestKmerResultCacheUnit:
                     plan,
                     [self._result(k, k * 10) for k in plan.device_kmers],
                 )
-            return sorted(cache._entries), cache.counters()
+            return cache._store.keys.tolist(), cache.counters()
 
         assert churn() == churn()
 
@@ -863,7 +864,7 @@ class TestKmerResultCacheUnit:
         assert plan.dedup_kmers == 1
         cache.complete(plan, [self._result(4, 1), self._result(5, 2)])
         assert len(cache) == 0
-        assert cache.plan([4]).device_keys == (4,)  # still a miss
+        assert cache.plan([4]).device_keys.tolist() == [4]  # still a miss
 
     def test_canonical_keys_fold_strands(self):
         from repro.genomics import canonical_kmer
@@ -883,7 +884,7 @@ class TestKmerResultCacheUnit:
         assert [r.query for r in full] == [fwd, rev]
         assert all(r.payload == 42 for r in full)
         assert cache.plan([rev]).cache_hits == 1
-        assert canon in cache._entries
+        assert canon in cache._store.keys.tolist()
 
     def test_complete_length_mismatch_raises(self):
         cache = KmerResultCache(4, 5, False)
