@@ -745,13 +745,17 @@ def _history_order(path: Path) -> List[object]:
     ]
 
 
-def format_trajectory(history_dir: Path, baseline: Dict[str, object]) -> str:
+def format_trajectory(
+    history_dir: Path, baseline: Dict[str, object]
+) -> Tuple[str, List[str]]:
     """One row per scenario, one column per payload in ``history_dir``.
 
     Each cell is the recorded wall seconds, marked ``✓`` when that
     run's counters equal ``baseline``'s and ``✗`` when they differ (or
     the baseline has no such scenario); ``-`` marks a scenario the run
     did not record.  Files are ordered by name, numbers numerically.
+    Returns the table and the scenarios marked ``✗`` in the newest
+    payload (the last column).
     """
     paths = sorted(history_dir.glob("*.json"), key=_history_order)
     if not paths:
@@ -768,6 +772,7 @@ def format_trajectory(history_dir: Path, baseline: Dict[str, object]) -> str:
             + [f"{p.stem:>{w}}" for p, w in zip(paths, columns)]
         )
     ]
+    newest_differ = []
     for name in names:
         cells = []
         for run, w in zip(runs, columns):
@@ -781,8 +786,10 @@ def format_trajectory(history_dir: Path, baseline: Dict[str, object]) -> str:
             )
             mark = "✓" if same else "✗"
             cells.append(f"{float(entry['wall_s']):.3f} {mark}".rjust(w))
+        if name in runs[-1] and not same:  # ``same`` of the last column
+            newest_differ.append(name)
         lines.append(" ".join([f"{name:<{width}}"] + cells))
-    return "\n".join(lines)
+    return "\n".join(lines), newest_differ
 
 
 def format_results(results: Sequence[BenchResult]) -> str:

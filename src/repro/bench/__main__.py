@@ -3,7 +3,9 @@
 Runs the tracked benchmarks, writes ``BENCH_<rev>.json``, and (with
 ``--baseline``) fails with exit status 1 when any benchmark regresses
 past the threshold or its functional counters drift.  ``--trajectory``
-instead prints the committed history of such payloads as one table.
+instead prints the committed history of such payloads as one table,
+and exits 1 when the newest payload's counters differ from the
+baseline.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="print the wall time of every scenario across the payloads "
         "in DIR (default: %(const)s) and whether their counters equal "
-        "--baseline (default: DIR/../BENCH_baseline.json); runs nothing",
+        "--baseline (default: DIR/../BENCH_baseline.json); runs nothing "
+        "and exits 1 when the newest payload's counters differ",
     )
     parser.add_argument(
         "--jobs",
@@ -89,10 +92,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.trajectory.parent / "BENCH_baseline.json"
         )
         try:
-            print(format_trajectory(args.trajectory, load_baseline(baseline_path)))
+            table, differ = format_trajectory(
+                args.trajectory, load_baseline(baseline_path)
+            )
         except BenchError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        print(table)
+        if differ:
+            print(
+                "newest payload's counters differ from "
+                f"{baseline_path}: {', '.join(differ)}",
+                file=sys.stderr,
+            )
+            return 1
         return 0
     only = args.only.split(",") if args.only else None
     try:

@@ -199,12 +199,12 @@ class SeedExtender:
             )
         cfg = self.config
         offsets = np.flatnonzero(results.hit)
-        seed_hits = list(
-            zip(offsets.tolist(), results.queries[offsets].tolist())
-        )
+        seed_hits = int(offsets.size)
         ranked = [
             c
-            for c in self.seed_index.candidates(seed_hits)
+            for c in self.seed_index.candidates(
+                offsets, results.queries[offsets]
+            )
             if c.support >= cfg.min_seed_hits
         ][: cfg.max_candidates]
 
@@ -248,7 +248,7 @@ class SeedExtender:
                 position=best[1],
                 edit_distance=best[2],
                 kmers_total=expected,
-                seed_hits=len(seed_hits),
+                seed_hits=seed_hits,
                 candidates=len(ranked),
                 dp_cells=dp_cells,
                 locations=tuple(accepted),
@@ -262,7 +262,7 @@ class SeedExtender:
                 position=None,
                 edit_distance=None,
                 kmers_total=expected,
-                seed_hits=len(seed_hits),
+                seed_hits=seed_hits,
                 candidates=len(ranked),
                 dp_cells=dp_cells,
             )

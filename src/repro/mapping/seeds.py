@@ -31,7 +31,7 @@ names one candidate reference window to verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -148,28 +148,58 @@ class SeedIndex:
         ]
 
     def candidates(
-        self, seed_hits: Sequence[Tuple[int, int]]
+        self, read_offsets: np.ndarray, kmers: np.ndarray
     ) -> List[Candidate]:
         """Group surviving seeds into diagonal candidates.
 
-        ``seed_hits`` is the filter's output: ``(read_offset, kmer)``
-        pairs for every read k-mer the backend reported present.  Each
-        occurrence votes for the diagonal ``position - read_offset``;
-        buckets are returned sorted by descending support, then
-        ``(genome_index, diagonal)`` ascending — a total order, so the
-        downstream truncation to ``max_candidates`` is deterministic.
+        ``read_offsets`` and ``kmers`` are the filter's output as two
+        aligned arrays: the offset and packed value of every read k-mer
+        the backend reported present.  Each occurrence votes for the
+        diagonal ``position - read_offset``; buckets are returned
+        sorted by descending support, then ``(genome_index, diagonal)``
+        ascending — a total order, so the downstream truncation to
+        ``max_candidates`` is deterministic.
+
+        Array form: one ``searchsorted`` finds every k-mer, ``np.repeat``
+        expands their CSR occurrence ranges, and one ``lexsort`` counts
+        the ``(genome, diagonal)`` buckets, another ranks them.
         """
-        votes: Dict[Tuple[int, int], int] = {}
-        for read_offset, kmer in seed_hits:
-            for genome_index, position in self.occurrences(kmer):
-                bucket = (genome_index, position - read_offset)
-                votes[bucket] = votes.get(bucket, 0) + 1
-        ranked = sorted(
-            votes.items(), key=lambda item: (-item[1], item[0])
+        read_offsets = np.asarray(read_offsets, dtype=np.int64)
+        kmers = np.asarray(kmers, dtype=np.uint64)
+        if kmers.size == 0:
+            return []
+        slot = np.searchsorted(self._keys, kmers)
+        found = slot < self._keys.size
+        found[found] = self._keys[slot[found]] == kmers[found]
+        slot = slot[found]
+        lo = self._starts[slot]
+        counts = self._starts[slot + 1] - lo
+        total = int(counts.sum())
+        if total == 0:
+            return []
+        # Occurrence j of seed s sits at lo[s] + j: one arange shifted
+        # per seed by (lo[s] - seeds' occurrences before s).
+        shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        occurrence = np.arange(total) + shift
+        genomes = self._genomes[occurrence].astype(np.int64)
+        diagonals = self._positions[occurrence] - np.repeat(
+            read_offsets[found], counts
         )
+        order = np.lexsort((diagonals, genomes))
+        genomes, diagonals = genomes[order], diagonals[order]
+        head = np.ones(total, dtype=bool)
+        head[1:] = (genomes[1:] != genomes[:-1]) | (diagonals[1:] != diagonals[:-1])
+        heads = np.flatnonzero(head)
+        support = np.diff(np.append(heads, total))
+        genomes, diagonals = genomes[heads], diagonals[heads]
+        ranked = np.lexsort((diagonals, genomes, -support))
         return [
-            Candidate(genome_index=g, diagonal=d, support=support)
-            for (g, d), support in ranked
+            Candidate(genome_index=g, diagonal=d, support=n)
+            for g, d, n in zip(
+                genomes[ranked].tolist(),
+                diagonals[ranked].tolist(),
+                support[ranked].tolist(),
+            )
         ]
 
 

@@ -7,6 +7,16 @@ pattern groups, and matches slot by slot.  Responses carry the payload
 plus the micro-events (rows activated, flush/CF cycles, write commands)
 that the trace-driven performance model aggregates.
 
+The hardware matches the batches of many subarrays at once; the model
+does the same per :meth:`SieveDevice.query` call.  It loads every
+(subarray, layer) destination in turn, detaches each destination's
+loaded query cells right after its loads
+(:meth:`~repro.sieve.functional.SieveSubarraySim.take_pending`), and
+then matches all of them in a single
+:meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass, so a
+traced run (``sievebench --trace``) reports the whole device match as
+one ``sieve.functional.match_all`` span per call.
+
 This is the model the tests validate against a plain
 :class:`~repro.genomics.database.KmerDatabase`, and the model small
 examples run; the paper-scale benchmarks use the analytic
@@ -211,13 +221,15 @@ class SieveDevice:
         search, then one :meth:`SieveSubarraySim.route_layers` search
         per subarray hit.  Destinations are served in the order of
         their first k-mer, each destination's k-mers in request order.
-        ``batched=True`` (the default) matches each destination's
-        batches in one :meth:`~repro.sieve.functional.SieveSubarraySim.
+        ``batched=True`` (the default) takes each destination's batches
+        right after its loads and matches every destination of the call
+        in one :meth:`~repro.sieve.functional.SieveSubarraySim.
         match_all` pass; ``batched=False`` replays the scalar
         command-by-command :meth:`~repro.sieve.functional.
         SieveSubarraySim.match_slot` path after each load, the
-        reference.  Both produce identical responses and functional
-        counters (the equivalence is test-enforced).
+        reference.  Both produce identical responses, functional
+        counters and per-subarray state (the equivalence is
+        test-enforced).
 
         Responses are returned in request order even though requests to
         different subarrays complete out of order (Section IV-E: the host
@@ -246,11 +258,10 @@ class SieveDevice:
         starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
         bounds = np.append(starts, order.size).tolist()
 
-        hit = np.zeros(count, dtype=bool)
-        payload = np.zeros(count, dtype=np.int64)
-        rows = np.zeros(count, dtype=np.int64)
-        flush = np.zeros(count, dtype=np.int64)
         batch_size = self.layout.queries_per_group
+        served = []
+        results = []
+        taken = []
         for group in np.argsort(order[starts]).tolist():
             positions = routed[order[bounds[group] : bounds[group + 1]]]
             sim = self.subarrays[int(sids[positions[0]])]
@@ -263,15 +274,27 @@ class SieveDevice:
                 self.stats.batches += 1
                 if not batched:
                     outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
-            result = (
-                sim.match_all()
-                if batched
-                else MatchBatch.from_outcomes(layer, outcomes)
+            served.append(positions)
+            if batched:
+                taken.append(sim.take_pending())
+            else:
+                results.append(MatchBatch.from_outcomes(layer, outcomes))
+        if taken:
+            # One match pass over every destination of the call.
+            results.append(taken[0].sim.match_all(*taken))
+
+        hit = np.zeros(count, dtype=bool)
+        payload = np.zeros(count, dtype=np.int64)
+        rows = np.zeros(count, dtype=np.int64)
+        flush = np.zeros(count, dtype=np.int64)
+        if served:
+            positions = np.concatenate(served)
+            hit[positions] = np.concatenate([r.hit for r in results])
+            payload[positions] = np.concatenate([r.payload for r in results])
+            rows[positions] = np.concatenate([r.rows_activated for r in results])
+            flush[positions] = np.concatenate(
+                [r.etm_flush_cycles for r in results]
             )
-            hit[positions] = result.hit
-            payload[positions] = result.payload
-            rows[positions] = result.rows_activated
-            flush[positions] = result.etm_flush_cycles
 
         stats = self.stats
         stats.queries += count

@@ -19,12 +19,23 @@ Everything the trace-driven performance model needs (rows activated,
 flush cycles, CF cycles, write commands) falls out of this simulation,
 and the test suite checks the outcomes against a plain
 :class:`~repro.genomics.database.KmerDatabase`.
+
+Two match paths exist.  :meth:`SieveSubarraySim.match_slot` replays
+step 3 command by command (the reference).
+:meth:`SieveSubarraySim.match_all` computes the same outcomes, counters
+and final state analytically; on its own it matches the batches one
+subarray loaded, and given destinations detached with
+:meth:`SieveSubarraySim.take_pending` it matches every (subarray,
+layer) destination of a :meth:`SieveDevice.query
+<repro.sieve.device.SieveDevice.query>` call in one pass.  A traced run
+therefore books the whole device match, kernels aside, as the self
+time of ``sieve.functional.match_all``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,6 +109,34 @@ class MatchBatch:
                 [o.etm_terminated_early for o in outcomes], dtype=bool
             ),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class PendingMatch:
+    """One destination's loaded query batches, detached from its subarray.
+
+    :meth:`SieveSubarraySim.take_pending` returns the batches loaded
+    since the last match — each load's stored query-block cells,
+    ``(2k, groups, batch size)`` — so the subarray can load another
+    layer before a later :meth:`SieveSubarraySim.match_all` pass
+    matches them together with other destinations.
+    """
+
+    sim: "SieveSubarraySim"
+    layer: int
+    blocks: Tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return sum(block.shape[2] for block in self.blocks)
+
+
+class _PackedLayer(NamedTuple):
+    """One layer's cached match tables (:meth:`SieveSubarraySim._packed_layer`)."""
+
+    words: np.ndarray
+    group_bounds: np.ndarray
+    payloads: np.ndarray
+    ascending: bool
 
 
 def _int_to_bits(value: int, width: int) -> np.ndarray:
@@ -206,13 +245,22 @@ class SieveSubarraySim:
         #: Match-Enable masks keyed by (layer, record count); rebuilt when
         #: references are (re)loaded.
         self._enable_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        #: Packed Region-1 reference words per layer (uint64, MSB-first)
-        #: plus group/segment boundary arrays and whether the stored
-        #: words ascend, built lazily from the stored cells — so
-        #: load-time fault corruption is packed in — and invalidated
-        #: with the enable cache when references are (re)loaded.  Query
-        #: columns are re-packed per batch (they change on every load).
-        self._ref_words_cache: Dict[int, Tuple] = {}
+        #: Per-layer match tables (:meth:`_packed_layer`): packed
+        #: Region-1 reference words (uint64, MSB-first), group bounds,
+        #: decoded hit payloads and whether the stored words ascend,
+        #: built lazily from the stored cells — so load-time fault
+        #: corruption is included — and invalidated with the enable
+        #: cache when references are (re)loaded.  Query columns are
+        #: re-packed per match (they change on every load).
+        self._ref_words_cache: Dict[int, _PackedLayer] = {}
+        #: ``(ids, first reference slot)`` of every ETM segment holding a
+        #: reference column; a layer with fewer references uses the
+        #: prefix whose first slot is below its count.
+        self._segments = np.unique(
+            layout.ref_slot_columns // self.etm.segment_size, return_index=True
+        )
+        for array in self._segments:
+            array.setflags(write=False)
         # Layer occupancy and first-kmer table (subarray controller state).
         per_layer = layout.refs_per_layer
         self._layer_records: List[List[Tuple[int, int]]] = [
@@ -267,8 +315,8 @@ class SieveSubarraySim:
         returns the number of prefetch-width write commands charged
         (Section IV-A: groups x 2k).
 
-        The batch joins the ones :meth:`match_all` will match next; they
-        must all target one layer.
+        The batch joins the ones :meth:`match_all` will match next (or
+        :meth:`take_pending` detaches); they must all target one layer.
         """
         if not queries:
             raise FunctionalError("query batch must be non-empty")
@@ -279,7 +327,7 @@ class SieveSubarraySim:
         if self._pending and layer != self._batch_layer:
             raise FunctionalError(
                 f"batches for layer {self._batch_layer} are pending; "
-                f"match_all() before loading layer {layer}"
+                f"match_all() or take_pending() before loading layer {layer}"
             )
         layout = self.layout
         base = layout.layer_base_row(layer)
@@ -444,43 +492,74 @@ class SieveSubarraySim:
 
     # -- batched matching -----------------------------------------------------
 
-    def _packed_layer(
-        self, layer: int, region1: np.ndarray, enable_cols: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Layer's packed reference words + group/segment boundaries.
+    def take_pending(self) -> PendingMatch:
+        """Detach the batches loaded since the last match.
 
-        Returns ``(ref_words, group_bounds, seg_ids, seg_starts,
-        ascending)``: the occupied Region-1 columns as uint64 words
-        (packed from the stored cells, so load-time fault corruption is
-        included), the per-group slot boundaries, the reduceat
-        boundaries of the occupied ETM segments, and whether the stored
-        words are one word per column and strictly ascending (the
-        precondition of :func:`repro.sieve.kernels.segment_divergence`).
-        All pure functions of the loaded references, cached until
+        The subarray can then load another layer; the returned
+        destination is matched later by a :meth:`match_all` pass that
+        may cover other destinations too (:meth:`SieveDevice.query
+        <repro.sieve.device.SieveDevice.query>` takes each destination
+        right after its loads).
+        """
+        pending, self._pending = self._pending, []
+        return PendingMatch(self, self._batch_layer, tuple(pending))
+
+    def _packed_layer(self, layer: int) -> _PackedLayer:
+        """Layer's packed reference words, group bounds and payloads.
+
+        Region-1 words are packed and Region-2/3 entries decoded from
+        the stored cells, so load-time fault corruption is included:
+        ``payloads[slot]`` is what the Region-2 offset fetch and the
+        Region-3 payload fetch return for a hit on reference ``slot``
+        (the payload decoder wraps a fault-corrupted offset into the
+        layer, so it still addresses *some* Region-3 slot).
+        ``ascending`` says whether the stored words are one word per
+        column and strictly ascending (the precondition of
+        :func:`repro.sieve.kernels.segment_divergence`).  All pure
+        functions of the loaded references, cached until
         :meth:`_load_references` invalidates.
         """
         cached = self._ref_words_cache.get(layer)
-        if cached is None:
-            words = kernels.pack_bit_columns(region1[:, enable_cols])
-            group_bounds = np.searchsorted(
-                self.layout.column_group_index[: enable_cols.size],
-                np.arange(self.layout.num_groups + 1),
-            )
-            seg_ids, seg_starts = np.unique(
-                enable_cols // self.etm.segment_size, return_index=True
-            )
-            # Frozen on entry: shared by every later match and by forked
-            # fleet workers, so no caller may mutate them in place.
-            for array in (words, group_bounds, seg_ids, seg_starts):
-                array.setflags(write=False)
-            ascending = words.shape[0] == 1 and bool(
-                np.all(words[0, 1:] > words[0, :-1])
-            )
-            cached = (words, group_bounds, seg_ids, seg_starts, ascending)
-            self._ref_words_cache[layer] = cached
+        if cached is not None:
+            return cached
+        layout = self.layout
+        num_refs = len(self._layer_records[layer])
+        base = layout.layer_base_row(layer)
+        cells = self.array.peek_rows(0, self.array.rows)
+        words = kernels.pack_bit_columns(
+            cells[base : base + layout.kmer_rows, layout.ref_slot_columns[:num_refs]]
+        )
+        group_bounds = np.searchsorted(
+            layout.column_group_index[:num_refs],
+            np.arange(layout.num_groups + 1),
+        )
+        offset_base = base + layout.kmer_rows
+        orow, oentry = np.divmod(np.arange(num_refs), layout.offsets_per_row)
+        offsets = _bit_rows_to_ints(
+            cells[
+                (offset_base + orow)[:, None],
+                (oentry * OFFSET_BITS)[:, None] + np.arange(OFFSET_BITS),
+            ]
+        ) % layout.refs_per_layer
+        prow, pentry = np.divmod(offsets, layout.payloads_per_row)
+        payloads = _bit_rows_to_ints(
+            cells[
+                (offset_base + layout.offset_rows + prow)[:, None],
+                (pentry * PAYLOAD_BITS)[:, None] + np.arange(PAYLOAD_BITS),
+            ]
+        )
+        # Frozen on entry: shared by every later match and by forked
+        # fleet workers, so no caller may mutate them in place.
+        for array in (words, group_bounds, payloads):
+            array.setflags(write=False)
+        ascending = words.shape[0] == 1 and bool(
+            np.all(words[0, 1:] > words[0, :-1])
+        )
+        cached = _PackedLayer(words, group_bounds, payloads, ascending)
+        self._ref_words_cache[layer] = cached
         return cached
 
-    def match_all(self) -> MatchBatch:
+    def match_all(self, *destinations: PendingMatch) -> MatchBatch:
         """Match every batch loaded since the last call in one pass.
 
         Columnar equivalent of loading each batch and running
@@ -489,170 +568,200 @@ class SieveSubarraySim:
         command at a time, it computes every query's per-column
         *first-divergence* row analytically from Region-1 columns and
         the query replicas each load stored, bit-packed into uint64
-        words (:mod:`repro.sieve.kernels`).  The per-segment
-        first-divergence maxima of all pending queries come from one
+        words (:mod:`repro.sieve.kernels`).
+
+        Given destinations detached by :meth:`take_pending` — from any
+        subarrays of this layout, several layers of one subarray
+        included — it matches those instead of this subarray's own
+        batches, all in the same pass, and returns their columns
+        concatenated in argument order (``layer`` is -1 when they span
+        several layers).  :meth:`SieveDevice.query
+        <repro.sieve.device.SieveDevice.query>` runs one such pass per
+        call, so a traced run shows the whole device match under this
+        method's name.
+
+        The per-segment first-divergence maxima come from one
         sorted-neighbour :func:`~repro.sieve.kernels.segment_divergence`
-        call when the stored cells allow it — a single-word layout
-        (``k <= 32``) whose stored words ascend and whose groups hold
-        identical query replicas — and otherwise from one
-        :func:`~repro.sieve.kernels.first_divergence` sweep per pattern
-        group and loaded batch (multi-word rows, or words or replicas
-        corrupted by faults).  Everything observable is then
-        synthesized for all pending queries at once, bit for bit as the
-        scalar path produces it:
+        call over every destination that passes its guards — a
+        single-word layout (``k <= 32``) whose stored words ascend and
+        whose groups hold identical query replicas — and otherwise from
+        one :func:`~repro.sieve.kernels.first_divergence` sweep per
+        pattern group and loaded batch of that destination (multi-word
+        rows, or words or replicas corrupted by faults).  Everything
+        observable is then synthesized for all queries at once, bit for
+        bit as the scalar path produces it:
 
         * the :class:`MatchBatch` columns, including ``rows_activated``
           under the ETM's one-row-late interrupt semantics and the SR
           drain (``etm_flush_cycles``) from the closed-form SR recurrence;
-        * :class:`~repro.dram.subarray.SubarrayStats` counters (ACT/PRE
-          pairs charged analytically);
-        * matcher / ETM pipeline state after the final query of the
-          final batch.
+        * each subarray's :class:`~repro.dram.subarray.SubarrayStats`
+          counters (ACT/PRE pairs charged analytically);
+        * each subarray's Match-Enable mask (its last destination's
+          layer) and matcher / ETM state after the final query of its
+          last non-empty destination — exactly as one plain
+          ``match_all()`` per destination, in argument order, leaves it.
 
-        Bit-identity with the scalar replay is property-test enforced
-        (tests/test_kernels_properties.py, tests/test_batched_equivalence.py).
+        Per destination only O(1) numpy calls remain (its insertion
+        search, guard and charge); a fallback destination adds its own
+        sweep.  Bit-identity with the scalar replay is property-test
+        enforced (tests/test_kernels_properties.py,
+        tests/test_batched_equivalence.py).
         """
-        layout = self.layout
-        layer = self._batch_layer
-        self.matchers.set_enable(self._layer_enable(layer))
-        pending, self._pending = self._pending, []
-        if not pending:
-            return MatchBatch.from_outcomes(layer, [])
-        num_refs = len(self._layer_records[layer])
-        total_rows = layout.kmer_rows
-        base = layout.layer_base_row(layer)
-        region1 = self.array.peek_rows(base, base + total_rows)
-        enable_cols = layout.ref_slot_columns[:num_refs]
-
-        # Reference words are packed once per layer; each group's query
-        # replica was saved separately at load (each group broadcasts its
-        # own — possibly fault-corrupted — replica).
-        ref_words, group_bounds, seg_ids, seg_starts, ascending = (
-            self._packed_layer(layer, region1, enable_cols)
-        )
-        qbits = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=2)
-        num_queries = qbits.shape[2]
-        seg_max = np.full(
-            (num_queries, self.etm.num_segments), -1, dtype=np.int64
-        )
-        # Sorted-neighbour fast path: both guards read stored cells, so
-        # it is exact for whatever the cells hold — (a) the layer's
-        # words ascend (cached per layer) and (b) every group broadcasts
-        # the same replica of each query, so group 0's replica is the
-        # only one to pack.  Anything else (multi-word rows,
-        # fault-corrupted order or replicas) runs the general per-group
-        # sweep, one loaded batch at a time so no (queries x refs)
-        # matrix spans the whole destination.
-        if ascending and bool(np.all(qbits == qbits[:, :1])):
-            query_words = kernels.pack_bit_columns(qbits[:, 0])
-            seg_div, first_hit, any_hit = kernels.segment_divergence(
-                ref_words[0], query_words[0], total_rows, seg_starts
+        if not destinations:
+            destinations = (self.take_pending(),)
+        elif self._pending:
+            raise FunctionalError(
+                "take_pending() this subarray's batches before matching "
+                "detached destinations"
             )
-            seg_max[:, seg_ids] = seg_div
-            last_div = seg_div.max(axis=1)
-            last_hits = np.arange(num_refs) == first_hit[num_queries - 1]
-        else:
-            any_hit = np.empty(num_queries, dtype=bool)
-            first_hit = np.empty(num_queries, dtype=np.int64)
-            last_div = np.empty(num_queries, dtype=np.int64)
-            stop = 0
-            for block in pending:
+        layout = destinations[0].sim.layout
+        total_rows = layout.kmer_rows
+        layers = {d.layer for d in destinations}
+        batch_layer = layers.pop() if len(layers) == 1 else -1
+        last_of: Dict[SieveSubarraySim, PendingMatch] = {}
+        for d in destinations:
+            if d.sim.layout is not layout and d.sim.layout != layout:
+                raise FunctionalError("a match pass needs destinations of one layout")
+            last_of[d.sim] = d
+        for sim, d in last_of.items():
+            sim.matchers.set_enable(sim._layer_enable(d.layer))
+        live = [d for d in destinations if d.blocks]
+        if not live:
+            return MatchBatch.from_outcomes(batch_layer, [])
+        sizes = [len(d) for d in live]
+        bounds = np.cumsum([0] + sizes)
+        num_queries = int(bounds[-1])
+        blocks = [block for d in live for block in d.blocks]
+        qbits = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+        tables = [d.sim._packed_layer(d.layer) for d in live]
+        num_refs = [table.words.shape[1] for table in tables]
+        ref_base = np.cumsum([0] + num_refs)
+        seg_ids, seg_starts = live[0].sim._segments
+        seg_max = np.full(
+            (num_queries, live[0].sim.etm.num_segments), -1, dtype=np.int64
+        )
+        any_hit = np.empty(num_queries, dtype=bool)
+        first_hit = np.empty(num_queries, dtype=np.int64)
+        last_div = np.empty(num_queries, dtype=np.int64)
+
+        # Sorted-neighbour fast path: both guards read stored cells, so it
+        # is exact for whatever the cells hold — (a) the layer's words
+        # ascend (cached per layer) and (b) every group broadcasts the same
+        # replica of each query, so group 0's replica is the only one to
+        # pack.  A destination of a layer with fewer references covers a
+        # prefix of the layer's segments (the reference columns ascend).
+        replicas = (qbits == qbits[:, :1]).all(axis=(0, 1))
+        fast = np.logical_and.reduceat(replicas, bounds[:-1]) & np.array(
+            [table.ascending for table in tables]
+        )
+        if fast.any():
+            runs = np.flatnonzero(fast).tolist()
+            sel = (
+                slice(None) if fast.all() else np.flatnonzero(np.repeat(fast, sizes))
+            )
+            query_words = kernels.pack_bit_columns(qbits[:, 0, sel])
+            ref_row = np.concatenate([tables[i].words[0] for i in runs])
+            seg_div, hit_slot, hit = kernels.segment_divergence(
+                ref_row,
+                query_words[0],
+                total_rows,
+                seg_starts,
+                runs=(
+                    np.cumsum([0] + [num_refs[i] for i in runs]),
+                    np.cumsum([0] + [sizes[i] for i in runs]),
+                ),
+            )
+            spread = np.full((hit.size, seg_max.shape[1]), -1, dtype=np.int64)
+            spread[:, seg_ids] = seg_div
+            seg_max[sel] = spread
+            last_div[sel] = seg_div.max(axis=1)
+            first_hit[sel] = hit_slot
+            any_hit[sel] = hit
+        # Anything else runs the general per-group sweep, one loaded batch
+        # at a time so no (queries x refs) matrix spans a whole destination.
+        fallback_latches: Dict[int, np.ndarray] = {}
+        for i in np.flatnonzero(~fast).tolist():
+            table = tables[i]
+            used = int(np.searchsorted(seg_starts, num_refs[i]))
+            stop = int(bounds[i])
+            for block in live[i].blocks:
                 start, stop = stop, stop + block.shape[2]
                 qwords = kernels.pack_bit_columns(
                     block.reshape(total_rows, -1)
                 ).reshape(-1, layout.num_groups, block.shape[2])
-                div = np.empty((block.shape[2], num_refs), dtype=np.int64)
+                div = np.empty((block.shape[2], num_refs[i]), dtype=np.int64)
                 for g in range(layout.num_groups):
-                    lo, hi = int(group_bounds[g]), int(group_bounds[g + 1])
+                    lo, hi = int(table.group_bounds[g]), int(table.group_bounds[g + 1])
                     if lo == hi:
                         continue
                     div[:, lo:hi] = kernels.first_divergence(
-                        ref_words[:, lo:hi], qwords[:, g], total_rows
+                        table.words[:, lo:hi], qwords[:, g], total_rows
                     )
                 hit_matrix = div == total_rows
                 any_hit[start:stop] = hit_matrix.any(axis=1)
                 first_hit[start:stop] = hit_matrix.argmax(axis=1)
                 last_div[start:stop] = div.max(axis=1)
-                seg_max[start:stop, seg_ids] = np.maximum.reduceat(
-                    div, seg_starts, axis=1
+                seg_max[start:stop, seg_ids[:used]] = np.maximum.reduceat(
+                    div, seg_starts[:used], axis=1
                 )
-            last_hits = hit_matrix[-1]
+            fallback_latches[i] = layout.ref_slot_columns[: num_refs[i]][hit_matrix[-1]]
 
-        # Outcome synthesis for every pending query: the scalar path's
-        # ETM and SR closed forms.
-        if self.etm_enabled:
-            early = ~any_hit & (last_div <= total_rows - 2)
-        else:
-            early = np.zeros(num_queries, dtype=bool)
-        compares = np.where(
-            any_hit | ~early, total_rows, last_div + 1
-        )
-        rows_act = np.where(early, last_div + 2, total_rows)
-        self.array.charge_untimed_accesses(int(rows_act.sum()))
-
-        # SR drain after the final row (hits consult it): the drain
-        # length counts from the lowest live SR stage.
-        live = _sr_live(seg_max, total_rows)
+        # Outcome synthesis for every query: the scalar path's ETM and SR
+        # closed forms.
+        etm_on = np.repeat([d.sim.etm_enabled for d in live], sizes)
+        early = etm_on & ~any_hit & (last_div <= total_rows - 2)
+        compares = np.where(any_hit | ~early, total_rows, last_div + 1)
+        rows_activated = np.where(early, last_div + 2, total_rows) + 2 * any_hit
+        # SR drain after the final row (hits consult it): the drain length
+        # counts from the lowest live SR stage.
+        num_segments = seg_max.shape[1]
+        live_sr = _sr_live(seg_max, total_rows)
         flush = np.where(
-            any_hit & live.any(axis=1),
-            self.etm.num_segments - live.argmax(axis=1),
-            0,
+            any_hit & live_sr.any(axis=1), num_segments - live_sr.argmax(axis=1), 0
         )
 
-        # Region-2/3 fetches for every hit: peek the stored cells
-        # (activation copies them to the row buffer unchanged) and
-        # charge the two ACT/PRE pairs analytically.  The Column Finder
-        # takes the first live latch (strict=False), which is the lowest
-        # hit column since enable_cols ascend.
+        # Region-2/3 fetches for every hit read the per-layer payload table
+        # decoded from the stored cells; the two ACT/PRE pairs are in
+        # rows_activated.  The Column Finder takes the first live latch
+        # (strict=False): the lowest hit column, since columns ascend.
         hit_pos = np.flatnonzero(any_hit)
         payloads = np.zeros(num_queries, dtype=np.int64)
         columns = np.zeros(num_queries, dtype=np.int64)
         if hit_pos.size:
-            cols = enable_cols[first_hit[hit_pos]].astype(np.int64)
-            columns[hit_pos] = cols
-            group = cols // layout.group_width
-            local = cols - group * layout.group_width
-            qstart = layout.query_col_offset
-            local = np.where(
-                local > qstart, local - layout.queries_per_group, local
-            )
-            ref_slot = group * layout.refs_per_group + local
-            full = self.array.peek_rows(0, self.array.rows)
-            orow_in, oentry = np.divmod(ref_slot, layout.offsets_per_row)
-            obits = full[
-                (base + total_rows + orow_in)[:, None],
-                (oentry * OFFSET_BITS)[:, None] + np.arange(OFFSET_BITS),
+            slots = first_hit[hit_pos]
+            columns[hit_pos] = layout.ref_slot_columns[slots]
+            payload_table = np.concatenate([table.payloads for table in tables])
+            payloads[hit_pos] = payload_table[
+                np.repeat(ref_base[:-1], sizes)[hit_pos] + slots
             ]
-            # The payload decoder wraps (fault-corrupted Region-2 words
-            # must still address some Region-3 slot).
-            offsets = _bit_rows_to_ints(obits) % layout.refs_per_layer
-            prow_in, pentry = np.divmod(offsets, layout.payloads_per_row)
-            pbits = full[
-                (base + total_rows + layout.offset_rows + prow_in)[:, None],
-                (pentry * PAYLOAD_BITS)[:, None] + np.arange(PAYLOAD_BITS),
-            ]
-            payloads[hit_pos] = _bit_rows_to_ints(pbits)
-            self.array.charge_untimed_accesses(2 * hit_pos.size)
+        charges = np.add.reduceat(rows_activated, bounds[:-1]).tolist()
+        for d, charge in zip(live, charges):
+            d.sim.array.charge_untimed_accesses(charge)
 
-        # Matcher/ETM state after the last query, exactly as a scalar
-        # replay leaves it.
-        last = num_queries - 1
-        steps = int(compares[last])
-        latches = np.zeros(layout.row_bits, dtype=np.uint8)
-        if any_hit[last]:
-            latches[enable_cols[last_hits]] = 1
-        self.matchers.load_state(latches, steps)
-        self.etm.load_state(
-            (seg_max[last] >= steps).astype(np.uint8),
-            _sr_live(seg_max[last], steps).astype(np.uint8),
-            steps,
-        )
+        # Matcher/ETM state after each subarray's last query, exactly as a
+        # scalar replay leaves it.
+        final = {d.sim: i for i, d in enumerate(live)}
+        ends = bounds[1:][list(final.values())] - 1
+        steps = compares[ends]
+        states = seg_max[ends]
+        segment_or = (states >= steps[:, None]).astype(np.uint8)
+        sr = _sr_live(states, steps[:, None]).astype(np.uint8)
+        for j, (sim, i) in enumerate(final.items()):
+            end = int(ends[j])
+            latches = np.zeros(layout.row_bits, dtype=np.uint8)
+            if any_hit[end]:
+                if i in fallback_latches:
+                    latches[fallback_latches[i]] = 1
+                else:
+                    latches[layout.ref_slot_columns[first_hit[end]]] = 1
+            sim.matchers.load_state(latches, int(steps[j]))
+            sim.etm.load_state(segment_or[j], sr[j], int(steps[j]))
         return MatchBatch(
-            layer=layer,
+            layer=batch_layer,
             hit=any_hit,
             payload=payloads,
             column=columns,
-            rows_activated=rows_act + 2 * any_hit,
+            rows_activated=rows_activated,
             etm_flush_cycles=flush,
             terminated_early=early,
         )

@@ -29,7 +29,7 @@ mapped copy-on-write, and benchmarks time the kernels from outside.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,13 +97,12 @@ def pack_bit_columns(bits: np.ndarray) -> np.ndarray:
     num_words = words_for(rows)
     if rows == 0:
         return np.zeros((0, cols), dtype=np.uint64)
-    as_bytes = np.packbits(bits, axis=0, bitorder="big")
-    padded = np.zeros((num_words * 8, cols), dtype=np.uint64)
-    padded[: as_bytes.shape[0]] = as_bytes
-    shifts = np.arange(7, -1, -1, dtype=np.uint64) * np.uint64(8)
-    return np.bitwise_or.reduce(
-        padded.reshape(num_words, 8, cols) << shifts[None, :, None], axis=1
-    )
+    # Column-major copy, zero-padded to whole words, so packbits runs
+    # along contiguous memory; each 8-byte run is one big-endian word.
+    padded = np.zeros((cols, num_words * WORD_BITS), dtype=np.uint8)
+    padded[:, :rows] = bits.T
+    big_endian = np.packbits(padded, axis=1, bitorder="big").view(">u8")
+    return np.ascontiguousarray(big_endian.T, dtype=np.uint64)
 
 
 def segment_divergence(
@@ -111,6 +110,7 @@ def segment_divergence(
     query_row: np.ndarray,
     rows: int,
     seg_starts: np.ndarray,
+    runs: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max first-divergence per reference segment, sorted-neighbour form.
 
@@ -119,6 +119,14 @@ def segment_divergence(
     both pack ``rows <= 64`` bit rows (a single-word layout, every
     ``k <= 32``).  ``seg_starts`` are the ascending segment start
     offsets into ``ref_row``, the first one 0.
+
+    ``runs = (ref_bounds, query_bounds)`` matches several destinations
+    in one pass: run ``r`` matches ``query_row[query_bounds[r] :
+    query_bounds[r + 1]]`` against its own non-empty, strictly
+    ascending ``ref_row[ref_bounds[r] : ref_bounds[r + 1]]``, with
+    ``seg_starts`` counted from the run's first reference.  Only the
+    insertion search runs once per run; the rest is one pass over every
+    query.  ``None`` is the single run over all of ``ref_row``.
 
     Against a fixed query ``q``, the first-divergence row of an
     ascending word sequence is unimodal around ``q``'s insertion point
@@ -131,9 +139,11 @@ def segment_divergence(
     sides, so a nonzero word always diverges before ``rows``).
 
     Returns ``(seg_div, hit_slot, any_hit)``: the ``(N, num_segments)``
-    int64 per-segment maxima, and per query the column ``ins`` (clipped
-    into range) plus whether that column equals the query — with unique
-    ascending words it is the only column that can.
+    int64 per-segment maxima (-1 for a segment that starts at or past
+    the end of the query's run: it holds none of its references), and
+    per query the column ``ins`` of its run (clipped into range,
+    counted from the run start) plus whether that column equals the
+    query — with unique ascending words it is the only column that can.
     """
     ref_row = np.asarray(ref_row, dtype=np.uint64)
     query_row = np.asarray(query_row, dtype=np.uint64)
@@ -146,11 +156,47 @@ def segment_divergence(
         raise KernelError(
             f"segment_divergence covers 1..{WORD_BITS} rows, got {rows}"
         )
+    if runs is None:
+        runs = ((0, ref_row.size), (0, query_row.size))
+    ref_bounds = np.asarray(runs[0], dtype=np.intp)
+    query_bounds = np.asarray(runs[1], dtype=np.intp)
+    lengths = np.diff(ref_bounds)
+    counts = np.diff(query_bounds)
+    if (
+        ref_bounds.shape != query_bounds.shape
+        or ref_bounds[0] != 0
+        or query_bounds[0] != 0
+        or ref_bounds[-1] != ref_row.size
+        or query_bounds[-1] != query_row.size
+        or np.any(lengths <= 0)
+        or np.any(counts < 0)
+    ):
+        raise KernelError(
+            "runs must split ref_row into non-empty runs and query_row "
+            "into as many ascending ranges"
+        )
+    ins = np.empty(query_row.size, dtype=np.intp)
+    bounds = zip(
+        ref_bounds.tolist(),
+        ref_bounds[1:].tolist(),
+        query_bounds.tolist(),
+        query_bounds[1:].tolist(),
+    )
+    for ref_lo, ref_hi, query_lo, query_hi in bounds:
+        if query_hi > query_lo:
+            ins[query_lo:query_hi] = np.searchsorted(
+                ref_row[ref_lo:ref_hi], query_row[query_lo:query_hi]
+            )
+    base = np.repeat(ref_bounds[:-1], counts)[:, None]
+    length = np.repeat(lengths, counts)[:, None]
     seg_starts = np.asarray(seg_starts, dtype=np.intp)
-    seg_last = np.append(seg_starts[1:], ref_row.size) - 1
-    ins = np.searchsorted(ref_row, query_row)[:, None]
-    left = ref_row[np.clip(ins - 1, seg_starts, seg_last)]
-    right = ref_row[np.clip(ins, seg_starts, seg_last)]
+    seg_next = np.append(seg_starts[1:], np.iinfo(np.intp).max)
+    seg_last = np.minimum(seg_next, length) - 1
+    # Clamp low then high: a segment past the run's end clamps to the
+    # run's last reference, a valid index whose result is masked below.
+    ins = ins[:, None]
+    left = ref_row[base + np.minimum(np.maximum(ins - 1, seg_starts), seg_last)]
+    right = ref_row[base + np.minimum(np.maximum(ins, seg_starts), seg_last)]
     query = query_row[:, None]
     nearest = np.minimum(left ^ query, right ^ query)
     seg_div = np.where(
@@ -158,8 +204,9 @@ def segment_divergence(
         np.int64(rows),
         WORD_BITS - bit_length64(nearest),
     )
-    hit_slot = np.minimum(ins[:, 0], ref_row.size - 1)
-    return seg_div, hit_slot, ref_row[hit_slot] == query_row
+    seg_div[seg_starts >= length] = -1
+    hit_slot = np.minimum(ins, length - 1)[:, 0]
+    return seg_div, hit_slot, ref_row[base[:, 0] + hit_slot] == query_row
 
 
 def first_divergence(

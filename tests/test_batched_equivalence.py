@@ -526,3 +526,259 @@ def test_device_batched_equals_unbatched_on_mixed_calls(
         assert np.array_equal(sim.matchers.latches, twin.matchers.latches)
         assert sim.etm.cycles == twin.etm.cycles
         assert np.array_equal(sim.etm._sr, twin.etm._sr)
+
+
+# -- one match pass per device call ------------------------------------------
+
+FUSED_LAYOUTS = {
+    # Two ETM segments per row, so short layers use a segment prefix.
+    "narrow": SubarrayLayout(
+        k=6,
+        row_bits=288,
+        rows_per_subarray=160,
+        refs_per_group=32,
+        queries_per_group=4,
+        layers=2,
+    ),
+    # k = 33: two-word rows, so every destination takes the general sweep.
+    "wide": SubarrayLayout(
+        k=33,
+        row_bits=72,
+        rows_per_subarray=256,
+        refs_per_group=8,
+        queries_per_group=4,
+        layers=2,
+    ),
+}
+
+
+def query_per_destination(device, kmers):
+    """``device.query(kmers)`` with one plain ``match_all()`` per
+    destination right after its loads: the reference of the fused pass.
+
+    Routes each k-mer with the scalar ``route_layer``, serves the
+    (subarray, layer) destinations in the order of their first k-mer
+    and charges :class:`DeviceStats` the way ``query`` does."""
+    from repro.api import ResultBatch, key_array
+
+    kmers = key_array(kmers)
+    count = kmers.size
+    sids = device.index.route_many(kmers)
+    destinations = {}
+    for i in np.flatnonzero(sids >= 0).tolist():
+        sim = device.subarrays[int(sids[i])]
+        key = (int(sids[i]), sim.route_layer(int(kmers[i])))
+        destinations.setdefault(key, []).append(i)
+    hit = np.zeros(count, dtype=bool)
+    payload = np.zeros(count, dtype=np.int64)
+    rows = np.zeros(count, dtype=np.int64)
+    flush = np.zeros(count, dtype=np.int64)
+    size = device.layout.queries_per_group
+    for (sid, layer), positions in destinations.items():
+        sim = device.subarrays[sid]
+        for lo in range(0, len(positions), size):
+            batch = [int(kmers[p]) for p in positions[lo : lo + size]]
+            device.stats.write_commands += sim.load_query_batch(batch, layer)
+            device.stats.batches += 1
+        result = sim.match_all()
+        hit[positions] = result.hit
+        payload[positions] = result.payload
+        rows[positions] = result.rows_activated
+        flush[positions] = result.etm_flush_cycles
+    stats = device.stats
+    stats.queries += count
+    stats.index_filtered += int(np.count_nonzero(sids < 0))
+    stats.hits += int(np.count_nonzero(hit))
+    stats.row_activations += int(rows.sum())
+    stats.rows_histogram += np.bincount(rows, minlength=stats.rows_histogram.size)
+    return ResultBatch(kmers, hit, payload, sids, rows, flush)
+
+
+def subarray_state(sim):
+    """Everything a match leaves on one subarray."""
+    return (
+        sim.array.stats,
+        sim.matchers._enable.tolist(),
+        sim.matchers.latches.tolist(),
+        sim.matchers.compare_count,
+        sim.etm.cycles,
+        sim.etm.bsr.tolist(),
+        sim.etm._segment_or.tolist(),
+        sim.etm._sr.tolist(),
+        sim.batch_loads,
+        sim.write_commands,
+    )
+
+
+def subarray_states(device):
+    return {sid: subarray_state(sim) for sid, sim in device.subarrays.items()}
+
+
+def fused_case(name, seed):
+    """(layout, sorted records, calls) of one fused-pass example.
+
+    Calls mix stored k-mers of every layer of every subarray, random
+    misses, index-filtered gaps between subarrays, duplicates and an
+    empty call; the last subarray is part-filled."""
+    layout = FUSED_LAYOUTS[name]
+    rng = np.random.default_rng(seed)
+    space = 1 << (2 * layout.k)
+    count = int(rng.integers(2, 4) * layout.refs_per_subarray + rng.integers(1, 60))
+    keys = set()
+    while len(keys) < count:
+        keys.add((int(rng.integers(0, 1 << 62)) * space) >> 62)
+    records = [(key, int(rng.integers(0, 2**16))) for key in sorted(keys)]
+    stored = [key for key, _ in records]
+    per = layout.refs_per_subarray
+    gaps = [
+        (stored[i - 1] + stored[i]) // 2
+        for i in range(per, len(stored), per)
+        if stored[i] - stored[i - 1] > 1
+    ]
+    calls = [[]]
+    for size in rng.integers(1, 40, size=3).tolist():
+        call = [stored[int(i)] for i in rng.integers(0, len(stored), size)]
+        call += [(int(v) * space) >> 62 for v in rng.integers(0, 1 << 62, size // 2 + 1)]
+        call += gaps + call[: size // 3]
+        calls.append([call[int(i)] for i in rng.permutation(len(call))])
+    return layout, records, calls
+
+
+def _run_fused_case(name, seed, flip_rate):
+    layout, records, calls = fused_case(name, seed)
+    runs = {}
+    for mode in ("fused", "per_destination", "scalar"):
+        # No injector at rate 0: the pristine block-store load path.
+        injector = FaultInjector(FaultModel(bit_flip_rate=flip_rate, seed=seed))
+        with fault_injection(injector) if flip_rate else nullcontext():
+            device = _device_from_records(layout, records)
+            answers = []
+            for call in calls:
+                if mode == "per_destination":
+                    answers.append(query_per_destination(device, call))
+                else:
+                    answers.append(device.query(call, batched=mode == "fused"))
+        runs[mode] = (answers, device, injector)
+    return calls, runs
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(
+    name=st.sampled_from(sorted(FUSED_LAYOUTS)),
+    seed=st.integers(0, 2**31 - 1),
+    # A low rate leaves some layers pristine, so sorted-neighbour and
+    # fallback destinations meet in one pass; a high one corrupts most.
+    flip_rate=st.sampled_from([0.0, 2e-4, 2e-2]),
+)
+def test_fused_pass_equals_per_destination_matching(name, seed, flip_rate):
+    """One ``match_all`` pass over every destination of a call equals a
+    ``match_all()`` per destination and the scalar replay: responses,
+    DeviceStats, each subarray's ACT/PRE counters, Match-Enable,
+    latches, ETM cycles, BSR/segment-OR/SR, and the fault injector's
+    stats and schedule — with and without load-time bit flips, so
+    sorted-neighbour and fallback destinations mix in one call."""
+    calls, runs = _run_fused_case(name, seed, flip_rate)
+    fused_answers, fused, fused_injector = runs["fused"]
+    for mode in ("per_destination", "scalar"):
+        answers, device, injector = runs[mode]
+        assert fused_answers == answers, mode
+        assert fused.stats == device.stats, mode
+        assert subarray_states(fused) == subarray_states(device), mode
+        assert fused_injector.stats == injector.stats, mode
+        assert fused_injector.schedule == injector.schedule, mode
+    assert len(fused_answers[0]) == 0
+
+
+def test_fused_call_covers_two_layers_gaps_and_both_match_paths():
+    """The sampled calls reach what the property test relies on: a
+    subarray served on two layers in one call, index-filtered k-mers,
+    duplicates — and, under faults, sorted-neighbour and fallback
+    destinations in the same ``match_all`` pass."""
+    from unittest import mock
+
+    from repro.sieve import kernels
+
+    layout, records, calls = fused_case("narrow", 3)
+    device = _device_from_records(layout, records)
+    call = calls[-1]
+    sids = device.index.route_many(np.array(call, dtype=np.uint64))
+    assert (sids < 0).any() and len(set(call)) < len(call)
+    destinations = {
+        (int(s), device.subarrays[int(s)].route_layer(k))
+        for s, k in zip(sids, call)
+        if s >= 0
+    }
+    assert len({s for s, _ in destinations}) < len(destinations)
+
+    used = {"segment_divergence": 0, "first_divergence": 0}
+
+    def spy(name):
+        original = getattr(kernels, name)
+
+        def counted(*args, **kwargs):
+            used[name] += 1
+            return original(*args, **kwargs)
+
+        return mock.patch.object(kernels, name, counted)
+
+    passes = []
+    original_match_all = SieveSubarraySim.match_all
+
+    def match_all(self, *destinations):
+        passes.append(len(destinations))
+        return original_match_all(self, *destinations)
+
+    with spy("segment_divergence"), spy("first_divergence"), mock.patch.object(
+        SieveSubarraySim, "match_all", match_all
+    ):
+        _, runs = _run_fused_case("narrow", 3, flip_rate=2e-4)
+    # One pass per non-empty fused call, one plain call per destination
+    # of the reference loop; under faults both kernels ran.
+    assert passes.count(0) > len(calls) - 1
+    assert len([n for n in passes if n]) == len(calls) - 1
+    assert used["segment_divergence"] and used["first_divergence"]
+    assert runs["per_destination"][0] == runs["fused"][0]
+
+
+def test_match_all_over_detached_destinations():
+    """``take_pending`` detaches a destination so the same subarray can
+    load its other layer; ``match_all(*taken)`` then equals one
+    ``match_all()`` per destination, an empty destination only sets
+    the Match-Enable, and own pending batches are refused.  Layer 1
+    holds 144 references, fewer than its second ETM segment's first
+    slot (228), and its last query hits its last reference: the
+    segment past the short layer must stay dead in the ETM state."""
+    layout = FUSED_LAYOUTS["narrow"]
+    size = layout.queries_per_group
+    records = [(key, key % 97) for key in range(0, 4096, 7)][:400]
+    fused, plain, scalar = (SieveSubarraySim(layout, records) for _ in range(3))
+    layer_keys = [
+        [records[0][0], records[3][0] ^ 1, records[9][0]],
+        [records[-1][0], 1, records[-2][0], records[-5][0], records[-1][0]],
+    ]
+    taken, want, outcomes = [], [], []
+    for layer, keys in enumerate(layer_keys):
+        for lo in range(0, len(keys), size):
+            for sim in (fused, plain, scalar):
+                sim.load_query_batch(keys[lo : lo + size], layer)
+            outcomes += [scalar.match_slot(s) for s in range(len(keys[lo : lo + size]))]
+        taken.append(fused.take_pending())
+        want.append(plain.match_all())
+    # An empty destination last: only the Match-Enable follows it.
+    for sim in (fused, plain, scalar):
+        sim.load_query_batch([records[0][0]], 0)
+    with pytest.raises(FunctionalError):
+        fused.match_all(*taken)
+    for sim in (fused, plain, scalar):
+        sim.discard_pending()
+    taken.append(fused.take_pending())
+    want.append(plain.match_all())
+    got = fused.match_all(*taken)
+    assert got.layer == -1 and [len(t) for t in taken] == [3, 5, 0]
+    for reference in (want, [MatchBatch.from_outcomes(-1, outcomes)]):
+        for name, column in _columns([got]).items():
+            assert np.array_equal(column, _columns(reference)[name]), name
+    assert subarray_state(fused) == subarray_state(plain)
+    # The scalar replay last matched layer 1, so only its enable differs.
+    state, replay = subarray_state(fused), subarray_state(scalar)
+    assert state[:1] + state[2:] == replay[:1] + replay[2:]

@@ -303,11 +303,31 @@ def test_trajectory_tabulates_history(tmp_path, capsys):
     }
     for stem, results in runs.items():
         (history / f"{stem}.json").write_text(json.dumps(baseline_for(results)))
-    assert bench_main(["--trajectory", str(history)]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    # The newest payload (run10) has drifted counters: exit 1.
+    assert bench_main(["--trajectory", str(history)]) == 1
+    out, err = capsys.readouterr()
+    header, *rows = out.splitlines()
     assert header.split() == ["scenario", "run9", "run10"]
     assert [row.split() for row in rows] == [
         ["database_build", "0.125", "✓", "0.250", "✗"],
         ["host_lookup", "-", "0.500", "✓"],
     ]
+    assert "database_build" in err
     assert bench_main(["--trajectory", str(tmp_path / "missing")]) == 2
+
+
+def test_trajectory_exit_status_reads_only_the_newest_payload(tmp_path, capsys):
+    """A ``✗`` in an older payload is history; one in the newest fails."""
+    history = tmp_path / "history"
+    history.mkdir()
+    base = [result("database_build", counters={"kmers": 5})]
+    (tmp_path / "BENCH_baseline.json").write_text(json.dumps(baseline_for(base)))
+    old = [result("database_build", counters={"kmers": 6})]
+    (history / "run1.json").write_text(json.dumps(baseline_for(old)))
+    (history / "run2.json").write_text(json.dumps(baseline_for(base)))
+    assert bench_main(["--trajectory", str(history)]) == 0
+    (history / "run3.json").write_text(
+        json.dumps(baseline_for([result("host_lookup")]))
+    )
+    assert bench_main(["--trajectory", str(history)]) == 1
+    assert "host_lookup" in capsys.readouterr().err

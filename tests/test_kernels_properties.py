@@ -212,6 +212,30 @@ class TestFirstDivergence:
             hit_slot[any_hit], hits.argmax(axis=1)[any_hit]
         )
 
+        # Two runs in one call: the whole row, then a prefix of it whose
+        # segments past the prefix hold no reference (-1).
+        cut = data.draw(st.integers(1, num_refs))
+        both = kernels.segment_divergence(
+            np.concatenate([ref_row, ref_row[:cut]]),
+            np.concatenate([query_row, query_row]),
+            rows,
+            seg_starts,
+            runs=((0, num_refs, num_refs + cut), (0, query.size, 2 * query.size)),
+        )
+        used = seg_starts[seg_starts < cut]
+        short = np.full_like(seg_div, -1)
+        short[:, : used.size] = np.maximum.reduceat(full[:, :cut], used, axis=1)
+        short_hits = hits[:, :cut]
+        assert np.array_equal(both[0], np.concatenate([seg_div, short]))
+        assert np.array_equal(
+            both[2], np.concatenate([any_hit, short_hits.any(axis=1)])
+        )
+        found = np.concatenate([any_hit, short_hits.any(axis=1)])
+        assert np.array_equal(
+            both[1][found],
+            np.concatenate([hits.argmax(axis=1), short_hits.argmax(axis=1)])[found],
+        )
+
     def test_word_count_mismatch_rejected(self):
         ref = np.zeros((2, 3), dtype=np.uint64)
         query = np.zeros((1, 2), dtype=np.uint64)
@@ -231,6 +255,9 @@ class TestFirstDivergence:
             kernels.segment_divergence(refs, refs, 65, starts)
         with pytest.raises(KernelError):
             kernels.segment_divergence(refs, refs, 0, starts)
+        for runs in (((0, 2, 2, 4), (0, 1, 2, 4)), ((0, 4), (0, 2, 4)), ((0, 3), (0, 4))):
+            with pytest.raises(KernelError):
+                kernels.segment_divergence(refs, refs, 8, starts, runs=runs)
 
 
 class TestIntBitsRoundTrip:

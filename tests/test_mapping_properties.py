@@ -47,6 +47,7 @@ from repro.fleet.jobs import MappingSweepJob
 from repro.genomics import KmerDatabase, build_dataset
 from repro.genomics.sequence import DnaSequence
 from repro.mapping import (
+    Candidate,
     MappingConfig,
     MappingError,
     ReadMapper,
@@ -426,6 +427,81 @@ def test_canonical_backend_is_a_transparent_superset_filter(small_dataset):
         ]
 
     assert located(forward) == located(canonical)
+
+
+# ---------------------------------------------------------------------------
+# Seed grouping: the array form equals the dict loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def dict_candidates(index: SeedIndex, read_offsets, kmers):
+    """``SeedIndex.candidates`` as a plain dict loop: the reference.
+
+    Every occurrence of every seed votes for ``(genome, position -
+    read_offset)``; buckets rank by descending support, then ``(genome,
+    diagonal)``."""
+    votes = {}
+    for read_offset, kmer in zip(read_offsets, kmers):
+        for genome_index, position in index.occurrences(kmer):
+            bucket = (genome_index, position - read_offset)
+            votes[bucket] = votes.get(bucket, 0) + 1
+    ranked = sorted(votes.items(), key=lambda item: (-item[1], item[0]))
+    return [Candidate(g, d, support) for (g, d), support in ranked]
+
+
+@st.composite
+def seed_case(draw):
+    """Short repetitive genomes (many repeated k-mers, so support ties
+    and multi-occurrence seeds are common) and seeds that mix present
+    k-mers, absent ones, and offsets past their occurrences (negative
+    diagonals)."""
+    k = draw(st.integers(1, 4))
+    genomes = [
+        DnaSequence(f"g{i}", bases, taxon_id=i + 1)
+        for i, bases in enumerate(
+            draw(
+                st.lists(
+                    st.text(alphabet="ACGT", min_size=k, max_size=40),
+                    min_size=1,
+                    max_size=3,
+                )
+            )
+        )
+    ]
+    present = sorted({kmer for g in genomes for kmer in g.kmer_list(k)})
+    kmer = st.one_of(
+        st.sampled_from(present), st.integers(0, (1 << (2 * k)) - 1)
+    )
+    seeds = draw(st.lists(st.tuples(st.integers(0, 60), kmer), max_size=40))
+    return k, genomes, seeds
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=seed_case())
+def test_array_candidates_equal_dict_reference(case):
+    k, genomes, seeds = case
+    index = SeedIndex.from_genomes(genomes, k)
+    offsets = np.array([o for o, _ in seeds], dtype=np.int64)
+    kmers = np.array([q for _, q in seeds], dtype=np.uint64)
+    got = index.candidates(offsets, kmers)
+    assert got == dict_candidates(index, offsets.tolist(), kmers.tolist())
+    assert index.candidates(offsets[:0], kmers[:0]) == []
+
+
+def test_candidates_rank_ties_and_negative_diagonals():
+    genome = DnaSequence("g0", "ACGTACGTAC", taxon_id=1)
+    index = SeedIndex.from_genomes([genome, genome], 4)
+    acgt = index.occurrences(0b00011011)  # ACGT at 0 and 4, both genomes
+    assert acgt == [(0, 0), (0, 4), (1, 0), (1, 4)]
+    absent = 0b11111111  # TTTT
+    got = index.candidates(
+        np.array([0, 4, 9, 6]), np.array([0b00011011] * 3 + [absent])
+    )
+    assert got == dict_candidates(index, [0, 4, 9, 6], [0b00011011] * 3 + [absent])
+    # Diagonal 0 gets two votes per genome (offsets 0 and 4 agree);
+    # the rest tie at one vote and rank by (genome, diagonal).
+    assert got[:2] == [Candidate(0, 0, 2), Candidate(1, 0, 2)]
+    assert [c.diagonal for c in got[2:5]] == [-9, -5, -4]
 
 
 # ---------------------------------------------------------------------------
