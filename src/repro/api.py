@@ -442,22 +442,11 @@ class ScalarQueryBackendBase(QueryBackendBase):
         return results
 
 
-def __getattr__(name: str) -> Any:
-    # `Classification` is an alias for the shared per-read result type;
-    # resolved lazily to keep this module a leaf.
-    if name == "Classification":
-        from .baselines.classifier import ClassificationResult
-
-        return ClassificationResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ApiError",
     "BackendCapabilities",
     "BackendResult",
     "BackendStats",
-    "Classification",
     "QueryBackend",
     "QueryBackendBase",
     "ResultBatch",

@@ -458,7 +458,6 @@ def bench_service_cached(quick: bool) -> Tuple[float, Dict[str, int]]:
         "wall_uncached_s": wall_u,
         "wall_cached_s": wall_c,
         "wall_saved_s": wall_u - wall_c,
-        "cache_saved_wall_ms": cache["saved_wall_ms"],
     }
     return wall_u + wall_c, counters, extras
 

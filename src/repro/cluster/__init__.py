@@ -24,10 +24,9 @@ independent devices):
   output is bit-identical to the sequential scalar path at any
   (worker processes x shards-per-process) combination
   (golden-enforced at 1/2/4 workers);
-* rolling restart/drain and replica autoscaling
-  (:class:`ClusterAutoscaler`, driven by the ``stats()`` bottleneck
-  report) are exercised by the chaos harness with exactly-once
-  semantics, verified online by the
+* rolling restart/drain (exercised mid-trace by the chaos harness)
+  and scale-up/scale-down handoffs (:meth:`ClusterBackend.scale_to`)
+  keep exactly-once semantics, verified online by the
   :class:`~repro.analysiskit.ScheduleSanitizer`'s cluster events
   (worker spawn/drain/exit, partition handoff, fan-out/reply/merge).
 
@@ -43,11 +42,8 @@ from .partition import (
 )
 from .worker import WorkerSpec, worker_main
 from .backend import ClusterBackend, ClusterError
-from .autoscale import AutoscalePolicy, ClusterAutoscaler
 
 __all__ = [
-    "AutoscalePolicy",
-    "ClusterAutoscaler",
     "ClusterBackend",
     "ClusterError",
     "ConsistentHashRing",

@@ -10,7 +10,7 @@ Two layers, deliberately separate:
 2. **partition -> shard slot** (:class:`ConsistentHashRing`) is
    consistent hashing with virtual nodes.  Adding or removing a slot
    moves only the partitions whose ring arcs change hands (~P/N for P
-   partitions on N slots), which is what keeps autoscaling handoffs
+   partitions on N slots), which is what keeps scale-up/scale-down handoffs
    and rolling restarts cheap.
 
 The k-mer hash is the splitmix64 finalizer — a full-width 64-bit

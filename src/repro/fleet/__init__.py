@@ -42,15 +42,14 @@ from .golden import (
 )
 from .jobs import (
     BenchJob,
-    ClusterReplayJob,
     DeviceSimJob,
     EspAblationJob,
     ExperimentJob,
     PerfPointJob,
+    ReplayJob,
     SanitizerProbeJob,
     SegmentLookupJob,
     SteadyStateJob,
-    TraceReplayJob,
     Type1FunctionalJob,
 )
 
@@ -84,14 +83,13 @@ __all__ = [
     "payload_to_figure",
     "update_goldens",
     "BenchJob",
-    "ClusterReplayJob",
     "DeviceSimJob",
     "EspAblationJob",
     "ExperimentJob",
     "PerfPointJob",
+    "ReplayJob",
     "SanitizerProbeJob",
     "SegmentLookupJob",
     "SteadyStateJob",
-    "TraceReplayJob",
     "Type1FunctionalJob",
 ]

@@ -9,7 +9,8 @@ the golden differ) never sees a live model object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Tuple
 
 from .core import FleetError, Job
@@ -595,20 +596,28 @@ class BenchJob(Job):
 
 
 @dataclass(frozen=True)
-class TraceReplayJob(Job):
+class ReplayJob(Job):
     """Deterministic service replay of a saved workload trace.
 
     The worker loads the :class:`repro.workloads.Trace` artifact,
     rebuilds the reference dataset from the parameters embedded in the
-    trace, serves the trace in the deterministic pre-enqueue mode
-    (optionally through the hot-k-mer cache), and reports the
-    classification outcome plus the cache's work split.  Like
-    :class:`SegmentLookupJob`, identity is by *content*: the cache
-    digest and key fold in the trace's SHA-256 content hash, so results
-    cache by what the trace contains, not where the file lives — and a
-    regenerated-but-identical trace is a cache hit.  Every payload field
-    is a pure function of the trace and the config (no wall times), so
-    the job is safely cacheable.
+    trace and serves the trace in the deterministic pre-enqueue mode
+    (optionally through dedup and the hot-k-mer cache).  The backend is
+    ``num_shards`` in-process :class:`~repro.sieve.SieveDevice`
+    replicas when ``workers == 0``; otherwise one
+    :class:`repro.cluster.ClusterBackend` (``num_shards`` is then
+    unused) whose forked workers open the reference from
+    content-hashed mmap segments in a scratch directory and slice out
+    only their owned partitions.
+
+    Identity is by *content*, like :class:`SegmentLookupJob`: the key
+    and cache digest fold in the trace's SHA-256, so a moved or
+    regenerated-but-identical trace is a cache hit.  The payload is a
+    pure function of the trace and the fields (no wall times): the
+    classification digest the trace-replay goldens pin, the service
+    counters, a ``cache`` block when dedup or the cache is on, and for
+    a cluster its residency facts (no worker holds a full build; owned
+    records sum to the reference).
     """
 
     trace_path: str = ""
@@ -617,107 +626,19 @@ class TraceReplayJob(Job):
     dedup: bool = False
     cache_capacity: int = 0
     cache_self_check: bool = False
-
-    def key(self) -> str:
-        return (
-            f"{type(self).__name__}("
-            f"trace=<content:{self.cache_token()}>,"
-            f"num_shards={self.num_shards!r},"
-            f"max_batch_kmers={self.max_batch_kmers!r},"
-            f"dedup={self.dedup!r},"
-            f"cache_capacity={self.cache_capacity!r},"
-            f"cache_self_check={self.cache_self_check!r})"
-        )
-
-    def cache_token(self) -> str:
-        from ..workloads import Trace
-
-        return Trace.load(self.trace_path).content_hash()
-
-    def run(self, seed: int) -> Dict[str, Any]:
-        from ..service import ClassificationService, ServiceConfig
-        from ..sieve import SieveDevice
-        from ..workloads import Trace, replay_trace
-
-        trace = Trace.load(self.trace_path)
-        dataset = trace.rebuild_dataset()
-        config = ServiceConfig(
-            num_shards=self.num_shards,
-            max_batch_kmers=self.max_batch_kmers,
-            max_linger_s=0.0,
-            queue_depth=len(trace),
-            dedup=self.dedup,
-            cache_capacity=self.cache_capacity,
-            cache_self_check=self.cache_self_check,
-        )
-        backends = [
-            SieveDevice.from_database(dataset.database)
-            for _ in range(self.num_shards)
-        ]
-        service = ClassificationService(backends, config)
-        responses = replay_trace(service, trace)
-        stats = service.stats()
-        counters = stats["metrics"]["counters"]
-        correct = sum(
-            1
-            for req, resp in zip(trace.requests, responses)
-            if resp.classification.taxon == req.taxon_id
-        )
-        payload = {
-            "trace_hash": trace.content_hash(),
-            "requests": len(responses),
-            "batches": counters["batches_total"],
-            "kmers": counters["kmers_total"],
-            "hits": counters["hits_total"],
-            "classified": sum(
-                1 for r in responses if r.classification.taxon is not None
-            ),
-            "correct": correct,
-            "sim_time_ns": int(stats["clocks"]["sim_time_ns"]),
-        }
-        if "cache" in stats:
-            cache = stats["cache"]
-            payload["cache"] = {
-                "hit_kmers": cache["hit_kmers"],
-                "dedup_kmers": cache["dedup_kmers"],
-                "device_kmers": cache["device_kmers"],
-                "evictions": cache["evictions"],
-                "self_checked_kmers": cache["self_checked_kmers"],
-            }
-        return payload
-
-
-@dataclass(frozen=True)
-class ClusterReplayJob(Job):
-    """Trace replay through a multi-process consistent-hash cluster.
-
-    Same content-addressed identity as :class:`TraceReplayJob` (the key
-    folds in the trace's SHA-256), but the service fronts a single
-    :class:`repro.cluster.ClusterBackend` instead of in-process shard
-    replicas: the reference is persisted to content-hashed mmap
-    segments in a scratch directory, forked workers each open the
-    mapping and slice out only their owned partitions, and the replay
-    digest must match the sequential path bit-for-bit at any topology.
-    The payload carries the classification digest plus residency facts
-    (no worker holds a full build; owned records sum to the reference)
-    so fleet sweeps over ``workers`` double as partition-coverage
-    checks.
-    """
-
-    trace_path: str = ""
-    workers: int = 2
+    workers: int = 0
     shards_per_worker: int = 1
     partitions: int = 32
-    max_batch_kmers: int = 128
 
     def key(self) -> str:
+        rest = "".join(
+            f",{f.name}={getattr(self, f.name)!r}"
+            for f in fields(self)
+            if f.name != "trace_path"
+        )
         return (
             f"{type(self).__name__}("
-            f"trace=<content:{self.cache_token()}>,"
-            f"workers={self.workers!r},"
-            f"shards_per_worker={self.shards_per_worker!r},"
-            f"partitions={self.partitions!r},"
-            f"max_batch_kmers={self.max_batch_kmers!r})"
+            f"trace=<content:{self.cache_token()}>{rest})"
         )
 
     def cache_token(self) -> str:
@@ -731,61 +652,90 @@ class ClusterReplayJob(Job):
         from ..cluster import ClusterBackend
         from ..serialization import save_segments
         from ..service import ClassificationService, ClusterConfig, ServiceConfig
+        from ..sieve import SieveDevice
         from ..workloads import Trace, classification_digest, replay_trace
 
         trace = Trace.load(self.trace_path)
         dataset = trace.rebuild_dataset()
-        config = ServiceConfig(
-            num_shards=1,
-            max_batch_kmers=self.max_batch_kmers,
-            max_linger_s=0.0,
-            queue_depth=len(trace),
-            cluster=ClusterConfig(
-                workers=self.workers,
-                shards_per_worker=self.shards_per_worker,
-                partitions=self.partitions,
-            ),
-        )
-        with tempfile.TemporaryDirectory(prefix="sieve-cluster-") as segdir:
-            save_segments(dataset.database, segdir)
-            backend = ClusterBackend(segdir, cluster=config.cluster)
-            try:
-                service = ClassificationService([backend], config)
-                responses = replay_trace(service, trace)
-                stats = service.stats()
-                counters = stats["metrics"]["counters"]
-                rows = backend.cluster_stats()
+        with contextlib.ExitStack() as stack:
+            if self.workers:
+                segdir = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="sieve-cluster-")
+                )
+                save_segments(dataset.database, segdir)
+                cluster = ClusterBackend(
+                    segdir,
+                    cluster=ClusterConfig(
+                        workers=self.workers,
+                        shards_per_worker=self.shards_per_worker,
+                        partitions=self.partitions,
+                    ),
+                )
+                stack.callback(cluster.close)
+                backends = [cluster]
+            else:
+                backends = [
+                    SieveDevice.from_database(dataset.database)
+                    for _ in range(self.num_shards)
+                ]
+            config = ServiceConfig(
+                num_shards=len(backends),
+                max_batch_kmers=self.max_batch_kmers,
+                max_linger_s=0.0,
+                queue_depth=len(trace),
+                dedup=self.dedup,
+                cache_capacity=self.cache_capacity,
+                cache_self_check=self.cache_self_check,
+            )
+            service = ClassificationService(backends, config)
+            responses = replay_trace(service, trace)
+            stats = service.stats()
+            counters = stats["metrics"]["counters"]
+            payload: Dict[str, Any] = {
+                "trace_hash": trace.content_hash(),
+                "classification_digest": classification_digest(responses),
+                "requests": len(responses),
+                "batches": counters["batches_total"],
+                "kmers": counters["kmers_total"],
+                "hits": counters["hits_total"],
+                "classified": sum(
+                    1 for r in responses if r.classification.taxon is not None
+                ),
+                "correct": sum(
+                    1
+                    for req, resp in zip(trace.requests, responses)
+                    if resp.classification.taxon == req.taxon_id
+                ),
+                "sim_time_ns": int(stats["clocks"]["sim_time_ns"]),
+            }
+            if "cache" in stats:
+                payload["cache"] = {
+                    name: stats["cache"][name]
+                    for name in (
+                        "hit_kmers",
+                        "dedup_kmers",
+                        "device_kmers",
+                        "evictions",
+                        "self_checked_kmers",
+                    )
+                }
+            if self.workers:
+                rows = cluster.cluster_stats()
                 residents = [
                     row["resident"]
                     for row in rows["workers"]
                     if row["state"] == "live"
                 ]
-                correct = sum(
-                    1
-                    for req, resp in zip(trace.requests, responses)
-                    if resp.classification.taxon == req.taxon_id
-                )
-                return {
-                    "trace_hash": trace.content_hash(),
-                    "classification_digest": classification_digest(responses),
-                    "requests": len(responses),
-                    "batches": counters["batches_total"],
-                    "kmers": counters["kmers_total"],
-                    "hits": counters["hits_total"],
-                    "correct": correct,
-                    "sim_time_ns": int(stats["clocks"]["sim_time_ns"]),
-                    "live_workers": rows["live_workers"],
-                    "partitions": rows["partitions"],
-                    "full_build": any(r["full_build"] for r in residents),
-                    "owned_records": sum(
-                        r["owned_records"] for r in residents
-                    ),
-                    "total_records": max(
+                payload.update(
+                    live_workers=rows["live_workers"],
+                    partitions=rows["partitions"],
+                    full_build=any(r["full_build"] for r in residents),
+                    owned_records=sum(r["owned_records"] for r in residents),
+                    total_records=max(
                         (r["total_records"] for r in residents), default=0
                     ),
-                }
-            finally:
-                backend.close()
+                )
+        return payload
 
 
 @dataclass(frozen=True)
@@ -812,72 +762,3 @@ class SanitizerProbeJob(Job):
         if self.violate:
             sanitizer.observe_command("fleet-probe", "RD", 3)
         return {"sanitizer_active": True, "violated": False}
-
-
-@dataclass(frozen=True)
-class ServiceLoadJob(Job):
-    """One deterministic async-service load run (:mod:`repro.service`).
-
-    Runs the classification service in its reproducible mode — every
-    request pre-enqueued, zero linger, single-threaded event loop — so
-    batch composition and every counter in the payload are a pure
-    function of the fields and the derived seed.  Uncacheable because
-    the payload also carries a measured wall time.
-    """
-
-    cacheable: ClassVar[bool] = False
-
-    num_shards: int = 2
-    max_batch_kmers: int = 128
-    num_reads: int = 20
-    read_length: int = 70
-
-    def run(self, seed: int) -> Dict[str, Any]:
-        import asyncio
-        import time
-
-        from ..genomics import build_dataset
-        from ..service import ClassificationService, ServiceConfig
-        from ..sieve import SieveDevice
-
-        dataset = build_dataset(
-            k=13,
-            num_species=4,
-            genome_length=400,
-            num_reads=self.num_reads,
-            read_length=self.read_length,
-            seed=seed % 2**31,
-        )
-        config = ServiceConfig(
-            num_shards=self.num_shards,
-            max_batch_kmers=self.max_batch_kmers,
-            max_linger_s=0.0,
-            queue_depth=self.num_reads,
-        )
-        backends = [
-            SieveDevice.from_database(dataset.database)
-            for _ in range(self.num_shards)
-        ]
-        service = ClassificationService(backends, config)
-
-        async def serve():
-            futures = [service.submit(read) for read in dataset.reads]
-            await service.start()
-            responses = await asyncio.gather(*futures)
-            await service.stop(drain=True)
-            return responses
-
-        start = time.perf_counter()
-        responses = asyncio.run(serve())
-        wall_s = time.perf_counter() - start
-        counters = service.metrics.snapshot()["counters"]
-        return {
-            "requests": len(responses),
-            "batches": counters["batches_total"],
-            "kmers": counters["kmers_total"],
-            "hits": counters["hits_total"],
-            "classified": sum(
-                1 for r in responses if r.classification.taxon is not None
-            ),
-            "wall_s": wall_s,
-        }

@@ -28,11 +28,11 @@ identical whether extension runs inline, in the service dispatcher's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api import BackendResult, QueryBackend, ResultBatch
+from ..api import QueryBackend, ResultBatch
 from ..genomics.sequence import DnaSequence
 from .aligner import semiglobal_distance
 from .cost import HostExtensionModel, InsituExtensionModel
@@ -182,15 +182,13 @@ class SeedExtender:
     def extend(
         self,
         read: DnaSequence,
-        results: Union[ResultBatch, Sequence[BackendResult]],
+        results: ResultBatch,
     ) -> MappingResult:
         """Map one read from its per-k-mer filter answers (pure).
 
         ``results`` is the read's slice of a backend's
-        :class:`~repro.api.ResultBatch` (a record list is read through
-        :meth:`~repro.api.ResultBatch.from_results`); the seeds are its
-        hit positions and their ``queries``."""
-        results = ResultBatch.from_results(results)
+        :class:`~repro.api.ResultBatch`; the seeds are its hit positions
+        and their ``queries``."""
         expected = read.kmer_count(self.k)
         if len(results) != expected:
             raise MappingError(

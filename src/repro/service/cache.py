@@ -49,11 +49,11 @@ by the dispatcher and passed into :meth:`price_batch`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence, Tuple, Union
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..api import BackendResult, ResultBatch
+from ..api import ResultBatch
 from ..genomics.encoding import canonical_kmers
 
 
@@ -243,12 +243,10 @@ class KmerResultCache:
         self.insertions = 0
         self.evictions = 0
         self.self_checked_kmers = 0
-        # -- two-clock savings, priced at the observed per-device-k-mer
-        # batch cost (see price_batch) --
+        # -- simulated-time savings, priced at the observed
+        # per-device-k-mer batch cost (see price_batch) --
         self.saved_sim_ns = 0.0
-        self.saved_wall_ms = 0.0
         self._priced_sim_ns = 0.0
-        self._priced_wall_ms = 0.0
         self._priced_device_kmers = 0
 
     def __len__(self) -> int:
@@ -311,17 +309,16 @@ class KmerResultCache:
     def complete(
         self,
         plan: BatchCachePlan,
-        device_results: Union[ResultBatch, Sequence[BackendResult]],
+        device: ResultBatch,
     ) -> ResultBatch:
         """Fan the answers out to every position and absorb the new ones.
 
-        ``device_results`` answers ``plan.device_kmers`` in order.  The
+        ``device`` answers ``plan.device_kmers`` in order.  The
         returned batch matches ``plan.queries`` position for position
         (its ``queries`` column *is* ``plan.queries``), so the
         dispatcher's per-request slicing is untouched by caching and a
         canonical key serves both strands under the k-mer each asked.
         """
-        device = ResultBatch.from_results(device_results)
         if len(device) != plan.device_keys.size:
             raise CacheError(
                 f"device answered {len(device)} k-mers, plan sent "
@@ -338,15 +335,13 @@ class KmerResultCache:
     def self_check(
         self,
         plan: BatchCachePlan,
-        served: Union[ResultBatch, Sequence[BackendResult]],
-        reference: Union[ResultBatch, Sequence[BackendResult]],
+        served: ResultBatch,
+        reference: ResultBatch,
     ) -> None:
         """Shadow-mode verification: served answers must equal the
         device's fresh answers on ``(query, hit, payload)`` — the
         fields classification depends on.  Raises
         :class:`CacheCoherencyError` on the first divergence."""
-        served = ResultBatch.from_results(served)
-        reference = ResultBatch.from_results(reference)
         if len(served) != len(reference):
             raise CacheCoherencyError(
                 f"cache served {len(served)} results for a batch of "
@@ -374,32 +369,25 @@ class KmerResultCache:
         plan: BatchCachePlan,
         device_executed_kmers: int,
         sim_ns: float,
-        wall_ms: float,
     ) -> None:
-        """Accrue two-clock savings for one batch.
+        """Accrue simulated-time savings for one batch.
 
         ``device_executed_kmers`` is what the backend actually ran
         (``len(plan.device_keys)`` normally; the full batch in shadow
-        mode), and ``sim_ns``/``wall_ms`` its measured cost.  Saved
-        k-mers (dedup folds + cache hits) are priced at this batch's
-        per-device-k-mer cost, falling back to the running average when
-        the whole batch was served from cache.  Deterministic on the
-        simulated clock; the wall figure inherits host timing noise and
-        is reported but never baseline-compared.
+        mode), and ``sim_ns`` its simulated cost.  Saved k-mers (dedup
+        folds + cache hits) are priced at this batch's per-device-k-mer
+        cost, falling back to the running average when the whole batch
+        was served from cache.
         """
         if device_executed_kmers > 0:
             self._priced_sim_ns += sim_ns
-            self._priced_wall_ms += wall_ms
             self._priced_device_kmers += device_executed_kmers
             per_ns = sim_ns / device_executed_kmers
-            per_ms = wall_ms / device_executed_kmers
         elif self._priced_device_kmers > 0:
             per_ns = self._priced_sim_ns / self._priced_device_kmers
-            per_ms = self._priced_wall_ms / self._priced_device_kmers
         else:
             return
         self.saved_sim_ns += plan.saved_kmers * per_ns
-        self.saved_wall_ms += plan.saved_kmers * per_ms
 
     # -- LFU internals -----------------------------------------------------
 
@@ -504,7 +492,6 @@ class KmerResultCache:
                 else 0.0
             ),
             "saved_sim_ns": self.saved_sim_ns,
-            "saved_wall_ms": self.saved_wall_ms,
         }
 
 

@@ -626,9 +626,7 @@ class ShardWorker:
                 results = served
             else:
                 results = self.cache.complete(plan, results)
-            self.cache.price_batch(
-                plan, device_executed, sim_ns, wall_batch_ms
-            )
+            self.cache.price_batch(plan, device_executed, sim_ns)
             m.counter("cache_hit_keys_total").inc(plan.cache_hits)
             m.counter("cache_miss_keys_total").inc(len(plan.device_keys))
             m.counter("dedup_kmers_total").inc(plan.dedup_kmers)

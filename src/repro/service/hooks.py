@@ -70,7 +70,7 @@ def install(observer: Any) -> None:
       exited (drained restarts and scale-downs only; owned partitions
       must have been handed off or respawned),
     * ``on_partition_handoff(scope, partition, from_worker, to_worker)``
-      — partition ownership moved (autoscaling rebalance),
+      — partition ownership moved (``scale_to`` rebalance),
     * ``on_cluster_fanout(scope, qid, worker_id, num_kmers)`` — a
       micro-batch slice was sent to an owning worker,
     * ``on_cluster_reply(scope, qid, worker_id, num_kmers)`` — that

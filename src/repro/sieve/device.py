@@ -185,28 +185,6 @@ class SieveDevice:
         }
         return cls(index, subarrays, layout, geometry, canonical=database.canonical)
 
-    @classmethod
-    def from_segments(
-        cls,
-        segment_dir,
-        layout: Optional[SubarrayLayout] = None,
-        geometry: Optional[DramGeometry] = None,
-        etm_enabled: bool = True,
-    ) -> "SieveDevice":
-        """Load a device from a persisted mmap segment directory.
-
-        Routes :meth:`from_database` through :meth:`KmerDatabase.
-        open_mmap`, so a replica boots from the same content-hashed
-        image the :mod:`repro.cluster` workers map — the transpose
-        reads the shared read-only arrays instead of a rebuilt dict.
-        """
-        return cls.from_database(
-            KmerDatabase.open_mmap(segment_dir),
-            layout=layout,
-            geometry=geometry,
-            etm_enabled=etm_enabled,
-        )
-
     # -- query paths ----------------------------------------------------------
 
     def query(

@@ -16,7 +16,7 @@ into content-addressed artifacts the whole toolchain can replay:
   and golden drives through (plus a paced live mode for demos).
 
 Consumers: ``repro.bench`` (``service_load`` / ``service_cached``),
-``repro.fleet.jobs.TraceReplayJob`` (keyed on the content hash), the
+``repro.fleet.jobs.ReplayJob`` (keyed on the content hash), the
 ``python -m repro.service`` demo (``--trace``), and the trace-replay
 golden tests (``docs/TESTING.md``).
 """

@@ -14,7 +14,7 @@ it the unit the bench/fleet layers key on:
 * **content-addressed** — :meth:`Trace.content_hash` is a SHA-256 over
   the canonical JSON payload, so the fleet cache and the goldens key
   on what the trace *contains*, not where it lives or when it was
-  generated (the :class:`~repro.fleet.jobs.TraceReplayJob` pattern).
+  generated (the :class:`~repro.fleet.jobs.ReplayJob` pattern).
 
 Traces are deliberately plain data: no live model objects, no numpy
 arrays, nothing the golden differ or the on-disk cache cannot diff.

@@ -89,8 +89,8 @@ class ScalarCache:
             ),
             0,
         )
-        self.saved_sim_ns = self.saved_wall_ms = 0.0
-        self.priced_sim_ns = self.priced_wall_ms = 0.0
+        self.saved_sim_ns = 0.0
+        self.priced_sim_ns = 0.0
         self.priced_device_kmers = 0
 
     def plan(self, flat: Sequence[int]) -> _ScalarPlan:
@@ -168,19 +168,16 @@ class ScalarCache:
                 raise CacheCoherencyError(f"divergence at {pos}")
         self.counts["self_checked_kmers"] += len(served)
 
-    def price_batch(self, plan, executed: int, sim_ns: float, wall_ms: float) -> None:
+    def price_batch(self, plan, executed: int, sim_ns: float) -> None:
         if executed > 0:
             self.priced_sim_ns += sim_ns
-            self.priced_wall_ms += wall_ms
             self.priced_device_kmers += executed
-            per_ns, per_ms = sim_ns / executed, wall_ms / executed
+            per_ns = sim_ns / executed
         elif self.priced_device_kmers > 0:
             per_ns = self.priced_sim_ns / self.priced_device_kmers
-            per_ms = self.priced_wall_ms / self.priced_device_kmers
         else:
             return
         self.saved_sim_ns += plan.saved_kmers * per_ns
-        self.saved_wall_ms += plan.saved_kmers * per_ms
 
     def counters(self) -> Dict[str, Any]:
         lookups = self.counts["lookup_kmers"]
@@ -192,7 +189,6 @@ class ScalarCache:
             "saved_kmers": lookups - self.counts["device_kmers"],
             "hit_rate": self.counts["hit_kmers"] / lookups if lookups else 0.0,
             "saved_sim_ns": self.saved_sim_ns,
-            "saved_wall_ms": self.saved_wall_ms,
         }
 
     def stored(self) -> List[Tuple[int, int, int, bool, Optional[int]]]:
@@ -257,7 +253,7 @@ def _serve(cache, plan, flat, canonical: bool, shadow: bool):
             device_results = ResultBatch.from_results(device_results)
         served = cache.complete(plan, device_results)
         executed = len(sent)
-    cache.price_batch(plan, executed, 10.0 * executed, 0.5 * executed)
+    cache.price_batch(plan, executed, 10.0 * executed)
     return served
 
 

@@ -19,8 +19,6 @@ import pytest
 
 from repro.api import classification_from_results
 from repro.cluster import (
-    AutoscalePolicy,
-    ClusterAutoscaler,
     ClusterBackend,
     ClusterError,
     ConsistentHashRing,
@@ -288,89 +286,6 @@ class TestPartitionStore:
         assert resident["owned_partitions"] == [0, 1, 2]
         assert resident["total_records"] == len(small_dataset.database)
         assert 0 < resident["owned_records"] < resident["total_records"]
-
-
-class _FakeCluster:
-    """Records ``scale_to`` calls without forking anything."""
-
-    def __init__(self, workers=2):
-        self.workers = workers
-        self.calls = []
-
-    def live_workers(self):
-        return list(range(self.workers))
-
-    def scale_to(self, target):
-        self.calls.append(target)
-        self.workers = target
-
-
-def _stats(depth):
-    return {"health": {"shards": [{"queue_depth": depth}]}}
-
-
-class TestAutoscaler:
-    def test_scales_up_on_sustained_backlog(self):
-        fake = _FakeCluster(workers=1)
-        scaler = ClusterAutoscaler(
-            fake, AutoscalePolicy(max_workers=3, sustain_ticks=2)
-        )
-        assert scaler.observe_and_tick(_stats(20)) is None
-        assert scaler.observe_and_tick(_stats(20)) == 2
-        assert fake.calls == [2]
-        assert scaler.decisions[0]["kind"] == "scale-up"
-
-    def test_burst_does_not_scale(self):
-        fake = _FakeCluster(workers=1)
-        scaler = ClusterAutoscaler(fake, AutoscalePolicy(sustain_ticks=2))
-        scaler.observe_and_tick(_stats(20))
-        scaler.observe_and_tick(_stats(0))  # streak broken
-        assert scaler.observe_and_tick(_stats(20)) is None
-        assert fake.calls == []
-
-    def test_scales_down_after_idle(self):
-        fake = _FakeCluster(workers=3)
-        scaler = ClusterAutoscaler(
-            fake, AutoscalePolicy(min_workers=1, idle_ticks=3)
-        )
-        results = [scaler.observe_and_tick(_stats(0)) for _ in range(3)]
-        assert results[-1] == 2
-        assert fake.calls == [2]
-
-    def test_respects_bounds(self):
-        fake = _FakeCluster(workers=2)
-        scaler = ClusterAutoscaler(
-            fake, AutoscalePolicy(min_workers=2, max_workers=2)
-        )
-        for _ in range(10):
-            scaler.observe_and_tick(_stats(50))
-        for _ in range(10):
-            scaler.observe_and_tick(_stats(0))
-        assert fake.calls == []
-
-    def test_cooldown_is_deterministic(self):
-        def run():
-            fake = _FakeCluster(workers=1)
-            scaler = ClusterAutoscaler(
-                fake,
-                AutoscalePolicy(max_workers=4, sustain_ticks=1, seed=7),
-            )
-            for _ in range(8):
-                scaler.observe_and_tick(_stats(30))
-            return [(d["tick"], d["to_workers"], d["cooldown"])
-                    for d in scaler.decisions]
-
-        first = run()
-        assert first == run()
-        assert len(first) >= 2  # cooldown expires and it scales again
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalePolicy(min_workers=0)
-        with pytest.raises(ValueError):
-            AutoscalePolicy(min_workers=3, max_workers=2)
-        with pytest.raises(ValueError):
-            AutoscalePolicy(step=0)
 
 
 class TestClusterConfigValidation:

@@ -40,6 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ResultBatch
 from repro.cluster import ClusterBackend
 from repro.faults import FaultInjector, FaultModel, fault_injection
 from repro.fleet.core import FleetError
@@ -771,7 +772,7 @@ def test_extender_rejects_mismatched_inputs(small_dataset):
         small_dataset.genomes,
     )
     with pytest.raises(MappingError):
-        extender.extend(small_dataset.reads[0], [])
+        extender.extend(small_dataset.reads[0], ResultBatch.from_results([]))
 
 
 def test_read_mapper_rejects_k_mismatch(small_dataset):

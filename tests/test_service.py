@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import classification_from_results
+from repro.api import ResultBatch, classification_from_results
 from repro.service import (
     CacheCoherencyError,
     ClassificationService,
@@ -693,7 +693,6 @@ class TestHotKmerCache:
         cache = service.stats()["cache"]
         assert cache["hit_rate"] > 0.0
         assert cache["saved_sim_ns"] > 0.0
-        assert cache["saved_wall_ms"] >= 0.0
 
     @pytest.mark.parametrize("overrides", CACHE_MODES)
     def test_counters_deterministic_across_runs(
@@ -705,14 +704,9 @@ class TestHotKmerCache:
             )
             asyncio.run(serve_all(service, small_dataset.reads))
             stats = service.stats()
-            # saved_wall_ms inherits host-clock noise; everything else
-            # must replay exactly.
-            cache = {
-                k: v for k, v in stats["cache"].items() if "wall" not in k
-            }
             return (
                 stats["metrics"]["counters"],
-                cache,
+                stats["cache"],
                 stats["clocks"]["sim_time_ns"],
             )
 
@@ -822,13 +816,16 @@ class TestKmerResultCacheUnit:
         plan = cache.plan([1, 2, 1])
         assert plan.device_keys.tolist() == [1, 2]
         assert plan.dedup_kmers == 1
-        cache.complete(plan, [self._result(1, 10), self._result(2)])
+        cache.complete(
+            plan,
+            ResultBatch.from_results([self._result(1, 10), self._result(2)]),
+        )
         return cache
 
     def test_plan_complete_fans_out_dedup(self):
         cache = self._filled()
         full = cache.complete(
-            cache.plan([2, 1, 2]), []
+            cache.plan([2, 1, 2]), ResultBatch.from_results([])
         )  # both keys now cached: no device work
         assert [r.query for r in full] == [2, 1, 2]
         assert [r.payload for r in full] == [None, 10, None]
@@ -839,9 +836,9 @@ class TestKmerResultCacheUnit:
         cache = self._filled(capacity=2)
         # Touch key 1 (freq 2+...), leave key 2 cold, then insert 3:
         # the cold key 2 must be the eviction victim.
-        cache.complete(cache.plan([1]), [])
+        cache.complete(cache.plan([1]), ResultBatch.from_results([]))
         plan = cache.plan([3])
-        cache.complete(plan, [self._result(3, 30)])
+        cache.complete(plan, ResultBatch.from_results([self._result(3, 30)]))
         assert cache._store.keys.tolist() == [1, 3]
         assert cache.evictions == 1
 
@@ -852,7 +849,9 @@ class TestKmerResultCacheUnit:
                 plan = cache.plan(batch)
                 cache.complete(
                     plan,
-                    [self._result(k, k * 10) for k in plan.device_kmers],
+                    ResultBatch.from_results(
+                        [self._result(k, k * 10) for k in plan.device_kmers]
+                    ),
                 )
             return cache._store.keys.tolist(), cache.counters()
 
@@ -862,7 +861,10 @@ class TestKmerResultCacheUnit:
         cache = KmerResultCache(0, 5, False)
         plan = cache.plan([4, 4, 5])
         assert plan.dedup_kmers == 1
-        cache.complete(plan, [self._result(4, 1), self._result(5, 2)])
+        cache.complete(
+            plan,
+            ResultBatch.from_results([self._result(4, 1), self._result(5, 2)]),
+        )
         assert len(cache) == 0
         assert cache.plan([4]).device_keys.tolist() == [4]  # still a miss
 
@@ -880,7 +882,7 @@ class TestKmerResultCacheUnit:
         assert len(plan.device_keys) == 1
         canon = canonical_kmer(fwd, k)
         result = self._result(fwd, 42)
-        full = cache.complete(plan, [result])
+        full = cache.complete(plan, ResultBatch.from_results([result]))
         assert [r.query for r in full] == [fwd, rev]
         assert all(r.payload == 42 for r in full)
         assert cache.plan([rev]).cache_hits == 1
@@ -890,17 +892,22 @@ class TestKmerResultCacheUnit:
         cache = KmerResultCache(4, 5, False)
         plan = cache.plan([1, 2])
         with pytest.raises(CacheError):
-            cache.complete(plan, [self._result(1, 1)])
+            cache.complete(plan, ResultBatch.from_results([self._result(1, 1)]))
 
     def test_self_check_flags_divergence(self):
         cache = KmerResultCache(4, 5, False)
         plan = cache.plan([1])
-        served = [self._result(1, 10)]
+        served = ResultBatch.from_results([self._result(1, 10)])
         assert (
-            cache.self_check(plan, served, [self._result(1, 10)]) is None
+            cache.self_check(
+                plan, served, ResultBatch.from_results([self._result(1, 10)])
+            )
+            is None
         )
         with pytest.raises(CacheCoherencyError):
-            cache.self_check(plan, served, [self._result(1, 11)])
+            cache.self_check(
+                plan, served, ResultBatch.from_results([self._result(1, 11)])
+            )
 
 
 class TestInteractionMatrix:
@@ -990,19 +997,3 @@ class TestInteractionMatrix:
                 true_taxon=read.taxon_id,
             )
             assert response.classification == expected
-
-
-def test_service_load_job_counters_are_deterministic():
-    from repro.fleet.core import run_jobs
-    from repro.fleet.jobs import ServiceLoadJob
-
-    payloads = [
-        run_jobs([ServiceLoadJob(num_reads=10)], max_workers=1)[0]
-        for _ in range(2)
-    ]
-    strip = [
-        {k: v for k, v in p.items() if k != "wall_s"} for p in payloads
-    ]
-    assert strip[0] == strip[1]
-    assert strip[0]["requests"] == 10
-    assert strip[0]["batches"] >= 1

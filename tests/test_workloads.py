@@ -411,74 +411,79 @@ class TestClusterReplayGolden:
 
 
 # ---------------------------------------------------------------------------
-# TraceReplayJob (fleet integration)
+# ReplayJob (fleet integration)
 # ---------------------------------------------------------------------------
 
-
-class TestTraceReplayJob:
-    def test_key_is_content_addressed(self, tmp_path):
-        from repro.fleet import TraceReplayJob
-
-        trace = Trace.load(DATA_DIR / "zipf_trace.json")
-        copy = trace.save(tmp_path / "elsewhere" / "renamed.json")
-        a = TraceReplayJob(trace_path=str(DATA_DIR / "zipf_trace.json"))
-        b = TraceReplayJob(trace_path=str(copy))
-        assert a.key() == b.key()
-        assert trace.content_hash() in a.key()
-        c = TraceReplayJob(
-            trace_path=str(copy), dedup=True, cache_capacity=64
-        )
-        assert c.key() != a.key()
-
-    def test_run_payload_deterministic_and_cache_reported(self):
-        from repro.fleet import TraceReplayJob
-
-        path = str(DATA_DIR / "zipf_trace.json")
-        job = TraceReplayJob(trace_path=path, dedup=True, cache_capacity=512)
-        first = job.run(seed=0)
-        second = job.run(seed=0)
-        assert first == second
-        golden = _load_golden()
-        assert first["trace_hash"] == golden["content_hash"]
-        assert first["requests"] == 40
-        assert first["cache"]["device_kmers"] < first["kmers"]
-        plain = TraceReplayJob(trace_path=path).run(seed=0)
-        assert "cache" not in plain
-        # Answers (and therefore the hit/classified tallies) must not
-        # depend on the cache mode.
-        for field in ("hits", "classified", "correct", "kmers"):
-            assert first[field] == plain[field]
+#: Cache fields of a ``ReplayJob`` config (off, or dedup + LFU cache).
+_UNCACHED = dict(dedup=False, cache_capacity=0)
+_CACHED = dict(dedup=True, cache_capacity=512)
 
 
-class TestClusterReplayJob:
-    def test_key_is_content_addressed(self, tmp_path):
-        from repro.fleet import ClusterReplayJob
+class TestReplayJob:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_key_is_content_addressed(self, tmp_path, workers):
+        from repro.fleet import ReplayJob
 
         trace = Trace.load(DATA_DIR / "zipf_trace.json")
         copy = trace.save(tmp_path / "elsewhere" / "renamed.json")
-        a = ClusterReplayJob(trace_path=str(DATA_DIR / "zipf_trace.json"))
-        b = ClusterReplayJob(trace_path=str(copy))
+        a = ReplayJob(
+            trace_path=str(DATA_DIR / "zipf_trace.json"), workers=workers
+        )
+        b = ReplayJob(trace_path=str(copy), workers=workers)
         assert a.key() == b.key()
         assert trace.content_hash() in a.key()
-        assert ClusterReplayJob(
-            trace_path=str(copy), workers=4
-        ).key() != a.key()
+        assert str(copy) not in b.key()
+        for changed in (
+            ReplayJob(trace_path=str(copy), workers=workers, **_CACHED),
+            ReplayJob(trace_path=str(copy), workers=workers + 1),
+        ):
+            assert changed.key() != a.key()
 
-    def test_digest_matches_sequential_golden(self):
-        from repro.fleet import ClusterReplayJob
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(num_shards=1, **_UNCACHED),
+            dict(num_shards=2, **_UNCACHED),
+            dict(num_shards=1, **_CACHED),
+            dict(num_shards=2, **_CACHED),
+            dict(workers=2, partitions=16, **_UNCACHED),
+        ],
+        ids=["1-shard", "2-shard", "1-shard-cached", "2-shard-cached", "cluster"],
+    )
+    def test_digest_matches_golden(self, fields):
+        from repro.fleet import ReplayJob
 
         golden = _load_golden()
-        job = ClusterReplayJob(
-            trace_path=str(DATA_DIR / golden["trace_file"]),
-            workers=2,
-            partitions=16,
-        )
-        payload = job.run(seed=0)
+        payload = ReplayJob(
+            trace_path=str(DATA_DIR / golden["trace_file"]), **fields
+        ).run(seed=0)
         assert (
             payload["classification_digest"]
             == golden["classification_digest"]
         )
         assert payload["trace_hash"] == golden["content_hash"]
-        assert payload["live_workers"] == 2
-        assert payload["full_build"] is False
-        assert payload["owned_records"] == payload["total_records"]
+        assert payload["requests"] == 40
+        cached = fields["dedup"] or fields["cache_capacity"] > 0
+        assert ("cache" in payload) == cached
+        if cached:
+            assert payload["cache"]["device_kmers"] < payload["kmers"]
+        if fields.get("workers"):
+            assert payload["live_workers"] == fields["workers"]
+            assert payload["full_build"] is False
+            assert payload["owned_records"] == payload["total_records"]
+        else:
+            assert "live_workers" not in payload
+
+    def test_payload_is_deterministic_across_runs(self):
+        from repro.fleet import ReplayJob, run_jobs
+
+        job = ReplayJob(
+            trace_path=str(DATA_DIR / "zipf_trace.json"),
+            cache_self_check=True,
+            **_CACHED,
+        )
+        first, second = (
+            run_jobs([job], max_workers=1)[0] for _ in range(2)
+        )
+        assert first == second
+        assert first["cache"]["self_checked_kmers"] == first["kmers"]
