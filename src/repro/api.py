@@ -284,23 +284,17 @@ class BackendStats:
 class BackendCapabilities:
     """Static facts a dispatcher needs to drive a backend.
 
-    ``max_batch`` is the engine's *natural* batch granularity (the
-    Sieve device's queries-per-group); 0 means the engine has no
-    preferred size.  ``simulated_latency`` marks engines whose
-    :meth:`QueryBackendBase.batch_cost` prices batches in simulated
-    device time rather than returning zero.  ``degraded`` marks an
-    engine built (or rebuilt) under an active fault model
-    (:mod:`repro.faults`): its answers may be corrupted, and a
-    dispatcher should surface that in health reporting.
+    ``k`` and ``canonical`` fix the query key space (the service checks
+    that every shard agrees on both).  ``degraded`` marks an engine
+    built (or rebuilt) under an active fault model (:mod:`repro.faults`):
+    its answers may be corrupted, and a dispatcher should surface that
+    in health reporting.
     """
 
     name: str
     kind: str
     k: int
     canonical: bool
-    batched: bool = True
-    max_batch: int = 0
-    simulated_latency: bool = False
     degraded: bool = False
 
 

@@ -163,6 +163,5 @@ class ClarkClassifier(ScalarQueryBackendBase):
             kind="host-hash-table",
             k=self.k,
             canonical=self.canonical,
-            batched=False,
             degraded=self.degraded,
         )

@@ -199,6 +199,5 @@ class KrakenClassifier(ScalarQueryBackendBase):
             kind="host-signature-index",
             k=self.k,
             canonical=self.canonical,
-            batched=False,
             degraded=self.degraded,
         )

@@ -110,6 +110,5 @@ class SortedListClassifier(ScalarQueryBackendBase):
             kind="host-sorted-list",
             k=self.k,
             canonical=self.canonical,
-            batched=False,
             degraded=self.degraded,
         )

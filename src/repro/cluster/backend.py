@@ -138,14 +138,6 @@ class ClusterBackend(QueryBackendBase):
             out[w].sort()
         return out
 
-    def _emit(self, event: str, *args: Any) -> None:
-        observer = hooks.OBSERVER
-        if observer is None:
-            return
-        handler = getattr(observer, event, None)
-        if handler is not None:
-            handler(self, *args)
-
     def _spawn(self, worker_id: int, partitions: List[int]) -> _WorkerHandle:
         handle = self._workers.get(worker_id)
         if handle is None:
@@ -173,36 +165,32 @@ class ClusterBackend(QueryBackendBase):
         )
         process.start()
         child_conn.close()
-        try:
-            ready = parent_conn.recv()
-        except EOFError:
-            raise ClusterError(
-                f"worker {worker_id} died before reporting ready"
-            ) from None
-        if not ready.get("ok"):
-            raise ClusterError(
-                f"worker {worker_id} failed to start: {ready.get('error')}"
-            )
         handle.generation = generation
         handle.process = process
         handle.conn = parent_conn
+        ready = self._recv(handle)
         handle.partitions = sorted(partitions)
         handle.state = "live"
         handle.resident = ready["resident"]
         self._partition_worker[handle.partitions] = worker_id
-        self._emit(
-            "on_worker_spawned",
-            worker_id,
-            generation,
-            list(handle.partitions),
-        )
+        if hooks.OBSERVER is not None:
+            hooks.OBSERVER.on_worker_spawned(
+                self, worker_id, generation, list(handle.partitions)
+            )
         return handle
 
-    def _rpc(self, handle: _WorkerHandle, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _recv(
+        self, handle: _WorkerHandle, qid: Optional[int] = None, size: int = 0
+    ) -> Dict[str, Any]:
+        """The worker's next reply, checked.
+
+        A dead pipe and a reply without ``ok`` raise
+        :class:`ClusterError`; so does a query reply (``qid`` given)
+        that answers another query or not exactly ``size`` k-mers.
+        """
         try:
-            handle.conn.send(message)
             reply = handle.conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
+        except (EOFError, OSError) as exc:
             raise ClusterError(
                 f"worker {handle.worker_id} (gen {handle.generation}) "
                 f"died mid-request: {exc!r}"
@@ -211,7 +199,34 @@ class ClusterBackend(QueryBackendBase):
             raise ClusterError(
                 f"worker {handle.worker_id} failed: {reply.get('error')}"
             )
+        if qid is not None:
+            if reply.get("qid") != qid:
+                raise ClusterError(
+                    f"worker {handle.worker_id} answered query "
+                    f"{reply.get('qid')}, expected {qid}"
+                )
+            answered = len(reply["hit"])
+            if answered != size or len(reply["payload"]) != answered:
+                raise ClusterError(
+                    f"worker {handle.worker_id} answered {answered} k-mers "
+                    f"for a {size}-k-mer slice"
+                )
         return reply
+
+    def _send(self, handle: _WorkerHandle, message: Dict[str, Any]) -> None:
+        """Send ``message`` to the worker; a dead pipe raises
+        :class:`ClusterError`."""
+        try:
+            handle.conn.send(message)
+        except OSError as exc:
+            raise ClusterError(
+                f"worker {handle.worker_id} (gen {handle.generation}) "
+                f"died mid-request: {exc!r}"
+            ) from None
+
+    def _rpc(self, handle: _WorkerHandle, message: Dict[str, Any]) -> Dict[str, Any]:
+        self._send(handle, message)
+        return self._recv(handle)
 
     def _live_handle(self, worker_id: int) -> _WorkerHandle:
         handle = self._workers.get(worker_id)
@@ -263,40 +278,23 @@ class ClusterBackend(QueryBackendBase):
         # FIFO and the set of owners is a pure function of the batch,
         # so the schedule — and therefore the merged output — replays
         # identically run to run.
+        observer = hooks.OBSERVER
         for worker_id, indices in zip(owners.tolist(), slices):
             handle = self._live_handle(worker_id)
-            self._emit("on_cluster_fanout", qid, worker_id, len(indices))
-            handle.conn.send(
-                {"op": "query", "qid": qid, "kmers": queries[indices]}
+            if observer is not None:
+                observer.on_cluster_fanout(self, qid, worker_id, len(indices))
+            self._send(
+                handle, {"op": "query", "qid": qid, "kmers": queries[indices]}
             )
         for worker_id, indices in zip(owners.tolist(), slices):
-            handle = self._workers[worker_id]
-            try:
-                reply = handle.conn.recv()
-            except (EOFError, OSError) as exc:
-                raise ClusterError(
-                    f"worker {worker_id} died mid-query: {exc!r}"
-                ) from None
-            if not reply.get("ok"):
-                raise ClusterError(
-                    f"worker {worker_id} failed: {reply.get('error')}"
-                )
-            if reply.get("qid") != qid:
-                raise ClusterError(
-                    f"worker {worker_id} answered query "
-                    f"{reply.get('qid')}, expected {qid}"
-                )
-            answered = len(reply["hit"])
-            if answered != len(indices) or len(reply["payload"]) != answered:
-                raise ClusterError(
-                    f"worker {worker_id} answered {answered} k-mers "
-                    f"for a {len(indices)}-k-mer slice"
-                )
-            self._emit("on_cluster_reply", qid, worker_id, answered)
+            reply = self._recv(self._workers[worker_id], qid, len(indices))
+            if observer is not None:
+                observer.on_cluster_reply(self, qid, worker_id, len(indices))
             hit[indices] = reply["hit"]
             payload[indices] = reply["payload"]
         merged = ResultBatch(queries, hit, payload)
-        self._emit("on_cluster_merged", qid, len(merged))
+        if observer is not None:
+            observer.on_cluster_merged(self, qid, len(merged))
         self._backend_stats.record(merged)
         return merged
 
@@ -306,7 +304,6 @@ class ClusterBackend(QueryBackendBase):
             kind="multiprocess-consistent-hash",
             k=self.k,
             canonical=self.canonical,
-            batched=True,
             degraded=self._degraded,
         )
 
@@ -320,10 +317,7 @@ class ClusterBackend(QueryBackendBase):
         sanitizer's cluster events verify exactly that.
         """
         handle = self._live_handle(worker_id)
-        handle.state = "draining"
-        self._emit("on_worker_draining", worker_id, handle.generation)
-        self._shutdown_process(handle)
-        self._emit("on_worker_exited", worker_id, handle.generation)
+        self._retire(handle)
         self._spawn(worker_id, handle.partitions)
         self._restart_count += 1
 
@@ -380,9 +374,10 @@ class ClusterBackend(QueryBackendBase):
             old_owner = int(self._partition_worker[partition])
             if new_owner != old_owner:
                 moves.setdefault(old_owner, []).append(partition)
-                self._emit(
-                    "on_partition_handoff", partition, old_owner, new_owner
-                )
+                if hooks.OBSERVER is not None:
+                    hooks.OBSERVER.on_partition_handoff(
+                        self, partition, old_owner, new_owner
+                    )
                 self._partition_worker[partition] = new_owner
         # 3. Push the complete new owned set to every affected worker.
         touched = set(moves)
@@ -404,21 +399,19 @@ class ClusterBackend(QueryBackendBase):
         for worker_id in current:
             if worker_id >= target_workers:
                 handle = self._workers[worker_id]
-                handle.state = "draining"
-                self._emit(
-                    "on_worker_draining", worker_id, handle.generation
-                )
-                self._shutdown_process(handle)
-                self._emit(
-                    "on_worker_exited", worker_id, handle.generation
-                )
+                self._retire(handle)
                 handle.partitions = []
 
-    def _shutdown_process(self, handle: _WorkerHandle) -> None:
+    def _retire(self, handle: _WorkerHandle) -> None:
+        """Drain a live worker and exit its process."""
+        handle.state = "draining"
+        if hooks.OBSERVER is not None:
+            hooks.OBSERVER.on_worker_draining(
+                self, handle.worker_id, handle.generation
+            )
         try:
-            handle.conn.send({"op": "exit"})
-            handle.conn.recv()  # the "bye" ack
-        except (EOFError, BrokenPipeError, OSError):
+            self._rpc(handle, {"op": "exit"})  # the reply is the "bye" ack
+        except ClusterError:
             pass  # already gone; join below reaps it either way
         handle.conn.close()
         handle.process.join(timeout=30)
@@ -426,6 +419,10 @@ class ClusterBackend(QueryBackendBase):
             handle.process.terminate()
             handle.process.join(timeout=5)
         handle.state = "exited"
+        if hooks.OBSERVER is not None:
+            hooks.OBSERVER.on_worker_exited(
+                self, handle.worker_id, handle.generation
+            )
 
     # -- observability / lifecycle ------------------------------------------
 
@@ -455,7 +452,6 @@ class ClusterBackend(QueryBackendBase):
             "live_workers": len(self.live_workers()),
             "shards_per_worker": self.config.shards_per_worker,
             "partitions": self.config.partitions,
-            "strategy": self.config.strategy,
             "virtual_nodes": self.config.virtual_nodes,
             "segment_dir": self.segment_dir,
             "content_hash": self.content_hash,
@@ -469,11 +465,7 @@ class ClusterBackend(QueryBackendBase):
             return
         self._closed = True
         for worker_id in self.live_workers():
-            handle = self._workers[worker_id]
-            handle.state = "draining"
-            self._emit("on_worker_draining", worker_id, handle.generation)
-            self._shutdown_process(handle)
-            self._emit("on_worker_exited", worker_id, handle.generation)
+            self._retire(self._workers[worker_id])
 
     def __enter__(self) -> "ClusterBackend":
         return self

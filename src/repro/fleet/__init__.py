@@ -48,7 +48,6 @@ from .jobs import (
     PerfPointJob,
     ReplayJob,
     SanitizerProbeJob,
-    SegmentLookupJob,
     SteadyStateJob,
     Type1FunctionalJob,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "PerfPointJob",
     "ReplayJob",
     "SanitizerProbeJob",
-    "SegmentLookupJob",
     "SteadyStateJob",
     "Type1FunctionalJob",
 ]

@@ -226,15 +226,18 @@ def default_cache() -> Optional[ResultCache]:
 # ---------------------------------------------------------------------------
 
 
-def _sanitize_active() -> bool:
-    """Whether workers must install the DRAM protocol sanitizer."""
+def sanitize_active() -> bool:
+    """Whether forked workers must install the runtime sanitizers."""
     from ..analysiskit import active_sanitizer, sanitize_requested
 
     return active_sanitizer() is not None or sanitize_requested()
 
 
-def _worker_init(sanitize: bool) -> None:
-    """Per-worker setup: mark nesting, forward the sanitizer."""
+def worker_init(sanitize: bool) -> None:
+    """Per-forked-process setup (pool initializer and cluster worker
+    entry): mark fleet nesting so a worker never nests another pool,
+    and re-install both runtime sanitizers when the parent ran
+    sanitized."""
     global _in_worker
     _in_worker = True
     if sanitize:
@@ -250,37 +253,17 @@ def _execute(job: Job) -> Any:
     return job.run(derive_seed(job.key()))
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap workers, test-defined jobs resolvable); fall
-    back to the platform default elsewhere."""
+def fork_context() -> multiprocessing.context.BaseContext:
+    """The process-spawn context of fleet pools and cluster workers.
+
+    Prefers fork, falling back to the platform default elsewhere: fork
+    keeps worker start cheap and lets a child inherit the parent's
+    module state (test-defined jobs and classes resolve, the mmap'd
+    segment pages stay shared copy-on-write).
+    """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-def fork_context() -> multiprocessing.context.BaseContext:
-    """The fleet's process-spawn context (fork-preferred), public.
-
-    The seam :mod:`repro.cluster` builds its shard-worker processes on:
-    fork keeps worker start cheap and — critically for the cluster —
-    lets a child inherit the parent's module state (test-defined
-    classes resolve, the mmap'd segment pages stay shared
-    copy-on-write).
-    """
-    return _pool_context()
-
-
-def worker_init(sanitize: bool) -> None:
-    """Per-forked-process setup (public counterpart of the pool
-    initializer): mark fleet nesting so a worker never nests another
-    pool, and re-install both runtime sanitizers when the parent ran
-    sanitized."""
-    _worker_init(sanitize)
-
-
-def sanitize_active() -> bool:
-    """Whether forked workers should install the sanitizers (public)."""
-    return _sanitize_active()
 
 
 def run_jobs(
@@ -325,9 +308,9 @@ def run_jobs(
     else:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(pending)),
-            mp_context=_pool_context(),
-            initializer=_worker_init,
-            initargs=(_sanitize_active(),),
+            mp_context=fork_context(),
+            initializer=worker_init,
+            initargs=(sanitize_active(),),
         ) as pool:
             for i, payload in zip(pending, pool.map(_execute, [jobs[i] for i in pending])):
                 results[i] = payload

@@ -234,67 +234,6 @@ class Type1FunctionalJob(Job):
         }
 
 
-@dataclass(frozen=True)
-class SegmentLookupJob(Job):
-    """Bit-accurate device lookups against an mmap-opened segment image.
-
-    The worker opens the reference database read-only via
-    :meth:`~repro.genomics.KmerDatabase.open_mmap` — no per-process
-    build, the mapped pages are shared — loads it into a Sieve device
-    and runs a deterministic query mix (half present keys, half random
-    probes).  The cache digest folds in the segment *content hash*
-    (:meth:`cache_token`), so results cache by what the directory holds,
-    not where it lives.
-    """
-
-    db_segments: str = ""
-    num_queries: int = 200
-
-    def key(self) -> str:
-        """Identity by segment *content*, not location: two directories
-        holding byte-identical segments yield the same key (same derived
-        seed, same cache digest); an edited directory yields a new one."""
-        return (
-            f"{type(self).__name__}("
-            f"db_segments=<content:{self.cache_token()}>,"
-            f"num_queries={self.num_queries!r})"
-        )
-
-    def cache_token(self) -> str:
-        from ..serialization import read_segment_manifest
-
-        return str(read_segment_manifest(self.db_segments)["content_hash"])
-
-    def run(self, seed: int) -> Dict[str, Any]:
-        import numpy as np
-
-        from ..genomics import KmerDatabase
-        from ..sieve import SieveDevice
-
-        database = KmerDatabase.open_mmap(self.db_segments)
-        device = SieveDevice.from_database(database)
-        rng = np.random.default_rng(seed % 2**31)
-        keys = database.sorted_kmers()
-        present = [
-            keys[int(i)]
-            for i in rng.integers(0, len(keys), size=self.num_queries // 2)
-        ]
-        probes = [
-            int(x)
-            for x in rng.integers(0, 4**database.k, size=self.num_queries // 2)
-        ]
-        responses = device.query(present + probes)
-        return {
-            "db_records": len(database),
-            "queries": device.stats.queries,
-            "hits": device.stats.hits,
-            "row_activations": device.stats.row_activations,
-            "write_commands": device.stats.write_commands,
-            "batches": device.stats.batches,
-            "responses": len(responses),
-        }
-
-
 #: Functional designs accepted by :class:`FaultSweepJob`.
 FAULT_DESIGNS = ("database", "sieve", "type1", "rowmajor")
 
@@ -610,8 +549,8 @@ class ReplayJob(Job):
     content-hashed mmap segments in a scratch directory and slice out
     only their owned partitions.
 
-    Identity is by *content*, like :class:`SegmentLookupJob`: the key
-    and cache digest fold in the trace's SHA-256, so a moved or
+    Identity is by *content*: the key and cache digest fold in the
+    trace's SHA-256, so a moved or
     regenerated-but-identical trace is a cache hit.  The payload is a
     pure function of the trace and the fields (no wall times): the
     classification digest the trace-replay goldens pin, the service

@@ -16,13 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api import (
-    BackendCapabilities,
-    BackendStats,
-    ResultBatch,
-    classification_from_results,
-    key_array,
-)
+from ..api import BackendCapabilities, QueryBackendBase, ResultBatch, key_array
 from .encoding import canonical_kmer, canonical_kmers, decode_kmer, pack_kmers
 from .sequence import DnaSequence
 from .taxonomy import Taxonomy
@@ -54,7 +48,7 @@ class DatabaseStats:
         return self.total_bytes / 2**30
 
 
-class KmerDatabase:
+class KmerDatabase(QueryBackendBase):
     """A reference k-mer set with taxon payloads.
 
     Parameters
@@ -78,14 +72,13 @@ class KmerDatabase:
     ) -> None:
         if not 1 <= k <= 32:
             raise DatabaseError(f"k must be in [1, 32] for packed storage, got {k}")
+        super().__init__()
         self.k = k
         self.canonical = canonical
         self.taxonomy = taxonomy
         self._table: Dict[int, int] = {}
         # Sorted key/payload arrays for bulk lookup, rebuilt on demand.
         self._lookup_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # Protocol-level query/hit accounting (repro.api.BackendStats).
-        self._backend_stats = BackendStats()
         # Set by repro.faults.faulted_database: records were corrupted.
         self._degraded = False
 
@@ -213,13 +206,6 @@ class KmerDatabase:
         self._backend_stats.record(results)
         return results
 
-    def classify(self, read: DnaSequence):
-        """Classify one read through the shared vote-counting path."""
-        results = self.query(list(read.kmers(self.k)))
-        return classification_from_results(
-            read.seq_id, results, true_taxon=read.taxon_id
-        )
-
     def mark_degraded(self) -> None:
         """Flag this database as built from fault-corrupted records
         (surfaced through ``capabilities().degraded``)."""
@@ -231,18 +217,7 @@ class KmerDatabase:
             kind="host-sorted-array",
             k=self.k,
             canonical=self.canonical,
-            batched=True,
             degraded=self._degraded,
-        )
-
-    def stats(self) -> BackendStats:
-        """Uniform query/hit accounting (:class:`repro.api.QueryBackend`).
-
-        Point-in-time snapshot, like every other backend's ``stats()``.
-        """
-        return BackendStats(
-            queries=self._backend_stats.queries,
-            hits=self._backend_stats.hits,
         )
 
     def items(self) -> Iterator[Tuple[int, int]]:
@@ -419,6 +394,5 @@ class MmapKmerDatabase(KmerDatabase):
             kind="host-sorted-array-mmap",
             k=self.k,
             canonical=self.canonical,
-            batched=True,
             degraded=self._degraded,
         )

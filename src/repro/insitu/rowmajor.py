@@ -182,7 +182,6 @@ class RowMajorMatcher(QueryBackendBase):
             kind="insitu-row-major",
             k=self.k,
             canonical=False,
-            batched=False,
             degraded=self.degraded,
         )
 

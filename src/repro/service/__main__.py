@@ -471,7 +471,7 @@ def run_demo(args: argparse.Namespace) -> int:
         print(
             f"cluster: {cluster_cfg.workers} worker(s) x "
             f"{cluster_cfg.shards_per_worker} slot(s) over "
-            f"{cluster_cfg.partitions} {cluster_cfg.strategy} "
+            f"{cluster_cfg.partitions} consistent-hash "
             f"partitions, {args.cluster_restarts} scheduled restart(s)"
         )
 

@@ -11,8 +11,9 @@ The backoff is *jittered capped exponential* with the server's
 hint verbatim puts every rejected coroutine back on the same tick and
 the whole cohort collides again (a retry storm), while undercutting it
 guarantees a second rejection.  Attempt 1 jitters upward from the hint;
-later sleeps are ``min(hint * multiplier**(attempt-1), cap)`` scaled by
-a deterministic per-(request, attempt) jitter factor, so concurrent
+later sleeps are ``min(hint * BACKOFF_MULTIPLIER**(attempt-1),
+BACKOFF_CAP_S)`` scaled by a deterministic per-(request, attempt)
+jitter factor, so concurrent
 clients decorrelate while any single run replays byte-identically
 (the jitter is a content hash, never a global RNG — lint rule SV004).
 """
@@ -26,6 +27,14 @@ from ..faults import hash_fraction
 from .dispatcher import RejectedError, ServiceResponse
 from .server import ClassificationService
 
+#: Multiplier applied to the server's retry hint per attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: Hard cap on any single backoff sleep (seconds).
+BACKOFF_CAP_S = 0.1
+#: Jitter fraction: the first retry spreads *up* into
+#: ``[hint, hint * (1 + BACKOFF_JITTER)]``; later retries scale down
+#: into ``[1 - BACKOFF_JITTER, 1]`` of the exponential delay.
+BACKOFF_JITTER = 0.5
 
 class ServiceClient:
     """Thin async facade over an in-process :class:`ClassificationService`."""
@@ -55,27 +64,20 @@ class ServiceClient:
         *upward* from the hint into ``[hint, hint * (1 + jitter)]``
         (still decorrelating a rejected cohort, never undercutting the
         hint).  Later attempts grow exponentially from the hint, capped
-        at ``retry_backoff_cap_s``, scaled into ``[1 - jitter, 1]`` —
+        at :data:`BACKOFF_CAP_S`, scaled into ``[1 - jitter, 1]`` —
         by then the delay has outgrown the hint and downward jitter
         recovers latency instead of violating the floor.
         """
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
-        cfg = self.service.config
         u = hash_fraction(self.seed, "backoff", request_key, attempt)
         if attempt == 1:
-            spread = min(
-                hint_s * (1.0 + cfg.retry_jitter * u),
-                cfg.retry_backoff_cap_s,
-            )
+            spread = min(hint_s * (1.0 + BACKOFF_JITTER * u), BACKOFF_CAP_S)
             # The floor wins over the cap: never sleep less than the
-            # server asked, even under a misconfigured tiny cap.
+            # server asked, even when its hint exceeds the cap.
             return max(spread, hint_s)
-        raw = min(
-            hint_s * cfg.retry_backoff_multiplier ** (attempt - 1),
-            cfg.retry_backoff_cap_s,
-        )
-        return raw * (1.0 - cfg.retry_jitter * u)
+        raw = min(hint_s * BACKOFF_MULTIPLIER ** (attempt - 1), BACKOFF_CAP_S)
+        return raw * (1.0 - BACKOFF_JITTER * u)
 
     async def classify(
         self, read, deadline_s: Optional[float] = None

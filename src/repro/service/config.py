@@ -5,7 +5,7 @@ loads a TOML file (the same schema :meth:`ServiceConfig.to_toml`
 writes), :meth:`ServiceConfig.from_dict` / :meth:`ServiceConfig.to_dict`
 round-trip the payload, and unknown keys fail loudly instead of being
 silently dropped.  Cluster topology (worker processes, shards per
-worker, k-mer partition strategy) lives in the same schema as a nested
+worker, k-mer partition count) lives in the same schema as a nested
 ``[cluster]`` table (:class:`ClusterConfig`), so one file describes the
 whole deployment and CLI flags become *overrides* on top of it (see
 ``python -m repro.service --config``).
@@ -20,10 +20,6 @@ from typing import Any, Dict, Optional, Union
 
 class ServiceConfigError(ValueError):
     """Raised on invalid service configuration."""
-
-
-#: Partition strategies :mod:`repro.cluster` implements.
-PARTITION_STRATEGIES = ("consistent-hash",)
 
 
 @dataclass(frozen=True)
@@ -44,8 +40,6 @@ class ClusterConfig:
     shards_per_worker: int = 1
     #: Fixed k-mer partition count (ownership / handoff granularity).
     partitions: int = 64
-    #: Partition strategy; only consistent hashing is implemented.
-    strategy: str = "consistent-hash"
     #: Virtual nodes per shard slot on the hash ring (spreads load and
     #: keeps partition movement minimal when slots come and go).
     virtual_nodes: int = 16
@@ -62,11 +56,6 @@ class ClusterConfig:
                 f"cluster.partitions={self.partitions} must be >= workers x "
                 f"shards_per_worker = {self.workers * self.shards_per_worker} "
                 "(every shard slot needs at least one partition to own)"
-            )
-        if self.strategy not in PARTITION_STRATEGIES:
-            raise ServiceConfigError(
-                f"cluster.strategy must be one of {PARTITION_STRATEGIES}, "
-                f"got {self.strategy!r}"
             )
         if self.virtual_nodes <= 0:
             raise ServiceConfigError("cluster.virtual_nodes must be positive")
@@ -104,16 +93,6 @@ class ServiceConfig:
     default_deadline_s: Optional[float] = None
     #: Hint returned with 429-style rejections.
     retry_after_s: float = 0.005
-    #: Client backoff: multiplier applied to the retry hint per attempt.
-    retry_backoff_multiplier: float = 2.0
-    #: Client backoff: hard cap on any single backoff sleep (seconds).
-    retry_backoff_cap_s: float = 0.1
-    #: Client backoff: jitter fraction in [0, 1].  The first retry
-    #: spreads *up* from the server's ``retry_after_s`` hint (the hint
-    #: is a floor — see :meth:`ServiceClient.backoff_delay_s`); later
-    #: retries scale down into ``[1 - jitter, 1]`` of the exponential
-    #: delay so synchronized rejections decorrelate.
-    retry_jitter: float = 0.5
     #: Executor seam: worker threads for the blocking backend
     #: ``query()``.  0 (the default) runs the query inline on the event
     #: loop's thread — fully deterministic, the mode every regression
@@ -171,12 +150,6 @@ class ServiceConfig:
             raise ServiceConfigError("default_deadline_s must be positive")
         if self.retry_after_s <= 0:
             raise ServiceConfigError("retry_after_s must be positive")
-        if self.retry_backoff_multiplier < 1.0:
-            raise ServiceConfigError("retry_backoff_multiplier must be >= 1")
-        if self.retry_backoff_cap_s <= 0:
-            raise ServiceConfigError("retry_backoff_cap_s must be positive")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ServiceConfigError("retry_jitter must be in [0, 1]")
         if self.executor_threads < 0:
             raise ServiceConfigError("executor_threads must be >= 0")
         if self.pipelined and self.executor_threads <= 0:

@@ -552,18 +552,10 @@ class ShardWorker:
     def _mark_deduped(
         self, plan: Optional[BatchCachePlan], index: int, device_kmers: int
     ) -> None:
-        """Trace the dedup/cache split right after the execute event.
-
-        ``on_batch_deduped`` is newer than the rest of the observer
-        interface, so it is looked up defensively — older observers
-        simply never see cache events.
-        """
+        """Trace the dedup/cache split right after the execute event."""
         if plan is None or hooks.OBSERVER is None:
             return
-        emit = getattr(hooks.OBSERVER, "on_batch_deduped", None)
-        if emit is None:
-            return
-        emit(
+        hooks.OBSERVER.on_batch_deduped(
             self.scope,
             self.shard_id,
             index,

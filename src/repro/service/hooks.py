@@ -23,7 +23,8 @@ OBSERVER: Optional[Any] = None
 def install(observer: Any) -> None:
     """Install ``observer`` as the single active schedule observer.
 
-    The observer is duck-typed; it may implement any subset of:
+    The observer is duck-typed and must implement every event below
+    (:class:`~repro.analysiskit.ScheduleSanitizer` does):
 
     * ``on_request_admitted(scope, shard_id, req_id, num_kmers)`` —
       after a request lands on a shard queue (first admit *and* each
@@ -41,9 +42,7 @@ def install(observer: Any) -> None:
       how many of those were served from the hot-k-mer cache, and how
       many k-mers were actually sent to the device (``unique_kmers -
       cache_hits`` normally; the full batch in self-check shadow
-      mode).  This event is newer than the rest of the interface and
-      is emitted via ``getattr`` — observers without the method simply
-      never see it,
+      mode),
     * ``on_request_completed(scope, shard_id, req_id, num_kmers)`` —
       after a request's future resolves with its classification,
     * ``on_request_expired(scope, shard_id, req_id)`` — deadline passed
@@ -57,9 +56,7 @@ def install(observer: Any) -> None:
       request must be terminal.
 
     The :mod:`repro.cluster` backend emits a second event family with
-    the *cluster backend* as ``scope`` (all via ``getattr``, like
-    ``on_batch_deduped`` — observers without the methods never see
-    them):
+    the *cluster backend* as ``scope``:
 
     * ``on_worker_spawned(scope, worker_id, generation, partitions)`` —
       a forked shard-worker process came up owning ``partitions``;

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +80,10 @@ class BankSimResult:
         return count
 
 
+#: Row activations a hit adds for its Region-2/3 payload fetch.
+PAYLOAD_ROWS_PER_HIT = 2
+
+
 class BankEventSim:
     """Discrete-event model of one bank: I/O port + matching streams."""
 
@@ -88,14 +92,12 @@ class BankEventSim:
         layout: SubarrayLayout,
         streams: int = 8,
         timing: DramTiming = SIEVE_TIMING,
-        payload_rows_per_hit: int = 2,
     ) -> None:
         if streams <= 0:
             raise ModelError("streams must be positive")
         self.layout = layout
         self.streams = streams
         self.timing = timing
-        self.payload_rows_per_hit = payload_rows_per_hit
 
     @property
     def batch_write_ns(self) -> float:
@@ -105,51 +107,60 @@ class BankEventSim:
     def matching_ns(self, request: SimRequest) -> float:
         rows = request.pattern_rows
         if request.hit:
-            rows += self.payload_rows_per_hit
+            rows += PAYLOAD_ROWS_PER_HIT
         return rows * self.timing.row_cycle
 
-    def run(self, requests: Sequence[SimRequest]) -> BankSimResult:
-        """Run the pipeline to completion (all requests available at t=0).
+    def run(
+        self,
+        requests: Sequence[SimRequest],
+        release_ns: Optional[Sequence[float]] = None,
+    ) -> BankSimResult:
+        """Run the pipeline to completion.
 
-        Batches are formed per subarray in arrival order (up to the
-        layout's 64 queries per group).  The I/O port writes batches
-        back-to-back; each query of a written batch runs on the earliest
-        free stream; hits then occupy the stream for the payload fetch
-        (payload transfer back over I/O is folded into the write stream
-        as one burst, negligible at this granularity).
+        ``release_ns`` gives each request's arrival time at the bank, in
+        ``requests`` order; ``None`` makes every request available at
+        t=0.  Batches are formed per subarray in arrival order (up to
+        the layout's 64 queries per group).  The I/O port writes one
+        batch at a time, each as soon as the port is free and the
+        batch's last request has arrived; each query of a written batch
+        runs on the earliest free stream; hits then occupy the stream
+        for the payload fetch (payload transfer back over I/O is folded
+        into the write stream as one burst, negligible at this
+        granularity).
         """
         if not requests:
             raise ModelError("no requests to simulate")
+        if release_ns is None:
+            release_ns = [0.0] * len(requests)
+        elif len(release_ns) != len(requests):
+            raise ModelError("release_ns needs one time per request")
         batch_size = self.layout.queries_per_group
-        per_subarray: Dict[int, List[SimRequest]] = {}
-        for req in requests:
-            per_subarray.setdefault(req.subarray, []).append(req)
-        batches: List[List[SimRequest]] = []
-        for queue in per_subarray.values():
-            for start in range(0, len(queue), batch_size):
-                batches.append(queue[start : start + batch_size])
+        per_subarray: Dict[int, List[Tuple[SimRequest, float]]] = {}
+        for req, release in zip(requests, release_ns):
+            per_subarray.setdefault(req.subarray, []).append((req, release))
 
-        # The I/O port serializes batch writes.
-        io_time = 0.0
-        batch_ready: List[float] = []
-        for _ in batches:
-            io_time += self.batch_write_ns
-            batch_ready.append(io_time)
-        io_busy = io_time
-
+        io_free = 0.0
+        io_busy = 0.0
         # Streams: min-heap of next-free times.
         free_at = [0.0] * self.streams
         heapq.heapify(free_at)
         stream_busy = 0.0
         finish_times: Dict[int, float] = {}
-        for ready, batch in zip(batch_ready, batches):
-            for req in batch:
-                start = max(heapq.heappop(free_at), ready)
-                service = self.matching_ns(req)
-                end = start + service
-                stream_busy += service
-                heapq.heappush(free_at, end)
-                finish_times[req.request_id] = end
+        for queue in per_subarray.values():
+            for lo in range(0, len(queue), batch_size):
+                batch = queue[lo : lo + batch_size]
+                # The I/O port serializes batch writes; the batch's queries
+                # are ready once its write completes.
+                last_release = max(release for _, release in batch)
+                io_free = max(io_free, last_release) + self.batch_write_ns
+                io_busy += self.batch_write_ns
+                for req, _ in batch:
+                    start = max(heapq.heappop(free_at), io_free)
+                    service = self.matching_ns(req)
+                    end = start + service
+                    stream_busy += service
+                    heapq.heappush(free_at, end)
+                    finish_times[req.request_id] = end
         total = max(finish_times.values())
         ordered = [finish_times[r.request_id] for r in requests]
         return BankSimResult(

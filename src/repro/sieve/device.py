@@ -33,8 +33,8 @@ import numpy as np
 from ..api import (
     BackendCapabilities,
     BackendStats,
+    QueryBackendBase,
     ResultBatch,
-    classification_from_results,
     key_array,
 )
 from ..dram.geometry import DramGeometry
@@ -118,13 +118,13 @@ class DeviceStats:
         self.rows_histogram = merged
 
 
-class SieveDevice:
+class SieveDevice(QueryBackendBase):
     """A functional Sieve accelerator loaded with a reference database.
 
-    Implements the :class:`repro.api.QueryBackend` protocol
-    structurally: ``stats`` is the rich :class:`DeviceStats` attribute,
-    and *calling* it (``device.stats()``) yields the protocol-wide
-    :class:`repro.api.BackendStats` projection.
+    Implements the :class:`repro.api.QueryBackend` protocol: ``stats``
+    is the rich :class:`DeviceStats` attribute (it shadows the base
+    class's ``stats()`` method), and *calling* it (``device.stats()``)
+    yields the protocol-wide :class:`repro.api.BackendStats` projection.
     """
 
     def __init__(
@@ -292,9 +292,6 @@ class SieveDevice:
             kind="sieve",
             k=self.layout.k,
             canonical=self.canonical,
-            batched=True,
-            max_batch=self.layout.queries_per_group,
-            simulated_latency=True,
             degraded=self.degraded,
         )
 
@@ -308,25 +305,10 @@ class SieveDevice:
     def batch_cost(self, delta: Dict[str, int]) -> Tuple[float, float]:
         """Price a counter delta in simulated (ns, nJ) via the same
         command-ledger rates :meth:`to_ledger` charges."""
-        from ..dram.commands import Command, CommandLedger
-        from ..dram.energy import DDR4_ENERGY, SIEVE_ACTIVATION_OVERHEAD
-        from ..dram.timing import SIEVE_TIMING
-
-        ledger = CommandLedger(
-            timing=SIEVE_TIMING,
-            energy=DDR4_ENERGY,
-            activation_energy_factor=1.0 + SIEVE_ACTIVATION_OVERHEAD,
+        ledger = _priced_ledger(
+            delta.get("row_activations", 0), delta.get("write_commands", 0)
         )
-        ledger.record(Command.ACTIVATE, delta.get("row_activations", 0))
-        ledger.record(Command.WRITE_BURST, delta.get("write_commands", 0))
         return (ledger.serial_time_ns, ledger.energy_nj)
-
-    def classify(self, read):
-        """Classify one read through the shared vote-counting path."""
-        results = self.query(list(read.kmers(self.layout.k)))
-        return classification_from_results(
-            read.seq_id, results, true_taxon=read.taxon_id
-        )
 
     # -- accounting ----------------------------------------------------------------
 
@@ -339,18 +321,12 @@ class SieveDevice:
         serialized-time/energy figure for the functional run — the
         small-scale ground truth the analytic models extrapolate from.
         """
-        from ..dram.commands import Command, CommandLedger
-        from ..dram.energy import DDR4_ENERGY, SIEVE_ACTIVATION_OVERHEAD
-        from ..dram.timing import SIEVE_TIMING
-
-        ledger = CommandLedger(
-            timing=timing or SIEVE_TIMING,
-            energy=energy or DDR4_ENERGY,
-            activation_energy_factor=1.0 + SIEVE_ACTIVATION_OVERHEAD,
+        return _priced_ledger(
+            self.stats.row_activations,
+            self.stats.write_commands,
+            timing,
+            energy,
         )
-        ledger.record(Command.ACTIVATE, self.stats.row_activations)
-        ledger.record(Command.WRITE_BURST, self.stats.write_commands)
-        return ledger
 
     # -- capacity ---------------------------------------------------------------
 
@@ -382,3 +358,23 @@ class SieveDevice:
         if self.geometry is None:
             return None
         return len(self.subarrays) / self.geometry.total_subarrays
+
+
+def _priced_ledger(
+    row_activations: int, write_commands: int, timing=None, energy=None
+):
+    """A command ledger charging ``row_activations`` row activations (at
+    the +6 % Sieve rate) and ``write_commands`` query-batch write
+    bursts; the default timing and energy are Sieve's DDR4 figures."""
+    from ..dram.commands import Command, CommandLedger
+    from ..dram.energy import DDR4_ENERGY, SIEVE_ACTIVATION_OVERHEAD
+    from ..dram.timing import SIEVE_TIMING
+
+    ledger = CommandLedger(
+        timing=timing or SIEVE_TIMING,
+        energy=energy or DDR4_ENERGY,
+        activation_energy_factor=1.0 + SIEVE_ACTIVATION_OVERHEAD,
+    )
+    ledger.record(Command.ACTIVATE, row_activations)
+    ledger.record(Command.WRITE_BURST, write_commands)
+    return ledger

@@ -4,12 +4,13 @@ Extends the single-bank pipeline of :mod:`repro.sieve.controller` to the
 whole Section IV-C arrangement:
 
 * the host ships requests in PCIe packets (340 x 12-byte requests per
-  4 KB payload) into a bounded input queue (depth sized to saturate the
-  device);
+  4 KB payload); the link outruns the device, so packets arrive
+  back-to-back and the input queue never runs dry;
 * the device unpacks each packet and distributes requests to per-bank
-  buffers (64 requests each); a bank whose buffer is full back-pressures
-  the unpacker;
-* every bank runs the batch-write + multi-stream matching pipeline;
+  buffers (64 requests each);
+* every bank runs the batch-write + multi-stream matching pipeline of
+  :class:`~repro.sieve.controller.BankEventSim`, each request released
+  at its packet's arrival;
 * finished requests accumulate in the Response-Ready Queue and leave in
   packet-sized bursts.
 
@@ -20,7 +21,6 @@ dispatch ideal, i.e. the PCIe/queueing overhead the paper reports at
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -40,20 +40,24 @@ from .perfmodel import ModelError, WorkloadStats
 
 @dataclass(frozen=True)
 class DeviceSimConfig:
-    """Scaled-down device for event-driven runs."""
+    """Scaled-down device for event-driven runs.
+
+    ``banks`` x ``subarrays_per_bank`` subarrays, each bank with
+    ``streams_per_bank`` matching streams, fed over ``link`` and timed
+    by ``timing``.
+    """
 
     banks: int = 8
     subarrays_per_bank: int = 16
     streams_per_bank: int = 8
     link: PcieLink = PCIE4_X16
-    queue_depth_packets: int = 24
     timing: DramTiming = SIEVE_TIMING
 
     def __post_init__(self) -> None:
         if self.banks <= 0 or self.subarrays_per_bank <= 0:
             raise ModelError("banks and subarrays must be positive")
-        if self.streams_per_bank <= 0 or self.queue_depth_packets <= 0:
-            raise ModelError("streams and queue depth must be positive")
+        if self.streams_per_bank <= 0:
+            raise ModelError("streams must be positive")
 
 
 @dataclass
@@ -106,22 +110,18 @@ class DeviceEventSim:
             raise ModelError("no requests to simulate")
         cfg = self.config
         per_bank: Dict[int, List[SimRequest]] = {b: [] for b in range(cfg.banks)}
-        # 1. PCIe delivery: packets arrive back-to-back, bounded by the
-        #    input queue; each packet's requests become available at its
-        #    arrival time.
+        arrival: Dict[int, List[float]] = {b: [] for b in range(cfg.banks)}
+        # 1. PCIe delivery: each packet's requests become available at
+        #    its arrival time.  With the device slower than the link,
+        #    packets arrive back-to-back, so arrival = i*T.
         packet_ns = self.packet_transfer_ns()
         packets = [
             requests[i : i + REQUESTS_PER_PACKET]
             for i in range(0, len(requests), REQUESTS_PER_PACKET)
         ]
-        arrival: Dict[int, float] = {}
-        # The queue lets `queue_depth_packets` packets be in flight ahead
-        # of consumption; with the device slower than the link, arrivals
-        # are effectively back-to-back, so the model is arrival = i*T.
         for i, packet in enumerate(packets):
             t = (i + 1) * packet_ns
             for req in packet:
-                arrival[req.request_id] = t
                 bank = req.subarray // cfg.subarrays_per_bank
                 if bank >= cfg.banks:
                     raise ModelError(
@@ -129,51 +129,27 @@ class DeviceEventSim:
                         f">= {cfg.banks}"
                     )
                 per_bank[bank].append(req)
-        # 2. Per-bank pipelines (batch write + streams), offset by each
-        #    request's arrival: a batch may only be written once all its
-        #    requests have arrived.
+                arrival[bank].append(t)
+        # 2. Per-bank pipelines (batch write + streams), released at each
+        #    request's arrival; the ideal releases every request at t=0.
         bank_sim = BankEventSim(
             self.layout, streams=cfg.streams_per_bank, timing=cfg.timing
         )
         makespan = 0.0
+        ideal = 0.0
         busy: Dict[int, float] = {}
-        batch_size = self.layout.queries_per_group
         for bank, queue in per_bank.items():
             if not queue:
                 busy[bank] = 0.0
                 continue
-            io_free = 0.0
-            free_at = [0.0] * cfg.streams_per_bank
-            heapq.heapify(free_at)
-            bank_end = 0.0
-            stream_busy = 0.0
-            per_subarray: Dict[int, List[SimRequest]] = {}
-            for req in queue:
-                per_subarray.setdefault(req.subarray, []).append(req)
-            for subq in per_subarray.values():
-                for start in range(0, len(subq), batch_size):
-                    batch = subq[start : start + batch_size]
-                    batch_arrival = max(arrival[r.request_id] for r in batch)
-                    io_start = max(io_free, batch_arrival)
-                    ready = io_start + bank_sim.batch_write_ns
-                    io_free = ready
-                    for req in batch:
-                        s = max(heapq.heappop(free_at), ready)
-                        service = bank_sim.matching_ns(req)
-                        end = s + service
-                        stream_busy += service
-                        heapq.heappush(free_at, end)
-                        bank_end = max(bank_end, end)
-            busy[bank] = stream_busy
-            makespan = max(makespan, bank_end)
+            result = bank_sim.run(queue, release_ns=arrival[bank])
+            busy[bank] = result.stream_busy_ns
+            makespan = max(makespan, result.total_ns)
+            ideal = max(ideal, bank_sim.run(queue).total_ns)
         # 3. RRQ: responses leave in packet bursts; the final partial
         #    packet adds one transfer on the return path (full duplex, so
         #    only the trailing packet extends the makespan).
         makespan += packet_ns
-        # Ideal: requests at every bank at t=0, no trailing transfer.
-        ideal = max(
-            bank_sim.run(queue).total_ns for queue in per_bank.values() if queue
-        )
         return DeviceSimResult(
             requests=len(requests),
             makespan_ns=makespan,

@@ -13,7 +13,7 @@ into content-addressed artifacts the whole toolchain can replay:
   configurable read-length/error/novel profiles.
 * :mod:`~repro.workloads.replay` — :func:`replay_trace`, the
   deterministic pre-enqueue replay every bench scenario, fleet job,
-  and golden drives through (plus a paced live mode for demos).
+  and golden drives through.
 
 Consumers: ``repro.bench`` (``service_load`` / ``service_cached``),
 ``repro.fleet.jobs.ReplayJob`` (keyed on the content hash), the
@@ -22,7 +22,7 @@ golden tests (``docs/TESTING.md``).
 """
 
 from .generator import generate_trace, zipfian_weights
-from .replay import classification_digest, replay, replay_trace, submit_trace
+from .replay import classification_digest, replay_trace
 from .trace import TRACE_FORMAT, Trace, TraceError, TraceRequest
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "TraceRequest",
     "classification_digest",
     "generate_trace",
-    "replay",
     "replay_trace",
-    "submit_trace",
     "zipfian_weights",
 ]

@@ -1,20 +1,11 @@
-"""Trace replay against a running (or about-to-run) service.
+"""Deterministic trace replay against an about-to-run service.
 
-Two modes, one contract — every request of the trace resolves:
-
-* :func:`replay_trace` — the **deterministic** mode every regression
-  surface uses (bench scenarios, fleet jobs, goldens): pre-enqueue all
-  requests in arrival order on a fresh event loop, then start the
-  service, gather, and drain.  With zero linger and a single-threaded
-  loop, batch composition is a pure function of the trace and the
-  config — replaying the same trace yields bit-identical
-  classifications at any shard count.
-* :func:`replay` — the async live mode; with ``pace=True`` it sleeps
-  out the trace's recorded inter-arrival gaps against an
-  already-started service, which is what exercises linger-based
-  coalescing under the trace's burst structure (demo use; timing, and
-  therefore batch composition, is no longer deterministic — answers
-  still are).
+:func:`replay_trace` is the replay every regression surface uses (bench
+scenarios, fleet jobs, goldens): pre-enqueue all requests in arrival
+order on a fresh event loop, then start the service, gather, and drain.
+With zero linger and a single-threaded loop, batch composition is a
+pure function of the trace and the config — replaying the same trace
+yields bit-identical classifications at any shard count.
 """
 
 from __future__ import annotations
@@ -53,50 +44,6 @@ def classification_digest(responses: List[Any]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def submit_trace(
-    service: Any,
-    trace: Trace,
-    *,
-    deadline_s: Optional[float] = None,
-) -> List[Any]:
-    """Submit every trace request in arrival order; returns the futures.
-
-    Must run on the service's event loop thread.  Pre-enqueueing
-    against a not-yet-started service is the deterministic pattern:
-    the service's ``queue_depth`` must admit the whole trace.
-    """
-    return [
-        service.submit(read, deadline_s=deadline_s)
-        for read in trace.reads()
-    ]
-
-
-async def replay(
-    service: Any,
-    trace: Trace,
-    *,
-    pace: bool = False,
-    deadline_s: Optional[float] = None,
-) -> List[Any]:
-    """Drive a **running** service with the trace; await all answers.
-
-    ``pace=True`` sleeps out the recorded inter-arrival gaps before
-    each submit (bursts — equal arrival stamps — go back to back).
-    Responses come back in trace order.
-    """
-    futures = []
-    last_arrival = 0.0
-    for request, read in zip(trace.requests, trace.reads()):
-        if pace:
-            gap = request.arrival_s - last_arrival
-            if gap > 0:
-                await asyncio.sleep(gap)
-            last_arrival = request.arrival_s
-        futures.append(service.submit(read, deadline_s=deadline_s))
-    responses = await asyncio.gather(*futures)
-    return list(responses)
-
-
 def replay_trace(
     service: Any,
     trace: Trace,
@@ -110,7 +57,10 @@ def replay_trace(
     """
 
     async def serve() -> List[Any]:
-        futures = submit_trace(service, trace, deadline_s=deadline_s)
+        futures = [
+            service.submit(read, deadline_s=deadline_s)
+            for read in trace.reads()
+        ]
         await service.start()
         responses = await asyncio.gather(*futures)
         await service.stop(drain=True)
@@ -121,7 +71,5 @@ def replay_trace(
 
 __all__ = [
     "classification_digest",
-    "replay",
     "replay_trace",
-    "submit_trace",
 ]

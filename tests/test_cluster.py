@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -293,10 +295,6 @@ class TestClusterConfigValidation:
         with pytest.raises(ValueError):
             ClusterConfig(workers=4, shards_per_worker=2, partitions=4)
 
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(strategy="range")
-
     def test_slots(self):
         assert ClusterConfig(workers=3, shards_per_worker=2).slots() == 6
 
@@ -320,7 +318,9 @@ class _FanoutRecorder:
             self.inner.on_cluster_fanout(scope, qid, worker_id, num_kmers)
 
     def __getattr__(self, name):
-        return getattr(self.inner, name)
+        if self.inner is not None:
+            return getattr(self.inner, name)
+        return lambda *args: None
 
 
 @contextlib.contextmanager
@@ -403,6 +403,18 @@ class TestClusterWire:
                 handle = backend._workers[0]
                 handle.conn = _TamperedConn(handle.conn, tamper)
                 with pytest.raises(ClusterError, match=message):
+                    backend.query(kmers)
+
+    def test_killed_worker_raises_cluster_error(self, segments, small_dataset):
+        """A worker that died between queries fails the next fan-out
+        with the typed error, not a raw ``BrokenPipeError``."""
+        kmers = list(small_dataset.reads[0].kmers(small_dataset.k))
+        with _observer(None):
+            with make_cluster(segments, workers=1) as backend:
+                process = backend._workers[0].process
+                os.kill(process.pid, signal.SIGKILL)
+                process.join(timeout=30)
+                with pytest.raises(ClusterError, match="died"):
                     backend.query(kmers)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pickle
+from pathlib import Path
 from typing import Any, ClassVar, Dict
 
 import numpy as np
@@ -42,6 +43,29 @@ class EchoJob(Job):
     def run(self, seed: int) -> Dict[str, Any]:
         EXECUTIONS.append(self.key())
         return {"tag": self.tag, "value": self.value, "seed": seed}
+
+
+@dataclasses.dataclass(frozen=True)
+class FileDigestJob(Job):
+    """Keyed by the *content* of the file at ``path``, not by the path
+    (the pattern ``ReplayJob`` uses for its trace)."""
+
+    path: str
+    scale: int = 1
+
+    def key(self) -> str:
+        return (
+            f"{type(self).__name__}(path=<content:{self.cache_token()}>,"
+            f"scale={self.scale!r})"
+        )
+
+    def cache_token(self) -> str:
+        return hashlib.sha256(Path(self.path).read_bytes()).hexdigest()
+
+    def run(self, seed: int) -> Dict[str, Any]:
+        EXECUTIONS.append(self.key())
+        data = Path(self.path).read_bytes()
+        return {"bytes": len(data), "sum": sum(data) * self.scale, "seed": seed}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,18 +270,12 @@ class TestResultCache:
 
 class TestContentKeyedCache:
     """``Job.cache_token()`` folds external content identity into the
-    cache digest — the mechanism :class:`SegmentLookupJob` uses to key
-    results by segment content hash instead of directory path."""
+    cache digest, so results key by file content instead of path."""
 
-    def _segments(self, tmp_path, name, bump=0):
-        from repro.genomics import KmerDatabase
-        from repro.serialization import save_segments
-
-        db = KmerDatabase(k=6)
-        for i in range(40):
-            db.add(7 + i * 91, 100 + (i + bump) % 5)
-        save_segments(db, tmp_path / name)
-        return str(tmp_path / name)
+    def _file(self, tmp_path, name, bump=0):
+        path = tmp_path / name
+        path.write_bytes(bytes((7 + i * 91 + bump) % 256 for i in range(40)))
+        return str(path)
 
     def test_empty_token_leaves_digest_unchanged(self):
         """Historical digests must not shift: the token is only folded
@@ -267,50 +285,34 @@ class TestContentKeyedCache:
         assert "token=" not in job.key()
 
     def test_same_content_different_path_shares_identity(self, tmp_path):
-        from repro.fleet import SegmentLookupJob
-
-        a = SegmentLookupJob(db_segments=self._segments(tmp_path, "a"))
-        b = SegmentLookupJob(db_segments=self._segments(tmp_path, "b"))
+        a = FileDigestJob(path=self._file(tmp_path, "a"))
+        b = FileDigestJob(path=self._file(tmp_path, "b"))
         assert a.key() == b.key()
         assert job_digest(a, "v") == job_digest(b, "v")
         assert derive_seed(a.key()) == derive_seed(b.key())
 
     def test_different_content_changes_identity(self, tmp_path):
-        from repro.fleet import SegmentLookupJob
-
-        a = SegmentLookupJob(db_segments=self._segments(tmp_path, "a"))
-        c = SegmentLookupJob(
-            db_segments=self._segments(tmp_path, "c", bump=1)
-        )
+        a = FileDigestJob(path=self._file(tmp_path, "a"))
+        c = FileDigestJob(path=self._file(tmp_path, "c", bump=1))
         assert a.key() != c.key()
         assert job_digest(a, "v") != job_digest(c, "v")
 
     def test_cache_hit_across_paths(self, tmp_path):
         """A result computed for one directory serves a byte-identical
         copy at another path straight from the cache."""
-        from repro.fleet import SegmentLookupJob
-
         cache = ResultCache(tmp_path / "cache")
-        job_a = SegmentLookupJob(
-            db_segments=self._segments(tmp_path, "a"), num_queries=20
-        )
+        EXECUTIONS.clear()
+        job_a = FileDigestJob(path=self._file(tmp_path, "a"))
         (first,) = run_jobs([job_a], max_workers=1, cache=cache)
-        job_b = SegmentLookupJob(
-            db_segments=self._segments(tmp_path, "b"), num_queries=20
-        )
+        job_b = FileDigestJob(path=self._file(tmp_path, "b"))
         (second,) = run_jobs([job_b], max_workers=1, cache=cache)
         assert second == first
+        assert EXECUTIONS == [job_a.key()]
 
     def test_payloads_identical_across_worker_counts(self, tmp_path):
-        from repro.fleet import SegmentLookupJob
-
         jobs = [
-            SegmentLookupJob(
-                db_segments=self._segments(tmp_path, "a"), num_queries=20
-            ),
-            SegmentLookupJob(
-                db_segments=self._segments(tmp_path, "a"), num_queries=30
-            ),
+            FileDigestJob(path=self._file(tmp_path, "a"), scale=2),
+            FileDigestJob(path=self._file(tmp_path, "a"), scale=3),
         ]
         inline = run_jobs(jobs, max_workers=1, use_cache=False)
         pooled = run_jobs(jobs, max_workers=2, use_cache=False)

@@ -36,6 +36,11 @@ from repro.service import (
     ServiceError,
     ShardCrashError,
 )
+from repro.service.client import (
+    BACKOFF_CAP_S,
+    BACKOFF_JITTER,
+    BACKOFF_MULTIPLIER,
+)
 from repro.sieve import SieveDevice
 
 
@@ -327,9 +332,6 @@ class TestClientBackoff:
             small_dataset,
             small_layout,
             retry_after_s=0.004,
-            retry_backoff_multiplier=2.0,
-            retry_backoff_cap_s=0.02,
-            retry_jitter=0.5,
         )
         client = ServiceClient(service, seed=7)
         hint = service.config.retry_after_s
@@ -343,12 +345,13 @@ class TestClientBackoff:
         ]
         # Attempt 1 honors the server's hint as a *floor* and jitters
         # upward; later attempts scale down into the exponential delay.
-        assert hint <= delays[0] <= hint * 1.5
+        assert hint <= delays[0] <= hint * (1.0 + BACKOFF_JITTER)
         for attempt, delay in enumerate(delays[1:], start=2):
-            raw = min(hint * 2.0 ** (attempt - 1), 0.02)
-            assert raw * 0.5 <= delay <= raw
-        # The cap keeps deep retries bounded.
-        assert max(delays) <= 0.02
+            raw = min(hint * BACKOFF_MULTIPLIER ** (attempt - 1), BACKOFF_CAP_S)
+            assert raw * (1.0 - BACKOFF_JITTER) <= delay <= raw
+        # The cap keeps deep retries bounded, and attempt 7 reaches it.
+        assert hint * BACKOFF_MULTIPLIER**6 > BACKOFF_CAP_S
+        assert max(delays) <= BACKOFF_CAP_S
 
     def test_first_retry_never_undercuts_server_hint(
         self, small_dataset, small_layout
