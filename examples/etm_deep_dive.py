@@ -24,7 +24,6 @@ def trace_query(sim: SieveSubarraySim, query: int, label: str) -> None:
     layout = sim.layout
     layer = sim.route_layer(query)
     sim.load_query_batch([query], layer)
-    sim.discard_pending()  # replayed row by row below, not by match_all()
     sim.matchers.set_enable(sim._layer_enable(layer))
     sim.matchers.reset()
     sim.etm.reset()

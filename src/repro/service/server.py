@@ -114,24 +114,6 @@ class ClassificationService:
         self._draining = False
         self._req_counter = 0
 
-    @classmethod
-    def from_database(
-        cls,
-        database,
-        config: Optional[ServiceConfig] = None,
-        etm_enabled: bool = True,
-    ) -> "ClassificationService":
-        """Replicate ``database`` onto one functional Sieve device per
-        shard (the deployment the paper evaluates)."""
-        from ..sieve.device import SieveDevice
-
-        config = config or ServiceConfig()
-        backends = [
-            SieveDevice.from_database(database, etm_enabled=etm_enabled)
-            for _ in range(config.num_shards)
-        ]
-        return cls(backends, config)
-
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:

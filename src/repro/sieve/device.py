@@ -9,10 +9,11 @@ that the trace-driven performance model aggregates.
 
 The hardware matches the batches of many subarrays at once; the model
 does the same per :meth:`SieveDevice.query` call.  It loads every
-(subarray, layer) destination in turn, detaches each destination's
-loaded query cells right after its loads
-(:meth:`~repro.sieve.functional.SieveSubarraySim.take_pending`), and
-then matches all of them in a single
+(subarray, layer) destination in turn, keeps the query-block cells each
+:meth:`~repro.sieve.functional.SieveSubarraySim.load_query_batch`
+returns as that destination's
+:class:`~repro.sieve.functional.PendingMatch`, and then matches all of
+them in a single
 :meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass, so a
 traced run (``sievebench --trace``) reports the whole device match as
 one ``sieve.functional.match_all`` span per call.
@@ -40,7 +41,7 @@ from ..api import (
 from ..dram.geometry import DramGeometry
 from ..genomics.database import KmerDatabase
 from ..genomics.encoding import canonical_kmers
-from .functional import MatchBatch, SieveSubarraySim
+from .functional import MatchBatch, PendingMatch, SieveSubarraySim
 from .index import SubarrayIndex
 from .layout import SubarrayLayout
 
@@ -199,13 +200,12 @@ class SieveDevice(QueryBackendBase):
         search, then one :meth:`SieveSubarraySim.route_layers` search
         per subarray hit.  Destinations are served in the order of
         their first k-mer, each destination's k-mers in request order.
-        ``batched=True`` (the default) takes each destination's batches
-        right after its loads and matches every destination of the call
-        in one :meth:`~repro.sieve.functional.SieveSubarraySim.
-        match_all` pass; ``batched=False`` replays the scalar
-        command-by-command :meth:`~repro.sieve.functional.
-        SieveSubarraySim.match_slot` path after each load, the
-        reference.  Both produce identical responses, functional
+        ``batched=True`` (the default) keeps the query blocks each load
+        returns and matches every destination of the call in one
+        :meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass;
+        ``batched=False`` replays the scalar command-by-command
+        :meth:`~repro.sieve.functional.SieveSubarraySim.match_slot` path
+        after each load, the reference.  Both produce identical responses, functional
         counters and per-subarray state (the equivalence is
         test-enforced).
 
@@ -245,16 +245,18 @@ class SieveDevice(QueryBackendBase):
             sim = self.subarrays[int(sids[positions[0]])]
             layer = int(layers[positions[0]])
             requests = kmers[positions].tolist()
+            blocks = []
             outcomes = []
             for lo in range(0, len(requests), batch_size):
                 batch = requests[lo : lo + batch_size]
-                self.stats.write_commands += sim.load_query_batch(batch, layer)
-                self.stats.batches += 1
+                blocks.append(sim.load_query_batch(batch, layer))
                 if not batched:
                     outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
+            self.stats.batches += len(blocks)
+            self.stats.write_commands += len(blocks) * self.layout.batch_write_commands
             served.append(positions)
             if batched:
-                taken.append(sim.take_pending())
+                taken.append(PendingMatch(sim, layer, tuple(blocks)))
             else:
                 results.append(MatchBatch.from_outcomes(layer, outcomes))
         if taken:

@@ -21,15 +21,15 @@ and the test suite checks the outcomes against a plain
 :class:`~repro.genomics.database.KmerDatabase`.
 
 Two match paths exist.  :meth:`SieveSubarraySim.match_slot` replays
-step 3 command by command (the reference).
+step 3 command by command on the last loaded batch (the reference).
 :meth:`SieveSubarraySim.match_all` computes the same outcomes, counters
-and final state analytically; on its own it matches the batches one
-subarray loaded, and given destinations detached with
-:meth:`SieveSubarraySim.take_pending` it matches every (subarray,
-layer) destination of a :meth:`SieveDevice.query
-<repro.sieve.device.SieveDevice.query>` call in one pass.  A traced run
-therefore books the whole device match, kernels aside, as the self
-time of ``sieve.functional.match_all``.
+and final state analytically for the destinations it is given: each a
+:class:`PendingMatch` of the query-block cells that
+:meth:`SieveSubarraySim.load_query_batch` returned, so one pass covers
+every (subarray, layer) destination of a :meth:`SieveDevice.query
+<repro.sieve.device.SieveDevice.query>` call.  A traced run therefore
+books the whole device match, kernels aside, as the self time of
+``sieve.functional.match_all``.
 """
 
 from __future__ import annotations
@@ -71,11 +71,12 @@ class MatchOutcome:
 class MatchBatch:
     """Columnar result of one :meth:`SieveSubarraySim.match_all` pass.
 
-    One entry per query of every batch loaded since the previous
-    ``match_all()``, in load order, all matched against ``layer``.  The
-    columns carry :class:`MatchOutcome`'s fields: ``payload`` and
-    ``column`` are 0 where ``hit`` is False, and a hit's
-    ``rows_activated`` includes its two Region-2/3 fetch activations.
+    One entry per query of every destination matched, in argument and
+    load order, all matched against ``layer`` (-1 when the destinations
+    span several layers).  The columns carry :class:`MatchOutcome`'s
+    fields: ``payload`` and ``column`` are 0 where ``hit`` is False, and
+    a hit's ``rows_activated`` includes its two Region-2/3 fetch
+    activations.
     """
 
     layer: int
@@ -113,13 +114,14 @@ class MatchBatch:
 
 @dataclass(frozen=True, eq=False)
 class PendingMatch:
-    """One destination's loaded query batches, detached from its subarray.
+    """One destination's loaded query batches, as values.
 
-    :meth:`SieveSubarraySim.take_pending` returns the batches loaded
-    since the last match — each load's stored query-block cells,
-    ``(2k, groups, batch size)`` — so the subarray can load another
-    layer before a later :meth:`SieveSubarraySim.match_all` pass
-    matches them together with other destinations.
+    ``blocks`` are the stored query-block cells, ``(2k, groups, batch
+    size)``, that :meth:`SieveSubarraySim.load_query_batch` returned for
+    each batch loaded into ``layer`` of ``sim``.  They are copies, so the
+    subarray can load other batches before a
+    :meth:`SieveSubarraySim.match_all` pass matches them together with
+    other destinations.
     """
 
     sim: "SieveSubarraySim"
@@ -236,12 +238,6 @@ class SieveSubarraySim:
         self.finder = ColumnFinder(self.etm)
         self._batch: List[int] = []
         self._batch_layer = 0
-        #: Query-block cells of every batch loaded since the last
-        #: :meth:`match_all`, each ``(2k, groups, batch size)`` and read
-        #: right after its load, so load-time fault corruption is kept.
-        self._pending: List[np.ndarray] = []
-        self.batch_loads = 0
-        self.write_commands = 0
         #: Match-Enable masks keyed by (layer, record count); rebuilt when
         #: references are (re)loaded.
         self._enable_cache: Dict[Tuple[int, int], np.ndarray] = {}
@@ -310,24 +306,22 @@ class SieveSubarraySim:
         pos = np.searchsorted(self._layer_firsts, kmers, side="right") - 1
         return np.maximum(pos, 0)
 
-    def load_query_batch(self, queries: Sequence[int], layer: int = 0) -> int:
-        """Write a batch into every group's query block of ``layer``;
-        returns the number of prefetch-width write commands charged
-        (Section IV-A: groups x 2k).
+    def load_query_batch(self, queries: Sequence[int], layer: int = 0) -> np.ndarray:
+        """Write a batch into every group's query block of ``layer``
+        (Section IV-A: ``layout.batch_write_commands`` prefetch-width
+        writes) and return the cells it stored.
 
-        The batch joins the ones :meth:`match_all` will match next (or
-        :meth:`take_pending` detaches); they must all target one layer.
+        The returned ``(2k, groups, len(queries))`` array is a copy taken
+        right after the store, so load-time fault corruption is included
+        and later loads leave it unchanged; a :class:`PendingMatch` of
+        such blocks is what :meth:`match_all` matches.  :meth:`match_slot`
+        replays the last loaded batch instead.
         """
         if not queries:
             raise FunctionalError("query batch must be non-empty")
         if not 0 <= layer < self.num_layers_used:
             raise FunctionalError(
                 f"layer {layer} out of range [0, {self.num_layers_used})"
-            )
-        if self._pending and layer != self._batch_layer:
-            raise FunctionalError(
-                f"batches for layer {self._batch_layer} are pending; "
-                f"match_all() or take_pending() before loading layer {layer}"
             )
         layout = self.layout
         base = layout.layer_base_row(layer)
@@ -344,13 +338,9 @@ class SieveSubarraySim:
         groups = self.array.peek_rows(base, base + layout.kmer_rows)[
             :, : layout.num_groups * layout.group_width
         ].reshape(layout.kmer_rows, layout.num_groups, layout.group_width)
-        self._pending.append(groups[:, :, start : start + len(queries)].copy())
         self._batch = list(queries)
         self._batch_layer = layer
-        self.batch_loads += 1
-        commands = layout.batch_write_commands
-        self.write_commands += commands
-        return commands
+        return groups[:, :, start : start + len(queries)].copy()
 
     def _layer_enable(self, layer: int) -> np.ndarray:
         """Match-Enable mask: only occupied reference columns of a layer.
@@ -372,15 +362,6 @@ class SieveSubarraySim:
 
     # -- matching ------------------------------------------------------------
 
-    def discard_pending(self) -> None:
-        """Drop the batches queued for :meth:`match_all`.
-
-        For callers that replay the loaded block command by command
-        instead (:meth:`match_slot`, the Type-2 compute-buffer relay), so
-        nothing accumulates on the scalar paths.
-        """
-        self._pending = []
-
     def match_slot(self, batch_slot: int) -> MatchOutcome:
         """Match one query of the last loaded batch against its layer,
         command by command (the scalar reference of :meth:`match_all`)."""
@@ -388,7 +369,6 @@ class SieveSubarraySim:
             raise FunctionalError(
                 f"batch slot {batch_slot} out of range [0, {len(self._batch)})"
             )
-        self.discard_pending()
         layout = self.layout
         layer = self._batch_layer
         query = self._batch[batch_slot]
@@ -492,18 +472,6 @@ class SieveSubarraySim:
 
     # -- batched matching -----------------------------------------------------
 
-    def take_pending(self) -> PendingMatch:
-        """Detach the batches loaded since the last match.
-
-        The subarray can then load another layer; the returned
-        destination is matched later by a :meth:`match_all` pass that
-        may cover other destinations too (:meth:`SieveDevice.query
-        <repro.sieve.device.SieveDevice.query>` takes each destination
-        right after its loads).
-        """
-        pending, self._pending = self._pending, []
-        return PendingMatch(self, self._batch_layer, tuple(pending))
-
     def _packed_layer(self, layer: int) -> _PackedLayer:
         """Layer's packed reference words, group bounds and payloads.
 
@@ -560,22 +528,20 @@ class SieveSubarraySim:
         return cached
 
     def match_all(self, *destinations: PendingMatch) -> MatchBatch:
-        """Match every batch loaded since the last call in one pass.
+        """Match every batch of the given destinations in one pass.
 
         Columnar equivalent of loading each batch and running
-        ``[self.match_slot(s) for s in range(len(batch))]`` on it:
+        ``[sim.match_slot(s) for s in range(len(batch))]`` on it:
         instead of replaying row activations one Python-level DRAM
         command at a time, it computes every query's per-column
         *first-divergence* row analytically from Region-1 columns and
         the query replicas each load stored, bit-packed into uint64
         words (:mod:`repro.sieve.kernels`).
 
-        Given destinations detached by :meth:`take_pending` — from any
-        subarrays of this layout, several layers of one subarray
-        included — it matches those instead of this subarray's own
-        batches, all in the same pass, and returns their columns
-        concatenated in argument order (``layer`` is -1 when they span
-        several layers).  :meth:`SieveDevice.query
+        The destinations may come from any subarrays of one layout,
+        several layers of one subarray included; their columns are
+        returned concatenated in argument order (``layer`` is -1 when
+        they span several layers).  :meth:`SieveDevice.query
         <repro.sieve.device.SieveDevice.query>` runs one such pass per
         call, so a traced run shows the whole device match under this
         method's name.
@@ -598,8 +564,8 @@ class SieveSubarraySim:
           counters (ACT/PRE pairs charged analytically);
         * each subarray's Match-Enable mask (its last destination's
           layer) and matcher / ETM state after the final query of its
-          last non-empty destination — exactly as one plain
-          ``match_all()`` per destination, in argument order, leaves it.
+          last non-empty destination — exactly as one ``match_all``
+          call per destination, in argument order, leaves it.
 
         Per destination only O(1) numpy calls remain (its insertion
         search, guard and charge); a fallback destination adds its own
@@ -608,12 +574,7 @@ class SieveSubarraySim:
         tests/test_batched_equivalence.py).
         """
         if not destinations:
-            destinations = (self.take_pending(),)
-        elif self._pending:
-            raise FunctionalError(
-                "take_pending() this subarray's batches before matching "
-                "detached destinations"
-            )
+            raise FunctionalError("match_all needs at least one destination")
         layout = destinations[0].sim.layout
         total_rows = layout.kmer_rows
         layers = {d.layer for d in destinations}

@@ -129,8 +129,6 @@ class Type2GroupSim:
         layout = self.layout
         layer = member.route_layer(query)
         member.load_query_batch([query], layer)
-        # The compute buffer replays the block itself, as match_slot does.
-        member.discard_pending()
         self.cb_matchers.set_enable(member._layer_enable(layer))
         self.cb_matchers.reset()
         self.cb_etm.reset()

@@ -38,6 +38,7 @@ from repro.sieve.functional import (
     FunctionalError,
     MatchBatch,
     MatchOutcome,
+    PendingMatch,
     SieveSubarraySim,
 )
 from repro.sieve.layout import LayoutError, SubarrayLayout
@@ -80,6 +81,12 @@ def outcomes_from_batch(sim, queries, batch: MatchBatch):
             )
         )
     return outcomes
+
+
+def load_and_match(sim, layer, *batches):
+    """Load ``batches`` into ``layer`` and match them as one destination."""
+    blocks = tuple(sim.load_query_batch(queries, layer) for queries in batches)
+    return sim.match_all(PendingMatch(sim, layer, blocks))
 
 
 def random_trial(rng: np.random.Generator):
@@ -134,9 +141,10 @@ def run_both(layout, records, queries, etm_enabled):
     batched = SieveSubarraySim(layout, records, etm_enabled=etm_enabled)
     layer = scalar.route_layer(queries[0])
     scalar.load_query_batch(queries, layer)
-    batched.load_query_batch(queries, layer)
     scalar_outcomes = [scalar.match_slot(slot) for slot in range(len(queries))]
-    batched_outcomes = outcomes_from_batch(batched, queries, batched.match_all())
+    batched_outcomes = outcomes_from_batch(
+        batched, queries, load_and_match(batched, layer, queries)
+    )
     return scalar, batched, scalar_outcomes, batched_outcomes
 
 
@@ -199,9 +207,8 @@ def test_batch_then_scalar_interleaving(small_layout):
     ]
     mixed = SieveSubarraySim(small_layout, records)
     twin = SieveSubarraySim(small_layout, records)
-    mixed.load_query_batch(queries, 0)
+    load_and_match(mixed, 0, queries)
     twin.load_query_batch(queries, 0)
-    mixed.match_all()
     [twin.match_slot(slot) for slot in range(len(queries))]
     assert mixed.match_slot(0) == twin.match_slot(0)
     assert mixed.array.stats == twin.array.stats
@@ -263,9 +270,6 @@ def _query_loads(layout, model):
                 queries = queries[: layout.queries_per_group]
                 if block_store:
                     sim.load_query_batch(queries, layer)
-                    # Match before switching layers (a load never
-                    # queues behind another layer's pending batch).
-                    sim.match_all()
                 else:
                     _per_run_query_load(sim, queries, layer)
         results.append((sim.array.peek_rows(0, sim.array.rows).copy(), injector))
@@ -339,7 +343,7 @@ def _columns(batches):
     faulty=st.booleans(),
 )
 def test_pending_batches_match_like_separate_rounds(seed, num_batches, faulty):
-    """N loads then one ``match_all()`` equal N load-and-match rounds and
+    """N loads matched as one destination equal N load-and-match rounds and
     the scalar replay: every column, the ACT/PRE counters, the matcher
     latches and the ETM state — also on cells a nonzero-rate fault
     injector corrupted at load time."""
@@ -369,16 +373,10 @@ def test_pending_batches_match_like_separate_rounds(seed, num_batches, faulty):
         return sim, results, injector
 
     def pooled(sim, layer):
-        for queries in batches:
-            sim.load_query_batch(queries, layer)
-        return [sim.match_all()]
+        return [load_and_match(sim, layer, *batches)]
 
     def rounds(sim, layer):
-        out = []
-        for queries in batches:
-            sim.load_query_batch(queries, layer)
-            out.append(sim.match_all())
-        return out
+        return [load_and_match(sim, layer, queries) for queries in batches]
 
     def scalar(sim, layer):
         out = []
@@ -390,7 +388,6 @@ def test_pending_batches_match_like_separate_rounds(seed, num_batches, faulty):
 
     one, one_out, one_inj = build(pooled)
     assert len(one_out[0]) == sum(len(b) for b in batches)
-    assert one._pending == []
     flat = [q for queries in batches for q in queries]
     for reference in (build(rounds), build(scalar)):
         sim, out, injector = reference
@@ -405,23 +402,6 @@ def test_pending_batches_match_like_separate_rounds(seed, num_batches, faulty):
             outcomes_from_batch(sim, flat, MatchBatch(out[0].layer, **want)),
             outcomes_from_batch(one, flat, one_out[0]),
         )
-
-
-def test_load_into_other_layer_while_pending_rejected(small_layout):
-    records = [(key, key % 5) for key in range(3, 1 << 18, 997)][
-        : small_layout.refs_per_subarray
-    ]
-    sim = SieveSubarraySim(small_layout, records)
-    sim.load_query_batch([records[0][0]], 0)
-    with pytest.raises(FunctionalError):
-        sim.load_query_batch([records[-1][0]], 1)
-    sim.load_query_batch([records[1][0]], 0)
-    assert len(sim.match_all()) == 2
-    assert len(sim.match_all()) == 0
-    sim.load_query_batch([records[-1][0]], 1)
-    sim.match_slot(0)  # the scalar path leaves nothing queued
-    sim.load_query_batch([records[0][0]], 0)
-    assert len(sim.match_all()) == 1
 
 
 def _device_from_records(layout, records):
@@ -553,7 +533,7 @@ FUSED_LAYOUTS = {
 
 
 def query_per_destination(device, kmers):
-    """``device.query(kmers)`` with one plain ``match_all()`` per
+    """``device.query(kmers)`` with one ``match_all`` call per
     destination right after its loads: the reference of the fused pass.
 
     Routes each k-mer with the scalar ``route_layer``, serves the
@@ -576,11 +556,15 @@ def query_per_destination(device, kmers):
     size = device.layout.queries_per_group
     for (sid, layer), positions in destinations.items():
         sim = device.subarrays[sid]
-        for lo in range(0, len(positions), size):
-            batch = [int(kmers[p]) for p in positions[lo : lo + size]]
-            device.stats.write_commands += sim.load_query_batch(batch, layer)
-            device.stats.batches += 1
-        result = sim.match_all()
+        batches = [
+            [int(kmers[p]) for p in positions[lo : lo + size]]
+            for lo in range(0, len(positions), size)
+        ]
+        device.stats.write_commands += (
+            len(batches) * device.layout.batch_write_commands
+        )
+        device.stats.batches += len(batches)
+        result = load_and_match(sim, layer, *batches)
         hit[positions] = result.hit
         payload[positions] = result.payload
         rows[positions] = result.rows_activated
@@ -605,8 +589,6 @@ def subarray_state(sim):
         sim.etm.bsr.tolist(),
         sim.etm._segment_or.tolist(),
         sim.etm._sr.tolist(),
-        sim.batch_loads,
-        sim.write_commands,
     )
 
 
@@ -700,14 +682,18 @@ def test_fused_call_covers_two_layers_gaps_and_both_match_paths():
 
     layout, records, calls = fused_case("narrow", 3)
     device = _device_from_records(layout, records)
+
+    def destinations_of(call):
+        sids = device.index.route_many(np.array(call, dtype=np.uint64))
+        return sids, {
+            (int(s), device.subarrays[int(s)].route_layer(k))
+            for s, k in zip(sids, call)
+            if s >= 0
+        }
+
     call = calls[-1]
-    sids = device.index.route_many(np.array(call, dtype=np.uint64))
+    sids, destinations = destinations_of(call)
     assert (sids < 0).any() and len(set(call)) < len(call)
-    destinations = {
-        (int(s), device.subarrays[int(s)].route_layer(k))
-        for s, k in zip(sids, call)
-        if s >= 0
-    }
     assert len({s for s, _ in destinations}) < len(destinations)
 
     used = {"segment_divergence": 0, "first_divergence": 0}
@@ -732,19 +718,22 @@ def test_fused_call_covers_two_layers_gaps_and_both_match_paths():
         SieveSubarraySim, "match_all", match_all
     ):
         _, runs = _run_fused_case("narrow", 3, flip_rate=2e-4)
-    # One pass per non-empty fused call, one plain call per destination
-    # of the reference loop; under faults both kernels ran.
-    assert passes.count(0) > len(calls) - 1
-    assert len([n for n in passes if n]) == len(calls) - 1
+    # One pass over every destination of each non-empty fused call, then
+    # one single-destination pass per destination of the reference loop;
+    # under faults both kernels ran.
+    per_call = [len(destinations_of(call)[1]) for call in calls[1:]]
+    assert max(per_call) > 1
+    assert passes == per_call + [1] * sum(per_call)
     assert used["segment_divergence"] and used["first_divergence"]
     assert runs["per_destination"][0] == runs["fused"][0]
 
 
 def test_match_all_over_detached_destinations():
-    """``take_pending`` detaches a destination so the same subarray can
-    load its other layer; ``match_all(*taken)`` then equals one
-    ``match_all()`` per destination, an empty destination only sets
-    the Match-Enable, and own pending batches are refused.  Layer 1
+    """The blocks each load returns form a destination, so the same
+    subarray can load its other layer before matching; ``match_all``
+    over every destination then equals one ``match_all`` call per
+    destination, an empty destination only sets the Match-Enable, and
+    a pass needs at least one destination.  Layer 1
     holds 144 references, fewer than its second ETM segment's first
     slot (228), and its last query hits its last reference: the
     segment past the short layer must stay dead in the ETM state."""
@@ -758,21 +747,21 @@ def test_match_all_over_detached_destinations():
     ]
     taken, want, outcomes = [], [], []
     for layer, keys in enumerate(layer_keys):
-        for lo in range(0, len(keys), size):
-            for sim in (fused, plain, scalar):
-                sim.load_query_batch(keys[lo : lo + size], layer)
-            outcomes += [scalar.match_slot(s) for s in range(len(keys[lo : lo + size]))]
-        taken.append(fused.take_pending())
-        want.append(plain.match_all())
-    # An empty destination last: only the Match-Enable follows it.
+        batches = [keys[lo : lo + size] for lo in range(0, len(keys), size)]
+        blocks = tuple(fused.load_query_batch(batch, layer) for batch in batches)
+        taken.append(PendingMatch(fused, layer, blocks))
+        want.append(load_and_match(plain, layer, *batches))
+        for batch in batches:
+            scalar.load_query_batch(batch, layer)
+            outcomes += [scalar.match_slot(s) for s in range(len(batch))]
+    # A later load into layer 0 leaves the taken blocks as they were.
     for sim in (fused, plain, scalar):
         sim.load_query_batch([records[0][0]], 0)
+    # An empty destination last: only the Match-Enable follows it.
     with pytest.raises(FunctionalError):
-        fused.match_all(*taken)
-    for sim in (fused, plain, scalar):
-        sim.discard_pending()
-    taken.append(fused.take_pending())
-    want.append(plain.match_all())
+        fused.match_all()
+    taken.append(PendingMatch(fused, 0, ()))
+    want.append(plain.match_all(PendingMatch(plain, 0, ())))
     got = fused.match_all(*taken)
     assert got.layer == -1 and [len(t) for t in taken] == [3, 5, 0]
     for reference in (want, [MatchBatch.from_outcomes(-1, outcomes)]):

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, FaultModel, StuckCell, fault_injection
 from repro.sieve import kernels
 from repro.sieve.functional import (
+    PendingMatch,
     SieveSubarraySim,
     _bit_rows_to_ints,
     _bits_to_int,
@@ -42,6 +43,7 @@ from repro.sieve.layout import SubarrayLayout
 
 from .test_batched_equivalence import (
     assert_equivalent,
+    load_and_match,
     outcomes_from_batch,
     random_trial,
 )
@@ -358,9 +360,10 @@ class TestEngineBitIdentity:
         fast = SieveSubarraySim(layout, records, etm_enabled=etm_enabled)
         layer = scalar.route_layer(queries[0])
         scalar.load_query_batch(queries, layer)
-        fast.load_query_batch(queries, layer)
         s_out = [scalar.match_slot(s) for s in range(len(queries))]
-        f_out = outcomes_from_batch(fast, queries, fast.match_all())
+        f_out = outcomes_from_batch(
+            fast, queries, load_and_match(fast, layer, queries)
+        )
         assert_equivalent(scalar, fast, s_out, f_out)
 
     @pytest.mark.parametrize("case", [*range(4), *WIDE_CASES])
@@ -378,15 +381,18 @@ class TestEngineBitIdentity:
                 sim = SieveSubarraySim(
                     layout, records, etm_enabled=etm_enabled
                 )
-                sim.load_query_batch(queries, sim.route_layer(queries[0]))
-                outcomes = match(sim)
+                layer = sim.route_layer(queries[0])
+                block = sim.load_query_batch(queries, layer)
+                outcomes = match(sim, PendingMatch(sim, layer, (block,)))
             return sim, outcomes, injector
 
         scalar, s_out, s_inj = build(
-            lambda sim: [sim.match_slot(s) for s in range(len(queries))]
+            lambda sim, _: [sim.match_slot(s) for s in range(len(queries))]
         )
         fast, f_out, f_inj = build(
-            lambda sim: outcomes_from_batch(sim, queries, sim.match_all())
+            lambda sim, loaded: outcomes_from_batch(
+                sim, queries, sim.match_all(loaded)
+            )
         )
         assert f_inj.stats.bits_flipped == s_inj.stats.bits_flipped
         assert_equivalent(scalar, fast, s_out, f_out)
@@ -426,15 +432,17 @@ class TestFastPathGuards:
             injector = FaultInjector(model)
             with fault_injection(injector):
                 sim = SieveSubarraySim(layout, records)
-                sim.load_query_batch(queries, 0)
-                outcomes = match(sim)
+                block = sim.load_query_batch(queries, 0)
+                outcomes = match(sim, PendingMatch(sim, 0, (block,)))
             return sim, outcomes, injector
 
         scalar, s_out, s_inj = build(
-            lambda sim: [sim.match_slot(s) for s in range(len(queries))]
+            lambda sim, _: [sim.match_slot(s) for s in range(len(queries))]
         )
         fast, f_out, f_inj = build(
-            lambda sim: outcomes_from_batch(sim, queries, sim.match_all())
+            lambda sim, loaded: outcomes_from_batch(
+                sim, queries, sim.match_all(loaded)
+            )
         )
         assert f_inj.schedule == s_inj.schedule
         assert_equivalent(scalar, fast, s_out, f_out)

@@ -8,6 +8,7 @@ from repro.sieve import (
     FunctionalError,
     IndexEntry,
     LayoutError,
+    SieveDevice,
     SieveSubarraySim,
     SubarrayIndex,
     SubarrayLayout,
@@ -171,15 +172,18 @@ class TestFunctionalSim:
         assert not results[1].hit
         assert results[2].hit and results[2].payload == layer0[-1][1]
 
-    def test_write_command_accounting(self, small_layout, sorted_records):
-        records = sorted_records[: small_layout.refs_per_subarray]
-        sim = SieveSubarraySim(small_layout, records)
-        commands = sim.load_query_batch([records[0][0]], layer=0)
-        assert commands == small_layout.batch_write_commands
-        assert sim.write_commands == commands
-        sim.load_query_batch([records[0][0]], layer=0)
-        assert sim.write_commands == 2 * commands
-        assert sim.batch_loads == 2
+    def test_write_command_accounting(self, small_dataset):
+        """A destination of more than 64 queries loads as batches of <= 64,
+        each charged groups x 2k prefetch-width write commands."""
+        device = SieveDevice.from_database(small_dataset.database)
+        layout = device.layout
+        assert layout.queries_per_group == 64
+        kmer, payload = small_dataset.database.sorted_records()[0]
+        result = device.query([kmer] * 129)
+        assert result.payload.tolist() == [payload] * 129
+        assert layout.batch_write_commands == layout.num_groups * layout.kmer_rows
+        assert device.stats.batches == 3
+        assert device.stats.write_commands == 3 * layout.batch_write_commands
 
     def test_layers_route_correctly(self, small_layout, sorted_records):
         records = sorted_records[: small_layout.refs_per_subarray]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.faults import FaultInjector, FaultModel, fault_injection
 from repro.genomics.encoding import bits_to_kmer
 from repro.sieve import LayoutError, SubarrayLayout
 from repro.sieve.functional import SieveSubarraySim
@@ -190,13 +191,37 @@ class TestBitImages:
         assert not block[:, len(queries) :].any()
         for j, q in enumerate(queries):
             assert bits_to_kmer(list(block[:, j]), small_layout.k) == q
-        # Loading the batch replicates the block into every group.
+        # Loading the batch replicates the block into every group and
+        # returns the cells it stored, group by group.
         sim = SieveSubarraySim(small_layout, [(5, 1)])
-        sim.load_query_batch(queries, 0)
+        stored = sim.load_query_batch(queries, 0)
+        assert stored.shape == (
+            small_layout.kmer_rows,
+            small_layout.num_groups,
+            len(queries),
+        )
         cells = sim.array.peek_rows(0, small_layout.kmer_rows)
         for g in range(small_layout.num_groups):
             cols = small_layout.query_column_matrix[g]
             np.testing.assert_array_equal(cells[:, cols], block)
+            np.testing.assert_array_equal(stored[:, g], block[:, : len(queries)])
+        # The returned cells are a copy: a second load into the same
+        # layer rewrites the query columns but not the first block.
+        sim.load_query_batch(queries[::-1], 0)
+        cells = sim.array.peek_rows(0, small_layout.kmer_rows)
+        for g in range(small_layout.num_groups):
+            cols = small_layout.query_column_matrix[g][: len(queries)]
+            assert not np.array_equal(cells[:, cols], stored[:, g])
+            np.testing.assert_array_equal(stored[:, g], block[:, : len(queries)])
+        # Under load-time bit flips the returned cells are the corrupted
+        # stored ones, not the block that was written.
+        with fault_injection(FaultInjector(FaultModel(bit_flip_rate=0.2, seed=3))):
+            sim = SieveSubarraySim(small_layout, [(5, 1)])
+            stored = sim.load_query_batch(queries, 0)
+        cells = sim.array.peek_rows(0, small_layout.kmer_rows)
+        cols = small_layout.query_column_matrix[:, : len(queries)]
+        np.testing.assert_array_equal(stored, cells[:, cols])
+        assert not (stored == block[:, None, : len(queries)]).all()
 
     def test_query_matrix_batch_limit(self, small_layout):
         too_many = list(range(small_layout.queries_per_group + 1))
