@@ -4,9 +4,10 @@ Any :class:`repro.api.QueryBackend` — the scalar database, the Sieve
 device, the sharded service, the multi-process cluster — plays the
 seed-location *filter* role that compute-in-memory hardware plays in
 published read-mapping stacks; the host resolves surviving seeds to
-reference locations and verifies them with bit-parallel semi-global
-alignment over band-clipped windows, priced either analytically (host
-SIMD) or through the DRAM ledger (in-situ extension).
+reference locations, drops the windows a lossless q-gram filter rules
+out, and verifies the rest with bit-parallel semi-global alignment over
+band-clipped windows, priced either analytically (host SIMD) or through
+the DRAM ledger (in-situ extension).
 
 Run ``python -m repro.mapping`` for a self-checking demo of the
 mapping service request type over a cluster topology.

@@ -176,6 +176,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     print(
         f"extend stage: {stats['mapping']['candidates']} candidates, "
+        f"{stats['mapping']['aligned']} aligned, "
         f"{stats['mapping']['dp_cells']} DP cells, "
         f"{extension['time_ns']:.0f} modelled ns"
     )

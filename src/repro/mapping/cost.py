@@ -22,10 +22,12 @@ the DRAM ledger:
 
 Both keep running totals in :class:`ExtensionStats`; the mapping
 service exposes them under ``stats()["mapping"]``.  ``dp_cells`` counts
-the cells of the *modelled* ``m x (n + 1)`` semi-global DP per
-candidate (:attr:`repro.mapping.aligner.SemiglobalResult.cells`), not
-the host's instructions: the host computes the same distance with
-Myers' bit-vector algorithm, ``n`` word steps per candidate.
+the cells of the *modelled* ``m x (n + 1)`` semi-global DP of every
+candidate (:func:`repro.mapping.aligner.modelled_cells`), not the
+host's instructions: the modelled extender verifies every candidate,
+while the host first drops the candidates a lossless q-gram filter
+rules out and runs Myers' bit-vector algorithm, ``n`` word steps, only
+on the rest (``MappingStats.aligned`` counts those).
 """
 
 from __future__ import annotations

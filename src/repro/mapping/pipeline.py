@@ -11,11 +11,18 @@ The pipeline (docs/MAPPING.md) has three stages:
 2. **Seed** — surviving k-mers are resolved to reference locations by
    the host-side :class:`~repro.mapping.seeds.SeedIndex` and grouped
    into ``(genome, diagonal)`` candidates.
-3. **Extend** — each candidate's reference window is verified by
-   banded semi-global alignment
-   (:func:`~repro.mapping.aligner.semiglobal_distance`); a candidate
-   maps if its distance is within ``max_edits``.  The arithmetic is
-   identical for both cost models — only the modelled price differs
+3. **Extend** — filter, then align.  A lossless q-gram filter
+   (:func:`~repro.mapping.aligner.qgram_filter`) drops every candidate
+   whose window shares too few q-grams with the read to be within
+   ``max_edits``; each surviving window is verified by banded
+   semi-global alignment
+   (:func:`~repro.mapping.aligner.semiglobal_distance`), and a
+   candidate maps if its distance is within ``max_edits``.  Every
+   candidate, filtered or aligned, is charged its modelled DP cells:
+   the modelled accelerator verifies them all, only the host skips the
+   work, so answers, ``dp_cells`` and both cost models' totals are the
+   same as aligning every candidate.  The arithmetic is identical for
+   both cost models — only the modelled price differs
    (:mod:`repro.mapping.cost`).
 
 :meth:`SeedExtender.extend` is a *pure function* of the read and the
@@ -34,7 +41,13 @@ import numpy as np
 
 from ..api import QueryBackend, ResultBatch
 from ..genomics.sequence import DnaSequence
-from .aligner import semiglobal_distance
+from .aligner import (
+    QGRAM,
+    modelled_cells,
+    qgram_codes,
+    qgram_filter,
+    semiglobal_distance,
+)
 from .cost import HostExtensionModel, InsituExtensionModel
 from .seeds import SeedIndex
 
@@ -129,12 +142,17 @@ class MappingResult:
 
 @dataclass
 class MappingStats:
-    """Extender-level counters (the cost model keeps the price)."""
+    """Extender-level counters (the cost model keeps the price).
+
+    ``aligned`` counts the candidates the host actually aligned, the
+    ones the q-gram filter passed; ``dp_cells`` is the modelled work of
+    every candidate."""
 
     reads: int = 0
     mapped: int = 0
     seed_hits: int = 0
     candidates: int = 0
+    aligned: int = 0
     dp_cells: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -143,6 +161,7 @@ class MappingStats:
             "mapped": self.mapped,
             "seed_hits": self.seed_hits,
             "candidates": self.candidates,
+            "aligned": self.aligned,
             "dp_cells": self.dp_cells,
         }
 
@@ -174,6 +193,9 @@ class SeedExtender:
         self.config = config or MappingConfig()
         self.cost_model = cost_model or build_extension_model(self.config)
         self.stats = MappingStats()
+        # Each genome's q-gram codes, encoded once: a candidate window's
+        # codes are a slice of its genome's.
+        self.genome_qgrams = tuple(qgram_codes(g.bases) for g in self.genomes)
 
     @property
     def k(self) -> int:
@@ -206,26 +228,47 @@ class SeedExtender:
             if c.support >= cfg.min_seed_hits
         ][: cfg.max_candidates]
 
-        accepted: List[Tuple[int, int, int]] = []
-        dp_cells = 0
+        read_len = len(read.bases)
+        spans: List[Tuple[int, int]] = []
         for candidate in ranked:
-            genome = self.genomes[candidate.genome_index]
-            genome_len = len(genome.bases)
+            genome_len = len(self.genomes[candidate.genome_index].bases)
             window_start = min(
                 max(candidate.diagonal - cfg.band, 0), genome_len
             )
             window_end = min(
-                max(candidate.diagonal + len(read.bases) + cfg.band, 0),
+                max(candidate.diagonal + read_len + cfg.band, 0),
                 genome_len,
             )
-            window = genome.bases[window_start:window_end]
-            outcome = semiglobal_distance(read.bases, window)
-            dp_cells += outcome.cells
+            spans.append((window_start, window_end))
+        passed = qgram_filter(
+            qgram_codes(read.bases),
+            [
+                self.genome_qgrams[candidate.genome_index][
+                    start : max(end - QGRAM + 1, start)
+                ]
+                for candidate, (start, end) in zip(ranked, spans)
+            ],
+            cfg.max_edits,
+        )
+
+        accepted: List[Tuple[int, int, int]] = []
+        dp_cells = 0
+        for candidate, (window_start, window_end), aligned in zip(
+            ranked, spans, passed
+        ):
+            cells = modelled_cells(read_len, window_end - window_start)
+            dp_cells += cells
             self.cost_model.charge(
                 candidate.genome_index,
                 window_start,
-                len(window),
-                outcome.cells,
+                window_end - window_start,
+                cells,
+            )
+            if not aligned:
+                continue
+            genome = self.genomes[candidate.genome_index]
+            outcome = semiglobal_distance(
+                read.bases, genome.bases[window_start:window_end]
             )
             if outcome.distance <= cfg.max_edits:
                 accepted.append(
@@ -268,6 +311,7 @@ class SeedExtender:
         self.stats.mapped += int(result.mapped)
         self.stats.seed_hits += result.seed_hits
         self.stats.candidates += result.candidates
+        self.stats.aligned += int(passed.sum())
         self.stats.dp_cells += result.dp_cells
         return result
 

@@ -9,7 +9,10 @@ Three pillars pin :mod:`repro.mapping` (docs/MAPPING.md):
    The numpy full and banded edit-distance DPs are checked against
    brute force too: the banded one must *equal* the unbanded distance
    whenever that distance fits the band, and report ``None`` otherwise
-   — the band is an error budget, never an approximation knob.
+   — the band is an error budget, never an approximation knob.  The
+   q-gram pre-alignment filter must never reject a window the aligner
+   accepts, and ``SeedExtender.extend`` must equal a loop that aligns
+   every ranked candidate.
 2. **Seed-and-extend completeness** — for a planted read, every
    reference location a brute-force full scan accepts (Hamming within
    the edit budget *and* at least one exact surviving seed) must appear
@@ -32,6 +35,7 @@ import asyncio
 import hashlib
 import json
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -51,12 +55,20 @@ from repro.mapping import (
     Candidate,
     MappingConfig,
     MappingError,
+    MappingResult,
     ReadMapper,
     SeedExtender,
     SeedIndex,
     SeedIndexError,
     SemiglobalResult,
+    build_extension_model,
     semiglobal_distance,
+)
+from repro.mapping.aligner import (
+    QGRAM,
+    modelled_cells,
+    qgram_codes,
+    qgram_filter,
 )
 from repro.serialization import save_segments
 from repro.service import ClassificationService, ServiceConfig, ServiceError
@@ -310,6 +322,69 @@ def test_aligner_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# Pre-alignment q-gram filter
+# ---------------------------------------------------------------------------
+
+
+def ref_shared_qgrams(read: str, window: str) -> int:
+    """Shared q-grams with multiplicity, every non-ACGT byte one symbol."""
+
+    def grams(s: str) -> Counter:
+        s = "".join(c if c in "ACGT" else "x" for c in s)
+        return Counter(s[i : i + QGRAM] for i in range(len(s) - QGRAM + 1))
+
+    return sum((grams(read) & grams(window)).values())
+
+
+@st.composite
+def filter_case(draw):
+    """A read, an edited copy of it in flanks (or unrelated sequence),
+    windows shorter than q or empty, and a budget up to 8 edits."""
+    alphabet = "ACGTNacgtn-*"
+    read, window = draw(read_in_window(alphabet, min_read=0, max_read=40))
+    short = draw(
+        st.lists(st.text(alphabet=alphabet, max_size=QGRAM - 1), max_size=2)
+    )
+    return read, [window, *short], draw(st.integers(0, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=filter_case())
+def test_qgram_filter_never_rejects_an_acceptable_window(case):
+    read, windows, max_edits = case
+    passed = qgram_filter(
+        qgram_codes(read), [qgram_codes(w) for w in windows], max_edits
+    )
+    need = (len(read) - QGRAM + 1) - QGRAM * max_edits
+    assert passed.shape == (len(windows),)
+    for window, ok in zip(windows, passed):
+        # Exactly the lemma's count, with multiplicity ...
+        assert ok == (ref_shared_qgrams(read, window) >= need)
+        # ... so every window the aligner accepts passes.
+        if semiglobal_distance(read, window).distance <= max_edits:
+            assert ok
+    if need <= 0:
+        assert passed.all()
+
+
+def test_qgram_filter_edge_cases():
+    assert qgram_codes("ACGTN").tolist() == [38, 194]
+    assert qgram_codes("acgt").tolist() == qgram_codes("NNNN").tolist()
+    assert qgram_codes("ACG").size == qgram_codes("").size == 0
+    read = qgram_codes("ACGTACGTAC")  # 7 q-grams
+    windows = [qgram_codes(w) for w in ("ACGTACGTAC", "TTTTTTTT", "", "AC")]
+    assert qgram_filter(read, windows, 0).tolist() == [True] + [False] * 3
+    # need = 7 - 4 * 2 < 0: nothing is filtered, not even empty windows.
+    assert qgram_filter(read, windows, 2).all()
+    assert qgram_filter(qgram_codes("ACG"), windows, 0).all()
+    assert qgram_filter(read, [], 0).shape == (0,)
+    # One formula for modelled cells, aligned or filtered.
+    assert modelled_cells(0, 5) == modelled_cells(5, 0) == 0
+    assert modelled_cells(3, 4) == 15
+    assert semiglobal_distance("ACG", "").cells == modelled_cells(3, 0)
+
+
+# ---------------------------------------------------------------------------
 # Seed-and-extend completeness
 # ---------------------------------------------------------------------------
 
@@ -506,6 +581,93 @@ def test_candidates_rank_ties_and_negative_diagonals():
 
 
 # ---------------------------------------------------------------------------
+# Filtered extension equals aligning every candidate
+# ---------------------------------------------------------------------------
+
+
+def reference_extend(index, genomes, config, cost_model, read, results):
+    """``SeedExtender.extend`` without the filter: align every ranked
+    candidate with ``semiglobal_distance`` and charge its cells."""
+    offsets = np.flatnonzero(results.hit)
+    ranked = [
+        c
+        for c in index.candidates(offsets, results.queries[offsets])
+        if c.support >= config.min_seed_hits
+    ][: config.max_candidates]
+    accepted, dp_cells = [], 0
+    for c in ranked:
+        bases = genomes[c.genome_index].bases
+        start = min(max(c.diagonal - config.band, 0), len(bases))
+        end = min(max(c.diagonal + len(read.bases) + config.band, 0), len(bases))
+        outcome = semiglobal_distance(read.bases, bases[start:end])
+        dp_cells += outcome.cells
+        cost_model.charge(c.genome_index, start, end - start, outcome.cells)
+        if outcome.distance <= config.max_edits:
+            accepted.append((c.genome_index, c.diagonal, outcome.distance))
+    best = min(accepted, key=lambda loc: (loc[2], loc[0], loc[1]), default=None)
+    return MappingResult(
+        read_id=read.seq_id,
+        mapped=best is not None,
+        taxon_id=None if best is None else genomes[best[0]].taxon_id,
+        genome_index=None if best is None else best[0],
+        position=None if best is None else best[1],
+        edit_distance=None if best is None else best[2],
+        kmers_total=len(results),
+        seed_hits=int(offsets.size),
+        candidates=len(ranked),
+        dp_cells=dp_cells,
+        locations=tuple(accepted),
+    )
+
+
+@pytest.mark.parametrize("extension", ["host", "insitu"])
+@pytest.mark.parametrize("band", [3, 8])
+def test_filtered_extend_equals_aligning_every_candidate(
+    golden_dataset, band, extension
+):
+    config = MappingConfig(band=band, max_edits=band, extension=extension)
+    index = SeedIndex.from_genomes(golden_dataset.genomes, golden_dataset.k)
+    extender = SeedExtender(index, golden_dataset.genomes, config)
+    reference_model = build_extension_model(config)
+    for read in golden_dataset.reads:
+        results = golden_dataset.database.query(read.kmer_list(golden_dataset.k))
+        assert extender.extend(read, results) == reference_extend(
+            index, golden_dataset.genomes, config, reference_model, read, results
+        )
+    assert extender.cost_model.as_dict() == reference_model.as_dict()
+    stats = extender.stats_dict()
+    assert stats["dp_cells"] == reference_model.stats.dp_cells
+    # The host aligns only what the filter passes.
+    assert stats["mapped"] <= stats["aligned"] <= stats["candidates"]
+    if band == 8:
+        assert stats["aligned"] < stats["candidates"]
+
+
+def test_filter_keeps_a_window_at_exactly_the_bound():
+    """A read at the genome's end with two substitutions ``q`` apart
+    shares exactly ``need`` q-grams with its clipped window, so the
+    extender must hand the window every one of them to map it."""
+    genome = DnaSequence(
+        "g0", "TGGCCAAAATGTGGTGGGGTCTGACTGATGTAATAGACCCCAAAAGGGCGTCCTTTCGTG"
+    )
+    start = len(genome.bases) - 20
+    read = DnaSequence("tight", _mutate(genome.bases[start:], [3, 11]))
+    band = 2
+    window = genome.bases[start - band :]
+    assert ref_shared_qgrams(read.bases, window) == (20 - QGRAM + 1) - QGRAM * band
+    extender = SeedExtender(
+        SeedIndex.from_genomes([genome], 5),
+        [genome],
+        MappingConfig(band=band, max_edits=band),
+    )
+    result = ReadMapper(
+        KmerDatabase.from_genomes([(genome, 1)], k=5), extender
+    ).map_read(read)
+    assert (result.position, result.edit_distance) == (start, 2)
+    assert extender.stats.aligned == 1
+
+
+# ---------------------------------------------------------------------------
 # Topology bit-identity, pinned by the committed golden matrix
 # ---------------------------------------------------------------------------
 
@@ -616,6 +778,7 @@ def test_sharded_service_matches_golden(golden_dataset, overrides):
         1 for p in payloads if p["mapped"]
     )
     assert stats["mapping"]["extension"]["model"] == "host"
+    assert stats["mapping"]["aligned"] <= stats["mapping"]["candidates"]
 
 
 @pytest.mark.parametrize("workers", MAPPING_GOLDEN["worker_counts"])
