@@ -216,7 +216,11 @@ class ResultBatch:
 
     def __setitem__(self, index: int, record: BackendResult) -> None:
         """Overwrite one row with a record's fields; a micro-event the
-        batch has no column for must be the record default."""
+        batch has no column for must be the record default.
+
+        The benchmark's wrong-answer test
+        (``sievebench/test_bench.py::test_a_wrong_answer_fails_the_run``)
+        corrupts a device answer through this method."""
         position = range(len(self))[index]
         row = ResultBatch.from_results([record])
         default = BackendResult(record.query, record.hit, record.payload)

@@ -1,26 +1,21 @@
 """Process-parallel experiment fleet (see docs/TESTING.md).
 
 Decomposes figures/tables/sweeps into pure, picklable :class:`Job`
-units, dispatches them over a process pool with deterministic per-job
-seeds and an optional on-disk result cache, and merges payloads in
-submission order so ``--jobs 1`` and ``--jobs N`` produce byte-identical
-output.  ``python -m repro.fleet`` is the CLI; the golden-result suite
+units, dispatches them inline or over a process pool — every call runs
+every job — and merges payloads in submission order so ``--jobs 1`` and
+``--jobs N`` produce byte-identical output.  A payload is a function of
+the job's fields; any randomness seeds from those fields.
+``python -m repro.fleet`` is the CLI; the golden-result suite
 (``tests/golden/``) pins every experiment's serialized payload.
 """
 
 from .core import (
-    CACHE_ENV_VAR,
     JOBS_ENV_VAR,
-    PAYLOAD_SCHEMA,
     FleetError,
     Job,
-    ResultCache,
     configure,
-    default_cache,
     default_jobs,
-    derive_seed,
     fork_context,
-    job_digest,
     run_jobs,
     sanitize_active,
     worker_init,
@@ -53,18 +48,12 @@ from .jobs import (
 )
 
 __all__ = [
-    "CACHE_ENV_VAR",
     "JOBS_ENV_VAR",
-    "PAYLOAD_SCHEMA",
     "FleetError",
     "Job",
-    "ResultCache",
     "configure",
-    "default_cache",
     "default_jobs",
-    "derive_seed",
     "fork_context",
-    "job_digest",
     "run_jobs",
     "sanitize_active",
     "worker_init",

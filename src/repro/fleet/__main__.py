@@ -78,10 +78,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="golden directory (default: %(default)s)",
     )
     parser.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help=f"on-disk result cache directory (default: ${core.CACHE_ENV_VAR})",
-    )
-    parser.add_argument(
         "--sanitize", action="store_true",
         help="install the DRAM protocol sanitizer (parent and workers)",
     )
@@ -96,9 +92,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..analysiskit import enable_sanitizer
 
         enable_sanitizer()
-    if args.cache is not None:
-        core.configure(jobs=args.jobs, cache_dir=args.cache)
-        args.jobs = None  # configured; run_jobs picks it up
 
     names = _select(args.experiments + (args.only or []))
 

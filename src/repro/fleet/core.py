@@ -1,4 +1,4 @@
-"""Process-parallel job runner with deterministic merge and result cache.
+"""Process-parallel job runner with deterministic merge.
 
 The experiment layer decomposes every figure/table/sweep into pure,
 picklable :class:`Job` units (design config x workload x sweep point).
@@ -11,12 +11,15 @@ This module dispatches them:
   in submission order, so the merged output is byte-identical to the
   inline run regardless of worker count.
 
+Every call executes every job: there is no result store, so a payload
+always comes from the code that is running.
+
 Three invariants make ``--jobs 1`` equivalent to ``--jobs N``:
 
-1. Jobs are *pure*: a job's payload is a function of its dataclass
-   fields only.  Any randomness must come from the ``seed`` argument of
-   :meth:`Job.run`, which is derived from a stable content hash of the
-   job key (:func:`derive_seed`) — never from global RNG state.
+1. Jobs are *pure*: a job's payload is a function of the job's fields;
+   any randomness seeds from those fields (e.g.
+   :func:`repro.faults.hash_seed` of a tag) — never from global RNG
+   state.
 2. Merge order is submission order (``ProcessPoolExecutor.map``
    preserves it), and floats survive pickling bit-exactly.
 3. Workers never nest pools: a ``run_jobs`` call inside a worker runs
@@ -30,34 +33,18 @@ protocol sanitizer into the :mod:`repro.dram.hooks` seam — plus a
 :mod:`repro.service.hooks` — before running jobs, and a
 :class:`~repro.analysiskit.SanitizerError` raised in a worker
 propagates to the parent with the offending history intact.
-
-The optional on-disk result cache keys each payload by a content hash
-of (job key, repro version, payload schema) — see :class:`ResultCache`.
-Enable it with ``SIEVE_FLEET_CACHE=<dir>`` or ``--cache`` on the fleet
-CLI; it is off by default so stale results can never leak into a run
-that did not ask for them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
-from typing import Any, ClassVar, Dict, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence
 
 #: Environment variable read by :func:`default_jobs`.
 JOBS_ENV_VAR = "SIEVE_JOBS"
-
-#: Environment variable read by :func:`default_cache`.
-CACHE_ENV_VAR = "SIEVE_FLEET_CACHE"
-
-#: Bump when the payload schema of any job type changes incompatibly;
-#: part of every cache digest.
-PAYLOAD_SCHEMA = 1
 
 
 class FleetError(ValueError):
@@ -69,132 +56,36 @@ class Job:
     """Base class for one pure, picklable unit of experiment work.
 
     Subclasses are frozen dataclasses whose fields are scalars/tuples
-    (picklable, reprable); :meth:`run` must depend only on those fields
-    and the passed ``seed``.  The payload must be JSON-serializable so
-    it can be cached and golden-diffed.
+    (picklable, reprable); :meth:`run` must depend only on those
+    fields.  The payload must be JSON-serializable so it can be
+    golden-diffed.
     """
 
-    #: Class-level switch: wall-clock measurements (benchmarks) and
-    #: probe jobs must never be served from the cache.
-    cacheable: ClassVar[bool] = True
-
-    def key(self) -> str:
-        """Stable identity string: type name + every dataclass field."""
-        fields = ",".join(
-            f"{f.name}={getattr(self, f.name)!r}"
-            for f in dataclasses.fields(self)
-        )
-        return f"{type(self).__name__}({fields})"
-
-    def run(self, seed: int) -> Any:
+    def run(self) -> Any:
         raise NotImplementedError
-
-    def cache_token(self) -> str:
-        """Extra content folded into the cache digest (default: none).
-
-        Jobs whose inputs live *outside* their dataclass fields — e.g.
-        a database segment directory referenced by path — return a
-        content hash of that input here, so two paths with identical
-        content share cache entries and an edited file under the same
-        path gets a fresh one.
-        """
-        return ""
-
-
-def derive_seed(key: str) -> int:
-    """Deterministic 63-bit seed from a job key (stable content hash).
-
-    Never consults global RNG state (rule SV004): the same job key
-    yields the same seed in every process, interpreter, and run.
-    """
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
-def job_digest(job: Job, version: str) -> str:
-    """Cache digest: content hash of (job key, repro version, schema).
-
-    A non-empty :meth:`Job.cache_token` (content hash of out-of-band
-    inputs such as database segment directories) is folded in; jobs
-    without one keep their historical digests.
-    """
-    text = f"{job.key()}|version={version}|schema={PAYLOAD_SCHEMA}"
-    token = job.cache_token()
-    if token:
-        text += f"|token={token}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-class ResultCache:
-    """On-disk JSON store of job payloads keyed by content digest.
-
-    Writes are atomic (temp file + ``os.replace``), so concurrent
-    workers racing on the same digest leave a complete file with the
-    same deterministic content either way.
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-
-    def _path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The cached entry (``{"job", "version", "payload"}``) or None."""
-        path = self._path(digest)
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(entry, dict) or "payload" not in entry:
-            return None
-        return entry
-
-    def put(self, digest: str, job: Job, payload: Any, version: str) -> None:
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"job": job.key(), "version": version, "payload": payload}
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        # fsync before the rename: os.replace is atomic against *other
-        # processes*, but after a crash the directory entry can point at
-        # a file whose data never reached disk (a truncated entry the
-        # next run would have to discard).  Flush the bytes first so the
-        # rename only ever publishes a complete entry.
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
-# Configuration (worker count, cache)
+# Configuration (worker count)
 # ---------------------------------------------------------------------------
 
 _configured_jobs: Optional[int] = None
-_configured_cache: Optional[ResultCache] = None
-_cache_configured = False
 #: Set in every pool worker: nested run_jobs calls run inline.
 _in_worker = False
 
 
-def configure(
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> None:
-    """Set the session-wide default worker count and/or cache directory.
+def configure(jobs: Optional[int] = None) -> None:
+    """Set the session-wide default worker count.
 
     ``configure(jobs=None)`` resets to the environment default
-    (``SIEVE_JOBS``, else 1); ``cache_dir=None`` resets to
-    ``SIEVE_FLEET_CACHE``.  The CLIs call this once from their parsed
-    arguments so experiment runners never thread the knobs explicitly.
+    (``SIEVE_JOBS``, else 1).  The CLIs call this once from their
+    parsed arguments so experiment runners never thread the knob
+    explicitly.
     """
-    global _configured_jobs, _configured_cache, _cache_configured
+    global _configured_jobs
     if jobs is not None and jobs < 1:
         raise FleetError(f"jobs must be >= 1, got {jobs}")
     _configured_jobs = jobs
-    _configured_cache = ResultCache(cache_dir) if cache_dir is not None else None
-    _cache_configured = cache_dir is not None
 
 
 def default_jobs() -> int:
@@ -211,14 +102,6 @@ def default_jobs() -> int:
     if value < 1:
         raise FleetError(f"{JOBS_ENV_VAR} must be >= 1, got {value}")
     return value
-
-
-def default_cache() -> Optional[ResultCache]:
-    """Active result cache: configured directory, else ``SIEVE_FLEET_CACHE``."""
-    if _cache_configured:
-        return _configured_cache
-    raw = os.environ.get(CACHE_ENV_VAR, "").strip()
-    return ResultCache(raw) if raw else None
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +132,8 @@ def worker_init(sanitize: bool) -> None:
 
 
 def _execute(job: Job) -> Any:
-    """Run one job with its derived seed (runs in the worker process)."""
-    return job.run(derive_seed(job.key()))
+    """Run one job (runs in the worker process)."""
+    return job.run()
 
 
 def fork_context() -> multiprocessing.context.BaseContext:
@@ -266,62 +149,26 @@ def fork_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def run_jobs(
-    jobs: Sequence[Job],
-    max_workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    use_cache: bool = True,
-) -> List[Any]:
+def run_jobs(jobs: Sequence[Job], max_workers: Optional[int] = None) -> List[Any]:
     """Run every job; payloads return in submission order.
 
     ``max_workers=None`` uses :func:`default_jobs`.  With one worker —
     or inside a fleet worker (no nested pools) — jobs run inline in the
     calling process; otherwise they fan out over a process pool.  Both
-    paths yield byte-identical merged results.
-
-    Cache lookups happen in the parent before dispatch; only misses are
-    executed.  An exception raised by any job (including
-    ``SanitizerError`` from a worker's protocol sanitizer) propagates
-    to the caller.
+    paths yield byte-identical merged results.  An exception raised by
+    any job (including ``SanitizerError`` from a worker's protocol
+    sanitizer) propagates to the caller.
     """
     jobs = list(jobs)
-    version = _repro_version()
-    store = (cache if cache is not None else default_cache()) if use_cache else None
-    results: List[Any] = [None] * len(jobs)
-    pending: List[int] = []
-    digests: Dict[int, str] = {}
-    for i, job in enumerate(jobs):
-        if store is not None and job.cacheable:
-            digests[i] = job_digest(job, version)
-            entry = store.get(digests[i])
-            if entry is not None:
-                results[i] = entry["payload"]
-                continue
-        pending.append(i)
-
     workers = max_workers if max_workers is not None else default_jobs()
     if workers < 1:
         raise FleetError(f"max_workers must be >= 1, got {workers}")
-    if workers == 1 or len(pending) <= 1 or _in_worker:
-        for i in pending:
-            results[i] = _execute(jobs[i])
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            mp_context=fork_context(),
-            initializer=worker_init,
-            initargs=(sanitize_active(),),
-        ) as pool:
-            for i, payload in zip(pending, pool.map(_execute, [jobs[i] for i in pending])):
-                results[i] = payload
-    if store is not None:
-        for i in pending:
-            if jobs[i].cacheable:
-                store.put(digests[i], jobs[i], results[i], version)
-    return results
-
-
-def _repro_version() -> str:
-    from .. import __version__
-
-    return __version__
+    if workers == 1 or len(jobs) <= 1 or _in_worker:
+        return [_execute(job) for job in jobs]
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(jobs)),
+        mp_context=fork_context(),
+        initializer=worker_init,
+        initargs=(sanitize_active(),),
+    ) as pool:
+        return list(pool.map(_execute, jobs))

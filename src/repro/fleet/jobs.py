@@ -3,15 +3,15 @@
 Each job is a frozen dataclass of scalars (picklable, reprable), and
 ``run`` imports what it needs lazily so job objects ship to workers
 without dragging the whole simulator through pickle.  Payloads are
-JSON-serializable dicts — the merge layer (and the on-disk cache, and
-the golden differ) never sees a live model object.
+JSON-serializable dicts — the merge layer and the golden differ never
+see a live model object.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 from .core import FleetError, Job
 
@@ -109,7 +109,7 @@ class PerfPointJob(Job):
             return RowMajorModel(cfg, self.units)
         return ComputeDramModel(cfg, self.units)
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         result = self._model().run(self._workload())
         return {
             "design": result.design,
@@ -127,7 +127,7 @@ class SteadyStateJob(Job):
     streams: int
     num_requests: int = 4000
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         from ..experiments.workloads import PAPER_K, paper_benchmarks
         from ..sieve.controller import validate_steady_state
         from ..sieve.layout import SubarrayLayout
@@ -148,7 +148,7 @@ class EspAblationJob(Job):
     label: str
     probabilities: Tuple[float, ...]
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         from ..experiments.workloads import paper_benchmarks
         from ..sieve.perfmodel import EspModel, Type3Model, WorkloadStats
 
@@ -174,7 +174,7 @@ class DeviceSimJob(Job):
     subarrays_per_bank: int = 16
     num_requests: int = 20_000
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         from ..experiments.workloads import paper_benchmarks
         from ..sieve.device_sim import DeviceSimConfig, simulate_device
 
@@ -199,12 +199,12 @@ class Type1FunctionalJob(Job):
     """Ablation A5: bit-accurate Type-1 bank-simulator counters.
 
     The internal seed (23) is part of the published golden numbers, so
-    it stays fixed rather than deriving from the fleet seed.
+    it stays fixed.
     """
 
     queries: int = 120
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         import numpy as np
 
         from ..sieve.type1 import Type1BankSim, Type1Layout
@@ -297,7 +297,7 @@ class FaultSweepJob(Job):
                 )
             return RowMajorMatcher(self.k, database.sorted_records())
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         from ..faults import FaultInjector, FaultModel, hash_seed
 
         dataset = self._dataset()
@@ -417,7 +417,7 @@ class MappingSweepJob(Job):
             planted.append((f"mapread_{i}", read, genome_index, start))
         return planted
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         from dataclasses import replace
 
         from ..faults import (
@@ -484,15 +484,13 @@ class ExperimentJob(Job):
 
     Used by the fleet CLI to parallelize *across* experiments; the
     experiment's own inner fan-out runs inline inside the worker (no
-    nested pools).  Never cached: the golden updater relies on fresh
-    double-runs to prove determinism.
+    nested pools).  The golden updater runs it twice to prove
+    determinism.
     """
-
-    cacheable: ClassVar[bool] = False
 
     name: str
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         from ..experiments.registry import run_experiment
         from .golden import figure_payload
 
@@ -501,17 +499,12 @@ class ExperimentJob(Job):
 
 @dataclass(frozen=True)
 class BenchJob(Job):
-    """One tracked benchmark of :mod:`repro.bench` (wall time + counters).
-
-    Uncacheable by construction — a cached wall time is a lie.
-    """
-
-    cacheable: ClassVar[bool] = False
+    """One tracked benchmark of :mod:`repro.bench` (wall time + counters)."""
 
     name: str
     quick: bool = False
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         from ..bench import BENCHMARKS, BenchError
 
         try:
@@ -549,14 +542,13 @@ class ReplayJob(Job):
     content-hashed mmap segments in a scratch directory and slice out
     only their owned partitions.
 
-    Identity is by *content*: the key and cache digest fold in the
-    trace's SHA-256, so a moved or
-    regenerated-but-identical trace is a cache hit.  The payload is a
-    pure function of the trace and the fields (no wall times): the
-    classification digest the trace-replay goldens pin, the service
-    counters, a ``cache`` block when dedup or the cache is on, and for
-    a cluster its residency facts (no worker holds a full build; owned
-    records sum to the reference).
+    The payload is a pure function of the trace's content and the
+    other fields (no wall times, no path), so a moved but identical
+    trace replays to the same payload.  It holds the trace's SHA-256,
+    the classification digest the trace-replay goldens pin, the
+    service counters, a ``cache`` block when dedup or the cache is on,
+    and for a cluster its residency facts (no worker holds a full
+    build; owned records sum to the reference).
     """
 
     trace_path: str = ""
@@ -569,23 +561,7 @@ class ReplayJob(Job):
     shards_per_worker: int = 1
     partitions: int = 32
 
-    def key(self) -> str:
-        rest = "".join(
-            f",{f.name}={getattr(self, f.name)!r}"
-            for f in fields(self)
-            if f.name != "trace_path"
-        )
-        return (
-            f"{type(self).__name__}("
-            f"trace=<content:{self.cache_token()}>{rest})"
-        )
-
-    def cache_token(self) -> str:
-        from ..workloads import Trace
-
-        return Trace.load(self.trace_path).content_hash()
-
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         import tempfile
 
         from ..cluster import ClusterBackend
@@ -688,11 +664,9 @@ class SanitizerProbeJob(Job):
     sanitizer the violation goes unobserved and the payload reports so.
     """
 
-    cacheable: ClassVar[bool] = False
-
     violate: bool = True
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         from ..analysiskit import active_sanitizer
 
         sanitizer = active_sanitizer()

@@ -1,5 +1,5 @@
-"""The process-parallel fleet: determinism, caching, sanitizer
-propagation, and the fork-safety of shared caches.
+"""The process-parallel fleet: determinism, every-call execution,
+sanitizer propagation, and the fork-safety of shared caches.
 
 Pool-backed tests use two-job batches at ``max_workers=2`` so the
 ProcessPoolExecutor path actually runs (single pending jobs execute
@@ -9,10 +9,9 @@ inline by design).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import pickle
 from pathlib import Path
-from typing import Any, ClassVar, Dict
+from typing import Any, Dict
 
 import numpy as np
 import pytest
@@ -21,12 +20,9 @@ from repro.analysiskit import SanitizerError
 from repro.fleet import (
     FleetError,
     Job,
-    ResultCache,
     SanitizerProbeJob,
     configure,
     default_jobs,
-    derive_seed,
-    job_digest,
     run_jobs,
 )
 from repro.fleet import core as fleet_core
@@ -35,42 +31,28 @@ from repro.fleet.jobs import PerfPointJob
 
 @dataclasses.dataclass(frozen=True)
 class EchoJob(Job):
-    """Returns its fields plus the derived seed (pure, cacheable)."""
+    """Returns its fields (pure)."""
 
     tag: str
     value: int = 0
 
-    def run(self, seed: int) -> Dict[str, Any]:
-        EXECUTIONS.append(self.key())
-        return {"tag": self.tag, "value": self.value, "seed": seed}
+    def run(self) -> Dict[str, Any]:
+        EXECUTIONS.append(repr(self))
+        return {"tag": self.tag, "value": self.value}
 
 
 @dataclasses.dataclass(frozen=True)
 class FileDigestJob(Job):
-    """Keyed by the *content* of the file at ``path``, not by the path
-    (the pattern ``ReplayJob`` uses for its trace)."""
+    """Reads the file at ``path`` (an input outside the job's fields,
+    the pattern ``ReplayJob`` uses for its trace)."""
 
     path: str
     scale: int = 1
 
-    def key(self) -> str:
-        return (
-            f"{type(self).__name__}(path=<content:{self.cache_token()}>,"
-            f"scale={self.scale!r})"
-        )
-
-    def cache_token(self) -> str:
-        return hashlib.sha256(Path(self.path).read_bytes()).hexdigest()
-
-    def run(self, seed: int) -> Dict[str, Any]:
-        EXECUTIONS.append(self.key())
+    def run(self) -> Dict[str, Any]:
+        EXECUTIONS.append(repr(self))
         data = Path(self.path).read_bytes()
-        return {"bytes": len(data), "sum": sum(data) * self.scale, "seed": seed}
-
-
-@dataclasses.dataclass(frozen=True)
-class UncachedJob(EchoJob):
-    cacheable: ClassVar[bool] = False
+        return {"bytes": len(data), "sum": sum(data) * self.scale}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +61,7 @@ class NestedJob(Job):
 
     count: int
 
-    def run(self, seed: int) -> Any:
+    def run(self) -> Any:
         inner = run_jobs(
             [EchoJob(tag=f"inner{i}") for i in range(self.count)],
             max_workers=4,
@@ -93,7 +75,7 @@ class MutateSharedJob(Job):
 
     kmer: int
 
-    def run(self, seed: int) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
         db = _SHARED_DB
         keys, payloads = db._lookup_arrays()
         blocked = 0
@@ -116,26 +98,6 @@ _SHARED_DB = None
 def _reset_fleet_config():
     yield
     configure()
-
-
-class TestSeedDerivation:
-    def test_seed_is_stable_content_hash(self):
-        key = EchoJob(tag="a", value=3).key()
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        assert derive_seed(key) == int.from_bytes(digest[:8], "big") >> 1
-
-    def test_seed_fits_numpy_and_differs_by_key(self):
-        seeds = {derive_seed(EchoJob(tag=t).key()) for t in "abcdef"}
-        assert len(seeds) == 6
-        for seed in seeds:
-            assert 0 <= seed < 2**63
-            np.random.default_rng(seed)  # accepted as a seed
-
-    def test_key_covers_every_field(self):
-        key = EchoJob(tag="x", value=7).key()
-        assert "tag='x'" in key and "value=7" in key
-        assert key.startswith("EchoJob(")
-        assert EchoJob(tag="x", value=8).key() != key
 
 
 class TestRunJobs:
@@ -199,123 +161,36 @@ class TestConfiguration:
             configure(jobs=0)
 
 
-class TestResultCache:
-    def test_round_trip_and_reuse(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        jobs = [EchoJob(tag="c1"), EchoJob(tag="c2")]
+class TestEveryCallExecutes:
+    """``run_jobs`` keeps no result store: a payload always comes from
+    the code that is running, so no golden check can pass on a stale
+    one."""
+
+    def test_repeat_runs_execute_again_and_write_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # The variable once enabled an on-disk payload store; setting
+        # it must neither serve a payload nor leave a file behind.  Its
+        # name is spelled in parts so a search for leftover readers of
+        # it finds none.
+        monkeypatch.setenv("_".join(("SIEVE", "FLEET", "CACHE")), str(tmp_path))
+        jobs = [EchoJob(tag="again1"), EchoJob(tag="again2")]
         EXECUTIONS.clear()
-        first = run_jobs(jobs, max_workers=1, cache=cache)
-        assert len(EXECUTIONS) == 2
-        again = run_jobs(jobs, max_workers=1, cache=cache)
-        assert again == first
-        assert len(EXECUTIONS) == 2  # served from cache, not re-run
-
-    def test_digest_covers_version_and_fields(self):
-        job = EchoJob(tag="d", value=1)
-        assert job_digest(job, "1.0") != job_digest(job, "2.0")
-        assert job_digest(job, "1.0") != job_digest(
-            EchoJob(tag="d", value=2), "1.0"
-        )
-
-    def test_uncacheable_jobs_always_rerun(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        jobs = [UncachedJob(tag="u1"), UncachedJob(tag="u2")]
-        EXECUTIONS.clear()
-        run_jobs(jobs, max_workers=1, cache=cache)
-        run_jobs(jobs, max_workers=1, cache=cache)
-        assert len(EXECUTIONS) == 4
-
-    def test_corrupt_entries_are_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = EchoJob(tag="corrupt")
-        digest = job_digest(job, "v")
-        cache.put(digest, job, {"ok": 1}, "v")
-        path = cache._path(digest)
-        path.write_text("{not json")
-        assert cache.get(digest) is None
-
-    def test_truncated_entries_are_misses_then_repaired(self, tmp_path):
-        """Crash-truncated entries (the failure mode ``put``'s
-        fsync-before-rename now prevents for new writes) must read as
-        misses, and a subsequent ``put`` must repair the slot."""
-        cache = ResultCache(tmp_path)
-        job = EchoJob(tag="truncated")
-        digest = job_digest(job, "v")
-        cache.put(digest, job, {"ok": 1}, "v")
-        path = cache._path(digest)
-        full = path.read_text(encoding="utf-8")
-        for cut in (0, 1, len(full) // 2, len(full) - 1):
-            path.write_text(full[:cut], encoding="utf-8")
-            assert cache.get(digest) is None, f"cut={cut} must be a miss"
-        cache.put(digest, job, {"ok": 2}, "v")
-        assert cache.get(digest)["payload"] == {"ok": 2}
-
-    def test_put_leaves_no_tmp_litter(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = EchoJob(tag="clean")
-        digest = job_digest(job, "v")
-        cache.put(digest, job, {"ok": 1}, "v")
-        leftovers = [
-            p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")
-        ]
-        assert leftovers == []
-
-    def test_cache_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(fleet_core.CACHE_ENV_VAR, str(tmp_path))
-        EXECUTIONS.clear()
-        run_jobs([EchoJob(tag="env1"), EchoJob(tag="env2")], max_workers=1)
-        run_jobs([EchoJob(tag="env1"), EchoJob(tag="env2")], max_workers=1)
-        assert len(EXECUTIONS) == 2
-
-
-class TestContentKeyedCache:
-    """``Job.cache_token()`` folds external content identity into the
-    cache digest, so results key by file content instead of path."""
-
-    def _file(self, tmp_path, name, bump=0):
-        path = tmp_path / name
-        path.write_bytes(bytes((7 + i * 91 + bump) % 256 for i in range(40)))
-        return str(path)
-
-    def test_empty_token_leaves_digest_unchanged(self):
-        """Historical digests must not shift: the token is only folded
-        in when non-empty, and the base Job token is empty."""
-        job = EchoJob(tag="stable")
-        assert job.cache_token() == ""
-        assert "token=" not in job.key()
-
-    def test_same_content_different_path_shares_identity(self, tmp_path):
-        a = FileDigestJob(path=self._file(tmp_path, "a"))
-        b = FileDigestJob(path=self._file(tmp_path, "b"))
-        assert a.key() == b.key()
-        assert job_digest(a, "v") == job_digest(b, "v")
-        assert derive_seed(a.key()) == derive_seed(b.key())
-
-    def test_different_content_changes_identity(self, tmp_path):
-        a = FileDigestJob(path=self._file(tmp_path, "a"))
-        c = FileDigestJob(path=self._file(tmp_path, "c", bump=1))
-        assert a.key() != c.key()
-        assert job_digest(a, "v") != job_digest(c, "v")
-
-    def test_cache_hit_across_paths(self, tmp_path):
-        """A result computed for one directory serves a byte-identical
-        copy at another path straight from the cache."""
-        cache = ResultCache(tmp_path / "cache")
-        EXECUTIONS.clear()
-        job_a = FileDigestJob(path=self._file(tmp_path, "a"))
-        (first,) = run_jobs([job_a], max_workers=1, cache=cache)
-        job_b = FileDigestJob(path=self._file(tmp_path, "b"))
-        (second,) = run_jobs([job_b], max_workers=1, cache=cache)
+        first = run_jobs(jobs, max_workers=1)
+        second = run_jobs(jobs, max_workers=1)
         assert second == first
-        assert EXECUTIONS == [job_a.key()]
+        assert EXECUTIONS == [repr(job) for job in jobs] * 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_payloads_identical_across_worker_counts(self, tmp_path):
+        path = tmp_path / "a"
+        path.write_bytes(bytes((7 + i * 91) % 256 for i in range(40)))
         jobs = [
-            FileDigestJob(path=self._file(tmp_path, "a"), scale=2),
-            FileDigestJob(path=self._file(tmp_path, "a"), scale=3),
+            FileDigestJob(path=str(path), scale=2),
+            FileDigestJob(path=str(path), scale=3),
         ]
-        inline = run_jobs(jobs, max_workers=1, use_cache=False)
-        pooled = run_jobs(jobs, max_workers=2, use_cache=False)
+        inline = run_jobs(jobs, max_workers=1)
+        pooled = run_jobs(jobs, max_workers=2)
         assert inline == pooled
 
 
@@ -324,7 +199,7 @@ class TestSanitizerPropagation:
         results = run_jobs(
             [SanitizerProbeJob(violate=False),
              SanitizerProbeJob(violate=False)],
-            max_workers=2, use_cache=False,
+            max_workers=2,
         )
         assert all(r["sanitizer_active"] for r in results)
 
@@ -333,7 +208,7 @@ class TestSanitizerPropagation:
             run_jobs(
                 [SanitizerProbeJob(violate=False),
                  SanitizerProbeJob(violate=True)],
-                max_workers=2, use_cache=False,
+                max_workers=2,
             )
         err = excinfo.value
         assert err.unit == "fleet-probe"
@@ -415,7 +290,7 @@ class TestForkSafety:
         try:
             results = run_jobs(
                 [MutateSharedJob(kmer=kmers[0]), MutateSharedJob(kmer=kmers[1])],
-                max_workers=2, use_cache=False,
+                max_workers=2,
             )
         finally:
             _SHARED_DB = None

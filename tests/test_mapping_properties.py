@@ -832,8 +832,8 @@ def test_mapping_sweep_job_replays_byte_identically():
         genome_length=200,
         num_reads=6,
     )
-    first = job.run(0)
-    second = job.run(0)
+    first = job.run()
+    second = job.run()
     assert first == second
     assert first["bits_flipped"] > 0
     assert first["schedule_digest"] == second["schedule_digest"]
@@ -847,7 +847,7 @@ def test_mapping_sweep_job_zero_rate_flips_nothing():
         genome_length=200,
         num_reads=6,
     )
-    payload = job.run(0)
+    payload = job.run()
     assert payload["bits_flipped"] == 0
     assert payload["reads"] == 6
 

@@ -420,25 +420,6 @@ _CACHED = dict(dedup=True, cache_capacity=512)
 
 
 class TestReplayJob:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_key_is_content_addressed(self, tmp_path, workers):
-        from repro.fleet import ReplayJob
-
-        trace = Trace.load(DATA_DIR / "zipf_trace.json")
-        copy = trace.save(tmp_path / "elsewhere" / "renamed.json")
-        a = ReplayJob(
-            trace_path=str(DATA_DIR / "zipf_trace.json"), workers=workers
-        )
-        b = ReplayJob(trace_path=str(copy), workers=workers)
-        assert a.key() == b.key()
-        assert trace.content_hash() in a.key()
-        assert str(copy) not in b.key()
-        for changed in (
-            ReplayJob(trace_path=str(copy), workers=workers, **_CACHED),
-            ReplayJob(trace_path=str(copy), workers=workers + 1),
-        ):
-            assert changed.key() != a.key()
-
     @pytest.mark.parametrize(
         "fields",
         [
@@ -456,7 +437,7 @@ class TestReplayJob:
         golden = _load_golden()
         payload = ReplayJob(
             trace_path=str(DATA_DIR / golden["trace_file"]), **fields
-        ).run(seed=0)
+        ).run()
         assert (
             payload["classification_digest"]
             == golden["classification_digest"]
