@@ -329,6 +329,15 @@ class QueryBackend(Protocol):
         """Uniform query/hit accounting since construction."""
         ...
 
+    def perf_counters(self) -> Dict[str, int]:
+        """Monotonic micro-event counters (empty without a device)."""
+        ...
+
+    def batch_cost(self, delta: Dict[str, int]) -> Tuple[float, float]:
+        """(simulated ns, simulated nJ) for a :meth:`perf_counters`
+        delta."""
+        ...
+
 
 # ---------------------------------------------------------------------------
 # Shared implementation mixin

@@ -103,10 +103,6 @@ class ConsistentHashRing:
         self._points = [p for p, _ in points]
         self._owners = [n for _, n in points]
 
-    def node_for(self, label: str) -> str:
-        """Owning node of an arbitrary string label."""
-        return self._node_at(_ring_point(label))
-
     def _node_at(self, point: int) -> str:
         index = bisect.bisect_left(self._points, point)
         if index == len(self._points):

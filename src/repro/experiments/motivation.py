@@ -217,14 +217,3 @@ def area_overheads() -> FigureResult:
     for name, mine, paper in rows:
         result.rows.append([name, mine * 100.0, paper * 100.0])
     return result
-
-
-def esp_mean_rows(summary: EspSummary) -> float:
-    """Convenience: mean ETM rows implied by a Figure-6 measurement."""
-    return summary.to_esp_model().mean_rows()
-
-
-def random_baseline_note(seed: int = 0) -> str:
-    """One-line provenance string for benches that use RNG."""
-    rng = np.random.default_rng(seed)
-    return f"rng=PCG64(seed={seed}), first draw {rng.random():.6f}"

@@ -19,7 +19,8 @@ This module provides:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+import re
+from typing import Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +50,21 @@ _ASCII_TO_CODE.setflags(write=False)
 
 class EncodingError(ValueError):
     """Raised when a sequence contains characters outside ``ACGT``."""
+
+
+# The first character :func:`encode_sequence` would reject.
+_INVALID_BASE = re.compile(r"[^ACGTacgt]")
+
+
+def check_bases(seq: str) -> None:
+    """Raise :class:`EncodingError` unless ``seq`` is all ``ACGT``.
+
+    Accepts exactly what :func:`encode_sequence` accepts (either case),
+    with one regex scan and no array built.
+    """
+    bad = _INVALID_BASE.search(seq)
+    if bad is not None:
+        raise EncodingError(f"invalid DNA base: {bad.group()!r}")
 
 
 def encode_base(base: str) -> int:
@@ -241,10 +257,11 @@ def pack_kmers(seq: str, k: int) -> np.ndarray:
 
     The sliding-window equivalent of :func:`iter_kmers` for ``k <= 32``:
     the sequence is 2-bit encoded in one pass and every window is packed
-    with a weighted sum over a strided view, so a length-``L`` sequence
-    costs ``O(L * k)`` numpy element operations instead of ``L`` Python
-    loop iterations.  This is the packer behind every genome-indexing
-    and read-shredding hot loop.
+    by ``k`` shift-or passes over the code array (pass ``i`` ORs in each
+    window's base ``i``), so a length-``L`` sequence costs ``O(L * k)``
+    numpy element operations and one ``L``-word buffer instead of ``L``
+    Python loop iterations.  This is the packer behind every
+    genome-indexing and read-shredding hot loop.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -255,10 +272,38 @@ def pack_kmers(seq: str, k: int) -> np.ndarray:
     if len(seq) < k:
         return np.empty(0, dtype=np.uint64)
     codes = encode_sequence(seq).astype(np.uint64)
-    windows = np.lib.stride_tricks.sliding_window_view(codes, k)
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64) * np.uint64(BITS_PER_BASE)
-    weights = np.uint64(1) << shifts
-    return (windows * weights).sum(axis=1, dtype=np.uint64)
+    n = len(codes) - k + 1
+    words = codes[:n].copy()
+    for i in range(1, k):
+        words <<= np.uint64(BITS_PER_BASE)
+        words |= codes[i : i + n]
+    return words
+
+
+def pack_batch_kmers(
+    seqs: Sequence[str], k: int
+) -> Union[np.ndarray, List[int]]:
+    """Every sequence's packed k-mers, concatenated in sequence order.
+
+    Equal to joining each ``iter_kmers(seq, k)`` in turn, in one array
+    pass for ``k <= 32``: the sequences are joined, :func:`pack_kmers`
+    packs every window of the joined string, and one ``np.repeat``
+    index keeps the windows that lie inside a single sequence (a
+    sequence shorter than ``k`` contributes none).  Wider k-mers are
+    Python ints, so above 32 the result is the list of each
+    sequence's :func:`iter_kmers`.
+    """
+    if k > MAX_PACKED_K:
+        return [kmer for seq in seqs for kmer in iter_kmers(seq, k)]
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    counts = np.maximum(lengths - (k - 1), 0)
+    words = pack_kmers("".join(seqs), k)
+    # Window j of sequence r starts at its first base in the joined
+    # string plus j; shift each run of output slots onto those starts.
+    starts = np.cumsum(lengths) - lengths
+    firsts = np.cumsum(counts) - counts
+    index = np.arange(int(counts.sum())) + np.repeat(starts - firsts, counts)
+    return words[index]
 
 
 def iter_kmers(seq: str, k: int) -> Iterator[int]:

@@ -127,11 +127,6 @@ class SeedIndex:
     def __len__(self) -> int:
         return int(self._keys.size)
 
-    @property
-    def occurrence_count(self) -> int:
-        """Total indexed (genome, position) pairs."""
-        return int(self._genomes.size)
-
     def __contains__(self, kmer: int) -> bool:
         i = int(np.searchsorted(self._keys, np.uint64(kmer)))
         return i < self._keys.size and int(self._keys[i]) == kmer

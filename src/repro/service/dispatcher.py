@@ -3,8 +3,9 @@
 One :class:`ShardWorker` owns one :class:`repro.api.QueryBackend`
 replica.  Its loop blocks on the queue, then coalesces whatever else is
 waiting — up to ``max_batch_kmers`` k-mers, lingering at most
-``max_linger_s`` for stragglers — into a single batched ``query()``
-call, and slices the flat :class:`~repro.api.ResultBatch` back into
+``max_linger_s`` for stragglers — encodes their reads' k-mers into one
+``uint64`` array in one pass, makes a single batched ``query()`` call
+on it, and slices the flat :class:`~repro.api.ResultBatch` back into
 per-request classifications through the same vote-counting helper every
 sequential path uses (:func:`repro.api.classification_from_results`).
 That shared slicing is why coalescing is bit-identical to sequential
@@ -28,6 +29,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tup
 import numpy as np
 
 from ..api import QueryBackend, ResultBatch, classification_from_results
+from ..genomics.encoding import pack_batch_kmers
 from . import hooks
 from .cache import BatchCachePlan, CacheCoherencyError, KmerResultCache
 from .config import ServiceConfig
@@ -87,10 +89,16 @@ class ShardHealth:
 
 @dataclass
 class Request:
-    """One enqueued read, resolved through ``future``."""
+    """One enqueued read, resolved through ``future``.
+
+    It carries the read and its k-mer *count*, not the k-mers:
+    admission, coalescing targets, trace events and the per-request
+    slicing need only the count, and the worker encodes a whole batch's
+    reads in one pass at dispatch (:meth:`ShardWorker._prepare`).
+    """
 
     read: Any
-    kmers: List[int]
+    num_kmers: int
     future: "asyncio.Future[ServiceResponse]"
     enqueued_at: float
     deadline: Optional[float] = None
@@ -118,9 +126,9 @@ class _InFlight:
 
     #: Every request coalesced into the batch (each owes a task_done).
     batch: List[Request]
-    #: The requests still live at launch and their flattened k-mers.
+    #: The requests still live at launch and their encoded k-mers.
     live: List[Request]
-    flat: List[int]
+    flat: Sequence[int]
     plan: Optional[BatchCachePlan]
     #: Resolves to the :meth:`ShardWorker._query_blocking` result;
     #: ``None`` when every request expired and nothing launched.
@@ -195,6 +203,7 @@ class ShardWorker:
                 config.cache_capacity, caps.k, caps.canonical
             )
         self.cache = cache if config.cache_enabled else None
+        self.k = backend.capabilities().k
         self.health = ShardHealth()
         self.queue: "asyncio.Queue[Request]" = asyncio.Queue(
             maxsize=config.queue_depth
@@ -219,7 +228,7 @@ class ShardWorker:
         self.metrics.counter("submitted_total").inc()
         if hooks.OBSERVER is not None:
             hooks.OBSERVER.on_request_admitted(
-                self.scope, self.shard_id, _rid(request), len(request.kmers)
+                self.scope, self.shard_id, _rid(request), request.num_kmers
             )
 
     # -- dispatch loop --------------------------------------------------------
@@ -280,7 +289,7 @@ class ShardWorker:
                         self.scope,
                         self.shard_id,
                         index,
-                        [(_rid(req), len(req.kmers)) for req in batch],
+                        [(_rid(req), req.num_kmers) for req in batch],
                     )
                 action = (
                     self.chaos.before_batch(self.shard_id, index)
@@ -321,7 +330,7 @@ class ShardWorker:
         self,
         batch: List[Request],
         live: List[Request],
-        flat: List[int],
+        flat: Sequence[int],
         index: int,
         loop: "asyncio.AbstractEventLoop",
     ) -> _InFlight:
@@ -465,7 +474,7 @@ class ShardWorker:
     async def _coalesce(self, batch: List[Request]) -> None:
         """Grow ``batch`` until the k-mer target or the linger expires."""
         target = self.config.max_batch_kmers
-        gathered = sum(len(r.kmers) for r in batch)
+        gathered = sum(r.num_kmers for r in batch)
         if self.config.max_linger_s <= 0:
             while gathered < target:
                 try:
@@ -473,7 +482,7 @@ class ShardWorker:
                 except asyncio.QueueEmpty:
                     return
                 batch.append(nxt)
-                gathered += len(nxt.kmers)
+                gathered += nxt.num_kmers
             return
         loop = asyncio.get_running_loop()
         close_at = loop.time() + self.config.max_linger_s
@@ -486,12 +495,14 @@ class ShardWorker:
             except asyncio.TimeoutError:
                 return
             batch.append(nxt)
-            gathered += len(nxt.kmers)
+            gathered += nxt.num_kmers
 
     def _prepare(
         self, batch: List[Request], loop: "asyncio.AbstractEventLoop"
-    ) -> Tuple[List[Request], List[int]]:
-        """Host-side half of a batch: expire deadlines, flatten k-mers.
+    ) -> Tuple[List[Request], Sequence[int]]:
+        """Host-side half of a batch: expire deadlines, then encode the
+        live reads' k-mers into one array (:func:`pack_batch_kmers`;
+        the reads' bases were checked at admission).
 
         This is the work pipelined dispatch overlaps with the previous
         batch's device simulation; it never touches the backend.
@@ -514,13 +525,10 @@ class ShardWorker:
                         )
             else:
                 live.append(req)
-        flat: List[int] = []
-        for req in live:
-            flat.extend(req.kmers)
-        return live, flat
+        return live, pack_batch_kmers([req.read.bases for req in live], self.k)
 
     def _mark_executed(
-        self, live: List[Request], flat: List[int], index: int
+        self, live: List[Request], flat: Sequence[int], index: int
     ) -> None:
         """Trace the execute event at the moment the batch launches."""
         if hooks.OBSERVER is not None:
@@ -533,12 +541,12 @@ class ShardWorker:
             )
 
     def _plan_batch(
-        self, flat: List[int]
+        self, flat: Sequence[int]
     ) -> Tuple[Optional[BatchCachePlan], Sequence[int]]:
         """Dedup/cache planning at batch launch (event-loop thread).
 
         Returns the plan (``None`` when the stage is disabled) and the
-        k-mer list actually sent to the backend: the unique cache
+        k-mers actually sent to the backend: the unique cache
         misses under dedup, or the full batch in self-check (shadow)
         mode where the device re-answers everything for comparison.
         """
@@ -570,28 +578,30 @@ class ShardWorker:
     ) -> Tuple[ResultBatch, float, Dict[str, int]]:
         """The blocking half of a batch (safe off the event loop)."""
         wall_start = time.perf_counter()
-        before = self._perf_counters()
+        before = self.backend.perf_counters()
         results = (
             self.backend.query(flat)
             if len(flat)
             else ResultBatch.from_payloads((), ())
         )
         wall_batch_ms = (time.perf_counter() - wall_start) * 1e3
-        after = self._perf_counters()
+        after = self.backend.perf_counters()
         delta = {key: after[key] - before.get(key, 0) for key in after}
         return results, wall_batch_ms, delta
 
     def _finish(
         self,
         live: List[Request],
-        flat: List[int],
+        flat: Sequence[int],
         results: ResultBatch,
         wall_batch_ms: float,
         delta: Dict[str, int],
         loop: "asyncio.AbstractEventLoop",
         plan: Optional[BatchCachePlan] = None,
     ) -> None:
-        sim_ns, sim_nj = self._batch_cost(delta)
+        sim_ns, sim_nj = (
+            self.backend.batch_cost(delta) if delta else (0.0, 0.0)
+        )
         self.sim_time_ns += sim_ns
         self.sim_energy_nj += sim_nj
 
@@ -634,8 +644,8 @@ class ShardWorker:
 
         pos = 0
         for req in live:
-            chunk = results[pos : pos + len(req.kmers)]
-            pos += len(req.kmers)
+            chunk = results[pos : pos + req.num_kmers]
+            pos += req.num_kmers
             classification = classification_from_results(
                 req.read.seq_id,
                 chunk,
@@ -662,7 +672,7 @@ class ShardWorker:
                 req.future.set_result(
                     ServiceResponse(
                         classification=classification,
-                        num_kmers=len(req.kmers),
+                        num_kmers=req.num_kmers,
                         hits=int(np.count_nonzero(chunk.hit)),
                         coalesced_requests=len(live),
                         batch_kmers=len(flat),
@@ -674,17 +684,5 @@ class ShardWorker:
                 )
                 if hooks.OBSERVER is not None:
                     hooks.OBSERVER.on_request_completed(
-                        self.scope, self.shard_id, _rid(req), len(req.kmers)
+                        self.scope, self.shard_id, _rid(req), req.num_kmers
                     )
-
-    # -- backend cost hooks (optional on the protocol) ------------------------
-
-    def _perf_counters(self) -> Dict[str, int]:
-        fn = getattr(self.backend, "perf_counters", None)
-        return dict(fn()) if fn is not None else {}
-
-    def _batch_cost(self, delta: Dict[str, int]) -> Tuple[float, float]:
-        fn = getattr(self.backend, "batch_cost", None)
-        if fn is None or not delta:
-            return (0.0, 0.0)
-        return fn(delta)

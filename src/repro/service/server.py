@@ -25,6 +25,7 @@ import asyncio
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..api import QueryBackend
+from ..genomics.encoding import check_bases
 from . import hooks
 from .cache import KmerResultCache
 from .config import ServiceConfig
@@ -171,7 +172,9 @@ class ClassificationService:
         """Enqueue one read; returns the future it resolves through.
 
         Raises :class:`RejectedError` immediately when the routed
-        shard's queue is full (retry via :class:`ServiceClient`).
+        shard's queue is full (retry via :class:`ServiceClient`), and
+        :class:`~repro.genomics.encoding.EncodingError` for a read with
+        a base outside ``ACGT``.
         """
         return self._submit(read, deadline_s, None)
 
@@ -207,11 +210,14 @@ class ClassificationService:
             if deadline_s is not None
             else self.config.default_deadline_s
         )
+        # Admission checks the bases, so a bad read fails alone here and
+        # never reaches a batch the worker encodes in one pass.
+        check_bases(read.bases)
         now = loop.time()
         self._req_counter += 1
         request = Request(
             read=read,
-            kmers=list(read.kmers(self.k)),
+            num_kmers=read.kmer_count(self.k),
             future=loop.create_future(),
             enqueued_at=now,
             deadline=now + deadline_s if deadline_s is not None else None,
@@ -285,7 +291,7 @@ class ClassificationService:
             # coalesce the request before this announcement.
             if hooks.OBSERVER is not None:
                 hooks.OBSERVER.on_request_admitted(
-                    self, target.shard_id, _rid(req), len(req.kmers)
+                    self, target.shard_id, _rid(req), req.num_kmers
                 )
 
     # -- observability --------------------------------------------------------

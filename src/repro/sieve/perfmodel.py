@@ -251,12 +251,6 @@ class PerfResult:
     def throughput_qps(self) -> float:
         return self.breakdown.get("num_kmers", 0.0) / self.time_s
 
-    def speedup_over(self, other: "PerfResult") -> float:
-        return other.time_s / self.time_s
-
-    def energy_saving_over(self, other: "PerfResult") -> float:
-        return other.energy_j / self.energy_j
-
 
 # ---------------------------------------------------------------------------
 # Shared Sieve model machinery

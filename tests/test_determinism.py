@@ -10,33 +10,18 @@ Two angles on the same invariant the golden suite pins per-experiment:
 
 from __future__ import annotations
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.sensitivity import sensitivity_hit_rate
 from repro.fleet import canonical_json, configure, figure_payload
 
-EXAMPLES = Path(__file__).parent.parent / "examples"
-
-
-def _run_example(name: str, timeout: int = 240) -> str:
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    assert result.returncode == 0, result.stderr[-2000:]
-    return result.stdout
+from .test_examples import run_example
 
 
 @pytest.mark.slow
 def test_metagenomic_example_stdout_is_reproducible():
-    first = _run_example("metagenomic_classification.py")
-    second = _run_example("metagenomic_classification.py")
+    first = run_example("metagenomic_classification.py")
+    second = run_example("metagenomic_classification.py")
     assert first == second
 
 

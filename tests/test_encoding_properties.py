@@ -3,8 +3,9 @@
 Three invariant families over random DNA strings and k-mer values:
 
 * vectorized/scalar agreement: ``pack_kmers`` vs ``iter_kmers`` vs
-  per-window ``encode_kmer``, and ``canonical_kmers``/``revcomp_values``
-  vs their scalar counterparts;
+  per-window ``encode_kmer`` (and vs the weighted-sum packer it
+  replaced), ``pack_batch_kmers`` vs each read's ``kmer_list``, and
+  ``canonical_kmers``/``revcomp_values`` vs their scalar counterparts;
 * involutions and idempotence: reverse-complement twice is the
   identity, canonicalization is idempotent and revcomp-invariant;
 * round trips: encode/decode of bases, k-mers, sequences, and the
@@ -17,6 +18,7 @@ flakes on example timing.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +33,13 @@ from repro.genomics.encoding import (
     encode_sequence,
     iter_kmers,
     kmer_bits,
+    pack_batch_kmers,
     pack_kmers,
     reverse_complement,
     revcomp_value,
     revcomp_values,
 )
+from repro.genomics.sequence import DnaSequence
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -93,6 +97,83 @@ class TestScalarVectorEquivalence:
         vectorized = revcomp_values(values, k)
         scalar = [revcomp_value(int(v), k) for v in values]
         assert vectorized.tolist() == scalar
+
+
+def weighted_sum_pack(seq, k):
+    """The strided weighted-sum packer ``pack_kmers`` used to be."""
+    if len(seq) < k:
+        return np.empty(0, dtype=np.uint64)
+    codes = encode_sequence(seq).astype(np.uint64)
+    windows = np.lib.stride_tricks.sliding_window_view(codes, k)
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64) * np.uint64(2)
+    return (windows * (np.uint64(1) << shifts)).sum(axis=1, dtype=np.uint64)
+
+
+@st.composite
+def read_batch(draw, ks=(1, 5, 31, 32)):
+    """A k and a batch of 0-6 reads, each 0 to 3k bases long."""
+    k = draw(st.sampled_from(ks))
+    reads = draw(
+        st.lists(
+            st.text(alphabet="ACGT", min_size=0, max_size=3 * k),
+            min_size=0,
+            max_size=6,
+        )
+    )
+    return reads, k
+
+
+def concatenated_kmer_lists(reads, k):
+    return [
+        kmer
+        for i, bases in enumerate(reads)
+        for kmer in DnaSequence(f"r{i}", bases).kmer_list(k)
+    ]
+
+
+class TestBatchPacking:
+    @SETTINGS
+    @given(st.text(alphabet="ACGT", min_size=0, max_size=96), small_k)
+    def test_pack_kmers_keeps_the_weighted_sum_words(self, seq, k):
+        new = pack_kmers(seq, k)
+        old = weighted_sum_pack(seq, k)
+        assert new.dtype == old.dtype == np.uint64
+        assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("k", [31, 32])
+    def test_pack_kmers_keeps_the_words_of_a_genome(self, k):
+        rng = np.random.default_rng(7)
+        genome = "".join(rng.choice(list("ACGT"), size=20_000))
+        assert pack_kmers(genome, k).tobytes() == weighted_sum_pack(
+            genome, k
+        ).tobytes()
+
+    @SETTINGS
+    @given(read_batch())
+    def test_batch_equals_each_reads_kmer_list(self, batch):
+        reads, k = batch
+        packed = pack_batch_kmers(reads, k)
+        assert packed.dtype == np.uint64
+        assert packed.tolist() == concatenated_kmer_lists(reads, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 31, 32, 33])
+    def test_empty_batch(self, k):
+        assert len(pack_batch_kmers([], k)) == 0
+
+    @pytest.mark.parametrize("k", [1, 5, 31, 32])
+    def test_reads_shorter_than_k_contribute_nothing(self, k):
+        reads = ["A" * (k - 1), "C" * (k + 1), "", "G" * (k - 1), "T" * k]
+        packed = pack_batch_kmers(reads, k)
+        assert packed.tolist() == concatenated_kmer_lists(reads, k)
+        assert len(packed) == 3
+
+    @SETTINGS
+    @given(read_batch(ks=(33, 40)))
+    def test_wide_k_is_the_list_of_each_reads_kmers(self, batch):
+        reads, k = batch
+        packed = pack_batch_kmers(reads, k)
+        assert isinstance(packed, list)
+        assert packed == concatenated_kmer_lists(reads, k)
 
 
 class TestInvolutions:

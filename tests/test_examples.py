@@ -8,19 +8,28 @@ timeout — the timeout doubles as a perf-regression tripwire for the
 batched path (see docs/PERFORMANCE.md).
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_example(name: str, timeout: int = 240) -> str:
+    """Run one example script with this checkout's ``src/`` importable
+    (pytest's ``pythonpath`` setting reaches only its own process)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC), env.get("PYTHONPATH")))
+    )
     result = subprocess.run(
         [sys.executable, str(EXAMPLES / name)],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
     assert result.returncode == 0, result.stderr[-2000:]
     return result.stdout

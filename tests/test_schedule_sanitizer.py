@@ -554,7 +554,6 @@ class TestIntegration:
     ):
         backend = self.make_backend(small_dataset, small_layout)
         read = small_dataset.reads[0]
-        kmers = list(read.kmers(small_dataset.k))
 
         async def drive():
             worker = DoubleDispatchWorker(
@@ -564,7 +563,7 @@ class TestIntegration:
             loop = asyncio.get_running_loop()
             request = Request(
                 read=read,
-                kmers=kmers,
+                num_kmers=read.kmer_count(small_dataset.k),
                 future=loop.create_future(),
                 enqueued_at=loop.time(),
                 req_id=1,

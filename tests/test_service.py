@@ -17,7 +17,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import ResultBatch, classification_from_results
+from repro.api import (
+    QueryBackendBase,
+    ResultBatch,
+    classification_from_results,
+)
 from repro.service import (
     CacheCoherencyError,
     ClassificationService,
@@ -170,6 +174,75 @@ class TestBackpressure:
         responses = asyncio.run(drive())
         assert len(responses) == len(small_dataset.reads)
         assert all(r.classification is not None for r in responses)
+
+
+class TestAdmission:
+    def test_bad_read_fails_alone_at_submit(
+        self, small_dataset, small_layout
+    ):
+        """A read with an ``N`` raises from ``submit`` and is never
+        admitted; the good reads around it coalesce into one batch and
+        answer as the sequential path does."""
+        from repro.analysiskit import ScheduleSanitizer
+        from repro.genomics import DnaSequence, EncodingError
+        from repro.service import hooks
+
+        good = small_dataset.reads[:4]
+        # DnaSequence checks its bases on construction; forge the read an
+        # unchecked source could hand to the service.
+        bad = DnaSequence("bad", good[0].bases)
+        object.__setattr__(bad, "bases", bad.bases[:10] + "N" + bad.bases[11:])
+        service = make_service(
+            small_dataset, small_layout, num_shards=1, max_batch_kmers=4096
+        )
+        previous = hooks.get_observer()
+        sanitizer = ScheduleSanitizer()
+        hooks.install(sanitizer)
+
+        async def drive():
+            futures = [service.submit(read) for read in good[:2]]
+            with pytest.raises(EncodingError):
+                service.submit(bad)
+            assert service.shards[0].queue.qsize() == 2
+            futures += [service.submit(read) for read in good[2:]]
+            await service.start()
+            responses = await asyncio.gather(*futures)
+            # A drain ends the scope's trace, so read it first.
+            history = sanitizer.history_for(service)
+            await service.stop(drain=True)
+            return responses, history
+
+        try:
+            responses, history = asyncio.run(drive())
+        finally:
+            hooks.install(previous)
+
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["submitted_total"] == len(good)
+        assert counters["batches_total"] == 1
+        reference = SieveDevice.from_database(
+            small_dataset.database, layout=small_layout
+        )
+        for read, response in zip(good, responses):
+            assert response.coalesced_requests == len(good)
+            expected = classification_from_results(
+                read.seq_id,
+                reference.query(
+                    list(read.kmers(small_dataset.k)), batched=False
+                ),
+                true_taxon=read.taxon_id,
+            )
+            assert response.classification == expected
+        admits = [
+            detail
+            for _, _, event, detail in history
+            if event == "ADMIT"
+        ]
+        assert admits == [
+            f"req={i + 1} kmers={read.kmer_count(small_dataset.k)}"
+            for i, read in enumerate(good)
+        ]
+        assert sanitizer.violations_raised == 0
 
 
 class TestLifecycle:
@@ -556,6 +629,12 @@ class _GatedBackend:
     def stats(self):
         return self.inner.stats()
 
+    def perf_counters(self):
+        return self.inner.perf_counters()
+
+    def batch_cost(self, delta):
+        return self.inner.batch_cost(delta)
+
     def query(self, kmers, batched=True):
         if not self.opened:
             self.opened.append(self.gate.wait(self.timeout_s))
@@ -786,8 +865,9 @@ class TestHotKmerCache:
                 self.canonical = canonical
                 self.k = small_dataset.k
 
-        class FakeBackend:
+        class FakeBackend(QueryBackendBase):
             def __init__(self, canonical):
+                super().__init__()
                 self._caps = FakeCaps(canonical)
 
             def capabilities(self):

@@ -204,7 +204,7 @@ class TestCrashFailover:
             read = small_dataset.reads[0]
             request = Request(
                 read=read,
-                kmers=list(read.kmers(small_dataset.k)),
+                num_kmers=read.kmer_count(small_dataset.k),
                 future=loop.create_future(),
                 enqueued_at=loop.time(),
             )
