@@ -71,8 +71,8 @@ def main() -> None:
 
     # -- capacity scaling (Figure 16) ------------------------------------------
     print("\ncapacity-proportional performance (Type-3, 8 SA):")
-    for gib, ranks in ((4, 2), (8, 4), (16, 8), (32, 16)):
-        geometry = DramGeometry.for_capacity(gib, ranks=ranks)
+    for gib in (4, 8, 16, 32):
+        geometry = DramGeometry.for_capacity(gib)  # 2 GiB per rank
         model = Type3Model(SieveModelConfig(geometry=geometry), 8)
         res = model.run(workload)
         print(f"  {gib:3d} GiB ({geometry.total_banks:4d} banks): "

@@ -33,8 +33,9 @@ import re
 import subprocess
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 #: JSON schema version for ``BENCH_*.json`` payloads.
 SCHEMA_VERSION = 1
@@ -71,7 +72,13 @@ class BenchResult:
 #: or ``fn(quick) -> (measured_wall_s, counters, extras)``.
 #: Setup (dataset/device construction that is not the measured path) is
 #: excluded from the returned wall time by timing inside the callable.
-BenchFn = Callable[[bool], Tuple[float, Dict[str, int]]]
+BenchFn = Callable[
+    [bool],
+    Union[
+        Tuple[float, Dict[str, int]],
+        Tuple[float, Dict[str, int], Dict[str, float]],
+    ],
+]
 
 
 def _dataset(quick: bool, seed: int = 11):
@@ -404,7 +411,9 @@ def bench_service_load(quick: bool) -> Tuple[float, Dict[str, int]]:
     }
 
 
-def bench_service_cached(quick: bool) -> Tuple[float, Dict[str, int]]:
+def bench_service_cached(
+    quick: bool,
+) -> Tuple[float, Dict[str, int], Dict[str, float]]:
     """Hot-k-mer cache + dedup vs the uncached dispatcher.
 
     Generates a seeded zipfian bursty trace (the skewed traffic the
@@ -616,6 +625,18 @@ def git_revision() -> str:
     return rev if rev else "local"
 
 
+def run_benchmark(name: str, quick: bool) -> BenchResult:
+    """One tracked benchmark (the fleet job :func:`run_benchmarks` fans
+    out): its measured wall time, counters and extras."""
+    wall_s, counters, *extras = BENCHMARKS[name](quick)
+    return BenchResult(
+        name=name,
+        wall_s=wall_s,
+        counters=counters,
+        extras=extras[0] if extras else {},
+    )
+
+
 def run_benchmarks(
     quick: bool = False,
     only: Optional[Sequence[str]] = None,
@@ -630,7 +651,6 @@ def run_benchmarks(
     own process.
     """
     from ..fleet.core import run_jobs
-    from ..fleet.jobs import BenchJob
 
     names = list(BENCHMARKS) if only is None else list(only)
     unknown = [name for name in names if name not in BENCHMARKS]
@@ -638,19 +658,10 @@ def run_benchmarks(
         raise BenchError(
             f"unknown benchmark(s) {unknown}; tracked: {list(BENCHMARKS)}"
         )
-    payloads = run_jobs(
-        [BenchJob(name=name, quick=quick) for name in names],
+    return run_jobs(
+        [partial(run_benchmark, name, quick) for name in names],
         max_workers=jobs,
     )
-    return [
-        BenchResult(
-            name=p["name"],
-            wall_s=p["wall_s"],
-            counters=dict(p["counters"]),
-            extras=dict(p.get("extras", {})),
-        )
-        for p in payloads
-    ]
 
 
 def to_payload(results: Sequence[BenchResult], quick: bool) -> Dict[str, object]:

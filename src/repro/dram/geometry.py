@@ -10,6 +10,7 @@ its "memory-capacity-proportional performance".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 class GeometryError(ValueError):
@@ -87,7 +88,7 @@ class DramGeometry:
     def for_capacity(
         cls,
         capacity_gib: float,
-        ranks: int = 16,
+        ranks: Optional[int] = None,
         banks_per_rank: int = 8,
         rows_per_subarray: int = 2048,
         row_bits: int = 8192,
@@ -95,9 +96,13 @@ class DramGeometry:
         """Build a geometry of the requested capacity by sizing subarrays.
 
         Mirrors how the paper scales Sieve devices (more subarrays per
-        bank at fixed rank/bank counts).  Raises when the capacity is not
-        expressible as a whole number of subarrays per bank.
+        bank at fixed rank/bank counts).  ``ranks=None`` takes the
+        paper's organization, 2 GiB per rank (16 ranks at 32 GiB, at
+        least one).  Raises when the capacity is not expressible as a
+        whole number of subarrays per bank.
         """
+        if ranks is None:
+            ranks = max(1, int(capacity_gib // 2))
         capacity_bits = int(capacity_gib * 2**33)
         per_bank_bits = capacity_bits // (ranks * banks_per_rank)
         subarray_bits = rows_per_subarray * row_bits
@@ -120,8 +125,8 @@ class DramGeometry:
 #: across up to 128 subarrays), 2048-row subarrays.
 SIEVE_32GB = DramGeometry.for_capacity(32.0)
 
-#: Smaller devices for the Figure 16 capacity sweep (fewer ranks, same
+#: Smaller devices for the Figure 16 capacity sweep (2 GiB per rank, same
 #: per-bank organization, as DIMM-count scaling would give).
-SIEVE_4GB = DramGeometry.for_capacity(4.0, ranks=2)
-SIEVE_8GB = DramGeometry.for_capacity(8.0, ranks=4)
-SIEVE_16GB = DramGeometry.for_capacity(16.0, ranks=8)
+SIEVE_4GB = DramGeometry.for_capacity(4.0)
+SIEVE_8GB = DramGeometry.for_capacity(8.0)
+SIEVE_16GB = DramGeometry.for_capacity(16.0)

@@ -12,26 +12,67 @@ modelling decisions this reproduction makes:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..fleet.core import Job, run_jobs
-from ..fleet.jobs import (
-    DeviceSimJob,
-    EspAblationJob,
-    PerfPointJob,
-    SteadyStateJob,
-    Type1FunctionalJob,
-)
+import numpy as np
+
+from ..fleet.core import run_jobs
 from ..hardware.thermal import (
     DRAM_TEMP_LIMIT_C,
     max_concurrent_per_bank,
     power_budget_report,
 )
 from ..interconnect.dimm import DimmEnvelope
+from ..sieve.controller import validate_steady_state
+from ..sieve.device_sim import DeviceSimConfig, simulate_device
 from ..sieve.extensions import technology_comparison
-from ..sieve.perfmodel import EspModel
+from ..sieve.layout import SubarrayLayout
+from ..sieve.perfmodel import EspModel, Type3Model, WorkloadStats
+from ..sieve.type1 import Type1BankSim, Type1Layout
 from .results import FigureResult
-from .workloads import PAPER_K, paper_benchmarks
+from .workloads import PAPER_K, paper_benchmarks, perf_point
+
+#: Requests per stream count of the steady-state pipeline (A1).
+STEADY_STATE_REQUESTS = 4000
+
+
+def steady_state_point(streams: int) -> Dict[str, float]:
+    """One row of Ablation A1: event-driven pipeline vs. closed form."""
+    report = validate_steady_state(
+        paper_benchmarks()[-1].workload(),
+        SubarrayLayout(k=PAPER_K),
+        streams=streams,
+        num_requests=STEADY_STATE_REQUESTS,
+    )
+    return {key: float(value) for key, value in report.items()}
+
+
+def esp_point(probabilities: Tuple[float, ...]) -> Dict[str, float]:
+    """One candidate ETM termination distribution (Ablation A2)."""
+    base = paper_benchmarks()[-1].workload()
+    esp = EspModel(tuple(probabilities))
+    workload = WorkloadStats(
+        name=base.name, k=base.k, num_kmers=base.num_kmers,
+        hit_rate=base.hit_rate, esp=esp,
+    )
+    result = Type3Model(concurrent_subarrays=8).run(workload)
+    return {"mean_rows": esp.mean_rows(), "time_s": result.time_s}
+
+
+def device_sim_point(banks: int, num_requests: int) -> Dict[str, Any]:
+    """One bank count of Ablation A6: whole-device event simulation."""
+    sim = simulate_device(
+        paper_benchmarks()[-1].workload(),
+        num_requests=num_requests,
+        config=DeviceSimConfig(banks=banks),
+    )
+    return {
+        "overhead_fraction": sim.overhead_fraction,
+        "load_imbalance": sim.load_imbalance,
+        "packets": sim.packets,
+        "makespan_ns": sim.makespan_ns,
+    }
 
 
 def ablation_steady_state() -> FigureResult:
@@ -49,7 +90,7 @@ def ablation_steady_state() -> FigureResult:
         ],
     )
     stream_counts = (1, 2, 4, 8, 16, 32)
-    payloads = run_jobs([SteadyStateJob(streams=s) for s in stream_counts])
+    payloads = run_jobs([partial(steady_state_point, s) for s in stream_counts])
     for streams, report in zip(stream_counts, payloads):
         result.rows.append(
             [
@@ -88,15 +129,14 @@ def ablation_esp_model(measured: Optional[EspModel] = None) -> FigureResult:
             "etm_gain_vs_noETM",
         ],
     )
-    jobs: List[Job] = [
-        PerfPointJob(
-            design="T3", benchmark=paper_benchmarks()[-1].name, units=8,
+    jobs: List[partial] = [
+        partial(
+            perf_point, "T3", paper_benchmarks()[-1].name, units=8,
             etm_enabled=False,
         )
     ]
     jobs += [
-        EspAblationJob(label=name, probabilities=tuple(esp.probabilities))
-        for name, esp in candidates
+        partial(esp_point, tuple(esp.probabilities)) for _, esp in candidates
     ]
     payloads = run_jobs(jobs)
     no_etm_time_s = payloads[0]["time_s"]
@@ -257,7 +297,7 @@ def ablation_device_sim(num_requests: int = 20_000) -> FigureResult:
     )
     bank_counts = (4, 8, 16)
     payloads = run_jobs(
-        [DeviceSimJob(banks=b, num_requests=num_requests) for b in bank_counts]
+        [partial(device_sim_point, b, num_requests) for b in bank_counts]
     )
     for banks, sim in zip(bank_counts, payloads):
         result.rows.append(
@@ -280,23 +320,36 @@ def ablation_device_sim(num_requests: int = 20_000) -> FigureResult:
 
 def ablation_type1_functional(queries: int = 120) -> FigureResult:
     """Cross-check the analytic Type-1 model's batch-pruning behaviour
-    against the bit-accurate Type-1 bank simulator."""
-    sim = run_jobs([Type1FunctionalJob(queries=queries)])[0]
+    against the bit-accurate Type-1 bank simulator.
+
+    The internal seed (23) is part of the published golden numbers, so
+    it stays fixed.
+    """
+    rng = np.random.default_rng(23)
+    k = 8
+    layout = Type1Layout(k=k, row_bits=128, rows=128)
+    kmers = sorted(int(x) for x in rng.choice(4**k, size=110, replace=False))
+    sim = Type1BankSim(layout, [(kmer, 900 + i) for i, kmer in enumerate(kmers)])
+    rows_list, batches_list, hits = [], [], 0
+    for _ in range(queries):
+        outcome = sim.match(int(rng.integers(0, 4**k)))
+        rows_list.append(outcome.rows_activated)
+        batches_list.append(outcome.batch_reads)
+        hits += outcome.hit
+    mean_batch_reads = float(np.mean(batches_list))
+    full_batches = layout.kmer_rows * layout.num_batches
     result = FigureResult(
         figure="Ablation A5",
         title="Type-1 functional counters (SkBR/StBR pruning)",
         headers=["quantity", "value"],
         rows=[
-            ["queries", sim["queries"]],
-            ["hit rate", sim["hit_rate"]],
-            ["mean rows activated", sim["mean_rows"]],
-            ["max rows (2k + payload)", sim["max_rows"]],
-            ["mean batch reads", sim["mean_batch_reads"]],
-            ["batch reads without SkBR", sim["full_batches"]],
-            [
-                "SkBR pruning factor",
-                sim["full_batches"] / sim["mean_batch_reads"],
-            ],
+            ["queries", queries],
+            ["hit rate", hits / queries],
+            ["mean rows activated", float(np.mean(rows_list))],
+            ["max rows (2k + payload)", layout.kmer_rows + 2],
+            ["mean batch reads", mean_batch_reads],
+            ["batch reads without SkBR", full_batches],
+            ["SkBR pruning factor", full_batches / mean_batch_reads],
         ],
     )
     result.notes = (

@@ -7,7 +7,7 @@ suite asserts the ledger is all-green; the CLI prints it
 (``sieve-repro claims``).
 
 All model evaluations the ledger needs are dispatched as one
-:class:`~repro.fleet.jobs.PerfPointJob` batch through the fleet
+:func:`~repro.experiments.workloads.perf_point` batch through the fleet
 (:mod:`repro.fleet`), so the ledger parallelizes across worker
 processes; the claim formulas then read from the result table in the
 same order the sequential implementation used.
@@ -16,17 +16,17 @@ same order the sequential implementation used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List
 
 from ..baselines.mlp import ideal_machine_analysis
 from ..fleet.core import run_jobs
-from ..fleet.jobs import PerfPointJob
 from ..hardware.area import DEFAULT_AREA_MODEL
 from ..hardware.circuits import all_feasibility_reports
 from ..hardware.thermal import max_concurrent_per_bank
 from ..interconnect.pcie import PCIE4_X16, PcieModel
 from .results import FigureResult, geomean
-from .workloads import paper_benchmarks
+from .workloads import paper_benchmarks, perf_point
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,19 @@ class _Context:
     def __init__(self) -> None:
         benches = paper_benchmarks()
         self.workloads = [b.workload() for b in benches]
-        jobs: List[PerfPointJob] = []
+        jobs: List[partial] = []
         index: List[tuple] = []
         for key, spec in _DESIGN_SPECS:
             for bench in benches:
-                jobs.append(PerfPointJob(benchmark=bench.name, **spec))
+                jobs.append(partial(perf_point, benchmark=bench.name, **spec))
                 index.append((key, bench.name))
         for bench in benches:
             if bench.name.startswith("C."):
-                jobs.append(PerfPointJob(design="GPU", benchmark=bench.name))
+                jobs.append(partial(perf_point, "GPU", bench.name))
                 index.append(("GPU", bench.name))
         last = benches[-1]
         for sa in _PLATEAU_DEGREES:
-            jobs.append(PerfPointJob(design="T3", benchmark=last.name, units=sa))
+            jobs.append(partial(perf_point, "T3", last.name, units=sa))
             index.append((f"T3.sa{sa}", last.name))
         payloads = run_jobs(jobs)
         self.results: Dict[str, Dict[str, dict]] = {}

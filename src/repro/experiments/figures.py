@@ -7,7 +7,7 @@ baselines.  The pytest-benchmark files under ``benchmarks/`` are thin
 wrappers that call these runners and print the tables.
 
 Every (design x workload x sweep point) evaluation is a
-:class:`~repro.fleet.jobs.PerfPointJob` dispatched through
+:func:`~repro.experiments.workloads.perf_point` job dispatched through
 :func:`repro.fleet.core.run_jobs`, so figures parallelize across worker
 processes (``--jobs``/``SIEVE_JOBS``) with byte-identical output at any
 worker count; ratios and geomeans are folded in the parent in the same
@@ -16,6 +16,7 @@ order the sequential loops always used.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
 from ..baselines.cpu_model import CpuBaselineModel
@@ -23,7 +24,6 @@ from ..baselines.gpu_model import GpuBaselineModel
 from ..baselines.mlp import ideal_machine_analysis
 from ..dram.geometry import SIEVE_4GB, SIEVE_8GB, SIEVE_16GB, SIEVE_32GB, DramGeometry
 from ..fleet.core import run_jobs
-from ..fleet.jobs import PerfPointJob
 from ..hardware.area import DEFAULT_AREA_MODEL
 from ..interconnect.dimm import DeploymentRequirement, recommend_interface
 from ..interconnect.pcie import PCIE4_X16, PcieModel
@@ -36,7 +36,7 @@ from ..sieve.perfmodel import (
     WorkloadStats,
 )
 from .results import FigureResult, geomean
-from .workloads import Benchmark, gpu_benchmarks, paper_benchmarks
+from .workloads import Benchmark, gpu_benchmarks, paper_benchmarks, perf_point
 
 #: Paper's chosen configurations (Section VI-B): Type-2 midpoint of 16
 #: compute buffers, Type-3 best performer at 8 concurrent subarrays.
@@ -59,14 +59,12 @@ def _grouped(
     Returns one ``(bench, baseline_payload, [design_payload, ...])``
     tuple per benchmark, in benchmark order.
     """
-    jobs: List[PerfPointJob] = []
+    jobs: List[partial] = []
     for bench in benches:
-        jobs.append(
-            PerfPointJob(design=baseline, benchmark=bench.name, hit_rate=hit_rate)
-        )
+        jobs.append(partial(perf_point, baseline, bench.name, hit_rate=hit_rate))
         for _, spec in design_specs:
             jobs.append(
-                PerfPointJob(benchmark=bench.name, hit_rate=hit_rate, **spec)
+                partial(perf_point, benchmark=bench.name, hit_rate=hit_rate, **spec)
             )
     payloads = run_jobs(jobs)
     stride = 1 + len(design_specs)
@@ -211,8 +209,8 @@ def fig16_salp_sweep() -> FigureResult:
         headers=["subarrays"] + [label for label, _ in FIG16_CAPACITIES],
     )
     jobs = [
-        PerfPointJob(
-            design="T3", benchmark=bench.name, units=sa,
+        partial(
+            perf_point, "T3", bench.name, units=sa,
             capacity_gib=geometry.capacity_gib,
         )
         for sa in FIG16_SUBARRAYS
@@ -261,9 +259,9 @@ def fig17_cb_sweep() -> FigureResult:
         title="Type-2 compute-buffer design space",
         headers=["design", "speedup_vs_cpu", "energy_saving_vs_cpu", "area_overhead_pct"],
     )
-    jobs = [PerfPointJob(design="CPU", benchmark=b.name) for b in benches]
+    jobs = [partial(perf_point, "CPU", b.name) for b in benches]
     jobs += [
-        PerfPointJob(benchmark=bench.name, **spec)
+        partial(perf_point, benchmark=bench.name, **spec)
         for _, spec, _ in entries
         for bench in benches
     ]
@@ -312,12 +310,12 @@ def sensitivity_etm_off() -> FigureResult:
         ],
     )
     benches = paper_benchmarks()
-    jobs: List[PerfPointJob] = []
+    jobs: List[partial] = []
     for bench in benches:
-        jobs.append(PerfPointJob(design="CPU", benchmark=bench.name, hit_rate=1.0))
-        jobs.append(PerfPointJob(design="GPU", benchmark=bench.name, hit_rate=1.0))
+        jobs.append(partial(perf_point, "CPU", bench.name, hit_rate=1.0))
+        jobs.append(partial(perf_point, "GPU", bench.name, hit_rate=1.0))
         for _, spec in design_specs:
-            jobs.append(PerfPointJob(benchmark=bench.name, hit_rate=1.0, **spec))
+            jobs.append(partial(perf_point, benchmark=bench.name, hit_rate=1.0, **spec))
     payloads = iter(run_jobs(jobs))
     for bench in benches:
         cpu_res = next(payloads)
@@ -359,7 +357,10 @@ def sensitivity_pcie() -> FigureResult:
     bench = paper_benchmarks()[-1]
     wl = bench.workload()
     payloads = run_jobs(
-        [PerfPointJob(benchmark=bench.name, **spec) for _, spec in _HEADLINE_DESIGNS]
+        [
+            partial(perf_point, benchmark=bench.name, **spec)
+            for _, spec in _HEADLINE_DESIGNS
+        ]
     )
     for (name, _), res in zip(_HEADLINE_DESIGNS, payloads):
         qps = wl.num_kmers / res["time_s"]
@@ -392,10 +393,7 @@ def sensitivity_bandwidth() -> FigureResult:
     """Section VI-B: added bandwidth does not rescue the CPU baseline."""
     bench = paper_benchmarks()[-1]
     wl = bench.workload()
-    payload = run_jobs(
-        [PerfPointJob(design="T3", benchmark=bench.name,
-                      units=T3_CONCURRENT_SUBARRAYS)]
-    )[0]
+    payload = perf_point("T3", bench.name, units=T3_CONCURRENT_SUBARRAYS)
     qps = wl.num_kmers / payload["time_s"]
     analysis = ideal_machine_analysis(target_qps=qps)
     result = FigureResult(

@@ -20,10 +20,19 @@ zero-rate rows double as a live transparency check: with
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import replace
+from functools import partial
+from typing import Any, Dict, List, Tuple
 
-from ..fleet.core import run_jobs
-from ..fleet.jobs import MappingSweepJob
+import numpy as np
+
+from ..faults import FaultInjector, FaultModel, fault_injection, hash_seed
+from ..fleet.core import FleetError, run_jobs
+from ..genomics import build_dataset
+from ..genomics.sequence import DnaSequence
+from ..genomics.synthetic import mutate
+from ..mapping import MappingConfig, ReadMapper, SeedExtender, SeedIndex
+from ..sieve.device import SieveDevice
 from .results import FigureResult
 
 #: Seed lengths spanning sensitive-but-noisy to specific-but-brittle.
@@ -34,11 +43,103 @@ MAPPING_SEED_KS: Tuple[int, ...] = (8, 11, 14)
 #: reference size.
 MAPPING_FAULT_RATES: Tuple[float, ...] = (0.0, 1e-3, 5e-3)
 
+#: The sweep's references and planted reads; the extension band is also
+#: its edit budget.
+MAPPING_SPECIES = 4
+MAPPING_GENOME_LENGTH = 400
+MAPPING_READS = 24
+MAPPING_READ_LENGTH = 60
+MAPPING_ERROR_RATE = 0.05
+MAPPING_BAND = 3
+MAPPING_SEED_TAG = "mapping-sweep"
+
+
+def _planted_reads(genomes: List[DnaSequence]) -> List[tuple]:
+    """``(read_id, read, genome_index, start)`` of every planted read:
+    a reference window with i.i.d. substitution errors."""
+    rng = np.random.default_rng(hash_seed(MAPPING_SEED_TAG, "reads") % 2**31)
+    planted = []
+    for i in range(MAPPING_READS):
+        genome_index = int(rng.integers(0, len(genomes)))
+        genome = genomes[genome_index]
+        start = int(
+            rng.integers(0, len(genome.bases) - MAPPING_READ_LENGTH + 1)
+        )
+        window = genome.subsequence(start, start + MAPPING_READ_LENGTH)
+        read = mutate(window, MAPPING_ERROR_RATE, rng)
+        planted.append((f"mapread_{i}", read, genome_index, start))
+    return planted
+
+
+def mapping_point(seed_k: int, bit_flip_rate: float) -> Dict[str, Any]:
+    """One (seed length x bit-flip rate) point of the mapping sweep.
+
+    The references and the planted reads depend only on the sweep tag
+    (every point maps the *same* reads against the same references; k
+    changes the database image the device loads, not the genomes it is
+    built from), and the :class:`~repro.faults.FaultModel` seed depends
+    on ``(tag, bit_flip_rate)`` — never on the seed length — so every
+    ``seed_k`` at a given rate runs under the identically-seeded fault
+    schedule.  Since the true ``(genome, position)`` of every read is
+    known, the payload reports *location* recall, not just a mapped
+    fraction.
+    """
+    if seed_k > MAPPING_READ_LENGTH:
+        raise FleetError(
+            f"read_length={MAPPING_READ_LENGTH} shorter than seed_k={seed_k}"
+        )
+    dataset = build_dataset(
+        k=seed_k,
+        num_species=MAPPING_SPECIES,
+        genome_length=MAPPING_GENOME_LENGTH,
+        num_reads=1,
+        seed=hash_seed(MAPPING_SEED_TAG, "dataset") % 2**31,
+    )
+    genomes = dataset.genomes
+    planted = _planted_reads(genomes)
+    injector = FaultInjector(
+        FaultModel(
+            bit_flip_rate=bit_flip_rate,
+            seed=hash_seed(MAPPING_SEED_TAG, "rate", bit_flip_rate),
+        )
+    )
+    with fault_injection(injector):
+        device = SieveDevice.from_database(dataset.database)
+    extender = SeedExtender(
+        SeedIndex.from_genomes(genomes, seed_k),
+        genomes,
+        MappingConfig(band=MAPPING_BAND, max_edits=MAPPING_BAND),
+    )
+    mapper = ReadMapper(device, extender)
+    mapped = correct_location = edit_total = 0
+    for read_id, read, genome_index, start in planted:
+        result = mapper.map_read(replace(read, seq_id=read_id))
+        if not result.mapped:
+            continue
+        mapped += 1
+        edit_total += result.edit_distance
+        if result.genome_index == genome_index and result.position == start:
+            correct_location += 1
+    stats = extender.stats
+    return {
+        "seed_k": seed_k,
+        "bit_flip_rate": bit_flip_rate,
+        "reads": MAPPING_READS,
+        "mapped": mapped,
+        "correct_location": correct_location,
+        "recall": correct_location / MAPPING_READS,
+        "mean_edit_distance": edit_total / mapped if mapped else 0.0,
+        "seed_hits": stats.seed_hits,
+        "candidates": stats.candidates,
+        "bits_flipped": injector.stats.bits_flipped,
+        "schedule_digest": injector.schedule_digest()[:16],
+    }
+
 
 def mapping_sweep() -> FigureResult:
     """Location-recall table over (seed length x bit-flip rate)."""
     jobs = [
-        MappingSweepJob(seed_k=seed_k, bit_flip_rate=rate)
+        partial(mapping_point, seed_k, rate)
         for rate in MAPPING_FAULT_RATES
         for seed_k in MAPPING_SEED_KS
     ]

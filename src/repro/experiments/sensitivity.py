@@ -7,20 +7,20 @@ linearly with respect to its storage capacity" all the way to 500 GB
 devices with a sub-2 MB index.  These runners quantify each claim.
 
 Every sweep point dispatches through the fleet
-(:class:`~repro.fleet.jobs.PerfPointJob`), so sweeps parallelize across
+(:func:`~repro.experiments.workloads.perf_point`), so sweeps parallelize across
 worker processes with byte-identical output at any ``--jobs`` count.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from ..dram.geometry import DramGeometry
 from ..fleet.core import run_jobs
-from ..fleet.jobs import PerfPointJob
 from ..sieve.index import INDEX_ENTRY_BYTES
 from .results import FigureResult
-from .workloads import paper_benchmarks
+from .workloads import paper_benchmarks, perf_point
 
 
 def sensitivity_k(kmer_lengths=(21, 25, 31)) -> FigureResult:
@@ -32,12 +32,10 @@ def sensitivity_k(kmer_lengths=(21, 25, 31)) -> FigureResult:
         title="k-mer length sweep (Type-3, 8 SA vs. CPU)",
         headers=["k", "pattern_rows", "t3_ns_per_kmer", "speedup_vs_cpu"],
     )
-    jobs: List[PerfPointJob] = []
+    jobs: List[partial] = []
     for k in kmer_lengths:
-        jobs.append(
-            PerfPointJob(design="T3", benchmark=base.name, units=8, k=k)
-        )
-        jobs.append(PerfPointJob(design="CPU", benchmark=base.name, k=k))
+        jobs.append(partial(perf_point, "T3", base.name, units=8, k=k))
+        jobs.append(partial(perf_point, "CPU", base.name, k=k))
     payloads = iter(run_jobs(jobs))
     for k in kmer_lengths:
         res = next(payloads)
@@ -69,18 +67,14 @@ def sensitivity_hit_rate(
         title="k-mer hit-rate sweep (32 GB devices vs. CPU)",
         headers=["hit_rate", "t2_16cb_speedup", "t3_8sa_speedup"],
     )
-    jobs: List[PerfPointJob] = []
+    jobs: List[partial] = []
     for rate in hit_rates:
+        jobs.append(partial(perf_point, "CPU", base.name, hit_rate=rate))
         jobs.append(
-            PerfPointJob(design="CPU", benchmark=base.name, hit_rate=rate)
+            partial(perf_point, "T2", base.name, units=16, hit_rate=rate)
         )
         jobs.append(
-            PerfPointJob(design="T2", benchmark=base.name, units=16,
-                         hit_rate=rate)
-        )
-        jobs.append(
-            PerfPointJob(design="T3", benchmark=base.name, units=8,
-                         hit_rate=rate)
+            partial(perf_point, "T3", base.name, units=8, hit_rate=rate)
         )
     payloads = iter(run_jobs(jobs))
     for rate in hit_rates:
@@ -119,17 +113,12 @@ def sensitivity_capacity(
         ],
     )
     jobs = [
-        PerfPointJob(
-            design="T3", benchmark=base.name, units=8,
-            capacity_gib=float(gib),
-            ranks=max(1, gib // 2),  # 2 GiB/rank at the paper's organization
-        )
+        partial(perf_point, "T3", base.name, units=8, capacity_gib=float(gib))
         for gib in capacities_gib
     ]
     payloads = run_jobs(jobs)
     for gib, res in zip(capacities_gib, payloads):
-        ranks = max(1, gib // 2)
-        geometry = DramGeometry.for_capacity(float(gib), ranks=ranks)
+        geometry = DramGeometry.for_capacity(float(gib))
         index_mb = geometry.total_subarrays * INDEX_ENTRY_BYTES / 2**20
         result.rows.append(
             [

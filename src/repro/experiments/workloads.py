@@ -15,10 +15,22 @@ and that C.MT.BG sees 3.28x the matches of C.ST.BG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, Dict, List
 
+from ..baselines.cpu_model import CpuBaselineModel
+from ..baselines.gpu_model import GpuBaselineModel
+from ..dram.geometry import DramGeometry
+from ..fleet.core import FleetError
 from ..genomics.synthetic import TABLE_II_PROFILES, ReadProfile
-from ..sieve.perfmodel import EspModel, WorkloadStats
+from ..insitu.rowmajor import ComputeDramModel, RowMajorModel
+from ..sieve.perfmodel import (
+    EspModel,
+    SieveModelConfig,
+    Type1Model,
+    Type2Model,
+    Type3Model,
+    WorkloadStats,
+)
 
 #: k used throughout the paper's evaluation.
 PAPER_K = 31
@@ -119,6 +131,73 @@ def benchmark_by_name(name: str) -> Benchmark:
         if bench.name == name:
             return bench
     raise KeyError(f"unknown benchmark {name!r}")
+
+
+#: Designs :func:`perf_point` evaluates.  ``units`` is compute buffers
+#: per bank for T2 and concurrent subarrays for T3 / ROW_MAJOR /
+#: COMPUTE_DRAM; CPU / GPU / T1 take none.
+PERF_DESIGNS = ("CPU", "GPU", "T1", "T2", "T3", "ROW_MAJOR", "COMPUTE_DRAM")
+
+
+def perf_point(
+    design: str,
+    benchmark: str,
+    *,
+    units: int = 0,
+    etm_enabled: bool = True,
+    capacity_gib: float = 32.0,
+    hit_rate: float = -1.0,
+    k: int = 0,
+) -> Dict[str, Any]:
+    """One (design x workload x sweep point) analytic model evaluation.
+
+    The fleet job behind every point of Figures 13-17, the Section VI-C
+    sensitivities, the claims ledger, and the k / hit-rate / capacity
+    sweeps.  A negative ``hit_rate`` keeps the benchmark's own; ``k=0``
+    keeps the paper's k, any other k builds the ``sensitivity_k``
+    workload with the default-head ESP.  The device has
+    ``capacity_gib`` at 2 GiB per rank.
+    """
+    if design not in PERF_DESIGNS:
+        raise FleetError(f"unknown design {design!r}; known: {PERF_DESIGNS}")
+    model: Any
+    if design == "CPU":
+        model = CpuBaselineModel()
+    elif design == "GPU":
+        model = GpuBaselineModel()
+    else:
+        cfg = SieveModelConfig(geometry=DramGeometry.for_capacity(capacity_gib))
+        if design == "T1":
+            model = Type1Model(cfg, etm_enabled=etm_enabled)
+        elif design == "T2":
+            model = Type2Model(cfg, units, etm_enabled=etm_enabled)
+        elif design == "T3":
+            model = Type3Model(cfg, units, etm_enabled=etm_enabled)
+        elif design == "ROW_MAJOR":
+            model = RowMajorModel(cfg, units)
+        else:
+            model = ComputeDramModel(cfg, units)
+    bench = benchmark_by_name(benchmark)
+    if k:
+        workload = WorkloadStats(
+            name=f"{bench.name}.k{k}",
+            k=k,
+            num_kmers=bench.profile.kmer_count(k),
+            hit_rate=bench.hit_rate,
+            esp=EspModel.paper_fig6(k),
+        )
+    else:
+        workload = bench.workload()
+    if hit_rate >= 0.0:
+        workload = workload.with_hit_rate(hit_rate)
+    result = model.run(workload)
+    return {
+        "design": result.design,
+        "workload": result.workload,
+        "time_s": result.time_s,
+        "energy_j": result.energy_j,
+        "breakdown": dict(result.breakdown),
+    }
 
 
 def table_ii_rows(k: int = PAPER_K) -> List[Dict[str, object]]:

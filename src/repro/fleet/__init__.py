@@ -1,10 +1,12 @@
 """Process-parallel experiment fleet (see docs/TESTING.md).
 
-Decomposes figures/tables/sweeps into pure, picklable :class:`Job`
-units, dispatches them inline or over a process pool — every call runs
-every job — and merges payloads in submission order so ``--jobs 1`` and
-``--jobs N`` produce byte-identical output.  A payload is a function of
-the job's fields; any randomness seeds from those fields.
+Runs figures/tables/sweeps as jobs — zero-argument callables, in
+practice ``functools.partial`` over a module-level function defined
+next to the experiment that uses it — inline or over a process pool
+(every call runs every job), and merges payloads in submission order so
+``--jobs 1`` and ``--jobs N`` produce byte-identical output.  A payload
+is a function of the job function's arguments; any randomness seeds
+from those arguments.
 ``python -m repro.fleet`` is the CLI; the golden-result suite
 (``tests/golden/``) pins every experiment's serialized payload.
 """
@@ -12,7 +14,6 @@ the job's fields; any randomness seeds from those fields.
 from .core import (
     JOBS_ENV_VAR,
     FleetError,
-    Job,
     configure,
     default_jobs,
     fork_context,
@@ -35,22 +36,10 @@ from .golden import (
     payload_to_figure,
     update_goldens,
 )
-from .jobs import (
-    BenchJob,
-    DeviceSimJob,
-    EspAblationJob,
-    ExperimentJob,
-    PerfPointJob,
-    ReplayJob,
-    SanitizerProbeJob,
-    SteadyStateJob,
-    Type1FunctionalJob,
-)
 
 __all__ = [
     "JOBS_ENV_VAR",
     "FleetError",
-    "Job",
     "configure",
     "default_jobs",
     "fork_context",
@@ -70,13 +59,4 @@ __all__ = [
     "load_golden",
     "payload_to_figure",
     "update_goldens",
-    "BenchJob",
-    "DeviceSimJob",
-    "EspAblationJob",
-    "ExperimentJob",
-    "PerfPointJob",
-    "ReplayJob",
-    "SanitizerProbeJob",
-    "SteadyStateJob",
-    "Type1FunctionalJob",
 ]

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Any, Dict, List, Optional
 
-from ..experiments.registry import EXPERIMENTS
+from ..experiments.registry import EXPERIMENTS, run_experiment
 from . import core, golden
-from .jobs import ExperimentJob
 
 
 def _select(names: List[str]) -> List[str]:
@@ -35,10 +35,20 @@ def _select(names: List[str]) -> List[str]:
     return names
 
 
+def experiment_payload(name: str) -> Dict[str, Any]:
+    """One whole registry experiment, serialized to its golden payload.
+
+    The fleet job that parallelizes *across* experiments; the
+    experiment's own inner fan-out runs inline inside the worker (no
+    nested pools).
+    """
+    return golden.figure_payload(run_experiment(name))
+
+
 def _payloads(names: List[str], jobs: Optional[int]) -> Dict[str, Dict[str, Any]]:
     """Run the named experiments (parallel across experiments)."""
     results = core.run_jobs(
-        [ExperimentJob(name) for name in names], max_workers=jobs
+        [partial(experiment_payload, name) for name in names], max_workers=jobs
     )
     return dict(zip(names, results))
 

@@ -1,8 +1,10 @@
 """Process-parallel job runner with deterministic merge.
 
-The experiment layer decomposes every figure/table/sweep into pure,
-picklable :class:`Job` units (design config x workload x sweep point).
-This module dispatches them:
+The experiment layer decomposes every figure/table/sweep into jobs: a
+job is a zero-argument callable, in practice
+``functools.partial(point_fn, **kwargs)`` over a module-level function
+defined next to the experiment that uses it (so it pickles by
+reference).  This module dispatches them:
 
 * **inline** at ``--jobs 1`` (the default) — no pool, no pickling, the
   exact sequential execution the repository always had;
@@ -16,12 +18,12 @@ always comes from the code that is running.
 
 Three invariants make ``--jobs 1`` equivalent to ``--jobs N``:
 
-1. Jobs are *pure*: a job's payload is a function of the job's fields;
-   any randomness seeds from those fields (e.g.
-   :func:`repro.faults.hash_seed` of a tag) — never from global RNG
-   state.
-2. Merge order is submission order (``ProcessPoolExecutor.map``
-   preserves it), and floats survive pickling bit-exactly.
+1. Jobs are *pure*: a job's payload is a function of its function's
+   arguments; any randomness seeds from those arguments or module
+   constants (e.g. :func:`repro.faults.hash_seed` of a tag) — never
+   from global RNG state.
+2. Merge order is submission order, and floats survive pickling
+   bit-exactly.
 3. Workers never nest pools: a ``run_jobs`` call inside a worker runs
    inline, so parallelism applies at the outermost fan-out only.
 
@@ -37,32 +39,17 @@ propagates to the parent with the offending history intact.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 #: Environment variable read by :func:`default_jobs`.
 JOBS_ENV_VAR = "SIEVE_JOBS"
 
 
 class FleetError(ValueError):
-    """Raised on invalid fleet configuration or job definitions."""
-
-
-@dataclasses.dataclass(frozen=True)
-class Job:
-    """Base class for one pure, picklable unit of experiment work.
-
-    Subclasses are frozen dataclasses whose fields are scalars/tuples
-    (picklable, reprable); :meth:`run` must depend only on those
-    fields.  The payload must be JSON-serializable so it can be
-    golden-diffed.
-    """
-
-    def run(self) -> Any:
-        raise NotImplementedError
+    """Raised on invalid fleet configuration or job arguments."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +118,12 @@ def worker_init(sanitize: bool) -> None:
         enable_schedule_sanitizer()
 
 
-def _execute(job: Job) -> Any:
-    """Run one job (runs in the worker process)."""
-    return job.run()
-
-
 def fork_context() -> multiprocessing.context.BaseContext:
     """The process-spawn context of fleet pools and cluster workers.
 
     Prefers fork, falling back to the platform default elsewhere: fork
     keeps worker start cheap and lets a child inherit the parent's
-    module state (test-defined jobs and classes resolve, the mmap'd
+    module state (test-defined job functions resolve, the mmap'd
     segment pages stay shared copy-on-write).
     """
     if "fork" in multiprocessing.get_all_start_methods():
@@ -149,8 +131,10 @@ def fork_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def run_jobs(jobs: Sequence[Job], max_workers: Optional[int] = None) -> List[Any]:
-    """Run every job; payloads return in submission order.
+def run_jobs(
+    jobs: Sequence[Callable[[], Any]], max_workers: Optional[int] = None
+) -> List[Any]:
+    """Call every job; payloads return in submission order.
 
     ``max_workers=None`` uses :func:`default_jobs`.  With one worker —
     or inside a fleet worker (no nested pools) — jobs run inline in the
@@ -164,11 +148,12 @@ def run_jobs(jobs: Sequence[Job], max_workers: Optional[int] = None) -> List[Any
     if workers < 1:
         raise FleetError(f"max_workers must be >= 1, got {workers}")
     if workers == 1 or len(jobs) <= 1 or _in_worker:
-        return [_execute(job) for job in jobs]
+        return [job() for job in jobs]
     with ProcessPoolExecutor(
         max_workers=min(workers, len(jobs)),
         mp_context=fork_context(),
         initializer=worker_init,
         initargs=(sanitize_active(),),
     ) as pool:
-        return list(pool.map(_execute, jobs))
+        futures = [pool.submit(job) for job in jobs]
+        return [future.result() for future in futures]

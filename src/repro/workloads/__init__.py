@@ -12,13 +12,12 @@ into content-addressed artifacts the whole toolchain can replay:
   zipfian taxon abundance, geometric bursts with exponential gaps,
   configurable read-length/error/novel profiles.
 * :mod:`~repro.workloads.replay` — :func:`replay_trace`, the
-  deterministic pre-enqueue replay every bench scenario, fleet job,
-  and golden drives through.
+  deterministic pre-enqueue replay every bench scenario and golden
+  drives through.
 
-Consumers: ``repro.bench`` (``service_load`` / ``service_cached``),
-``repro.fleet.jobs.ReplayJob`` (keyed on the content hash), the
+Consumers: ``repro.bench`` (``service_load`` / ``service_cached``), the
 ``python -m repro.service`` demo (``--trace``), and the trace-replay
-golden tests (``docs/TESTING.md``).
+golden tests (``docs/TESTING.md``), which pin the content hash.
 """
 
 from .generator import generate_trace, zipfian_weights

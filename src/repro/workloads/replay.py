@@ -1,7 +1,7 @@
 """Deterministic trace replay against an about-to-run service.
 
 :func:`replay_trace` is the replay every regression surface uses (bench
-scenarios, fleet jobs, goldens): pre-enqueue all requests in arrival
+scenarios, goldens): pre-enqueue all requests in arrival
 order on a fresh event loop, then start the service, gather, and drain.
 With zero linger and a single-threaded loop, batch composition is a
 pure function of the trace and the config — replaying the same trace

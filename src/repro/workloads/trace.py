@@ -12,12 +12,11 @@ it the unit the bench/fleet layers key on:
   service config; the same trace replays bit-identically at any shard
   count (classification goldens enforce this).
 * **content-addressed** — :meth:`Trace.content_hash` is a SHA-256 over
-  the canonical JSON payload, so the fleet cache and the goldens key
-  on what the trace *contains*, not where it lives or when it was
-  generated (the :class:`~repro.fleet.jobs.ReplayJob` pattern).
+  the canonical JSON payload, so the goldens key on what the trace
+  *contains*, not where it lives or when it was generated.
 
 Traces are deliberately plain data: no live model objects, no numpy
-arrays, nothing the golden differ or the on-disk cache cannot diff.
+arrays, nothing the golden differ cannot diff.
 """
 
 from __future__ import annotations

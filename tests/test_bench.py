@@ -177,7 +177,7 @@ class TestExtras:
 
     def test_scenario_extras_survive_the_fleet_path(self):
         # service_cached is the registry's extras-producing scenario;
-        # run_benchmarks routes it through a BenchJob fleet payload,
+        # run_benchmarks routes it through the run_benchmark fleet job,
         # which must not drop the third tuple element.
         (r,) = run_benchmarks(quick=True, only=["service_cached"])
         assert r.extras

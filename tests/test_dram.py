@@ -78,6 +78,12 @@ class TestGeometry:
             assert geom.capacity_gib == pytest.approx(gib)
             assert geom.subarrays_per_bank == 128
 
+    def test_default_ranks_hold_2_gib_each(self):
+        for gib, ranks in [(3.0, 1), (4.0, 2), (32.0, 16), (512.0, 256)]:
+            geom = DramGeometry.for_capacity(gib)
+            assert geom.ranks == ranks
+            assert geom.capacity_gib == pytest.approx(gib)
+
     def test_bank_count_scales_with_capacity(self):
         assert SIEVE_32GB.total_banks == 8 * SIEVE_4GB.total_banks
 

@@ -8,90 +8,73 @@ inline by design).
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict
 
 import numpy as np
 import pytest
 
-from repro.analysiskit import SanitizerError
-from repro.fleet import (
-    FleetError,
-    Job,
-    SanitizerProbeJob,
-    configure,
-    default_jobs,
-    run_jobs,
-)
+from repro.analysiskit import SanitizerError, active_sanitizer
+from repro.experiments.faults import fault_point
+from repro.experiments.mapping import mapping_point
+from repro.experiments.workloads import perf_point
+from repro.fleet import FleetError, configure, default_jobs, run_jobs
 from repro.fleet import core as fleet_core
-from repro.fleet.jobs import PerfPointJob
 
 
-@dataclasses.dataclass(frozen=True)
-class EchoJob(Job):
-    """Returns its fields (pure)."""
-
-    tag: str
-    value: int = 0
-
-    def run(self) -> Dict[str, Any]:
-        EXECUTIONS.append(repr(self))
-        return {"tag": self.tag, "value": self.value}
+def echo(tag: str, value: int = 0) -> Dict[str, Any]:
+    """Returns its arguments (pure)."""
+    EXECUTIONS.append((tag, value))
+    return {"tag": tag, "value": value}
 
 
-@dataclasses.dataclass(frozen=True)
-class FileDigestJob(Job):
-    """Reads the file at ``path`` (an input outside the job's fields,
-    the pattern ``ReplayJob`` uses for its trace)."""
-
-    path: str
-    scale: int = 1
-
-    def run(self) -> Dict[str, Any]:
-        EXECUTIONS.append(repr(self))
-        data = Path(self.path).read_bytes()
-        return {"bytes": len(data), "sum": sum(data) * self.scale}
+def file_digest(path: str, scale: int) -> Dict[str, Any]:
+    """Reads the file at ``path`` (an input outside the job's
+    arguments)."""
+    data = Path(path).read_bytes()
+    return {"bytes": len(data), "sum": sum(data) * scale}
 
 
-@dataclasses.dataclass(frozen=True)
-class NestedJob(Job):
+def nested(count: int) -> Dict[str, Any]:
     """Calls run_jobs from inside a job: must run inline (no nested pools)."""
-
-    count: int
-
-    def run(self) -> Any:
-        inner = run_jobs(
-            [EchoJob(tag=f"inner{i}") for i in range(self.count)],
-            max_workers=4,
-        )
-        return {"in_worker": fleet_core._in_worker, "inner": inner}
+    inner = run_jobs(
+        [partial(echo, f"inner{i}") for i in range(count)], max_workers=4
+    )
+    return {"in_worker": fleet_core._in_worker, "inner": inner}
 
 
-@dataclasses.dataclass(frozen=True)
-class MutateSharedJob(Job):
+def mutate_shared(kmer: int) -> Dict[str, Any]:
     """Worker-side attack on the parent's pre-fork database cache."""
+    keys, payloads = _SHARED_DB._lookup_arrays()
+    blocked = 0
+    for arr in (keys, payloads):
+        try:
+            arr[0] = 0
+        except ValueError:
+            blocked += 1
+    return {"blocked_writes": blocked, "lookup": _SHARED_DB.get(kmer)}
 
-    kmer: int
 
-    def run(self) -> Dict[str, Any]:
-        db = _SHARED_DB
-        keys, payloads = db._lookup_arrays()
-        blocked = 0
-        for arr in (keys, payloads):
-            try:
-                arr[0] = 0
-            except ValueError:
-                blocked += 1
-        return {
-            "blocked_writes": blocked,
-            "lookup": db.get(self.kmer),
-        }
+def sanitizer_probe(violate: bool) -> Dict[str, Any]:
+    """Self-check that the DRAM protocol sanitizer reached a worker.
+
+    With ``violate=True`` and a sanitizer installed, issues a READ
+    before any ACTIVATE on a probe unit: the sanitizer must raise
+    :class:`~repro.analysiskit.SanitizerError`, which then propagates
+    across the process boundary with its command history.
+    """
+    sanitizer = active_sanitizer()
+    if sanitizer is None:
+        return {"sanitizer_active": False}
+    if violate:
+        sanitizer.observe_command("fleet-probe", "RD", 3)
+    return {"sanitizer_active": True}
 
 
 EXECUTIONS: list = []  # lint: disable=SV009 (test probe: observes in-process-vs-forked execution)
-_SHARED_DB = None
+_SHARED_DB: Any = None
 
 
 @pytest.fixture(autouse=True)
@@ -102,7 +85,7 @@ def _reset_fleet_config():
 
 class TestRunJobs:
     def test_inline_and_pool_results_identical(self):
-        jobs = [EchoJob(tag=f"j{i}", value=i) for i in range(6)]
+        jobs = [partial(echo, f"j{i}", i) for i in range(6)]
         inline = run_jobs(jobs, max_workers=1)
         pooled = run_jobs(jobs, max_workers=4)
         assert inline == pooled
@@ -110,32 +93,45 @@ class TestRunJobs:
 
     def test_empty_and_single_job_batches(self):
         assert run_jobs([], max_workers=4) == []
-        (only,) = run_jobs([EchoJob(tag="solo")], max_workers=4)
+        (only,) = run_jobs([partial(echo, "solo")], max_workers=4)
         assert only["tag"] == "solo"
 
     def test_worker_exception_propagates(self):
         with pytest.raises(FleetError):
             run_jobs(
-                [PerfPointJob(design="T3", benchmark="no.such.bench",
-                              units=8, capacity_gib=3.0)],
+                [partial(perf_point, "TPU", "no.such.bench", units=8)],
                 max_workers=1,
             )
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(FleetError):
-            run_jobs([EchoJob(tag="x")], max_workers=0)
+            run_jobs([partial(echo, "x")], max_workers=0)
 
     def test_nested_run_jobs_runs_inline(self):
-        results = run_jobs([NestedJob(count=3), NestedJob(count=2)],
-                           max_workers=2)
+        results = run_jobs(
+            [partial(nested, 3), partial(nested, 2)], max_workers=2
+        )
         assert [r["in_worker"] for r in results] == [True, True]
         assert [p["tag"] for p in results[0]["inner"]] == [
             "inner0", "inner1", "inner2"
         ]
 
-    def test_unknown_design_rejected_at_construction(self):
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize(
+        "bad_job",
+        [
+            partial(perf_point, "TPU", "C.ST.BG"),
+            partial(fault_point, "tpu", 0.0),
+            partial(mapping_point, 61, 0.0),
+        ],
+        ids=["perf-design", "fault-design", "seed-longer-than-read"],
+    )
+    def test_invalid_job_arguments_raise(self, bad_job, max_workers):
+        """Bad arguments raise FleetError when the job runs, inline or
+        from a pool worker; a valid job beside it keeps the pool path
+        taken."""
         with pytest.raises(FleetError):
-            PerfPointJob(design="TPU", benchmark="C.ST.BG")
+            run_jobs([partial(echo, "ok"), bad_job], max_workers=max_workers)
 
 
 class TestConfiguration:
@@ -174,21 +170,18 @@ class TestEveryCallExecutes:
         # name is spelled in parts so a search for leftover readers of
         # it finds none.
         monkeypatch.setenv("_".join(("SIEVE", "FLEET", "CACHE")), str(tmp_path))
-        jobs = [EchoJob(tag="again1"), EchoJob(tag="again2")]
+        jobs = [partial(echo, "again1"), partial(echo, "again2")]
         EXECUTIONS.clear()
         first = run_jobs(jobs, max_workers=1)
         second = run_jobs(jobs, max_workers=1)
         assert second == first
-        assert EXECUTIONS == [repr(job) for job in jobs] * 2
+        assert EXECUTIONS == [("again1", 0), ("again2", 0)] * 2
         assert list(tmp_path.iterdir()) == []
 
     def test_payloads_identical_across_worker_counts(self, tmp_path):
         path = tmp_path / "a"
         path.write_bytes(bytes((7 + i * 91) % 256 for i in range(40)))
-        jobs = [
-            FileDigestJob(path=str(path), scale=2),
-            FileDigestJob(path=str(path), scale=3),
-        ]
+        jobs = [partial(file_digest, str(path), 2), partial(file_digest, str(path), 3)]
         inline = run_jobs(jobs, max_workers=1)
         pooled = run_jobs(jobs, max_workers=2)
         assert inline == pooled
@@ -197,8 +190,7 @@ class TestEveryCallExecutes:
 class TestSanitizerPropagation:
     def test_probe_sees_sanitizer_in_workers(self):
         results = run_jobs(
-            [SanitizerProbeJob(violate=False),
-             SanitizerProbeJob(violate=False)],
+            [partial(sanitizer_probe, False), partial(sanitizer_probe, False)],
             max_workers=2,
         )
         assert all(r["sanitizer_active"] for r in results)
@@ -206,8 +198,7 @@ class TestSanitizerPropagation:
     def test_violation_in_worker_surfaces_in_parent(self):
         with pytest.raises(SanitizerError) as excinfo:
             run_jobs(
-                [SanitizerProbeJob(violate=False),
-                 SanitizerProbeJob(violate=True)],
+                [partial(sanitizer_probe, False), partial(sanitizer_probe, True)],
                 max_workers=2,
             )
         err = excinfo.value
@@ -289,7 +280,7 @@ class TestForkSafety:
         kmers = [int(k) for k in keys[:2]]
         try:
             results = run_jobs(
-                [MutateSharedJob(kmer=kmers[0]), MutateSharedJob(kmer=kmers[1])],
+                [partial(mutate_shared, kmers[0]), partial(mutate_shared, kmers[1])],
                 max_workers=2,
             )
         finally:

@@ -25,8 +25,9 @@ Three pillars pin :mod:`repro.mapping` (docs/MAPPING.md):
    Refresh only via ``tests/golden/make_mapping_golden.py``.
 
 Fault interaction mirrors ``test_faults_properties.py``: a zero-rate
-injector must be invisible to mapping, and :class:`MappingSweepJob`
-must replay byte-identically from its seed tag.
+injector must be invisible to mapping, and a mapping-sweep point
+(:func:`repro.experiments.mapping.mapping_point`) must replay
+byte-identically from its seed tag.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from hypothesis import strategies as st
 from repro.api import ResultBatch
 from repro.cluster import ClusterBackend
 from repro.faults import FaultInjector, FaultModel, fault_injection
-from repro.fleet.core import FleetError
-from repro.fleet.jobs import MappingSweepJob
+from repro.experiments.mapping import MAPPING_READS, mapping_point
 from repro.genomics import KmerDatabase, build_dataset
 from repro.genomics.sequence import DnaSequence
 from repro.mapping import (
@@ -825,36 +825,17 @@ def test_zero_rate_injection_is_transparent_for_mapping(golden_dataset):
 
 
 def test_mapping_sweep_job_replays_byte_identically():
-    job = MappingSweepJob(
-        seed_k=8,
-        bit_flip_rate=5e-3,
-        num_species=2,
-        genome_length=200,
-        num_reads=6,
-    )
-    first = job.run()
-    second = job.run()
+    first = mapping_point(8, 5e-3)
+    second = mapping_point(8, 5e-3)
     assert first == second
     assert first["bits_flipped"] > 0
     assert first["schedule_digest"] == second["schedule_digest"]
 
 
 def test_mapping_sweep_job_zero_rate_flips_nothing():
-    job = MappingSweepJob(
-        seed_k=8,
-        bit_flip_rate=0.0,
-        num_species=2,
-        genome_length=200,
-        num_reads=6,
-    )
-    payload = job.run()
+    payload = mapping_point(8, 0.0)
     assert payload["bits_flipped"] == 0
-    assert payload["reads"] == 6
-
-
-def test_mapping_sweep_job_rejects_reads_shorter_than_seed():
-    with pytest.raises(FleetError):
-        MappingSweepJob(seed_k=20, read_length=10)
+    assert payload["reads"] == MAPPING_READS
 
 
 # ---------------------------------------------------------------------------
