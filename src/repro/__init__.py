@@ -69,12 +69,7 @@ from .genomics import (
     decode_kmer,
 )
 from .pipeline import HostStageModel, PipelineReport, analyze_pipeline
-from .serialization import (
-    load_database,
-    load_workload,
-    save_database,
-    save_workload,
-)
+from .serialization import load_workload, save_workload
 from .sieve import (
     EspModel,
     SieveDevice,
@@ -112,9 +107,7 @@ __all__ = [
     "HostStageModel",
     "PipelineReport",
     "analyze_pipeline",
-    "load_database",
     "load_workload",
-    "save_database",
     "save_workload",
     "EspModel",
     "SieveDevice",

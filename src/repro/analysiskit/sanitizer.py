@@ -332,8 +332,8 @@ class _ScopeState:
         self.exec_watermarks: Dict[int, int] = {}
         self.history: Deque[HistoryEvent] = deque(maxlen=history_limit)
         #: Cluster topology (scope = a ClusterBackend):
-        #: ``worker_id -> {"generation", "state", "partitions"}`` where
-        #: ``state`` walks live -> draining -> exited.
+        #: ``worker_id -> {"generation", "state"}`` where ``state``
+        #: walks live -> draining -> exited.
         self.workers: Dict[int, Dict[str, Any]] = {}
         #: ``partition -> worker_id`` current ownership; survives a
         #: worker's exit so a rolling restart can reclaim it.
@@ -375,8 +375,8 @@ class ScheduleSanitizer:
     * at quiesce (drain complete) no admitted request is still pending,
     * cluster events (scope = a :class:`repro.cluster.ClusterBackend`):
       worker generations increase across restarts and walk live ->
-      draining -> exited; partition ownership moves only through
-      handoff (to a live worker) or respawn of the same worker id;
+      draining -> exited; a partition is only ever claimed by one
+      worker id (placement is static; a respawn reclaims its own);
       fan-out targets only live workers; each slice is answered exactly
       once with the fanned-out k-mer count; a worker never exits with
       unanswered fan-out; and a merge covers every slice with counts
@@ -863,17 +863,13 @@ class ScheduleSanitizer:
             if owner is not None and owner != worker_id:
                 self._fail(
                     f"worker {worker_id} spawned claiming partition "
-                    f"{partition} owned by worker {owner} (ownership "
-                    "moves only through handoff)",
+                    f"{partition} owned by worker {owner} (placement is "
+                    "static: a partition has one owner for good)",
                     state,
                     worker_id,
                 )
             state.partition_owner[partition] = worker_id
-        state.workers[worker_id] = {
-            "generation": generation,
-            "state": "live",
-            "partitions": set(owned),
-        }
+        state.workers[worker_id] = {"generation": generation, "state": "live"}
 
     def on_worker_draining(
         self, scope: Any, worker_id: int, generation: int
@@ -943,41 +939,6 @@ class ScheduleSanitizer:
                 worker_id,
             )
         worker["state"] = "exited"
-
-    def on_partition_handoff(
-        self, scope: Any, partition: int, from_worker: int, to_worker: int
-    ) -> None:
-        state = self._state(scope)
-        self._note(
-            state,
-            to_worker,
-            "HANDOFF",
-            f"partition={partition} from={from_worker} to={to_worker}",
-        )
-        owner = state.partition_owner.get(partition)
-        if owner != from_worker:
-            self._fail(
-                f"partition {partition} handed off from worker "
-                f"{from_worker} but is owned by "
-                f"{'nobody' if owner is None else f'worker {owner}'}",
-                state,
-                from_worker,
-            )
-        target = state.workers.get(to_worker)
-        if target is None or target["state"] != "live":
-            self._fail(
-                f"partition {partition} handed to worker {to_worker} "
-                f"which is "
-                f"{'unknown' if target is None else target['state']}",
-                state,
-                to_worker,
-            )
-            return
-        state.partition_owner[partition] = to_worker
-        source = state.workers.get(from_worker)
-        if source is not None:
-            source["partitions"].discard(partition)
-        target["partitions"].add(partition)
 
     def on_cluster_fanout(
         self, scope: Any, qid: int, worker_id: int, num_kmers: int

@@ -3,13 +3,14 @@
 :class:`ClusterBackend` looks like any other backend to the asyncio
 dispatcher — ``query()`` / ``classify()`` / ``capabilities()`` /
 ``stats()`` — but behind it sit forked OS worker processes, each
-serving its owned slice of the k-mer space from the shared mmap
+serving its own partition of the k-mer space from the shared mmap
 segment image (:mod:`repro.cluster.worker`).  A query batch is
-canonicalized once, partitioned (:func:`partition_ids`), grouped per
-owning worker, fanned out over pipes, and the replies are merged back
-**in request order** — so results (and every classification derived
-through :func:`repro.api.classification_from_results`) are
-bit-identical to the sequential scalar path regardless of topology.
+canonicalized once, its cache keys are hashed to their owning workers
+(:func:`partition_ids` modulo the worker count), grouped, and fanned
+out over pipes, and the replies are merged back **in request order** —
+so results (and every classification derived through
+:func:`repro.api.classification_from_results`) are bit-identical to
+the sequential scalar path regardless of topology.
 
 Determinism: workers are always contacted in ascending worker id, one
 pipe per worker is FIFO, and every fan-out waits for its replies
@@ -18,12 +19,10 @@ order.  (The parallelism this buys is *capacity* — each worker holds
 1/N of the reference — and process isolation for rolling operations;
 latency overlap across batches is the dispatcher's job.)
 
-Operations are synchronous and happen at query boundaries, which is
-what makes exactly-once trivial to audit: :meth:`rolling_restart`
-drains a worker (no new fan-out), exits it, and respawns it on the
-same partitions at generation+1; :meth:`scale_to` recomputes the
-consistent-hash assignment, spawns new workers empty, hands off only
-the partitions that change hands, and retires the rest.  Every step
+Placement is static, and the one operation is synchronous at a query
+boundary, which is what makes exactly-once trivial to audit:
+:meth:`rolling_restart` drains a worker (no new fan-out), exits it,
+and respawns it on the same partition at generation+1.  Every step
 emits cluster events through :mod:`repro.service.hooks`, so the
 :class:`~repro.analysiskit.ScheduleSanitizer` verifies no request is
 lost or double-answered across a restart.
@@ -40,7 +39,7 @@ from ..genomics.encoding import canonical_kmers
 from ..serialization import read_segment_manifest
 from ..service import hooks
 from ..service.config import ClusterConfig
-from .partition import ConsistentHashRing, partition_ids
+from .partition import partition_ids
 from .worker import WorkerSpec, worker_main
 
 
@@ -48,24 +47,11 @@ class ClusterError(RuntimeError):
     """Raised when a cluster worker fails or misbehaves."""
 
 
-def _slot_name(worker_id: int, slot: int) -> str:
-    """Ring node name of one shard slot of one worker.
-
-    Slots — not workers — are the ring nodes, so the partition->slot
-    map depends only on the total slot count: (workers=4, spw=1) and
-    (workers=2, spw=2) produce different *placements* but identical
-    partition contents, and bit-identity of answers never depends on
-    placement.
-    """
-    return f"w{worker_id}:s{slot}"
-
-
 class _WorkerHandle:
     """Parent-side bookkeeping for one worker process."""
 
     __slots__ = (
-        "worker_id", "generation", "process", "conn", "partitions",
-        "state", "resident",
+        "worker_id", "generation", "process", "conn", "state", "resident",
     )
 
     def __init__(self, worker_id: int) -> None:
@@ -73,7 +59,6 @@ class _WorkerHandle:
         self.generation = 0
         self.process = None
         self.conn = None
-        self.partitions: List[int] = []
         self.state = "exited"
         self.resident: Dict[str, Any] = {}
 
@@ -83,7 +68,7 @@ class _WorkerHandle:
 
 
 class ClusterBackend(QueryBackendBase):
-    """Multi-process, consistent-hash-partitioned query backend."""
+    """Multi-process, hash-partitioned query backend."""
 
     def __init__(
         self,
@@ -107,38 +92,16 @@ class ClusterBackend(QueryBackendBase):
             sanitize if sanitize is not None else sanitize_active()
         )
         self._workers: Dict[int, _WorkerHandle] = {}
-        #: ``partition -> owning worker id`` (-1 while unowned); the
-        #: fan-out looks every k-mer's owner up here in one gather.
-        self._partition_worker = np.full(cluster.partitions, -1, dtype=np.int64)
         self._query_index = 0
         self._restart_count = 0
-        self._handoff_count = 0
         self._pending_restarts: Dict[int, List[int]] = {}
         self._closed = False
-        assignment = self._assignment(cluster.workers)
         for worker_id in range(cluster.workers):
-            self._spawn(worker_id, assignment[worker_id])
+            self._spawn(worker_id)
 
     # -- topology -----------------------------------------------------------
 
-    def _assignment(self, num_workers: int) -> Dict[int, List[int]]:
-        """``worker_id -> sorted owned partitions`` for a worker count."""
-        spw = self.config.shards_per_worker
-        nodes = [
-            _slot_name(w, s) for w in range(num_workers) for s in range(spw)
-        ]
-        ring = ConsistentHashRing(
-            nodes, virtual_nodes=self.config.virtual_nodes
-        )
-        by_slot = ring.assignment(self.config.partitions)
-        out: Dict[int, List[int]] = {w: [] for w in range(num_workers)}
-        for w in range(num_workers):
-            for s in range(spw):
-                out[w].extend(by_slot[_slot_name(w, s)])
-            out[w].sort()
-        return out
-
-    def _spawn(self, worker_id: int, partitions: List[int]) -> _WorkerHandle:
+    def _spawn(self, worker_id: int) -> _WorkerHandle:
         handle = self._workers.get(worker_id)
         if handle is None:
             handle = _WorkerHandle(worker_id)
@@ -152,8 +115,7 @@ class ClusterBackend(QueryBackendBase):
             worker_id=worker_id,
             generation=generation,
             segment_dir=self.segment_dir,
-            partitions=tuple(partitions),
-            num_partitions=self.config.partitions,
+            workers=self.config.workers,
             sanitize=self._sanitize,
         )
         parent_conn, child_conn = self._ctx.Pipe()
@@ -169,13 +131,12 @@ class ClusterBackend(QueryBackendBase):
         handle.process = process
         handle.conn = parent_conn
         ready = self._recv(handle)
-        handle.partitions = sorted(partitions)
         handle.state = "live"
         handle.resident = ready["resident"]
-        self._partition_worker[handle.partitions] = worker_id
         if hooks.OBSERVER is not None:
+            # Worker w owns partition w, on every spawn of w.
             hooks.OBSERVER.on_worker_spawned(
-                self, worker_id, generation, list(handle.partitions)
+                self, worker_id, generation, [worker_id]
             )
         return handle
 
@@ -248,8 +209,10 @@ class ClusterBackend(QueryBackendBase):
     ) -> ResultBatch:
         """Fan a batch out to owning workers; merge in request order.
 
-        The workers' ``hit``/``payload`` arrays are scattered straight
-        into the returned :class:`~repro.api.ResultBatch`'s columns.
+        Each worker receives its slice as cache keys, so a batch is
+        canonicalized once, here.  The workers' ``hit``/``payload``
+        arrays are scattered straight into the returned
+        :class:`~repro.api.ResultBatch`'s columns.
         ``batched`` is accepted for protocol uniformity and ignored —
         the wire protocol is already batch-shaped.
         """
@@ -266,9 +229,7 @@ class ClusterBackend(QueryBackendBase):
         cache_keys = (
             canonical_kmers(queries, self.k) if self.canonical else queries
         )
-        owner_of = self._partition_worker[
-            partition_ids(cache_keys, self.config.partitions)
-        ]
+        owner_of = partition_ids(cache_keys, self.config.workers)
         # Group positions by owner: a stable sort keeps each worker's
         # slice in request order, and the run boundaries split it.
         order = np.argsort(owner_of, kind="stable")
@@ -284,7 +245,7 @@ class ClusterBackend(QueryBackendBase):
             if observer is not None:
                 observer.on_cluster_fanout(self, qid, worker_id, len(indices))
             self._send(
-                handle, {"op": "query", "qid": qid, "kmers": queries[indices]}
+                handle, {"op": "query", "qid": qid, "keys": cache_keys[indices]}
             )
         for worker_id, indices in zip(owners.tolist(), slices):
             reply = self._recv(self._workers[worker_id], qid, len(indices))
@@ -301,7 +262,7 @@ class ClusterBackend(QueryBackendBase):
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             name="cluster",
-            kind="multiprocess-consistent-hash",
+            kind="multiprocess-hash-partitioned",
             k=self.k,
             canonical=self.canonical,
             degraded=self._degraded,
@@ -310,7 +271,7 @@ class ClusterBackend(QueryBackendBase):
     # -- operations ---------------------------------------------------------
 
     def rolling_restart(self, worker_id: int) -> None:
-        """Drain one worker, exit it, respawn it on the same partitions.
+        """Drain one worker, exit it, respawn it on the same partition.
 
         Synchronous at a query boundary: no fan-out is in flight, so a
         restart can neither lose nor double-answer a request — the
@@ -318,7 +279,7 @@ class ClusterBackend(QueryBackendBase):
         """
         handle = self._live_handle(worker_id)
         self._retire(handle)
-        self._spawn(worker_id, handle.partitions)
+        self._spawn(worker_id)
         self._restart_count += 1
 
     def schedule_restart(self, worker_id: int, at_query: int) -> None:
@@ -338,69 +299,6 @@ class ClusterBackend(QueryBackendBase):
             for worker_id in self._pending_restarts.pop(q):
                 if self._workers.get(worker_id, None) is not None:
                     self.rolling_restart(worker_id)
-
-    def scale_to(self, target_workers: int) -> None:
-        """Rebalance to ``target_workers`` live workers.
-
-        New workers spawn *empty*, then only the partitions whose
-        consistent-hash owner changed are handed off (each handoff
-        emits ``on_partition_handoff`` and re-slices both sides via
-        the ``own`` message); workers with no slots left drain and
-        exit.  Partition contents never change, so answers do not.
-        """
-        if target_workers <= 0:
-            raise ClusterError(
-                f"target_workers must be positive, got {target_workers}"
-            )
-        current = self.live_workers()
-        if target_workers == len(current):
-            return
-        assignment = self._assignment(target_workers)
-        # 1. Spawn incoming workers with no partitions; they receive
-        #    theirs through handoffs below (the sanitizer's spawn-claim
-        #    rule: a spawn may only claim unowned partitions).
-        for worker_id in range(target_workers):
-            handle = self._workers.get(worker_id)
-            if handle is None or handle.state == "exited":
-                self._spawn(worker_id, [])
-        # 2. Hand off every partition whose owner changes.
-        new_owner_of: Dict[int, int] = {}
-        for worker_id, owned in assignment.items():
-            for partition in owned:
-                new_owner_of[partition] = worker_id
-        moves: Dict[int, List[int]] = {}
-        for partition in range(self.config.partitions):
-            new_owner = new_owner_of[partition]
-            old_owner = int(self._partition_worker[partition])
-            if new_owner != old_owner:
-                moves.setdefault(old_owner, []).append(partition)
-                if hooks.OBSERVER is not None:
-                    hooks.OBSERVER.on_partition_handoff(
-                        self, partition, old_owner, new_owner
-                    )
-                self._partition_worker[partition] = new_owner
-        # 3. Push the complete new owned set to every affected worker.
-        touched = set(moves)
-        for worker_id, owned in assignment.items():
-            if self._workers[worker_id].partitions != owned:
-                touched.add(worker_id)
-        for worker_id in sorted(touched):
-            handle = self._workers[worker_id]
-            if not handle.live:
-                continue
-            new_owned = assignment.get(worker_id, [])
-            reply = self._rpc(
-                handle, {"op": "own", "partitions": list(new_owned)}
-            )
-            handle.partitions = list(new_owned)
-            handle.resident = reply["resident"]
-        self._handoff_count += sum(len(v) for v in moves.values())
-        # 4. Retire workers beyond the target count.
-        for worker_id in current:
-            if worker_id >= target_workers:
-                handle = self._workers[worker_id]
-                self._retire(handle)
-                handle.partitions = []
 
     def _retire(self, handle: _WorkerHandle) -> None:
         """Drain a live worker and exit its process."""
@@ -436,7 +334,6 @@ class ClusterBackend(QueryBackendBase):
                 "worker": worker_id,
                 "generation": handle.generation,
                 "state": handle.state,
-                "partitions": list(handle.partitions),
                 "resident": dict(handle.resident),
             }
             if handle.live:
@@ -450,13 +347,9 @@ class ClusterBackend(QueryBackendBase):
         return {
             "workers": rows,
             "live_workers": len(self.live_workers()),
-            "shards_per_worker": self.config.shards_per_worker,
-            "partitions": self.config.partitions,
-            "virtual_nodes": self.config.virtual_nodes,
             "segment_dir": self.segment_dir,
             "content_hash": self.content_hash,
             "restarts": self._restart_count,
-            "handoffs": self._handoff_count,
         }
 
     def close(self) -> None:

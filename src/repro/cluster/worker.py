@@ -1,4 +1,4 @@
-"""Forked shard-worker process: owned-partition slice of the reference.
+"""Forked shard-worker process: one partition of the reference.
 
 ``worker_main`` is the entry point of every cluster worker process
 (spawned by :class:`repro.cluster.ClusterBackend` over the fleet's
@@ -11,19 +11,20 @@ fork context).  A worker:
   content-hashed segment directory — **zero-copy**: the sorted record
   arrays are memory-mapped, no dict build, and the pages are shared
   with every sibling worker through the page cache;
-* slices out *only the partitions it owns* (a boolean-mask subset of
-  the mapped arrays, memory proportional to its share of the k-mer
-  space — no worker materializes the full database);
-* answers ``query`` messages — a ``uint64`` array of k-mers — with a
-  ``hit`` bool array and a ``payload`` int64 array (0 where the k-mer
-  missed), by binary search over its owned slice.  A k-mer whose
-  partition the worker does not own is a routing bug and fails loudly
-  instead of returning a wrong miss.
+* slices out *only its own partition* — the records whose cache key
+  hashes to its worker id (a boolean-mask subset of the mapped arrays,
+  memory proportional to its share of the k-mer space — no worker
+  materializes the full database);
+* answers ``query`` messages — a ``uint64`` array of cache keys, which
+  the parent already canonicalized to route the batch — with a ``hit``
+  bool array and a ``payload`` int64 array (0 where the key missed),
+  by binary search over its slice.  A key that hashes to another
+  worker is a routing bug and fails loudly instead of returning a
+  wrong miss.
 
 The parent speaks a tiny pickled-dict protocol over a
-``multiprocessing.Pipe``: ``query`` / ``stats`` / ``own`` (replace the
-owned partition set — a rebalance handoff) / ``exit``.  Every request
-gets exactly one reply; worker-side exceptions are reported as
+``multiprocessing.Pipe``: ``query`` / ``stats`` / ``exit``.  Every
+request gets exactly one reply; worker-side exceptions are reported as
 ``{"ok": False, "error": ...}`` before the process exits, so the
 parent can convert them into :class:`~repro.cluster.ClusterError`.
 """
@@ -31,12 +32,11 @@ parent can convert them into :class:`~repro.cluster.ClusterError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from ..genomics.database import KmerDatabase
-from ..genomics.encoding import canonical_kmers
 from .partition import partition_ids
 
 
@@ -47,78 +47,44 @@ class WorkerSpec:
     worker_id: int
     generation: int
     segment_dir: str
-    partitions: Tuple[int, ...]
-    num_partitions: int
+    workers: int
     sanitize: bool = False
 
 
 class PartitionStore:
-    """The owned-partition slice of an mmap-opened reference."""
+    """One worker's partition of an mmap-opened reference."""
 
-    def __init__(
-        self,
-        segment_dir: str,
-        partitions: Iterable[int],
-        num_partitions: int,
-    ) -> None:
+    def __init__(self, segment_dir: str, worker_id: int, workers: int) -> None:
+        if not 0 <= worker_id < workers:
+            raise ValueError(
+                f"worker {worker_id} out of range [0, {workers})"
+            )
         self.database = KmerDatabase.open_mmap(segment_dir)
         all_keys, all_payloads = self.database.record_arrays()
-        self._all_keys = all_keys
-        self._all_payloads = all_payloads
-        self.num_partitions = num_partitions
-        # Partition id of every reference record, computed once per
-        # process; re-owning (a handoff) only re-applies the mask.
-        self._record_partitions = partition_ids(all_keys, num_partitions)
-        self.owned: frozenset = frozenset()
-        self.keys = all_keys[:0]
-        self.payloads = all_payloads[:0]
-        self.set_partitions(partitions)
-
-    def set_partitions(self, partitions: Iterable[int]) -> None:
-        """Replace the owned set and re-slice the record arrays."""
-        owned = sorted(int(p) for p in partitions)
-        for p in owned:
-            if not 0 <= p < self.num_partitions:
-                raise ValueError(
-                    f"partition {p} out of range [0, {self.num_partitions})"
-                )
-        mask = np.isin(
-            self._record_partitions, np.asarray(owned, dtype=np.int64)
-        )
+        self.worker_id = worker_id
+        self.workers = workers
+        self.total_records = int(all_keys.size)
         # Materialized subset (not a view): memory is proportional to
-        # the owned share, and lookups touch a dense array instead of
-        # striding the full mapping.
-        self.keys = self._all_keys[mask]
-        self.payloads = self._all_payloads[mask]
-        self.owned = frozenset(owned)
+        # the worker's share, and lookups touch a dense array instead
+        # of striding the full mapping.
+        mine = partition_ids(all_keys, workers) == worker_id
+        self.keys = all_keys[mine]
+        self.payloads = all_payloads[mine]
 
-    @property
-    def k(self) -> int:
-        return self.database.k
-
-    @property
-    def canonical(self) -> bool:
-        return self.database.canonical
-
-    def query(self, kmers: Any) -> Tuple[np.ndarray, np.ndarray]:
-        """Answer a routed sub-batch over the owned slice, in order.
+    def query(self, keys: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """Answer a routed sub-batch of cache keys over the slice, in order.
 
         Returns ``(hit, payload)``: a bool array and an int64 array of
-        the same length as ``kmers``, with payload 0 at every miss.
+        the same length as ``keys``, with payload 0 at every miss.
         """
-        queries = np.asarray(kmers, dtype=np.uint64)
-        lookup = (
-            canonical_kmers(queries, self.k) if self.canonical else queries
-        )
-        parts = partition_ids(lookup, self.num_partitions)
-        owned = np.asarray(sorted(self.owned), dtype=np.int64)
-        foreign = ~np.isin(parts, owned)
+        lookup = np.asarray(keys, dtype=np.uint64)
+        owners = partition_ids(lookup, self.workers)
+        foreign = owners != self.worker_id
         if bool(foreign.any()):
-            bad = int(queries[foreign][0])
             raise ValueError(
-                f"k-mer {bad} routed to a worker that does not own "
-                f"partition {int(parts[foreign][0])} (owned: "
-                f"{sorted(self.owned)})"
+                f"cache key {int(lookup[foreign][0])} routed to worker "
+                f"{self.worker_id}, which does not own it (owner: worker "
+                f"{int(owners[foreign][0])})"
             )
         positions = np.searchsorted(self.keys, lookup)
         in_range = positions < self.keys.size
@@ -137,9 +103,8 @@ class PartitionStore:
             "kind": capabilities.kind,
             "degraded": capabilities.degraded,
             "full_build": False,
-            "owned_partitions": sorted(self.owned),
             "owned_records": int(self.keys.size),
-            "total_records": int(self._all_keys.size),
+            "total_records": self.total_records,
         }
 
 
@@ -150,7 +115,7 @@ def worker_main(conn, spec: WorkerSpec) -> None:
     worker_init(spec.sanitize)
     try:
         store = PartitionStore(
-            spec.segment_dir, spec.partitions, spec.num_partitions
+            spec.segment_dir, spec.worker_id, spec.workers
         )
     except Exception as exc:  # noqa: BLE001 - reported to the parent
         _try_send(conn, {"ok": False, "error": repr(exc)})
@@ -177,7 +142,7 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             op = message.get("op")
             try:
                 if op == "query":
-                    hit, payload = store.query(message["kmers"])
+                    hit, payload = store.query(message["keys"])
                     queries += int(hit.size)
                     hits += int(hit.sum())
                     conn.send(
@@ -196,11 +161,6 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                             "hits": hits,
                             "resident": store.resident(),
                         }
-                    )
-                elif op == "own":
-                    store.set_partitions(message["partitions"])
-                    conn.send(
-                        {"ok": True, "resident": store.resident()}
                     )
                 elif op == "exit":
                     conn.send({"ok": True, "event": "bye"})

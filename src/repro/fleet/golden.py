@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from ..experiments.results import FigureResult
+if TYPE_CHECKING:
+    from ..experiments.results import FigureResult
 
 #: Default golden directory, relative to the repository root (the fleet
 #: CLI resolves it against the current working directory).
@@ -56,6 +57,10 @@ def figure_payload(result: FigureResult) -> Dict[str, Any]:
 
 def payload_to_figure(payload: Dict[str, Any]) -> FigureResult:
     """Rebuild a :class:`FigureResult` from its canonical payload."""
+    # Imported here so ``import repro.fleet`` (which cluster workers
+    # pay for) does not load the whole experiments package.
+    from ..experiments.results import FigureResult
+
     return FigureResult(
         figure=payload["figure"],
         title=payload["title"],

@@ -4,13 +4,12 @@ Section IV-C: the transposed database "can be stored for later use and
 is thus a one-time cost", and "k-mer databases are relatively stable
 over time".  This module provides the storage side of that story:
 
-* binary (npz) save/load of a :class:`KmerDatabase` — compact 12-byte
-  records, exactly the footprint the paper's size arithmetic assumes;
 * a zero-copy **segment directory** (`.npy` per array + content-hash
-  manifest) that :meth:`KmerDatabase.open_mmap` maps read-only, so
-  fleet/service shard workers share one page-cached copy of the
-  reference instead of rebuilding (or copy-on-write duplicating) it
-  per process;
+  manifest) of a :class:`KmerDatabase` — compact 12-byte records,
+  exactly the footprint the paper's size arithmetic assumes — that
+  :meth:`KmerDatabase.open_mmap` maps read-only, so fleet/service
+  shard workers share one page-cached copy of the reference instead
+  of rebuilding (or copy-on-write duplicating) it per process;
 * JSON save/load of a :class:`WorkloadStats`, so a trace measured once
   on the functional simulator can drive the analytic model in later
   sessions (the trace-driven methodology, made reproducible).
@@ -32,7 +31,6 @@ from .genomics.taxonomy import Taxonomy
 PathLike = Union[str, Path]
 
 #: Format tags guarding against loading the wrong file kind.
-DB_FORMAT = "sieve-repro-kmerdb-v1"
 WORKLOAD_FORMAT = "sieve-repro-workload-v1"
 SEGMENT_FORMAT = "sieve-repro-kmerdb-segments-v1"
 
@@ -45,41 +43,6 @@ SEGMENT_ARRAYS = ("kmers", "taxa")
 
 class SerializationError(ValueError):
     """Raised on malformed or mismatched files."""
-
-
-def save_database(database: KmerDatabase, path: PathLike) -> int:
-    """Write a database as compressed npz; returns the record count."""
-    records = database.sorted_records()
-    if not records:
-        raise SerializationError("refusing to save an empty database")
-    kmers = np.array([k for k, _ in records], dtype=np.uint64)
-    taxa = np.array([t for _, t in records], dtype=np.uint32)
-    np.savez_compressed(
-        path,
-        format=DB_FORMAT,
-        k=database.k,
-        canonical=database.canonical,
-        kmers=kmers,
-        taxa=taxa,
-    )
-    return len(records)
-
-
-def load_database(path: PathLike, taxonomy: Taxonomy = None) -> KmerDatabase:
-    """Load a database written by :func:`save_database`."""
-    with np.load(_npz_path(path), allow_pickle=False) as data:
-        if str(data["format"]) != DB_FORMAT:
-            raise SerializationError(
-                f"{path}: not a {DB_FORMAT} file (got {data['format']})"
-            )
-        db = KmerDatabase(
-            k=int(data["k"]),
-            canonical=bool(data["canonical"]),
-            taxonomy=taxonomy,
-        )
-        for kmer, taxon in zip(data["kmers"], data["taxa"]):
-            db.add(int(kmer), int(taxon))
-    return db
 
 
 def _record_arrays(database: KmerDatabase) -> Dict[str, np.ndarray]:
@@ -115,8 +78,8 @@ def database_content_hash(database: KmerDatabase) -> str:
 
     An mmap-opened database answers from its manifest without touching
     the mapped pages; an in-memory database hashes its record image.
-    Equal hashes mean byte-identical reference content, which is what
-    the fleet result cache keys shared entries on.
+    Equal hashes mean byte-identical reference content; the value is
+    the ``content_hash`` :func:`save_segments` records in the manifest.
     """
     stored = getattr(database, "content_hash", None)
     if stored:
@@ -260,13 +223,6 @@ def load_segments(
         source=str(directory),
         degraded=bool(manifest.get("degraded", False)),
     )
-
-
-def _npz_path(path: PathLike) -> Path:
-    p = Path(path)
-    if not p.exists() and p.with_suffix(p.suffix + ".npz").exists():
-        return p.with_suffix(p.suffix + ".npz")
-    return p
 
 
 def save_workload(workload: WorkloadStats, path: PathLike) -> None:

@@ -17,8 +17,8 @@ passed* becomes an override on top of it (flags left at their defaults
 defer to the file).  ``--cluster-workers N`` (or a ``[cluster]`` table
 in the file) switches the demo to the multi-process topology: one
 :class:`repro.cluster.ClusterBackend` fronts ``N`` forked workers that
-each mmap the segment directory and own only their consistent-hash
-share of the k-mer space; ``--cluster-restarts`` drives rolling
+each mmap the segment directory and own only their hash partition
+of the k-mer space; ``--cluster-restarts`` drives rolling
 restarts mid-stream and the post-run residency assertion proves no
 worker ever held a full database build.
 """
@@ -186,20 +186,8 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
         "--cluster-workers",
         type=int,
         default=0,
-        help="forked worker processes serving consistent-hash "
-        "partitions of the k-mer space (0 = in-process shards)",
-    )
-    cluster.add_argument(
-        "--cluster-shards-per-worker",
-        type=int,
-        default=1,
-        help="shard slots (hash-ring nodes) per worker process",
-    )
-    cluster.add_argument(
-        "--cluster-partitions",
-        type=int,
-        default=64,
-        help="fixed k-mer partition count (ownership granularity)",
+        help="forked worker processes, each serving one hash "
+        "partition of the k-mer space (0 = in-process shards)",
     )
     cluster.add_argument(
         "--cluster-restarts",
@@ -262,12 +250,6 @@ _CONFIG_OVERRIDES = (
     ("cache_self_check", "cache_self_check", lambda v: v),
 )
 
-_CLUSTER_OVERRIDES = (
-    ("cluster_workers", "workers"),
-    ("cluster_shards_per_worker", "shards_per_worker"),
-    ("cluster_partitions", "partitions"),
-)
-
 
 def resolve_config(
     args: argparse.Namespace,
@@ -291,18 +273,8 @@ def resolve_config(
         value = getattr(args, dest)
         if value != parser.get_default(dest):
             overrides[field_name] = transform(value)
-    cluster = config.cluster
-    cluster_overrides = {}
-    for dest, field_name in _CLUSTER_OVERRIDES:
-        value = getattr(args, dest)
-        if value != parser.get_default(dest):
-            cluster_overrides[field_name] = value
-    if cluster is None and args.cluster_workers > 0:
-        cluster = ClusterConfig(**cluster_overrides)
-    elif cluster is not None and cluster_overrides:
-        cluster = dataclasses.replace(cluster, **cluster_overrides)
-    if cluster is not config.cluster:
-        overrides["cluster"] = cluster
+    if args.cluster_workers != parser.get_default("cluster_workers"):
+        overrides["cluster"] = ClusterConfig(workers=args.cluster_workers)
     pipelined = overrides.get("pipelined", config.pipelined)
     threads = overrides.get("executor_threads", config.executor_threads)
     if pipelined and threads == 0:
@@ -469,10 +441,8 @@ def run_demo(args: argparse.Namespace) -> int:
             )
         backends = [cluster_backend]
         print(
-            f"cluster: {cluster_cfg.workers} worker(s) x "
-            f"{cluster_cfg.shards_per_worker} slot(s) over "
-            f"{cluster_cfg.partitions} consistent-hash "
-            f"partitions, {args.cluster_restarts} scheduled restart(s)"
+            f"cluster: {cluster_cfg.workers} worker(s), one hash "
+            f"partition each, {args.cluster_restarts} scheduled restart(s)"
         )
 
     chaos = None
@@ -568,11 +538,11 @@ def run_demo(args: argparse.Namespace) -> int:
         owned = sum(r["owned_records"] for r in residents)
         print(
             f"cluster: {topo['live_workers']} live worker(s), "
-            f"{topo['restarts']} restart(s), {topo['handoffs']} "
-            f"handoff(s); resident {owned}/{len(database)} records, "
+            f"{topo['restarts']} restart(s); resident "
+            f"{owned}/{len(database)} records, "
             f"max slice {max((r['owned_records'] for r in residents), default=0)}"
         )
-        # Residency assertion: every worker serves its partition slice
+        # Residency assertion: every worker serves its partition
         # from the shared mmap segments — never a per-process full build.
         from pathlib import Path
 

@@ -4,10 +4,10 @@ Since PR 9 the config is *declarative*: :meth:`ServiceConfig.from_file`
 loads a TOML file (the same schema :meth:`ServiceConfig.to_toml`
 writes), :meth:`ServiceConfig.from_dict` / :meth:`ServiceConfig.to_dict`
 round-trip the payload, and unknown keys fail loudly instead of being
-silently dropped.  Cluster topology (worker processes, shards per
-worker, k-mer partition count) lives in the same schema as a nested
-``[cluster]`` table (:class:`ClusterConfig`), so one file describes the
-whole deployment and CLI flags become *overrides* on top of it (see
+silently dropped.  Cluster topology (the worker process count) lives
+in the same schema as a nested ``[cluster]`` table
+(:class:`ClusterConfig`), so one file describes the whole deployment
+and CLI flags become *overrides* on top of it (see
 ``python -m repro.service --config``).
 """
 
@@ -26,43 +26,17 @@ class ServiceConfigError(ValueError):
 class ClusterConfig:
     """Multi-process shard-cluster topology (:mod:`repro.cluster`).
 
-    ``workers`` forked OS processes each serve ``shards_per_worker``
-    shard slots; the k-mer space is split into ``partitions`` fixed
-    partitions assigned to slots by consistent hashing (so scaling the
-    worker count moves a minimal set of partitions).  ``partitions`` is
-    the handoff granularity — more partitions means smoother rebalance
-    at the cost of a larger ownership table.
+    ``workers`` forked OS processes each serve one partition of the
+    k-mer space: a k-mer belongs to the worker its cache key hashes to,
+    so every worker holds about 1/``workers`` of the reference.
     """
 
-    #: Forked worker processes serving partitioned shards.
+    #: Forked worker processes, one k-mer partition each.
     workers: int = 2
-    #: Shard slots (consistent-hash ring nodes) per worker process.
-    shards_per_worker: int = 1
-    #: Fixed k-mer partition count (ownership / handoff granularity).
-    partitions: int = 64
-    #: Virtual nodes per shard slot on the hash ring (spreads load and
-    #: keeps partition movement minimal when slots come and go).
-    virtual_nodes: int = 16
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
             raise ServiceConfigError("cluster.workers must be positive")
-        if self.shards_per_worker <= 0:
-            raise ServiceConfigError(
-                "cluster.shards_per_worker must be positive"
-            )
-        if self.partitions < self.workers * self.shards_per_worker:
-            raise ServiceConfigError(
-                f"cluster.partitions={self.partitions} must be >= workers x "
-                f"shards_per_worker = {self.workers * self.shards_per_worker} "
-                "(every shard slot needs at least one partition to own)"
-            )
-        if self.virtual_nodes <= 0:
-            raise ServiceConfigError("cluster.virtual_nodes must be positive")
-
-    def slots(self) -> int:
-        """Total shard slots (consistent-hash ring nodes)."""
-        return self.workers * self.shards_per_worker
 
 
 @dataclass(frozen=True)

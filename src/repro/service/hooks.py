@@ -59,15 +59,14 @@ def install(observer: Any) -> None:
     the *cluster backend* as ``scope``:
 
     * ``on_worker_spawned(scope, worker_id, generation, partitions)`` —
-      a forked shard-worker process came up owning ``partitions``;
-      ``generation`` increments on every respawn of the same worker id,
+      a forked shard-worker process came up owning ``partitions``
+      (``[worker_id]``: placement is static); ``generation`` increments
+      on every respawn of the same worker id,
     * ``on_worker_draining(scope, worker_id, generation)`` — a rolling
       restart stopped routing new fan-out to this worker,
     * ``on_worker_exited(scope, worker_id, generation)`` — the process
-      exited (drained restarts and scale-downs only; owned partitions
-      must have been handed off or respawned),
-    * ``on_partition_handoff(scope, partition, from_worker, to_worker)``
-      — partition ownership moved (``scale_to`` rebalance),
+      exited (a drained restart, which respawns the same worker id on
+      the same partition, or the backend's close),
     * ``on_cluster_fanout(scope, qid, worker_id, num_kmers)`` — a
       micro-batch slice was sent to an owning worker,
     * ``on_cluster_reply(scope, qid, worker_id, num_kmers)`` — that

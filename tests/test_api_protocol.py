@@ -69,7 +69,7 @@ def make_backend(name: str, dataset, layout, segment_dir=None):
         assert segment_dir is not None
         return ClusterBackend(
             segment_dir,
-            cluster=ClusterConfig(workers=2, partitions=16),
+            cluster=ClusterConfig(workers=2),
         )
     raise AssertionError(name)
 
@@ -424,7 +424,7 @@ def test_cluster_cache_vote_path_builds_no_records(
         original_init(self, *args, **kwargs)
 
     backend = ClusterBackend(
-        cluster_segments, cluster=ClusterConfig(workers=2, partitions=16)
+        cluster_segments, cluster=ClusterConfig(workers=2)
     )
     config = ServiceConfig(
         num_shards=1, max_batch_kmers=256, dedup=True, cache_capacity=64
@@ -508,7 +508,7 @@ def make_faulted_backend(name: str, dataset, layout, injector, tmp_dir=None):
         save_segments(db, tmp_dir)
         return ClusterBackend(
             str(tmp_dir),
-            cluster=ClusterConfig(workers=2, partitions=16),
+            cluster=ClusterConfig(workers=2),
         )
     raise AssertionError(name)
 

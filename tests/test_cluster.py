@@ -1,11 +1,10 @@
 """Multi-process shard cluster: partitioning, bit-identity, lifecycle.
 
 The tentpole invariant is that the cluster is *invisible* in the
-answers: at any (worker count x shards-per-worker) topology — including
-mid-stream rolling restarts and scale-up/scale-down handoffs — the
-merged classifications are bit-identical to the sequential scalar path
-over the same database image.  The session-scoped schedule sanitizer
-stays active, so every spawn/drain/handoff/fanout in these tests is
+answers: at any worker count — including mid-stream rolling restarts —
+the merged classifications are bit-identical to the sequential scalar
+path over the same database image.  The session-scoped schedule
+sanitizer stays active, so every spawn/drain/fanout in these tests is
 also audited for exactly-once delivery.
 """
 
@@ -23,13 +22,12 @@ from repro.api import classification_from_results
 from repro.cluster import (
     ClusterBackend,
     ClusterError,
-    ConsistentHashRing,
     PartitionError,
-    partition_id,
     partition_ids,
 )
 from repro.cluster.worker import PartitionStore
-from repro.genomics import cache_key_kmer
+from repro.genomics import build_dataset, cache_key_kmer
+from repro.genomics.encoding import revcomp_values
 from repro.serialization import save_segments
 from repro.service import ClassificationService, ClusterConfig, ServiceConfig
 from repro.service import hooks
@@ -42,15 +40,16 @@ def segments(small_dataset, tmp_path_factory):
     return str(directory)
 
 
-def make_cluster(segments, workers=2, shards_per_worker=1, partitions=16):
-    return ClusterBackend(
-        segments,
-        cluster=ClusterConfig(
-            workers=workers,
-            shards_per_worker=shards_per_worker,
-            partitions=partitions,
-        ),
-    )
+def make_cluster(segments, workers=2):
+    return ClusterBackend(segments, cluster=ClusterConfig(workers=workers))
+
+
+def live_residents(backend):
+    return [
+        row["resident"]
+        for row in backend.cluster_stats()["workers"]
+        if row["state"] == "live"
+    ]
 
 
 def reference_classifications(dataset):
@@ -82,12 +81,6 @@ def cluster_classifications(backend, dataset):
 
 
 class TestPartitioner:
-    def test_vectorized_matches_scalar(self):
-        keys = np.array([0, 1, 2**32, 2**63 - 1, 2**64 - 1], dtype=np.uint64)
-        vector = partition_ids(keys, 13)
-        for key, part in zip(keys.tolist(), vector.tolist()):
-            assert partition_id(int(key), 13) == part
-
     def test_deterministic_and_in_range(self):
         keys = np.arange(5000, dtype=np.uint64) * np.uint64(2654435761)
         a = partition_ids(keys, 32)
@@ -109,53 +102,13 @@ class TestPartitioner:
             partition_ids(np.array([1], dtype=np.uint64), 0)
 
 
-class TestConsistentHashRing:
-    def test_assignment_is_a_partition_of_the_space(self):
-        ring = ConsistentHashRing(["w0:s0", "w1:s0", "w2:s0"])
-        assignment = ring.assignment(64)
-        seen = sorted(p for parts in assignment.values() for p in parts)
-        assert seen == list(range(64))
-        assert set(assignment) == {"w0:s0", "w1:s0", "w2:s0"}
-
-    def test_deterministic_across_instances(self):
-        nodes = ["w0:s0", "w0:s1", "w1:s0"]
-        first = ConsistentHashRing(nodes).assignment(48)
-        second = ConsistentHashRing(list(reversed(nodes))).assignment(48)
-        assert first == second
-
-    def test_adding_a_node_moves_few_partitions(self):
-        before = ConsistentHashRing(["w0:s0", "w1:s0"]).assignment(256)
-        after = ConsistentHashRing(["w0:s0", "w1:s0", "w2:s0"]).assignment(256)
-        owner_before = {p: n for n, ps in before.items() for p in ps}
-        owner_after = {p: n for n, ps in after.items() for p in ps}
-        moved = sum(
-            1 for p in range(256) if owner_before[p] != owner_after[p]
-        )
-        # Only partitions captured by the new node move; surviving
-        # nodes never trade partitions with each other.
-        assert moved == len(after["w2:s0"])
-        assert 0 < moved < 256 // 2
-
-    def test_rejects_bad_rings(self):
-        with pytest.raises(PartitionError):
-            ConsistentHashRing([])
-        with pytest.raises(PartitionError):
-            ConsistentHashRing(["a", "a"])
-        with pytest.raises(PartitionError):
-            ConsistentHashRing(["a"], virtual_nodes=0)
-
-
 class TestClusterBitIdentity:
-    @pytest.mark.parametrize(
-        "workers,shards_per_worker", [(1, 1), (2, 1), (2, 2), (4, 1)]
-    )
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_matches_sequential_scalar_path(
-        self, segments, small_dataset, workers, shards_per_worker
+        self, segments, small_dataset, workers
     ):
         expected = reference_classifications(small_dataset)
-        with make_cluster(
-            segments, workers=workers, shards_per_worker=shards_per_worker
-        ) as backend:
+        with make_cluster(segments, workers=workers) as backend:
             assert cluster_classifications(backend, small_dataset) == expected
 
     def test_result_order_and_echoed_queries(self, segments, small_dataset):
@@ -171,8 +124,7 @@ class TestClusterBitIdentity:
 
     def test_no_worker_holds_a_full_build(self, segments, small_dataset):
         with make_cluster(segments, workers=2) as backend:
-            rows = backend.cluster_stats()["workers"]
-            residents = [r["resident"] for r in rows]
+            residents = live_residents(backend)
         assert all(r["full_build"] is False for r in residents)
         assert all(r["kind"] == "host-sorted-array-mmap" for r in residents)
         total = len(small_dataset.database)
@@ -196,37 +148,18 @@ class TestClusterLifecycle:
     ):
         expected = reference_classifications(small_dataset)
         with make_cluster(segments, workers=2) as backend:
+            before = live_residents(backend)
             backend.schedule_restart(0, at_query=3)
             backend.schedule_restart(1, at_query=7)
             got = cluster_classifications(backend, small_dataset)
             restarts = backend.cluster_stats()["restarts"]
+            after = live_residents(backend)
         assert got == expected
         assert restarts == 2
-
-    def test_scale_up_and_down_mid_stream(self, segments, small_dataset):
-        expected = reference_classifications(small_dataset)
-        with make_cluster(segments, workers=1, partitions=16) as backend:
-            got = cluster_classifications(backend, small_dataset)[:4]
-            backend.scale_to(3)
-            assert len(backend.live_workers()) == 3
-            got += cluster_classifications(backend, small_dataset)[4:8]
-            backend.scale_to(1)
-            assert len(backend.live_workers()) == 1
-            got += cluster_classifications(backend, small_dataset)[8:]
-            stats = backend.cluster_stats()
-        assert got == expected
-        assert stats["handoffs"] > 0
-
-    def test_handoff_preserves_full_coverage(self, segments, small_dataset):
-        total = len(small_dataset.database)
-        with make_cluster(segments, workers=1, partitions=16) as backend:
-            backend.scale_to(2)
-            residents = [
-                row["resident"]
-                for row in backend.cluster_stats()["workers"]
-                if row["state"] == "live"
-            ]
-        assert sum(r["owned_records"] for r in residents) == total
+        # Placement is static: each worker respawns on the same slice.
+        assert [r["owned_records"] for r in after] == [
+            r["owned_records"] for r in before
+        ]
 
     def test_schedule_restart_rejects_passed_queries(
         self, segments, small_dataset
@@ -243,11 +176,11 @@ class TestClusterLifecycle:
 
 class TestPartitionStore:
     def test_rejects_foreign_kmers(self, segments, small_dataset):
-        store = PartitionStore(segments, partitions=[0], num_partitions=16)
+        store = PartitionStore(segments, worker_id=0, workers=16)
         db = small_dataset.database
         foreign = None
         for kmer, _ in db.items():
-            if partition_id(kmer, 16) != 0:
+            if int(partition_ids([kmer], 16)[0]) != 0:
                 foreign = kmer
                 break
         assert foreign is not None
@@ -256,14 +189,17 @@ class TestPartitionStore:
 
     def test_rejects_out_of_range_partition(self, segments):
         with pytest.raises(ValueError, match="out of range"):
-            PartitionStore(segments, partitions=[16], num_partitions=16)
+            PartitionStore(segments, worker_id=16, workers=16)
 
     def test_query_returns_hit_and_payload_arrays(
         self, segments, small_dataset
     ):
         db = small_dataset.database
-        store = PartitionStore(segments, partitions=range(16), num_partitions=16)
+        store = PartitionStore(segments, worker_id=0, workers=1)
         kmers = list(small_dataset.reads[0].kmers(small_dataset.k))
+        # The reference is not canonical, so the cache keys are the
+        # k-mers themselves.
+        assert not db.canonical
         hit, payload = store.query(np.asarray(kmers, dtype=np.uint64))
         assert hit.dtype == np.bool_ and payload.dtype == np.int64
         expected = db.query(kmers, batched=False)
@@ -274,29 +210,64 @@ class TestPartitionStore:
         assert int(payload[~hit].sum()) == 0  # misses carry payload 0
 
     def test_empty_query_returns_empty_arrays(self, segments):
-        store = PartitionStore(segments, partitions=[0, 1], num_partitions=16)
+        store = PartitionStore(segments, worker_id=0, workers=16)
         hit, payload = store.query(np.empty(0, dtype=np.uint64))
         assert hit.shape == payload.shape == (0,)
         assert hit.dtype == np.bool_ and payload.dtype == np.int64
 
     def test_resident_reports_slice_only(self, segments, small_dataset):
-        store = PartitionStore(
-            segments, partitions=[0, 1, 2], num_partitions=16
-        )
+        store = PartitionStore(segments, worker_id=2, workers=4)
         resident = store.resident()
         assert resident["full_build"] is False
-        assert resident["owned_partitions"] == [0, 1, 2]
         assert resident["total_records"] == len(small_dataset.database)
         assert 0 < resident["owned_records"] < resident["total_records"]
 
 
-class TestClusterConfigValidation:
-    def test_rejects_too_few_partitions(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(workers=4, shards_per_worker=2, partitions=4)
+class TestStaticPlacement:
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_every_worker_owns_its_share(
+        self, segments, small_dataset, workers
+    ):
+        total = len(small_dataset.database)
+        with make_cluster(segments, workers=workers) as backend:
+            owned = [r["owned_records"] for r in live_residents(backend)]
+        assert len(owned) == workers and sum(owned) == total
+        for records in owned:
+            assert 0.75 * total / workers <= records <= 1.25 * total / workers
 
-    def test_slots(self):
-        assert ClusterConfig(workers=3, shards_per_worker=2).slots() == 6
+    def test_canonical_reference_answers_both_strands(
+        self, small_dataset, tmp_path
+    ):
+        dataset = build_dataset(
+            k=small_dataset.k,
+            num_species=4,
+            genome_length=150,
+            num_reads=12,
+            read_length=50,
+            error_rate=0.02,
+            novel_fraction=0.3,
+            canonical=True,
+            seed=7,
+        )
+        database = dataset.database
+        assert database.canonical
+        save_segments(database, tmp_path)
+        forward = np.array(
+            [kmer for read in dataset.reads for kmer in read.kmers(dataset.k)],
+            dtype=np.uint64,
+        )
+        reverse = revcomp_values(forward, dataset.k)
+        with make_cluster(str(tmp_path), workers=3) as backend:
+            for kmers in (forward.tolist(), reverse.tolist()):
+                got = backend.query(kmers)
+                expected = database.query(kmers, batched=False)
+                # The raw k-mers echo back; the answers are the
+                # shared canonical record's.
+                assert [r.query for r in got] == kmers
+                assert [(r.hit, r.payload) for r in got] == [
+                    (r.hit, r.payload) for r in expected
+                ]
+                assert any(r.hit for r in got)
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +334,13 @@ class TestClusterWire:
         ]
         with _observer(_FanoutRecorder(hooks.get_observer())) as recorder:
             with make_cluster(segments, workers=workers) as backend:
-                owner = {
-                    p: row["worker"]
-                    for row in backend.cluster_stats()["workers"]
-                    for p in row["partitions"]
-                }
                 backend.query(kmers)
         # The per-element grouping the array path replaced: route each
         # k-mer on its own, count slice sizes per owner.
         expected = {}
         for kmer in kmers:
             key = cache_key_kmer(kmer, small_dataset.k, backend.canonical)
-            worker = owner[partition_id(key, 16)]
+            worker = int(partition_ids([key], workers)[0])
             expected[worker] = expected.get(worker, 0) + 1
         assert [(w, n) for _, w, n in recorder.fanouts] == sorted(
             expected.items()

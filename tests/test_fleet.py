@@ -8,7 +8,10 @@ inline by design).
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 from typing import Any, Dict
@@ -250,6 +253,31 @@ class TestFleetCli:
         )
         assert main(["fig1", "--check-goldens",
                      "--golden-dir", str(tmp_path)]) == 1
+
+
+class TestImportCost:
+    def test_import_does_not_load_experiments(self):
+        """Cluster workers import the fleet for its fork context; that
+        must not drag the whole experiments package in with it."""
+        src = Path(__file__).parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), env.get("PYTHONPATH")))
+        )
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.fleet; "
+                "assert 'repro.experiments' not in sys.modules, "
+                "sorted(m for m in sys.modules if m.startswith('repro.'))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
 
 
 class TestForkSafety:

@@ -294,14 +294,14 @@ class TestAdmissionOrder:
 
 
 def spawn_pair(san, scope):
-    """Two live workers splitting partitions 0-3."""
-    san.on_worker_spawned(scope, 0, 1, [0, 1])
-    san.on_worker_spawned(scope, 1, 1, [2, 3])
+    """Two live workers, each owning its own partition."""
+    san.on_worker_spawned(scope, 0, 1, [0])
+    san.on_worker_spawned(scope, 1, 1, [1])
 
 
 class TestClusterEvents:
-    """Cluster lifecycle invariants: spawn/drain/exit, handoff, and
-    exactly-once fan-out/reply/merge per routed query."""
+    """Cluster lifecycle invariants: spawn/drain/exit and exactly-once
+    fan-out/reply/merge per routed query."""
 
     def test_clean_lifecycle_passes(self, sanitizer):
         scope = Scope()
@@ -313,7 +313,7 @@ class TestClusterEvents:
         sanitizer.on_cluster_merged(scope, 1, 10)
         sanitizer.on_worker_draining(scope, 0, 1)
         sanitizer.on_worker_exited(scope, 0, 1)
-        sanitizer.on_worker_spawned(scope, 0, 2, [0, 1])
+        sanitizer.on_worker_spawned(scope, 0, 2, [0])
         assert sanitizer.violations_raised == 0
 
     def test_respawn_must_raise_generation(self, sanitizer):
@@ -322,44 +322,19 @@ class TestClusterEvents:
         sanitizer.on_worker_draining(scope, 0, 1)
         sanitizer.on_worker_exited(scope, 0, 1)
         with pytest.raises(ScheduleViolation, match="generations must"):
-            sanitizer.on_worker_spawned(scope, 0, 1, [0, 1])
+            sanitizer.on_worker_spawned(scope, 0, 1, [0])
 
     def test_spawn_while_live_trips(self, sanitizer):
         scope = Scope()
         spawn_pair(sanitizer, scope)
         with pytest.raises(ScheduleViolation, match="still 'live'"):
-            sanitizer.on_worker_spawned(scope, 0, 2, [0, 1])
+            sanitizer.on_worker_spawned(scope, 0, 2, [0])
 
     def test_spawn_claiming_owned_partition_trips(self, sanitizer):
         scope = Scope()
         spawn_pair(sanitizer, scope)
-        with pytest.raises(ScheduleViolation, match="through handoff"):
+        with pytest.raises(ScheduleViolation, match="one owner"):
             sanitizer.on_worker_spawned(scope, 2, 1, [1])
-
-    def test_handoff_moves_ownership(self, sanitizer):
-        scope = Scope()
-        spawn_pair(sanitizer, scope)
-        sanitizer.on_partition_handoff(scope, 1, 0, 1)
-        # Worker 1 now legitimately answers partition-1 work; worker 0
-        # respawning with its old claim must trip.
-        sanitizer.on_worker_draining(scope, 0, 1)
-        sanitizer.on_worker_exited(scope, 0, 1)
-        with pytest.raises(ScheduleViolation, match="through handoff"):
-            sanitizer.on_worker_spawned(scope, 0, 2, [0, 1])
-
-    def test_handoff_from_non_owner_trips(self, sanitizer):
-        scope = Scope()
-        spawn_pair(sanitizer, scope)
-        with pytest.raises(ScheduleViolation, match="owned by"):
-            sanitizer.on_partition_handoff(scope, 2, 0, 1)
-
-    def test_handoff_to_dead_worker_trips(self, sanitizer):
-        scope = Scope()
-        spawn_pair(sanitizer, scope)
-        sanitizer.on_worker_draining(scope, 1, 1)
-        sanitizer.on_worker_exited(scope, 1, 1)
-        with pytest.raises(ScheduleViolation, match="exited"):
-            sanitizer.on_partition_handoff(scope, 0, 0, 1)
 
     def test_drain_requires_live_state(self, sanitizer):
         scope = Scope()
@@ -460,7 +435,7 @@ class TestClusterEvents:
         save_segments(small_dataset.database, segdir)
         backend = ClusterBackend(
             str(segdir),
-            cluster=ClusterConfig(workers=2, partitions=16),
+            cluster=ClusterConfig(workers=2),
         )
         try:
             before = sanitizer.events_observed

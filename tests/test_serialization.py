@@ -12,11 +12,9 @@ from repro.serialization import (
     SEGMENT_FORMAT,
     SerializationError,
     database_content_hash,
-    load_database,
     load_segments,
     load_workload,
     read_segment_manifest,
-    save_database,
     save_segments,
     save_workload,
 )
@@ -24,53 +22,28 @@ from repro.sieve import EspModel, WorkloadStats
 
 
 class TestDatabaseRoundtrip:
-    def test_roundtrip(self, tmp_path, tiny_database):
-        path = tmp_path / "db.npz"
-        count = save_database(tiny_database, path)
-        assert count == len(tiny_database)
-        loaded = load_database(path)
-        assert loaded.k == tiny_database.k
-        assert loaded.canonical == tiny_database.canonical
-        assert loaded.sorted_records() == tiny_database.sorted_records()
+    """A database survives save -> load -> save -> load unchanged."""
 
-    def test_roundtrip_canonical(self, tmp_path):
-        db = KmerDatabase(k=5, canonical=True)
-        db.add(encode_kmer("AACTG"), 7)
-        path = tmp_path / "canon.npz"
-        save_database(db, path)
-        loaded = load_database(path)
-        assert loaded.canonical
-        assert loaded.get(encode_kmer("CAGTT")) == 7
+    def test_roundtrip(self, tmp_path, tiny_database):
+        first = save_segments(tiny_database, tmp_path / "a")
+        assert first["num_records"] == len(tiny_database)
+        loaded = load_segments(tmp_path / "a")
+        # A mapped database saves again to the same content.
+        second = save_segments(loaded, tmp_path / "b")
+        assert second["content_hash"] == first["content_hash"]
+        reloaded = load_segments(tmp_path / "b", verify=True)
+        assert reloaded.k == tiny_database.k
+        assert reloaded.canonical == tiny_database.canonical
+        assert reloaded.sorted_records() == tiny_database.sorted_records()
 
     def test_empty_rejected(self, tmp_path):
+        target = tmp_path / "empty"
         with pytest.raises(SerializationError):
-            save_database(KmerDatabase(k=5), tmp_path / "empty.npz")
-
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, format="something-else", data=[1, 2, 3])
+            save_segments(KmerDatabase(k=5), target)
+        # The refusal leaves nothing behind that could be opened.
+        assert not target.exists()
         with pytest.raises(SerializationError):
-            load_database(path)
-
-    def test_suffix_added_by_numpy_is_handled(self, tmp_path, tiny_database):
-        """np.savez appends .npz to suffix-less paths; load copes."""
-        path = tmp_path / "db"
-        save_database(tiny_database, path)
-        loaded = load_database(path)
-        assert len(loaded) == len(tiny_database)
-
-    @given(st.sets(st.integers(0, 4**8 - 1), min_size=1, max_size=80))
-    def test_roundtrip_property(self, kmers):
-        import tempfile
-        from pathlib import Path
-
-        db = KmerDatabase(k=8)
-        for i, kmer in enumerate(sorted(kmers)):
-            db.add(kmer, 10 + i)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "db.npz"
-            save_database(db, path)
-            assert load_database(path).sorted_records() == db.sorted_records()
+            load_segments(target)
 
 
 class TestWorkloadRoundtrip:
@@ -120,6 +93,26 @@ class TestSegmentDirectory:
         assert db.canonical == tiny_database.canonical
         assert db.sorted_records() == tiny_database.sorted_records()
         assert len(db) == len(tiny_database)
+
+    def test_round_trip_canonical(self, tmp_path):
+        db = KmerDatabase(k=5, canonical=True)
+        db.add(encode_kmer("AACTG"), 7)
+        save_segments(db, tmp_path / "seg")
+        loaded = load_segments(tmp_path / "seg")
+        assert loaded.canonical
+        # CAGTT is the reverse complement of AACTG: same record.
+        assert loaded.get(encode_kmer("CAGTT")) == 7
+
+    @given(st.sets(st.integers(0, 4**8 - 1), min_size=1, max_size=80))
+    def test_round_trip_property(self, kmers):
+        import tempfile
+
+        db = KmerDatabase(k=8)
+        for i, kmer in enumerate(sorted(kmers)):
+            db.add(kmer, 10 + i)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_segments(db, tmp)
+            assert load_segments(tmp).sorted_records() == db.sorted_records()
 
     def test_open_mmap_entrypoint(self, tmp_path, tiny_database):
         save_segments(tiny_database, tmp_path / "seg")
@@ -203,6 +196,16 @@ class TestSegmentDirectory:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": "nope"}))
         with pytest.raises(SerializationError):
             read_segment_manifest(tmp_path)
+
+    def test_wrong_format_rejected(self, tmp_path, tiny_database):
+        """A complete segment directory whose manifest names another
+        format is refused, not mapped."""
+        save_segments(tiny_database, tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        manifest["format"] = "sieve-repro-kmerdb-v1"
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(SerializationError, match="not a"):
+            load_segments(tmp_path)
 
     def test_missing_segment_entry(self, tmp_path, tiny_database):
         save_segments(tiny_database, tmp_path)

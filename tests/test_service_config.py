@@ -28,7 +28,7 @@ def sample_config(**overrides):
         retry_after_s=0.01,
         dedup=True,
         cache_capacity=128,
-        cluster=ClusterConfig(workers=2, partitions=16),
+        cluster=ClusterConfig(workers=2),
     )
     base.update(overrides)
     return ServiceConfig(**base)
@@ -98,7 +98,7 @@ class TestTomlRoundTrip:
         text = sample_config().to_toml()
         data = _parse_simple_toml(text, source="<mem>")
         config = ServiceConfig.from_dict(data)
-        assert config.cluster == ClusterConfig(workers=2, partitions=16)
+        assert config.cluster == ClusterConfig(workers=2)
 
     def test_fallback_parser_rejects_garbage(self):
         with pytest.raises(ServiceConfigError, match="expected 'key = value'"):
@@ -109,16 +109,13 @@ class TestTomlRoundTrip:
 
 class TestClusterConfig:
     def test_defaults_are_valid(self):
-        assert ClusterConfig().slots() == 2
+        assert ClusterConfig().workers == 2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"workers": 0},
-            {"shards_per_worker": 0},
-            {"virtual_nodes": 0},
-            {"workers": 8, "partitions": 4},
-            {"workers": 2, "shards_per_worker": 4, "partitions": 4},
+            {"workers": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -144,7 +141,7 @@ class TestCliOverrides:
         config = self.parse("--config", str(path))
         assert config.num_shards == 3
         assert config.max_batch_kmers == 96
-        assert config.cluster == ClusterConfig(workers=2, partitions=16)
+        assert config.cluster == ClusterConfig(workers=2)
 
     def test_explicit_flag_overrides_file(self, tmp_path):
         path = sample_config().save(tmp_path / "svc.toml")
@@ -164,8 +161,8 @@ class TestCliOverrides:
         config = self.parse(
             "--config", str(path), "--cluster-workers", "4"
         )
-        assert config.cluster.workers == 4
-        assert config.cluster.partitions == 16  # from the file
+        assert config.cluster == ClusterConfig(workers=4)
+        assert config.max_batch_kmers == 96  # from the file
 
     def test_cluster_flags_enable_without_file(self):
         config = self.parse("--cluster-workers", "3")

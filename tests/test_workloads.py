@@ -374,7 +374,7 @@ class TestClusterReplayGolden:
 
         backend = ClusterBackend(
             segments,
-            cluster=ClusterConfig(workers=workers, partitions=16),
+            cluster=ClusterConfig(workers=workers),
         )
         try:
             config = ServiceConfig(
@@ -400,7 +400,7 @@ class TestClusterReplayGolden:
         from repro.service import ClusterConfig
 
         backend = ClusterBackend(
-            segments, cluster=ClusterConfig(workers=2, partitions=16)
+            segments, cluster=ClusterConfig(workers=2)
         )
         try:
             backend.schedule_restart(0, at_query=3)
@@ -432,7 +432,7 @@ _CACHED = dict(dedup=True, cache_capacity=512)
 
 
 def _replay_trace_file(
-    path, *, num_shards=2, dedup, cache_capacity, workers=0, partitions=32
+    path, *, num_shards=2, dedup, cache_capacity, workers=0
 ):
     """Replay a saved trace from disk and summarise the run.
 
@@ -454,7 +454,7 @@ def _replay_trace_file(
             save_segments(database, segdir)
             cluster = ClusterBackend(
                 segdir,
-                cluster=ClusterConfig(workers=workers, partitions=partitions),
+                cluster=ClusterConfig(workers=workers),
             )
             backends = [cluster]
         else:
@@ -511,7 +511,7 @@ class TestReplayJob:
             dict(num_shards=2, **_UNCACHED),
             dict(num_shards=1, **_CACHED),
             dict(num_shards=2, **_CACHED),
-            dict(workers=2, partitions=16, **_UNCACHED),
+            dict(workers=2, **_UNCACHED),
         ],
         ids=["1-shard", "2-shard", "1-shard-cached", "2-shard-cached", "cluster"],
     )
