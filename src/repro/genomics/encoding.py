@@ -337,22 +337,30 @@ def transpose_kmers(values: Sequence[int], k: int) -> np.ndarray:
     bit ``r`` (MSB-first) of k-mer ``c``.  Row ``r`` is exactly the data
     a single DRAM row activation delivers to the matchers.  This is the
     host-side "transpose the database" API call of Section IV-C.
+
+    Values are range-checked as one array (its minimum and maximum);
+    wider than 64 bits (``k > 32``) they are Python ints in an object
+    array, shifted plane by plane.
     """
     nbits = BITS_PER_BASE * k
-    if len(values) == 0:
+    words = np.asarray(values)
+    if words.dtype.kind not in "iu":
+        # Beyond one machine word (or a signed/unsigned mix numpy would
+        # make float64): keep every value an exact Python int.
+        words = np.array(values, dtype=object)
+    if words.size == 0:
         return np.empty((nbits, 0), dtype=np.uint8)
-    for value in values:
-        if value < 0 or value >= (1 << nbits):
-            raise EncodingError(f"value {value} out of range for k={k}")
+    low, high = int(words.min()), int(words.max())
+    if low < 0 or high >= 1 << nbits:
+        raise EncodingError(
+            f"value {low if low < 0 else high} out of range for k={k}"
+        )
     if nbits <= 64:
         # Vectorized path: one shift-and-mask per bit plane.
-        packed = np.asarray(values, dtype=np.uint64)
+        packed = words.astype(np.uint64)
         shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
         return ((packed[None, :] >> shifts[:, None]) & np.uint64(1)).astype(
             np.uint8
         )
-    out = np.empty((nbits, len(values)), dtype=np.uint8)
-    for col, value in enumerate(values):
-        for row in range(nbits):
-            out[row, col] = (value >> (nbits - 1 - row)) & 1
-    return out
+    shifts = np.arange(nbits - 1, -1, -1).astype(object)
+    return ((words.astype(object)[None, :] >> shifts[:, None]) & 1).astype(np.uint8)

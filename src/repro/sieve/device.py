@@ -9,7 +9,8 @@ that the trace-driven performance model aggregates.
 
 The hardware matches the batches of many subarrays at once; the model
 does the same per :meth:`SieveDevice.query` call.  It loads every
-(subarray, layer) destination in turn, keeps the query-block cells each
+(subarray, layer) destination in turn from one transpose of the call's
+k-mers, keeps the query-block cells each
 :meth:`~repro.sieve.functional.SieveSubarraySim.load_query_batch`
 returns as that destination's
 :class:`~repro.sieve.functional.PendingMatch`, and then matches all of
@@ -40,7 +41,7 @@ from ..api import (
 )
 from ..dram.geometry import DramGeometry
 from ..genomics.database import KmerDatabase
-from ..genomics.encoding import canonical_kmers
+from ..genomics.encoding import canonical_kmers, transpose_kmers
 from .functional import MatchBatch, PendingMatch, SieveSubarraySim
 from .index import SubarrayIndex
 from .layout import SubarrayLayout
@@ -200,14 +201,24 @@ class SieveDevice(QueryBackendBase):
         search, then one :meth:`SieveSubarraySim.route_layers` search
         per subarray hit.  Destinations are served in the order of
         their first k-mer, each destination's k-mers in request order.
-        ``batched=True`` (the default) keeps the query blocks each load
-        returns and matches every destination of the call in one
-        :meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass;
-        ``batched=False`` replays the scalar command-by-command
+
+        ``batched=True`` (the default) transposes the call's routed
+        k-mers once, grouped by destination (the host-side transpose of
+        Section IV-C), and makes one
+        :meth:`~repro.sieve.functional.SieveSubarraySim.load_query_batch`
+        call per destination with its slice of that transpose; the call
+        writes the destination's batches of <= 64 and returns their
+        stored cells as one block.  Every destination of the call is
+        then matched in one
+        :meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass.
+        ``batched=False`` loads each batch of <= 64 on its own and
+        replays the scalar command-by-command
         :meth:`~repro.sieve.functional.SieveSubarraySim.match_slot` path
-        after each load, the reference.  Both produce identical responses, functional
-        counters and per-subarray state (the equivalence is
-        test-enforced).
+        after it, the reference.  Both produce identical responses,
+        functional counters (``batches`` and ``write_commands`` count
+        every batch of <= 64) and per-subarray state, and under a fault
+        injector the same load calls in the same order (the equivalence
+        is test-enforced).
 
         Responses are returned in request order even though requests to
         different subarrays complete out of order (Section IV-E: the host
@@ -236,29 +247,34 @@ class SieveDevice(QueryBackendBase):
         starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
         bounds = np.append(starts, order.size).tolist()
 
+        grouped = kmers[routed[order]]
+        # One transpose for the whole call; each destination loads its
+        # slice.
+        bits = transpose_kmers(grouped, self.layout.k) if batched else None
         batch_size = self.layout.queries_per_group
         served = []
         results = []
         taken = []
         for group in np.argsort(order[starts]).tolist():
-            positions = routed[order[bounds[group] : bounds[group + 1]]]
+            lo, hi = bounds[group], bounds[group + 1]
+            positions = routed[order[lo:hi]]
             sim = self.subarrays[int(sids[positions[0]])]
             layer = int(layers[positions[0]])
-            requests = kmers[positions].tolist()
-            blocks = []
-            outcomes = []
-            for lo in range(0, len(requests), batch_size):
-                batch = requests[lo : lo + batch_size]
-                blocks.append(sim.load_query_batch(batch, layer))
-                if not batched:
-                    outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
-            self.stats.batches += len(blocks)
-            self.stats.write_commands += len(blocks) * self.layout.batch_write_commands
+            batches = -(-(hi - lo) // batch_size)
+            self.stats.batches += batches
+            self.stats.write_commands += batches * self.layout.batch_write_commands
             served.append(positions)
             if batched:
-                taken.append(PendingMatch(sim, layer, tuple(blocks)))
-            else:
-                results.append(MatchBatch.from_outcomes(layer, outcomes))
+                block = sim.load_query_batch(grouped[lo:hi], layer, bits[:, lo:hi])
+                taken.append(PendingMatch(sim, layer, (block,)))
+                continue
+            requests = grouped[lo:hi].tolist()
+            outcomes = []
+            for start in range(0, len(requests), batch_size):
+                batch = requests[start : start + batch_size]
+                sim.load_query_batch(batch, layer)
+                outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
+            results.append(MatchBatch.from_outcomes(layer, outcomes))
         if taken:
             # One match pass over every destination of the call.
             results.append(taken[0].sim.match_all(*taken))

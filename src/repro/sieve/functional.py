@@ -40,7 +40,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api import key_array
+from ..dram import hooks
 from ..dram.subarray import Subarray
+from ..genomics.encoding import transpose_kmers
 from . import kernels
 from .column_finder import ColumnFinder, ColumnFindResult
 from .etm import EtmPipeline
@@ -116,12 +118,15 @@ class MatchBatch:
 class PendingMatch:
     """One destination's loaded query batches, as values.
 
-    ``blocks`` are the stored query-block cells, ``(2k, groups, batch
-    size)``, that :meth:`SieveSubarraySim.load_query_batch` returned for
-    each batch loaded into ``layer`` of ``sim``.  They are copies, so the
-    subarray can load other batches before a
-    :meth:`SieveSubarraySim.match_all` pass matches them together with
-    other destinations.
+    ``blocks`` are the stored query-block cells, ``(2k, groups,
+    queries)``, that :meth:`SieveSubarraySim.load_query_batch` returned
+    for each load into ``layer`` of ``sim``; one block may span several
+    batches of up to ``queries_per_group`` (:meth:`SieveDevice.query
+    <repro.sieve.device.SieveDevice.query>` makes one load, so one
+    block, per destination).  They are copies, or read-only broadcasts
+    of the load's transpose when no fault injector ran, so the subarray
+    can load other batches before a :meth:`SieveSubarraySim.match_all`
+    pass matches them together with other destinations.
     """
 
     sim: "SieveSubarraySim"
@@ -206,6 +211,16 @@ def _sr_live(seg_max: np.ndarray, steps: int) -> np.ndarray:
     seg_idx = np.arange(seg_max.shape[-1], dtype=np.int64)
     prefix = np.maximum.accumulate(seg_max - seg_idx, axis=-1)
     return (prefix >= steps - seg_idx) | (seg_idx >= steps)
+
+
+def _replicated(block: np.ndarray) -> np.ndarray:
+    """Per query of a ``(2k, groups, n)`` stored block: do all its
+    groups hold the same replica?  A block broadcast over its groups
+    (what a load without a fault injector returns) does by construction,
+    so only stored copies are compared."""
+    if block.strides[1] == 0:
+        return np.ones(block.shape[2], dtype=bool)
+    return (block == block[:, :1]).all(axis=(0, 1))
 
 
 class SieveSubarraySim:
@@ -306,41 +321,80 @@ class SieveSubarraySim:
         pos = np.searchsorted(self._layer_firsts, kmers, side="right") - 1
         return np.maximum(pos, 0)
 
-    def load_query_batch(self, queries: Sequence[int], layer: int = 0) -> np.ndarray:
-        """Write a batch into every group's query block of ``layer``
-        (Section IV-A: ``layout.batch_write_commands`` prefetch-width
-        writes) and return the cells it stored.
+    def load_query_batch(
+        self,
+        queries: Sequence[int],
+        layer: int = 0,
+        bits: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Write ``queries`` into every group's query block of ``layer``
+        as consecutive batches of up to ``queries_per_group`` (Section
+        IV-A: ``layout.batch_write_commands`` prefetch-width writes per
+        batch) and return the cells each batch stored.
 
-        The returned ``(2k, groups, len(queries))`` array is a copy taken
-        right after the store, so load-time fault corruption is included
-        and later loads leave it unchanged; a :class:`PendingMatch` of
-        such blocks is what :meth:`match_all` matches.  :meth:`match_slot`
-        replays the last loaded batch instead.
+        ``bits`` is the queries' ``(2k, len(queries))``
+        :func:`~repro.genomics.encoding.transpose_kmers` image when the
+        caller already has it (:meth:`SieveDevice.query
+        <repro.sieve.device.SieveDevice.query>` transposes a whole call
+        once); otherwise it is computed here.
+
+        The returned ``(2k, groups, len(queries))`` array holds each
+        query's replicas as its batch stored them, so load-time fault
+        corruption is included and later loads leave it unchanged; a
+        :class:`PendingMatch` of such blocks is what :meth:`match_all`
+        matches.  Without a fault injector a batch stores exactly its
+        bits in every group and each batch overwrites the same columns,
+        so only the last batch is written and the result is ``bits``
+        broadcast over the groups (a read-only view).  With an injector
+        installed every batch is written in order and its cells are
+        copied right after its own store, so the injector sees the same
+        calls as one load per batch.  :meth:`match_slot` replays the
+        last batch.
         """
-        if not queries:
+        count = len(queries)
+        if not count:
             raise FunctionalError("query batch must be non-empty")
         if not 0 <= layer < self.num_layers_used:
             raise FunctionalError(
                 f"layer {layer} out of range [0, {self.num_layers_used})"
             )
         layout = self.layout
+        rows, groups = layout.kmer_rows, layout.num_groups
+        if bits is None:
+            bits = transpose_kmers(queries, layout.k)
+        elif bits.shape != (rows, count):
+            raise FunctionalError(
+                f"query bits of shape {bits.shape}, expected {(rows, count)}"
+            )
         base = layout.layer_base_row(layer)
-        # Every group holds its own replica of the same block.
-        self.array.load_bit_block(
-            base,
-            layout.query_column_matrix[:, 0],
-            layout.query_block_bits(list(queries)),
-        )
-        # Copy the cells as stored (faults included) before a later load
-        # overwrites them: group g's slot s sits at column
-        # g * group_width + query_col_offset + s.
-        start = layout.query_col_offset
-        groups = self.array.peek_rows(base, base + layout.kmer_rows)[
-            :, : layout.num_groups * layout.group_width
-        ].reshape(layout.kmer_rows, layout.num_groups, layout.group_width)
-        self._batch = list(queries)
+        size = layout.queries_per_group
+        starts = range(0, count, size)
+        if hooks.INJECTOR is None:
+            self._store_query_block(base, bits[:, starts[-1] :])
+            stored = np.broadcast_to(bits[:, None, :], (rows, groups, count))
+        else:
+            # Query-major, so each batch's copy is one contiguous run.
+            cells = np.empty((count, rows, groups), dtype=np.uint8)
+            columns = layout.query_column_matrix
+            for lo in starts:
+                block = bits[:, lo : lo + size]
+                self._store_query_block(base, block)
+                cells[lo : lo + block.shape[1]] = self.array.peek_rows(
+                    base, base + rows
+                )[:, columns[:, : block.shape[1]]].transpose(2, 0, 1)
+            stored = cells.transpose(1, 2, 0)
+        last = queries[starts[-1] :]
+        self._batch = last.tolist() if isinstance(last, np.ndarray) else list(last)
         self._batch_layer = layer
-        return groups[:, :, start : start + len(queries)].copy()
+        return stored
+
+    def _store_query_block(self, base: int, bits: np.ndarray) -> None:
+        """Write one batch's bits, zero-padded to the query block, into
+        every group's query columns from row ``base`` (one block store)."""
+        layout = self.layout
+        block = np.zeros((layout.kmer_rows, layout.queries_per_group), dtype=np.uint8)
+        block[:, : bits.shape[1]] = bits
+        self.array.load_bit_block(base, layout.query_column_matrix[:, 0], block)
 
     def _layer_enable(self, layer: int) -> np.ndarray:
         """Match-Enable mask: only occupied reference columns of a layer.
@@ -593,7 +647,10 @@ class SieveSubarraySim:
         bounds = np.cumsum([0] + sizes)
         num_queries = int(bounds[-1])
         blocks = [block for d in live for block in d.blocks]
-        qbits = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+        # Group 0's replica of every query, and whether each query's
+        # groups all hold that replica.
+        first = np.concatenate([block[:, 0] for block in blocks], axis=1)
+        replicas = np.concatenate([_replicated(block) for block in blocks])
         tables = [d.sim._packed_layer(d.layer) for d in live]
         num_refs = [table.words.shape[1] for table in tables]
         ref_base = np.cumsum([0] + num_refs)
@@ -611,7 +668,6 @@ class SieveSubarraySim:
         # replica of each query, so group 0's replica is the only one to
         # pack.  A destination of a layer with fewer references covers a
         # prefix of the layer's segments (the reference columns ascend).
-        replicas = (qbits == qbits[:, :1]).all(axis=(0, 1))
         fast = np.logical_and.reduceat(replicas, bounds[:-1]) & np.array(
             [table.ascending for table in tables]
         )
@@ -620,7 +676,7 @@ class SieveSubarraySim:
             sel = (
                 slice(None) if fast.all() else np.flatnonzero(np.repeat(fast, sizes))
             )
-            query_words = kernels.pack_bit_columns(qbits[:, 0, sel])
+            query_words = kernels.pack_bit_columns(first[:, sel])
             ref_row = np.concatenate([tables[i].words[0] for i in runs])
             seg_div, hit_slot, hit = kernels.segment_divergence(
                 ref_row,
@@ -638,14 +694,21 @@ class SieveSubarraySim:
             last_div[sel] = seg_div.max(axis=1)
             first_hit[sel] = hit_slot
             any_hit[sel] = hit
-        # Anything else runs the general per-group sweep, one loaded batch
-        # at a time so no (queries x refs) matrix spans a whole destination.
+        # Anything else runs the general per-group sweep, one batch of up
+        # to ``queries_per_group`` queries at a time so no (queries x refs)
+        # matrix spans a whole destination.
         fallback_latches: Dict[int, np.ndarray] = {}
+        size = layout.queries_per_group
         for i in np.flatnonzero(~fast).tolist():
             table = tables[i]
             used = int(np.searchsorted(seg_starts, num_refs[i]))
             stop = int(bounds[i])
-            for block in live[i].blocks:
+            batches = (
+                stored[:, :, lo : lo + size]
+                for stored in live[i].blocks
+                for lo in range(0, stored.shape[2], size)
+            )
+            for block in batches:
                 start, stop = stop, stop + block.shape[2]
                 qwords = kernels.pack_bit_columns(
                     block.reshape(total_rows, -1)

@@ -87,21 +87,24 @@ class SubarrayLayout:
             )
 
     # -- per-layer geometry ---------------------------------------------------
+    #
+    # The constants every query load and match reads are cached on first
+    # use (see "cached column maps" below for why a frozen layout may).
 
-    @property
+    @cached_property
     def group_width(self) -> int:
         return self.refs_per_group + self.queries_per_group
 
-    @property
+    @cached_property
     def num_groups(self) -> int:
         """Pattern groups per subarray row."""
         return self.row_bits // self.group_width
 
-    @property
+    @cached_property
     def refs_per_layer(self) -> int:
         return self.num_groups * self.refs_per_group
 
-    @property
+    @cached_property
     def kmer_rows(self) -> int:
         """Region-1 rows per layer: one per k-mer bit."""
         return BITS_PER_BASE * self.k
@@ -126,7 +129,7 @@ class SubarrayLayout:
         """Region-3 rows per layer: one 32-bit payload per reference."""
         return -(-self.refs_per_layer // self.payloads_per_row)
 
-    @property
+    @cached_property
     def layer_rows(self) -> int:
         """Rows one complete layer occupies."""
         return self.kmer_rows + self.offset_rows + self.payload_rows

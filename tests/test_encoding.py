@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.api import key_array
 from repro.genomics import encoding as enc
 
 KMERS = st.text(alphabet="ACGT", min_size=1, max_size=32)
@@ -225,6 +226,41 @@ class TestTranspose:
     def test_out_of_range_value(self):
         with pytest.raises(enc.EncodingError):
             enc.transpose_kmers([4**3], 3)
+
+    @pytest.mark.parametrize(
+        "values, k, bad",
+        [
+            ([5, -1, 7], 3, -1),
+            (np.array([5, -2], dtype=np.int64), 3, -2),
+            (np.array([1, 4**3], dtype=np.uint64), 3, 4**3),
+            # k = 32 fills a whole word: 2^64 is the first value past it,
+            # and a negative next to 2^63 must not round through float64.
+            ([0, 2**64], 32, 2**64),
+            ([-1, 2**63], 32, -1),
+            # k > 32 falls back to Python ints.
+            ([3, 4**33], 33, 4**33),
+            ([-5, 4**33 - 1], 33, -5),
+        ],
+    )
+    def test_out_of_range_reports_the_value(self, values, k, bad):
+        with pytest.raises(enc.EncodingError, match=f"value {bad} out of range"):
+            enc.transpose_kmers(values, k)
+
+    @pytest.mark.parametrize("k", [31, 32, 33, 40])
+    def test_word_boundary_and_wide_fallback(self, k):
+        """Both ends of the range at k = 32 (the last one-word k) and
+        above it, from lists and from arrays, match the bit-serial
+        view of every value."""
+        top = 4**k - 1
+        values = [0, 1, top, top >> 1, (top >> 3) ^ 5]
+        matrix = enc.transpose_kmers(values, k)
+        assert matrix.shape == (2 * k, len(values)) and matrix.dtype == np.uint8
+        for col, value in enumerate(values):
+            assert list(matrix[:, col]) == enc.kmer_bits(value, k)
+        assert np.array_equal(
+            enc.transpose_kmers(key_array(values), k), matrix
+        )
+        assert enc.transpose_kmers([], k).shape == (2 * k, 0)
 
     @given(st.lists(st.integers(0, 4**6 - 1), min_size=1, max_size=20))
     def test_roundtrip_random(self, values):
