@@ -10,9 +10,8 @@ Two halves (see ``docs/CORRECTNESS.md``):
   set-iteration order, wall-clock reads) with per-rule configuration
   from ``pyproject.toml``, SARIF output, and a findings baseline;
 * **dynamic**: runtime sanitizers — the DRAM :class:`ProtocolSanitizer`
-  installed into :mod:`repro.dram.hooks`, and the service
-  :class:`ScheduleSanitizer` installed into :mod:`repro.service.hooks`
-  — both toggled by ``SIEVE_SANITIZE=1`` or the CLI's ``--sanitize``
+  and the service :class:`ScheduleSanitizer`, both subscribers of the
+  :mod:`repro.hooks` seam and both toggled by ``SIEVE_SANITIZE=1`` or the CLI's ``--sanitize``
   flag.
 """
 

@@ -1,6 +1,6 @@
 """Runtime DRAM protocol sanitizer — the simulator's AddressSanitizer.
 
-Installs into the :mod:`repro.dram.hooks` seam and validates, while the
+Subscribes to the :mod:`repro.hooks` seam and validates, while the
 trace-driven models run:
 
 * **per bank/subarray command order** — ACTIVATE before READ/WRITE,
@@ -16,8 +16,8 @@ trace-driven models run:
 Violations raise :class:`SanitizerError` carrying the recent command
 history of the offending unit.  Enabled by ``SIEVE_SANITIZE=1`` (see
 :func:`enable_from_env`), the CLI's ``--sanitize`` flag, or directly via
-:func:`enable_sanitizer`; when disabled the hot paths pay one ``None``
-check per event.
+:func:`enable_sanitizer`; with no subscriber the hot paths pay an empty
+loop per event.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import weakref
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.dram import hooks
+from repro import hooks
 
 #: One history entry: (sequence number, unit, event, detail).
 HistoryEvent = Tuple[int, str, str, str]
@@ -64,10 +64,10 @@ class SanitizerError(RuntimeError):
         return (type(self), (self.raw_message, self.unit, self.history))
 
 
-class ProtocolSanitizer:
+class ProtocolSanitizer(hooks.Observer):
     """Validates DRAM command streams and ledger accounting invariants.
 
-    Implements the :mod:`repro.dram.hooks` observer interface plus a
+    Overrides the DRAM events of :class:`repro.hooks.Observer` and adds a
     direct :meth:`observe_command` API for raw per-unit command streams
     (ACT / RD / WR / PRE).
     """
@@ -346,11 +346,11 @@ class _ScopeState:
         self.merged_qids: set = set()
 
 
-class ScheduleSanitizer:
+class ScheduleSanitizer(hooks.Observer):
     """Verifies service scheduling invariants online.
 
-    Implements the :mod:`repro.service.hooks` observer interface and
-    mirrors :class:`ProtocolSanitizer`: every event is appended to a
+    Overrides the service and cluster events of :class:`repro.hooks.Observer`
+    and mirrors :class:`ProtocolSanitizer`: every event is appended to a
     bounded per-scope trace, invariants are checked as events arrive,
     and a violation raises :class:`ScheduleViolation` carrying the
     trace.  Invariants:
@@ -385,13 +385,11 @@ class ScheduleSanitizer:
 
     State is keyed per scope (one :class:`ClassificationService` or
     standalone :class:`ShardWorker`) through a ``WeakKeyDictionary``,
-    so one installed sanitizer polices any number of services without
+    so one subscribed sanitizer polices any number of services without
     leaking state between them or outliving them.
     """
 
     def __init__(self, history_limit: int = 64) -> None:
-        import weakref
-
         self.history_limit = history_limit
         self.violations_raised = 0
         self.events_observed = 0
@@ -445,7 +443,7 @@ class ScheduleSanitizer:
             if track.state not in _TERMINAL_STATES
         )
 
-    # -- repro.service.hooks observer interface -----------------------------
+    # -- service and cluster events -----------------------------------------
 
     def on_request_admitted(
         self, scope: Any, shard_id: int, req_id: int, num_kmers: int
@@ -1045,28 +1043,40 @@ class ScheduleSanitizer:
 # --------------------------------------------------------------------------
 
 
-def enable_sanitizer(
-    sanitizer: Optional[ProtocolSanitizer] = None,
-) -> ProtocolSanitizer:
-    """Install (and return) the active sanitizer; idempotent."""
-    current = hooks.get_observer()
+def _subscribed(kind: type) -> Optional[Any]:
+    """The subscribed observer of type ``kind``, or ``None``."""
+    return next((o for o in hooks.OBSERVERS if isinstance(o, kind)), None)
+
+
+def _enable(kind: type, sanitizer: Optional[Any]) -> Any:
+    """Subscribe ``sanitizer`` (a new ``kind`` when ``None`` and none is
+    subscribed) in place of any other ``kind``; other observers stay."""
+    current = _subscribed(kind)
     if sanitizer is None:
-        if isinstance(current, ProtocolSanitizer):
+        if current is not None:
             return current
-        sanitizer = ProtocolSanitizer()
-    hooks.install(sanitizer)
+        sanitizer = kind()
+    if current is not None:
+        hooks.unsubscribe(current)
+    hooks.subscribe(sanitizer)
     return sanitizer
 
 
+def enable_sanitizer(
+    sanitizer: Optional[ProtocolSanitizer] = None,
+) -> ProtocolSanitizer:
+    """Subscribe (and return) the active sanitizer; idempotent."""
+    return _enable(ProtocolSanitizer, sanitizer)
+
+
 def disable_sanitizer() -> None:
-    """Remove the active sanitizer (no-op when none is installed)."""
-    hooks.uninstall()
+    """Unsubscribe the active sanitizer (no-op when none is subscribed)."""
+    hooks.unsubscribe(_subscribed(ProtocolSanitizer))
 
 
 def active_sanitizer() -> Optional[ProtocolSanitizer]:
-    """The installed :class:`ProtocolSanitizer`, or ``None``."""
-    observer = hooks.get_observer()
-    return observer if isinstance(observer, ProtocolSanitizer) else None
+    """The subscribed :class:`ProtocolSanitizer`, or ``None``."""
+    return _subscribed(ProtocolSanitizer)
 
 
 def sanitize_requested(environ: Optional[Dict[str, str]] = None) -> bool:
@@ -1087,31 +1097,18 @@ def enable_from_env(
 def enable_schedule_sanitizer(
     sanitizer: Optional[ScheduleSanitizer] = None,
 ) -> ScheduleSanitizer:
-    """Install (and return) the active schedule sanitizer; idempotent."""
-    from repro.service import hooks as service_hooks
-
-    current = service_hooks.get_observer()
-    if sanitizer is None:
-        if isinstance(current, ScheduleSanitizer):
-            return current
-        sanitizer = ScheduleSanitizer()
-    service_hooks.install(sanitizer)
-    return sanitizer
+    """Subscribe (and return) the active schedule sanitizer; idempotent."""
+    return _enable(ScheduleSanitizer, sanitizer)
 
 
 def disable_schedule_sanitizer() -> None:
-    """Remove the active schedule sanitizer (no-op when none)."""
-    from repro.service import hooks as service_hooks
-
-    service_hooks.uninstall()
+    """Unsubscribe the active schedule sanitizer (no-op when none)."""
+    hooks.unsubscribe(_subscribed(ScheduleSanitizer))
 
 
 def active_schedule_sanitizer() -> Optional[ScheduleSanitizer]:
-    """The installed :class:`ScheduleSanitizer`, or ``None``."""
-    from repro.service import hooks as service_hooks
-
-    observer = service_hooks.get_observer()
-    return observer if isinstance(observer, ScheduleSanitizer) else None
+    """The subscribed :class:`ScheduleSanitizer`, or ``None``."""
+    return _subscribed(ScheduleSanitizer)
 
 
 def enable_schedule_from_env(

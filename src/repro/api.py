@@ -15,9 +15,6 @@ defines the one surface they all implement:
     iterates it.  ``batched=False`` asks engines that have a distinct
     scalar protocol (the Sieve device's command-by-command replay) to
     use it; engines without one ignore the flag.
-``classify(read) -> ClassificationResult``
-    The Figure-2 classification loop over :meth:`query`, shared through
-    :class:`QueryBackendBase` so votes are counted one way everywhere.
 ``capabilities() -> BackendCapabilities``
     Static facts a dispatcher needs: k, canonicalization, natural batch
     size, whether the engine reports simulated device cost.
@@ -38,7 +35,6 @@ from typing import (
     Any,
     Dict,
     Iterator,
-    List,
     Optional,
     Protocol,
     Sequence,
@@ -317,10 +313,6 @@ class QueryBackend(Protocol):
         """Answer a batch of packed k-mer queries, in request order."""
         ...
 
-    def classify(self, read) -> Any:
-        """Classify one read (majority vote over its k-mer hits)."""
-        ...
-
     def capabilities(self) -> BackendCapabilities:
         """Static dispatch facts for this engine."""
         ...
@@ -350,8 +342,8 @@ def classification_from_results(
     true_taxon: Optional[int] = None,
 ):
     """Build a :class:`~repro.baselines.classifier.ClassificationResult`
-    from per-k-mer backend results — the one vote-counting path every
-    backend's :meth:`~QueryBackend.classify` goes through.
+    from per-k-mer backend results — the one vote-counting path (Figure
+    2's majority vote) every caller of :meth:`~QueryBackend.query` uses.
 
     Votes are counted over the hit payloads in request order, so
     ``votes`` lists taxa by first vote; a record list is read through
@@ -372,7 +364,7 @@ def classification_from_results(
 
 
 class QueryBackendBase:
-    """Default ``classify``/``stats``/cost hooks over :meth:`query`.
+    """Default ``stats``/cost hooks over :meth:`query`.
 
     Engines subclass this, implement :meth:`query` and
     :meth:`capabilities`, and keep their hit-rate accounting in
@@ -398,18 +390,6 @@ class QueryBackendBase:
             queries=self._backend_stats.queries,
             hits=self._backend_stats.hits,
         )
-
-    def classify(self, read):
-        """Figure 2's loop: query every window, majority-vote the hits."""
-        k = self.capabilities().k
-        results = self.query(list(read.kmers(k)))
-        return classification_from_results(
-            read.seq_id, results, true_taxon=read.taxon_id
-        )
-
-    def classify_reads(self, reads) -> List[Any]:
-        """Classify a read set; returns per-read results."""
-        return [self.classify(read) for read in reads]
 
     # -- simulated-cost hooks (device backends override) ------------------
 

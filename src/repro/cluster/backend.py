@@ -23,7 +23,7 @@ Placement is static, and the one operation is synchronous at a query
 boundary, which is what makes exactly-once trivial to audit:
 :meth:`rolling_restart` drains a worker (no new fan-out), exits it,
 and respawns it on the same partition at generation+1.  Every step
-emits cluster events through :mod:`repro.service.hooks`, so the
+emits cluster events through :mod:`repro.hooks`, so the
 :class:`~repro.analysiskit.ScheduleSanitizer` verifies no request is
 lost or double-answered across a restart.
 """
@@ -34,10 +34,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import hooks
 from ..api import BackendCapabilities, QueryBackendBase, ResultBatch
 from ..genomics.encoding import canonical_kmers
 from ..serialization import read_segment_manifest
-from ..service import hooks
 from ..service.config import ClusterConfig
 from .partition import partition_ids
 from .worker import WorkerSpec, worker_main
@@ -133,9 +133,9 @@ class ClusterBackend(QueryBackendBase):
         ready = self._recv(handle)
         handle.state = "live"
         handle.resident = ready["resident"]
-        if hooks.OBSERVER is not None:
+        for observer in hooks.OBSERVERS:
             # Worker w owns partition w, on every spawn of w.
-            hooks.OBSERVER.on_worker_spawned(
+            observer.on_worker_spawned(
                 self, worker_id, generation, [worker_id]
             )
         return handle
@@ -239,22 +239,21 @@ class ClusterBackend(QueryBackendBase):
         # FIFO and the set of owners is a pure function of the batch,
         # so the schedule — and therefore the merged output — replays
         # identically run to run.
-        observer = hooks.OBSERVER
         for worker_id, indices in zip(owners.tolist(), slices):
             handle = self._live_handle(worker_id)
-            if observer is not None:
+            for observer in hooks.OBSERVERS:
                 observer.on_cluster_fanout(self, qid, worker_id, len(indices))
             self._send(
                 handle, {"op": "query", "qid": qid, "keys": cache_keys[indices]}
             )
         for worker_id, indices in zip(owners.tolist(), slices):
             reply = self._recv(self._workers[worker_id], qid, len(indices))
-            if observer is not None:
+            for observer in hooks.OBSERVERS:
                 observer.on_cluster_reply(self, qid, worker_id, len(indices))
             hit[indices] = reply["hit"]
             payload[indices] = reply["payload"]
         merged = ResultBatch(queries, hit, payload)
-        if observer is not None:
+        for observer in hooks.OBSERVERS:
             observer.on_cluster_merged(self, qid, len(merged))
         self._backend_stats.record(merged)
         return merged
@@ -303,8 +302,8 @@ class ClusterBackend(QueryBackendBase):
     def _retire(self, handle: _WorkerHandle) -> None:
         """Drain a live worker and exit its process."""
         handle.state = "draining"
-        if hooks.OBSERVER is not None:
-            hooks.OBSERVER.on_worker_draining(
+        for observer in hooks.OBSERVERS:
+            observer.on_worker_draining(
                 self, handle.worker_id, handle.generation
             )
         try:
@@ -317,8 +316,8 @@ class ClusterBackend(QueryBackendBase):
             handle.process.terminate()
             handle.process.join(timeout=5)
         handle.state = "exited"
-        if hooks.OBSERVER is not None:
-            hooks.OBSERVER.on_worker_exited(
+        for observer in hooks.OBSERVERS:
+            observer.on_worker_exited(
                 self, handle.worker_id, handle.generation
             )
 

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict
 
-from . import hooks
+from .. import hooks
 from .energy import DramEnergy
 from .timing import DramTiming
 
@@ -108,8 +108,7 @@ class CommandLedger:
             )
         else:  # pragma: no cover - exhaustive over enum
             raise ValueError(f"unknown command {command}")
-        observer = hooks.OBSERVER
-        if observer is not None:
+        for observer in hooks.OBSERVERS:
             observer.on_ledger_record(self, command, count)
 
     def add_time(self, ns: float) -> None:
@@ -117,8 +116,7 @@ class CommandLedger:
         if ns < 0:
             raise ValueError(f"time must be non-negative, got {ns}")
         self.serial_time_ns += ns
-        observer = hooks.OBSERVER
-        if observer is not None:
+        for observer in hooks.OBSERVERS:
             observer.on_ledger_time(self, ns)
 
     def add_energy(self, nj: float) -> None:
@@ -126,8 +124,7 @@ class CommandLedger:
         if nj < 0:
             raise ValueError(f"energy must be non-negative, got {nj}")
         self.energy_nj += nj
-        observer = hooks.OBSERVER
-        if observer is not None:
+        for observer in hooks.OBSERVERS:
             observer.on_ledger_energy(self, nj)
 
     def count(self, command: Command) -> int:
@@ -148,6 +145,5 @@ class CommandLedger:
             self.serial_time_ns = max(self.serial_time_ns, other.serial_time_ns)
         else:
             self.serial_time_ns += other.serial_time_ns
-        observer = hooks.OBSERVER
-        if observer is not None:
+        for observer in hooks.OBSERVERS:
             observer.on_ledger_merge(self, other, parallel)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from . import hooks
+from .. import hooks
 from .energy import DDR4_ENERGY, DramEnergy
 from .timing import DDR4_2400, DramTiming
 
@@ -149,9 +149,8 @@ class MemorySystem:
         self._open_rows[bank] = row
         self.stats.accesses += 1
         self.stats.total_latency_ns += latency
-        observer = hooks.OBSERVER
-        if observer is not None:
-            # The observer (protocol sanitizer) always sees the base
+        for observer in hooks.OBSERVERS:
+            # Observers (the protocol sanitizer) always see the base
             # latency; injected fault extras are accounted separately.
             observer.on_memsys_access(self, bank, row, kind, latency)
         injector = hooks.INJECTOR

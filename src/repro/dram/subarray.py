@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import hooks
+from .. import hooks
 
 
 class DramStateError(RuntimeError):

@@ -3,7 +3,7 @@
 Two layers, one determinism discipline:
 
 * :mod:`repro.faults.model` — cell/command faults behind the
-  :mod:`repro.dram.hooks` seam: weak-cell bit flips, stuck-at maps,
+  :mod:`repro.hooks` seam: weak-cell bit flips, stuck-at maps,
   command drops/delays.  Applied identically to every Subarray-backed
   engine (Sieve Type-1/2/3, row-major Ambit) and, via
   :func:`faulted_database`, to the host-table baselines.

@@ -4,7 +4,7 @@ Real PIM deployments run on imperfect silicon: retention-weak cells,
 stuck-at bits from process variation, and occasional command
 drops/delays on a marginal channel.  The simulators in this repository
 assume pristine DRAM; this module injects those defects *behind* the
-:mod:`repro.dram.hooks` seam so every engine built on
+:mod:`repro.hooks` seam so every engine built on
 :class:`~repro.dram.subarray.Subarray` — the functional Sieve device,
 the Type-1 bank, the row-major Ambit baseline — and every trace replay
 through :class:`~repro.dram.memsys.MemorySystem` can run under an
@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ..dram import hooks
+from .. import hooks
 
 
 class FaultError(ValueError):
@@ -169,7 +169,7 @@ class FaultInjector:
     """Applies a :class:`FaultModel` through the DRAM hook seam.
 
     Install with :func:`fault_injection` (or
-    :func:`repro.dram.hooks.install_injector` directly).  The injector
+    :func:`repro.hooks.install_injector` directly).  The injector
     keeps an append-only ``schedule`` of every fault it applied —
     :meth:`schedule_digest` hashes it, so two runs under the same model
     can be compared byte-for-byte.

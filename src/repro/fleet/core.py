@@ -27,12 +27,11 @@ Three invariants make ``--jobs 1`` equivalent to ``--jobs N``:
 3. Workers never nest pools: a ``run_jobs`` call inside a worker runs
    inline, so parallelism applies at the outermost fan-out only.
 
-Workers inherit the parent's sanitizers: when the parent has a
-:class:`~repro.analysiskit.ProtocolSanitizer` installed (or
-``SIEVE_SANITIZE`` requests one), every worker installs its own DRAM
-protocol sanitizer into the :mod:`repro.dram.hooks` seam — plus a
-:class:`~repro.analysiskit.ScheduleSanitizer` into
-:mod:`repro.service.hooks` — before running jobs, and a
+Workers inherit the parent's sanitizers: when the parent has either
+sanitizer subscribed to the :mod:`repro.hooks` seam (or
+``SIEVE_SANITIZE`` requests them), every worker subscribes both the DRAM
+:class:`~repro.analysiskit.ProtocolSanitizer` and the
+:class:`~repro.analysiskit.ScheduleSanitizer` before running jobs, and a
 :class:`~repro.analysiskit.SanitizerError` raised in a worker
 propagates to the parent with the offending history intact.
 """
@@ -97,16 +96,17 @@ def default_jobs() -> int:
 
 
 def sanitize_active() -> bool:
-    """Whether forked workers must install the runtime sanitizers."""
-    from ..analysiskit import active_sanitizer, sanitize_requested
+    """Whether forked workers must subscribe the runtime sanitizers."""
+    from .. import analysiskit as kit
 
-    return active_sanitizer() is not None or sanitize_requested()
+    subscribed = kit.active_sanitizer() or kit.active_schedule_sanitizer()
+    return subscribed is not None or kit.sanitize_requested()
 
 
 def worker_init(sanitize: bool) -> None:
     """Per-forked-process setup (pool initializer and cluster worker
     entry): mark fleet nesting so a worker never nests another pool,
-    and re-install both runtime sanitizers when the parent ran
+    and subscribe both runtime sanitizers when the parent ran
     sanitized."""
     global _in_worker
     _in_worker = True

@@ -12,9 +12,10 @@ Usage::
     python -m repro.mapping --requests 200 --cluster-workers 2 \
         --metrics-json mapping-metrics.json
 
-``SIEVE_SANITIZE=1`` additionally installs the ScheduleSanitizer, which
+``SIEVE_SANITIZE=1`` additionally subscribes the ScheduleSanitizer, which
 audits the mapping requests' admit/coalesce/execute/complete schedule
-exactly like classification traffic (the k-mer leg is the same path).
+exactly like classification traffic (the k-mer leg is the same path),
+and the ProtocolSanitizer, which checks the DRAM commands.
 """
 
 from __future__ import annotations
@@ -92,13 +93,14 @@ async def _serve(service, reads) -> List:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from ..analysiskit import enable_schedule_from_env
+    from ..analysiskit import enable_from_env, enable_schedule_from_env
     from ..genomics.synthetic import build_dataset
     from ..service import ClassificationService
     from ..service.config import ClusterConfig, ServiceConfig
 
     args = build_parser().parse_args(argv)
     enable_schedule_from_env()
+    enable_from_env()
 
     dataset = build_dataset(
         k=args.k,

@@ -25,8 +25,8 @@ the wide ``query()`` batches the column-major layout is built for:
   command ledger), so service stats double as a Fig. 15/16-style
   deployment experiment (``stats()["deployment"]``).
 * **observability** — the scheduler emits its admit / coalesce /
-  execute / complete lifecycle through the :mod:`repro.service.hooks`
-  seam; ``SIEVE_SANITIZE=1`` installs the
+  execute / complete lifecycle through the :mod:`repro.hooks` seam;
+  ``SIEVE_SANITIZE=1`` subscribes the
   :class:`repro.analysiskit.ScheduleSanitizer`, which verifies
   exactly-once execution and no dropped or double-answered requests.
 
@@ -34,7 +34,6 @@ Run ``python -m repro.service --demo`` for a self-checking load run,
 or use :class:`ServiceClient` in-process.  See ``docs/SERVICE.md``.
 """
 
-from . import hooks
 from .cache import (
     BatchCachePlan,
     CacheCoherencyError,
@@ -75,5 +74,4 @@ __all__ = [
     "ServiceResponse",
     "ShardCrashError",
     "ShardHealth",
-    "hooks",
 ]

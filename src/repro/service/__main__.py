@@ -305,12 +305,14 @@ async def _serve(
 
 
 def run_demo(args: argparse.Namespace) -> int:
-    from ..analysiskit import enable_schedule_from_env
+    from ..analysiskit import enable_from_env, enable_schedule_from_env
     from ..genomics.synthetic import build_dataset
 
     # CI smoke jobs export SIEVE_SANITIZE=1: the demo then runs with the
-    # ScheduleSanitizer verifying exactly-once/coalescing invariants.
+    # ScheduleSanitizer verifying exactly-once/coalescing invariants and
+    # the ProtocolSanitizer checking the device shards' DRAM commands.
     enable_schedule_from_env()
+    enable_from_env()
 
     dataset_params = dict(
         k=args.k,

@@ -28,9 +28,9 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tup
 
 import numpy as np
 
+from .. import hooks
 from ..api import QueryBackend, ResultBatch, classification_from_results
 from ..genomics.encoding import pack_batch_kmers
-from . import hooks
 from .cache import BatchCachePlan, CacheCoherencyError, KmerResultCache
 from .config import ServiceConfig
 from .metrics import MetricsRegistry
@@ -186,7 +186,7 @@ class ShardWorker:
         #: re-dispatches requests this shard can no longer serve.
         self._on_crash = on_crash
         #: Schedule-trace scope (the owning service; the worker itself
-        #: when used standalone).  See :mod:`repro.service.hooks`.
+        #: when used standalone).  See :mod:`repro.hooks`.
         self.scope = scope if scope is not None else self
         #: Executor seam: when set, the blocking backend ``query()``
         #: runs off the event loop via ``run_in_executor``; when None
@@ -226,8 +226,8 @@ class ShardWorker:
                 self.shard_id, self.config.retry_after_s
             ) from None
         self.metrics.counter("submitted_total").inc()
-        if hooks.OBSERVER is not None:
-            hooks.OBSERVER.on_request_admitted(
+        for observer in hooks.OBSERVERS:
+            observer.on_request_admitted(
                 self.scope, self.shard_id, _rid(request), request.num_kmers
             )
 
@@ -284,8 +284,8 @@ class ShardWorker:
                 await self._coalesce(batch)
                 index = self._batch_index
                 self._batch_index += 1
-                if hooks.OBSERVER is not None:
-                    hooks.OBSERVER.on_batch_coalesced(
+                for observer in hooks.OBSERVERS:
+                    observer.on_batch_coalesced(
                         self.scope,
                         self.shard_id,
                         index,
@@ -441,8 +441,8 @@ class ShardWorker:
                 return
             self.health.redispatched += len(orphans)
             self.metrics.counter("redispatched_total").inc(len(orphans))
-            if hooks.OBSERVER is not None:
-                hooks.OBSERVER.on_requests_orphaned(
+            for observer in hooks.OBSERVERS:
+                observer.on_requests_orphaned(
                     self.scope, self.shard_id, [_rid(req) for req in orphans]
                 )
             if self._on_crash is not None:
@@ -466,8 +466,8 @@ class ShardWorker:
         for req in requests:
             if not req.future.done():
                 req.future.set_exception(exc)
-                if hooks.OBSERVER is not None:
-                    hooks.OBSERVER.on_request_failed(
+                for observer in hooks.OBSERVERS:
+                    observer.on_request_failed(
                         self.scope, self.shard_id, _rid(req)
                     )
 
@@ -519,8 +519,8 @@ class ShardWorker:
                             f"before dispatch on shard {self.shard_id}"
                         )
                     )
-                    if hooks.OBSERVER is not None:
-                        hooks.OBSERVER.on_request_expired(
+                    for observer in hooks.OBSERVERS:
+                        observer.on_request_expired(
                             self.scope, self.shard_id, _rid(req)
                         )
             else:
@@ -531,8 +531,8 @@ class ShardWorker:
         self, live: List[Request], flat: Sequence[int], index: int
     ) -> None:
         """Trace the execute event at the moment the batch launches."""
-        if hooks.OBSERVER is not None:
-            hooks.OBSERVER.on_batch_executed(
+        for observer in hooks.OBSERVERS:
+            observer.on_batch_executed(
                 self.scope,
                 self.shard_id,
                 index,
@@ -561,17 +561,18 @@ class ShardWorker:
         self, plan: Optional[BatchCachePlan], index: int, device_kmers: int
     ) -> None:
         """Trace the dedup/cache split right after the execute event."""
-        if plan is None or hooks.OBSERVER is None:
+        if plan is None:
             return
-        hooks.OBSERVER.on_batch_deduped(
-            self.scope,
-            self.shard_id,
-            index,
-            plan.total_kmers,
-            plan.unique_kmers,
-            plan.cache_hits,
-            device_kmers,
-        )
+        for observer in hooks.OBSERVERS:
+            observer.on_batch_deduped(
+                self.scope,
+                self.shard_id,
+                index,
+                plan.total_kmers,
+                plan.unique_kmers,
+                plan.cache_hits,
+                device_kmers,
+            )
 
     def _query_blocking(
         self, flat: Sequence[int]
@@ -682,7 +683,7 @@ class ShardWorker:
                         mapping=mapping,
                     )
                 )
-                if hooks.OBSERVER is not None:
-                    hooks.OBSERVER.on_request_completed(
+                for observer in hooks.OBSERVERS:
+                    observer.on_request_completed(
                         self.scope, self.shard_id, _rid(req), req.num_kmers
                     )

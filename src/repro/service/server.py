@@ -24,9 +24,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Sequence
 
+from .. import hooks
 from ..api import QueryBackend
 from ..genomics.encoding import check_bases
-from . import hooks
 from .cache import KmerResultCache
 from .config import ServiceConfig
 from .dispatcher import Request, ServiceError, ServiceResponse, ShardWorker, _rid
@@ -137,8 +137,8 @@ class ClassificationService:
             await asyncio.gather(*(s.queue.join() for s in self.shards))  # lint: disable=SV010 (every queued request terminates via dispatch/expiry/failover)
         finally:
             self._draining = False
-        if hooks.OBSERVER is not None:
-            hooks.OBSERVER.on_service_quiesce(self)
+        for observer in hooks.OBSERVERS:
+            observer.on_service_quiesce(self)
 
     async def stop(self, drain: bool = True) -> None:
         """Graceful shutdown: optionally drain, then cancel the workers.
@@ -274,8 +274,8 @@ class ClassificationService:
                     req.future.set_exception(
                         ServiceError("all shards crashed; request lost")
                     )
-                    if hooks.OBSERVER is not None:
-                        hooks.OBSERVER.on_request_failed(
+                    for observer in hooks.OBSERVERS:
+                        observer.on_request_failed(
                             self, from_shard, _rid(req)
                         )
                 continue
@@ -289,8 +289,8 @@ class ClassificationService:
             # ahead of it.  ``Queue.put`` does not yield between its
             # ``put_nowait`` and returning, so the target worker cannot
             # coalesce the request before this announcement.
-            if hooks.OBSERVER is not None:
-                hooks.OBSERVER.on_request_admitted(
+            for observer in hooks.OBSERVERS:
+                observer.on_request_admitted(
                     self, target.shard_id, _rid(req), req.num_kmers
                 )
 

@@ -39,8 +39,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import hooks
 from ..api import key_array
-from ..dram import hooks
 from ..dram.subarray import Subarray
 from ..genomics.encoding import transpose_kmers
 from . import kernels
@@ -392,9 +392,9 @@ class SieveSubarraySim:
         """Write one batch's bits, zero-padded to the query block, into
         every group's query columns from row ``base`` (one block store)."""
         layout = self.layout
-        block = np.zeros((layout.kmer_rows, layout.queries_per_group), dtype=np.uint8)
-        block[:, : bits.shape[1]] = bits
-        self.array.load_bit_block(base, layout.query_column_matrix[:, 0], block)
+        self.array.load_bit_block(
+            base, layout.query_column_matrix[:, 0], layout.query_block(bits)
+        )
 
     def _layer_enable(self, layer: int) -> np.ndarray:
         """Match-Enable mask: only occupied reference columns of a layer.

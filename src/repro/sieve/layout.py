@@ -324,23 +324,24 @@ class SubarrayLayout:
             matrix[:, self.ref_slot_columns[: len(kmers)]] = bits
         return matrix
 
-    def query_block_bits(self, queries: Sequence[int]) -> np.ndarray:
-        """Region-1 write image for a query batch: (2k, queries_per_group)
-        bits, which the load path replicates into every group's query
-        block.
+    def query_block(self, bits: np.ndarray) -> np.ndarray:
+        """Region-1 write image for a query batch: its ``(2k, n)``
+        :func:`~repro.genomics.encoding.transpose_kmers` image zero-padded
+        to ``(2k, queries_per_group)`` bits, which the load path
+        replicates into every group's query block.
 
         Column ``s`` holds batch slot ``s``; shorter batches leave the
         remaining query columns zero (those slots are disabled at match
         time).
         """
-        if len(queries) > self.queries_per_group:
+        count = bits.shape[1]
+        if count > self.queries_per_group:
             raise LayoutError(
-                f"batch of {len(queries)} exceeds {self.queries_per_group} "
+                f"batch of {count} exceeds {self.queries_per_group} "
                 f"queries per group"
             )
         block = np.zeros((self.kmer_rows, self.queries_per_group), dtype=np.uint8)
-        if len(queries):
-            block[:, : len(queries)] = transpose_kmers(queries, self.k)
+        block[:, :count] = bits
         return block
 
     # -- regions 2 and 3 -----------------------------------------------------------

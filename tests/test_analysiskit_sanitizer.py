@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro import hooks
 from repro.analysiskit import (
     ProtocolSanitizer,
     SanitizerError,
@@ -26,17 +27,13 @@ from repro.dram import (
     CommandLedger,
     MemorySystem,
 )
-from repro.dram import hooks
 
 
 @pytest.fixture()
 def sanitizer():
-    """A fresh sanitizer installed for one test, session one restored after."""
-    previous = hooks.get_observer()
-    fresh = ProtocolSanitizer()
-    hooks.install(fresh)
-    yield fresh
-    hooks.install(previous)
+    """A fresh sanitizer subscribed for one test, session one restored after."""
+    with hooks.observing(*hooks.OBSERVERS):
+        yield enable_sanitizer(ProtocolSanitizer())
 
 
 def ledger():
@@ -220,14 +217,11 @@ class TestMemorySystemChecks:
 
 class TestInstallation:
     def test_enable_is_idempotent(self):
-        previous = hooks.get_observer()
-        try:
+        with hooks.observing(*hooks.OBSERVERS):
             first = enable_sanitizer()
             second = enable_sanitizer()
             assert first is second
             assert active_sanitizer() is first
-        finally:
-            hooks.install(previous)
 
     def test_env_toggle(self):
         assert sanitize_requested({"SIEVE_SANITIZE": "1"})
@@ -236,15 +230,11 @@ class TestInstallation:
         assert not sanitize_requested({})
 
     def test_enable_from_env_respects_flag(self):
-        previous = hooks.get_observer()
-        try:
-            hooks.uninstall()
+        with hooks.observing():
             assert enable_from_env({"SIEVE_SANITIZE": "0"}) is None
             assert active_sanitizer() is None
             assert enable_from_env({"SIEVE_SANITIZE": "1"}) is not None
             assert active_sanitizer() is not None
-        finally:
-            hooks.install(previous)
 
     @pytest.mark.skipif(
         os.environ.get("SIEVE_SANITIZE") == "0",
@@ -256,16 +246,12 @@ class TestInstallation:
         assert active_sanitizer() is not None
 
     def test_disabled_hooks_cost_nothing(self):
-        previous = hooks.get_observer()
-        try:
-            hooks.uninstall()
+        with hooks.observing():
             led = ledger()
             led.record(Command.ACTIVATE, 5)
             system = MemorySystem()
             system.access(0)
             assert not hasattr(led, "_sanitizer_shadow")
-        finally:
-            hooks.install(previous)
 
     def test_reset_clears_protocol_state(self):
         sanitizer = ProtocolSanitizer()

@@ -167,7 +167,8 @@ class TestConformance:
 def test_classify_matches_shared_vote_path(
     name, small_dataset, small_layout, cluster_segments
 ):
-    """Every engine's ``classify`` equals the classic lookup-fn loop.
+    """Every engine's ``query`` votes, through the shared
+    ``classification_from_results``, as the classic lookup-fn loop does.
 
     (The row-major matcher is excluded: it indexes raw records, not the
     canonicalized view ``db.get`` serves.)
@@ -176,9 +177,10 @@ def test_classify_matches_shared_vote_path(
     try:
         db = small_dataset.database
         for read in small_dataset.reads[:5]:
-            assert backend.classify(read) == classify_read(
-                read, small_dataset.k, db.get
-            )
+            results = backend.query(read.kmer_list(small_dataset.k))
+            assert classification_from_results(
+                read.seq_id, results, true_taxon=read.taxon_id
+            ) == classify_read(read, small_dataset.k, db.get)
     finally:
         close_backend(backend)
 

@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultModel, StuckCell, fault_injection
+from repro.genomics.encoding import transpose_kmers
 from repro.sieve.column_finder import ColumnFindResult
 from repro.sieve.functional import (
     FunctionalError,
@@ -239,7 +240,7 @@ def test_device_level_batched_equals_scalar(small_layout, small_dataset):
 def _per_run_query_load(sim, queries, layer):
     """Query-block write as one ``load_bits`` call per (row, group)."""
     layout = sim.layout
-    block = layout.query_block_bits(list(queries))
+    block = layout.query_block(transpose_kmers(list(queries), layout.k))
     base = layout.layer_base_row(layer)
     for bit in range(layout.kmer_rows):
         for g in range(layout.num_groups):

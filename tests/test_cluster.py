@@ -11,13 +11,13 @@ also audited for exactly-once delivery.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import os
 import signal
 
 import numpy as np
 import pytest
 
+from repro import hooks
 from repro.api import classification_from_results
 from repro.cluster import (
     ClusterBackend,
@@ -30,7 +30,6 @@ from repro.genomics import build_dataset, cache_key_kmer
 from repro.genomics.encoding import revcomp_values
 from repro.serialization import save_segments
 from repro.service import ClassificationService, ClusterConfig, ServiceConfig
-from repro.service import hooks
 
 
 @pytest.fixture(scope="module")
@@ -275,33 +274,14 @@ class TestStaticPlacement:
 # ---------------------------------------------------------------------------
 
 
-class _FanoutRecorder:
-    """Observer that records fan-out slice sizes and forwards every
-    event to the observer it wraps (the session sanitizer, if any)."""
+class _FanoutRecorder(hooks.Observer):
+    """Observer that records fan-out slice sizes."""
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self):
         self.fanouts = []
 
     def on_cluster_fanout(self, scope, qid, worker_id, num_kmers):
         self.fanouts.append((qid, worker_id, num_kmers))
-        if self.inner is not None:
-            self.inner.on_cluster_fanout(scope, qid, worker_id, num_kmers)
-
-    def __getattr__(self, name):
-        if self.inner is not None:
-            return getattr(self.inner, name)
-        return lambda *args: None
-
-
-@contextlib.contextmanager
-def _observer(observer):
-    previous = hooks.get_observer()
-    hooks.install(observer)
-    try:
-        yield observer
-    finally:
-        hooks.install(previous)
 
 
 class _TamperedConn:
@@ -332,7 +312,8 @@ class TestClusterWire:
             for read in small_dataset.reads[:6]
             for kmer in read.kmers(small_dataset.k)
         ]
-        with _observer(_FanoutRecorder(hooks.get_observer())) as recorder:
+        recorder = _FanoutRecorder()
+        with hooks.observing(*hooks.OBSERVERS, recorder):
             with make_cluster(segments, workers=workers) as backend:
                 backend.query(kmers)
         # The per-element grouping the array path replaced: route each
@@ -364,7 +345,7 @@ class TestClusterWire:
         kmers = list(small_dataset.reads[0].kmers(small_dataset.k))
         # The aborted query leaves its fan-out unanswered on purpose, so
         # this backend runs outside the session sanitizer.
-        with _observer(None):
+        with hooks.observing():
             with make_cluster(segments, workers=1) as backend:
                 handle = backend._workers[0]
                 handle.conn = _TamperedConn(handle.conn, tamper)
@@ -375,7 +356,7 @@ class TestClusterWire:
         """A worker that died between queries fails the next fan-out
         with the typed error, not a raw ``BrokenPipeError``."""
         kmers = list(small_dataset.reads[0].kmers(small_dataset.k))
-        with _observer(None):
+        with hooks.observing():
             with make_cluster(segments, workers=1) as backend:
                 process = backend._workers[0].process
                 os.kill(process.pid, signal.SIGKILL)

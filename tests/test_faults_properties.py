@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import hooks
+from repro import hooks
 from repro.dram.memsys import MemorySystem
 from repro.dram.subarray import Subarray
 from repro.faults import (

@@ -6,7 +6,7 @@ one :meth:`~repro.sieve.functional.SieveSubarraySim.load_query_batch`
 call per (subarray, layer) destination, which writes the destination's
 batches of up to ``queries_per_group`` and returns their stored cells as
 one block.  The reference here is the per-batch algorithm, kept only as
-a test oracle: per batch one ``query_block_bits`` image, one
+a test oracle: per batch one ``query_block`` image, one
 ``load_bit_block`` store and one copy of the stored cells, then one
 ``match_all`` pass over every destination.  Across destinations of 1,
 63, 64, 65 and 200 queries, the paper's row geometry and the small test
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.api import ResultBatch, key_array
 from repro.faults import FaultInjector, FaultModel, fault_injection
 from repro.genomics.database import KmerDatabase
-from repro.genomics.encoding import canonical_kmers, revcomp_values
+from repro.genomics.encoding import canonical_kmers, revcomp_values, transpose_kmers
 from repro.sieve import SieveDevice
 from repro.sieve.functional import FunctionalError, PendingMatch, SieveSubarraySim
 from repro.sieve.layout import SubarrayLayout
@@ -64,9 +64,8 @@ def _per_batch_load(sim, batch, layer):
     """One batch loaded the per-batch way (the pre-transpose path)."""
     layout = sim.layout
     base = layout.layer_base_row(layer)
-    sim.array.load_bit_block(
-        base, layout.query_column_matrix[:, 0], layout.query_block_bits(batch)
-    )
+    block = layout.query_block(transpose_kmers(batch, layout.k))
+    sim.array.load_bit_block(base, layout.query_column_matrix[:, 0], block)
     sim._batch, sim._batch_layer = list(batch), layer
     cells = sim.array.peek_rows(base, base + layout.kmer_rows)
     return cells[:, layout.query_column_matrix[:, : len(batch)]].copy()

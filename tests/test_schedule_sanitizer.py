@@ -19,6 +19,7 @@ import asyncio
 
 import pytest
 
+from repro import hooks
 from repro.analysiskit import (
     ScheduleSanitizer,
     ScheduleViolation,
@@ -27,12 +28,7 @@ from repro.analysiskit import (
     enable_schedule_from_env,
     enable_schedule_sanitizer,
 )
-from repro.service import (
-    ClassificationService,
-    MetricsRegistry,
-    ServiceConfig,
-    hooks,
-)
+from repro.service import ClassificationService, MetricsRegistry, ServiceConfig
 from repro.service.dispatcher import Request, ShardWorker
 
 
@@ -42,12 +38,9 @@ class Scope:
 
 @pytest.fixture()
 def sanitizer():
-    """A fresh sanitizer installed for one test, previous one restored."""
-    previous = hooks.get_observer()
-    fresh = ScheduleSanitizer()
-    hooks.install(fresh)
-    yield fresh
-    hooks.install(previous)
+    """A fresh sanitizer subscribed for one test, previous one restored."""
+    with hooks.observing(*hooks.OBSERVERS):
+        yield enable_schedule_sanitizer(ScheduleSanitizer())
 
 
 def admit_and_batch(san, scope, *, req_id=1, kmers=10, batch=0, shard=0):
@@ -453,27 +446,20 @@ class TestClusterEvents:
 
 class TestInstallation:
     def test_enable_is_idempotent(self):
-        previous = hooks.get_observer()
-        try:
+        with hooks.observing(*hooks.OBSERVERS):
             first = enable_schedule_sanitizer()
             assert enable_schedule_sanitizer() is first
             assert active_schedule_sanitizer() is first
             disable_schedule_sanitizer()
             assert active_schedule_sanitizer() is None
-        finally:
-            hooks.install(previous)
 
     def test_env_gating(self):
-        previous = hooks.get_observer()
-        try:
-            hooks.uninstall()
+        with hooks.observing():
             assert enable_schedule_from_env({"SIEVE_SANITIZE": "0"}) is None
             assert active_schedule_sanitizer() is None
             assert (
                 enable_schedule_from_env({"SIEVE_SANITIZE": "1"}) is not None
             )
-        finally:
-            hooks.install(previous)
 
 
 class DoubleDispatchWorker(ShardWorker):

@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import hooks
 from repro.api import (
     QueryBackendBase,
     ResultBatch,
@@ -185,7 +186,6 @@ class TestAdmission:
         answer as the sequential path does."""
         from repro.analysiskit import ScheduleSanitizer
         from repro.genomics import DnaSequence, EncodingError
-        from repro.service import hooks
 
         good = small_dataset.reads[:4]
         # DnaSequence checks its bases on construction; forge the read an
@@ -195,9 +195,7 @@ class TestAdmission:
         service = make_service(
             small_dataset, small_layout, num_shards=1, max_batch_kmers=4096
         )
-        previous = hooks.get_observer()
         sanitizer = ScheduleSanitizer()
-        hooks.install(sanitizer)
 
         async def drive():
             futures = [service.submit(read) for read in good[:2]]
@@ -212,10 +210,8 @@ class TestAdmission:
             await service.stop(drain=True)
             return responses, history
 
-        try:
+        with hooks.observing(*hooks.OBSERVERS, sanitizer):
             responses, history = asyncio.run(drive())
-        finally:
-            hooks.install(previous)
 
         counters = service.metrics.snapshot()["counters"]
         assert counters["submitted_total"] == len(good)
@@ -641,24 +637,15 @@ class _GatedBackend:
         return self.inner.query(kmers, batched=batched)
 
 
-class _CoalesceSpy:
-    """Schedule observer that sets ``gate`` when batch 1 coalesces and
-    forwards every event to the observer it replaces."""
+class _CoalesceSpy(hooks.Observer):
+    """Schedule observer that sets ``gate`` when batch 1 coalesces."""
 
-    def __init__(self, inner, gate):
-        self.inner = inner
+    def __init__(self, gate):
         self.gate = gate
 
     def on_batch_coalesced(self, scope, shard_id, index, entries):
         if index == 1:
             self.gate.set()
-        if self.inner is not None:
-            self.inner.on_batch_coalesced(scope, shard_id, index, entries)
-
-    def __getattr__(self, name):
-        if self.inner is not None:
-            return getattr(self.inner, name)
-        return lambda *args: None
 
 
 class TestInFlightDepth:
@@ -671,8 +658,6 @@ class TestInFlightDepth:
     ):
         import threading
 
-        from repro.service import hooks
-
         gate = threading.Event()
         backend = _GatedBackend(small_dataset.database, gate, timeout_s=0.5)
         config = ServiceConfig(
@@ -683,14 +668,10 @@ class TestInFlightDepth:
             pipelined=pipelined,
         )
         service = ClassificationService([backend], config)
-        previous = hooks.get_observer()
-        hooks.install(_CoalesceSpy(previous, gate))
-        try:
+        with hooks.observing(*hooks.OBSERVERS, _CoalesceSpy(gate)):
             responses = asyncio.run(
                 serve_all(service, small_dataset.reads[:2])
             )
-        finally:
-            hooks.install(previous)
         assert len(responses) == 2
         # Batch 0's query saw batch 1 coalesce only when pipelined.
         assert backend.opened == [pipelined]

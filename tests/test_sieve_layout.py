@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.faults import FaultInjector, FaultModel, fault_injection
-from repro.genomics.encoding import bits_to_kmer
+from repro.genomics.encoding import bits_to_kmer, transpose_kmers
 from repro.sieve import LayoutError, SubarrayLayout
 from repro.sieve.functional import SieveSubarraySim
 from repro.sieve.layout import GROUP_WIDTH, QUERIES_PER_GROUP, REFS_PER_GROUP
@@ -183,7 +183,7 @@ class TestBitImages:
 
     def test_query_matrix_replicated(self, small_layout):
         queries = [3, 77]
-        block = small_layout.query_block_bits(queries)
+        block = small_layout.query_block(transpose_kmers(queries, small_layout.k))
         assert block.shape == (
             small_layout.kmer_rows,
             small_layout.queries_per_group,
@@ -226,7 +226,7 @@ class TestBitImages:
     def test_query_matrix_batch_limit(self, small_layout):
         too_many = list(range(small_layout.queries_per_group + 1))
         with pytest.raises(LayoutError):
-            small_layout.query_block_bits(too_many)
+            small_layout.query_block(transpose_kmers(too_many, small_layout.k))
 
     @given(st.data())
     def test_ref_matrix_property(self, data):
