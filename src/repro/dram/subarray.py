@@ -142,40 +142,66 @@ class Subarray:
             bits = injector.on_subarray_load(self, row, col_start, bits)
         self._cells[row, col_start : col_start + len(bits)] = bits % 2
 
-    def load_bit_block(
-        self, row: int, col_starts: np.ndarray, bits: np.ndarray
-    ) -> None:
-        """Install one bit block at several column offsets in one store.
+    def load_bit_block(self, row, col_starts: np.ndarray, bits: np.ndarray) -> None:
+        """Install bit blocks at several column offsets in one store.
 
-        ``bits`` is ``(rows, width)``: it lands on rows ``[row, row +
-        rows)`` at columns ``[start, start + width)`` for every ``start``
-        in ``col_starts`` (load path; the replicated query batch of every
-        pattern group).  With a fault injector installed every (row,
-        start) goes through :meth:`load_bits`, in row-major order, so the
+        ``bits`` is one ``(rows, width)`` block, landing on rows ``[row,
+        row + rows)``, or a stack ``(blocks, rows, width)`` of them,
+        block ``i`` landing from row ``row[i]``.  Each block row lands at
+        columns ``[start, start + width)`` for every ``start`` in the
+        evenly spaced ``col_starts`` (load path: the replicated query
+        batches of every pattern group, of one or several layers).  With
+        a fault injector installed every (row, start) goes through
+        :meth:`load_bits`, block by block in row-major order, so the
         injector sees exactly the calls a per-run load would make.
         """
-        bits = np.asarray(bits, dtype=np.uint8) % 2
-        col_starts = np.asarray(col_starts, dtype=np.intp)
-        if bits.ndim != 2:
+        bits = np.asarray(bits)
+        if bits.ndim == 2:
+            bits, firsts = bits[None], [row]
+        elif bits.ndim == 3:
+            firsts = row if isinstance(row, list) else np.ravel(row).tolist()
+        else:
             raise ValueError(f"expected (rows, width) bits, got {bits.shape}")
-        num_rows, width = bits.shape
-        self._check_row(row)
-        self._check_row(row + num_rows - 1)
-        if col_starts.size and (
-            col_starts.min() < 0 or col_starts.max() + width > self.cols
-        ):
-            raise IndexError(
-                f"runs of {width} bits at {col_starts.tolist()} out of "
-                f"range [0, {self.cols})"
-            )
-        if hooks.INJECTOR is not None:
-            for r in range(num_rows):
-                for start in col_starts.tolist():
-                    self.load_bits(row + r, start, bits[r])
+        count, num_rows, width = bits.shape
+        if len(firsts) != count:
+            raise ValueError(f"{len(firsts)} first rows for {count} blocks")
+        if not count:
             return
-        cells = self._cells[row : row + num_rows]
-        for start in col_starts.tolist():
-            cells[:, start : start + width] = bits
+        if min(firsts) < 0 or max(firsts) + num_rows > self.rows:
+            raise IndexError(
+                f"blocks of {num_rows} rows from {firsts} out of range [0, {self.rows})"
+            )
+        # A bool block already holds bits: stored without a masking copy.
+        if bits.dtype == np.bool_:
+            bits = bits.view(np.uint8)
+        else:
+            bits = np.asarray(bits, dtype=np.uint8) & 1
+        starts = [int(start) for start in col_starts]
+        if not starts:
+            return
+        pitch = starts[1] - starts[0] if len(starts) > 1 else width
+        if min(starts) < 0 or max(starts) + width > self.cols:
+            raise IndexError(
+                f"runs of {width} bits at {starts} out of range [0, {self.cols})"
+            )
+        if len(starts) > 2 and any(b - a != pitch for a, b in zip(starts, starts[1:])):
+            raise ValueError(f"column starts {starts} are not evenly spaced")
+        if hooks.INJECTOR is not None:
+            for first, block in zip(firsts, bits):
+                for r, run in enumerate(block, first):
+                    for start in starts:
+                        self.load_bits(r, start, run)
+            return
+        # The cells as (first row, block row, run, width): indexed by the
+        # blocks' first rows, every block lands in one indexed write.
+        view = np.ndarray(
+            (self.rows - num_rows + 1, num_rows, len(starts), width),
+            np.uint8,
+            self._cells,
+            starts[0],
+            (self.cols, self.cols, pitch, 1),
+        )
+        view[firsts] = bits[:, :, None, :]
 
     def load_entries(self, row: int, bits: np.ndarray) -> None:
         """Install fixed-width entries row-major from column 0 of ``row``.

@@ -40,6 +40,11 @@ MANIFEST_NAME = "manifest.json"
 #: The arrays a segment directory carries, in manifest (and hash) order.
 SEGMENT_ARRAYS = ("kmers", "taxa")
 
+#: The fields every segment manifest holds, and each of its segment
+#: entries, with the type of each value.
+MANIFEST_FIELDS = dict(k=int, canonical=bool, num_records=int, segments=dict, content_hash=str)
+SEGMENT_FIELDS = dict(file=str, dtype=str, shape=list, sha256=str)
+
 
 class SerializationError(ValueError):
     """Raised on malformed or mismatched files."""
@@ -150,21 +155,35 @@ def read_segment_manifest(path: PathLike) -> Dict[str, Any]:
         )
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise SerializationError(
             f"{manifest_path}: invalid JSON ({exc})"
         ) from None
-    if manifest.get("format") != SEGMENT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != SEGMENT_FORMAT:
+        found = manifest.get("format") if isinstance(manifest, dict) else manifest
         raise SerializationError(
-            f"{directory}: not a {SEGMENT_FORMAT} directory "
-            f"(got {manifest.get('format')!r})"
+            f"{manifest_path}: not a {SEGMENT_FORMAT} manifest (got {found!r})"
         )
+    _check_fields(manifest, MANIFEST_FIELDS, manifest_path)
     for name in SEGMENT_ARRAYS:
-        if name not in manifest.get("segments", {}):
+        if name not in manifest["segments"]:
             raise SerializationError(
                 f"{directory}: manifest is missing segment {name!r}"
             )
+        _check_fields(
+            manifest["segments"][name], SEGMENT_FIELDS, f"{manifest_path} segment {name!r}"
+        )
     return manifest
+
+
+def _check_fields(record: Any, fields: Dict[str, type], where: Any) -> None:
+    """Raise unless ``record`` is a dict holding every field of
+    ``fields`` with a value of its type."""
+    if not isinstance(record, dict) or not all(
+        isinstance(record.get(key), kind) for key, kind in fields.items()
+    ):
+        expected = {key: kind.__name__ for key, kind in fields.items()}
+        raise SerializationError(f"{where}: expected {expected}, got {record!r:.200}")
 
 
 def load_segments(
@@ -188,7 +207,12 @@ def load_segments(
         file_path = directory / entry["file"]
         if not file_path.is_file():
             raise SerializationError(f"{file_path}: missing segment file")
-        array = np.load(file_path, mmap_mode="r", allow_pickle=False)
+        try:
+            array = np.load(file_path, mmap_mode="r", allow_pickle=False)
+        except (ValueError, OSError, EOFError) as exc:
+            # A truncated file fails to map; a garbled header no longer
+            # reads as .npy.
+            raise SerializationError(f"{file_path}: unreadable segment ({exc})") from None
         if str(array.dtype) != entry["dtype"] or list(array.shape) != list(
             entry["shape"]
         ):

@@ -7,14 +7,10 @@ pattern groups, and matches slot by slot.  Responses carry the payload
 plus the micro-events (rows activated, flush/CF cycles, write commands)
 that the trace-driven performance model aggregates.
 
-The hardware matches the batches of many subarrays at once; the model
-does the same per :meth:`SieveDevice.query` call.  It loads every
-(subarray, layer) destination in turn from one transpose of the call's
-k-mers, keeps the query-block cells each
-:meth:`~repro.sieve.functional.SieveSubarraySim.load_query_batch`
-returns as that destination's
-:class:`~repro.sieve.functional.PendingMatch`, and then matches all of
-them in a single
+The hardware writes every group's query block in one batch write and
+matches the batches of many subarrays at once; :meth:`SieveDevice.query`
+does the same in array passes whose work follows a call's k-mers, not
+its (subarray, layer) destinations, and matches them all in a single
 :meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass, so a
 traced run (``sievebench --trace``) reports the whole device match as
 one ``sieve.functional.match_all`` span per call.
@@ -28,10 +24,12 @@ examples run; the paper-scale benchmarks use the analytic
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import hooks
 from ..api import (
     BackendCapabilities,
     BackendStats,
@@ -145,6 +143,18 @@ class SieveDevice(QueryBackendBase):
         #: canonicalize queries before consulting the range index, just
         #: as the software classifiers do.
         self.canonical = canonical
+        # Every subarray's layer firsts in id order, with each subarray's
+        # offset into them and layer count (indexed by subarray id): the
+        # range index routes ascending k-mer ranges to ascending ids, so
+        # the row ascends and one search routes a whole call.
+        ids = sorted(subarrays)
+        firsts = [subarrays[sid]._layer_firsts for sid in ids]
+        self._layer_firsts = np.concatenate(firsts) if firsts else key_array([])
+        if np.any(self._layer_firsts[1:] < self._layer_firsts[:-1]):
+            raise DeviceError("subarrays must hold ascending k-mer ranges in id order")
+        self._layer_count = np.zeros(ids[-1] + 1 if ids else 0, dtype=np.int64)
+        self._layer_count[ids] = [chunk.size for chunk in firsts]
+        self._layer_base = np.cumsum(self._layer_count) - self._layer_count
         # Rows activated per query run 0 (filtered) .. 2k + 2 (a hit).
         self.stats = DeviceStats(
             rows_histogram=np.zeros(layout.kmer_rows + 3, dtype=np.int64)
@@ -198,27 +208,32 @@ class SieveDevice(QueryBackendBase):
         <= 64 and match them together.
 
         Routing is array-wide: one :meth:`SubarrayIndex.route_many`
-        search, then one :meth:`SieveSubarraySim.route_layers` search
-        per subarray hit.  Destinations are served in the order of
-        their first k-mer, each destination's k-mers in request order.
+        search for the subarray, then one search over every subarray's
+        layer firsts (which ascend across subarrays) for the layer.
+        Destinations are served in the order of their first k-mer, each
+        destination's k-mers in request order.
 
         ``batched=True`` (the default) transposes the call's routed
         k-mers once, grouped by destination (the host-side transpose of
-        Section IV-C), and makes one
+        Section IV-C).  Without a fault injector each destination's
+        batches overwrite the same query columns, so only its last batch
+        is written: the padded last batches of every destination are
+        built in one array pass and stored with one
+        :meth:`~repro.sieve.functional.SieveSubarraySim.store_query_blocks`
+        per subarray.  With an injector installed each destination makes
+        its own
         :meth:`~repro.sieve.functional.SieveSubarraySim.load_query_batch`
-        call per destination with its slice of that transpose; the call
-        writes the destination's batches of <= 64 and returns their
-        stored cells as one block.  Every destination of the call is
-        then matched in one
-        :meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass.
-        ``batched=False`` loads each batch of <= 64 on its own and
+        call, in serving order, so the injector sees every batch's
+        stores as before.  Every destination of the call is then matched
+        in one :meth:`~repro.sieve.functional.SieveSubarraySim.match_all`
+        pass.  ``batched=False`` loads each batch of <= 64 on its own and
         replays the scalar command-by-command
         :meth:`~repro.sieve.functional.SieveSubarraySim.match_slot` path
         after it, the reference.  Both produce identical responses,
         functional counters (``batches`` and ``write_commands`` count
         every batch of <= 64) and per-subarray state, and under a fault
-        injector the same load calls in the same order (the equivalence
-        is test-enforced).
+        injector the same stores in the same order (the equivalence is
+        test-enforced).
 
         Responses are returned in request order even though requests to
         different subarrays complete out of order (Section IV-E: the host
@@ -235,62 +250,74 @@ class SieveDevice(QueryBackendBase):
         count = kmers.size
         sids = self.index.route_many(kmers)
         routed = np.flatnonzero(sids >= 0)
-        layers = np.zeros(count, dtype=np.int64)
-        for sid in np.flatnonzero(np.bincount(sids[routed])).tolist():
-            mask = sids == sid
-            layers[mask] = self.subarrays[sid].route_layers(kmers[mask])
-        # Group by destination: the stable sort keeps request order within
-        # one, and destinations are served in the order of their first
-        # k-mer.
-        keys = sids[routed] * self.layout.layers + layers[routed]
+        sub = sids[routed]
+        # Every subarray's layer firsts ascend as one row (checked at
+        # construction), so one search routes every k-mer to its layer.
+        pos = np.searchsorted(self._layer_firsts, kmers[routed], side="right")
+        pos -= self._layer_base[sub] + 1
+        layers = np.minimum(np.maximum(pos, 0), self._layer_count[sub] - 1)
+        # Destinations are served in the order of their first k-mer, each
+        # one's k-mers in request order: group by destination, then sort
+        # by the position of each k-mer's destination's first k-mer.
+        keys = sub * self.layout.layers + layers
         order = np.argsort(keys, kind="stable")
-        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-        bounds = np.append(starts, order.size).tolist()
+        new = _run_heads(keys[order])
+        first = np.empty_like(order)
+        first[order] = order[new][np.cumsum(new) - 1]
+        serve = np.argsort(first, kind="stable")
+        starts = np.flatnonzero(_run_heads(first[serve]))
+        edges = starts.tolist() + [serve.size]
+        heads = serve[starts]
+        dest_sids = sub[heads].tolist()
+        dest_layers = layers[heads].tolist()
+        size = self.layout.queries_per_group
+        batches = sum((hi - lo + size - 1) // size for lo, hi in zip(edges, edges[1:]))
+        self.stats.batches += batches
+        self.stats.write_commands += batches * self.layout.batch_write_commands
+        positions = routed[serve]
+        grouped = kmers[positions]
 
-        grouped = kmers[routed[order]]
-        # One transpose for the whole call; each destination loads its
-        # slice.
-        bits = transpose_kmers(grouped, self.layout.k) if batched else None
-        batch_size = self.layout.queries_per_group
-        served = []
-        results = []
-        taken = []
-        for group in np.argsort(order[starts]).tolist():
-            lo, hi = bounds[group], bounds[group + 1]
-            positions = routed[order[lo:hi]]
-            sim = self.subarrays[int(sids[positions[0]])]
-            layer = int(layers[positions[0]])
-            batches = -(-(hi - lo) // batch_size)
-            self.stats.batches += batches
-            self.stats.write_commands += batches * self.layout.batch_write_commands
-            served.append(positions)
-            if batched:
-                block = sim.load_query_batch(grouped[lo:hi], layer, bits[:, lo:hi])
-                taken.append(PendingMatch(sim, layer, (block,)))
-                continue
-            requests = grouped[lo:hi].tolist()
+        sims = [self.subarrays[sid] for sid in dest_sids]
+        spans = list(zip(sims, dest_layers, edges, edges[1:]))
+        if not batched:
             outcomes = []
-            for start in range(0, len(requests), batch_size):
-                batch = requests[start : start + batch_size]
-                sim.load_query_batch(batch, layer)
-                outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
-            results.append(MatchBatch.from_outcomes(layer, outcomes))
-        if taken:
+            for sim, layer, lo, hi in spans:
+                requests = grouped[lo:hi].tolist()
+                for start in range(0, len(requests), size):
+                    batch = requests[start : start + size]
+                    sim.load_query_batch(batch, layer)
+                    outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
+            result = MatchBatch.from_outcomes(-1, outcomes)
+        elif spans:
+            # One transpose for the whole call (paper Section IV-C).
+            bits = transpose_kmers(grouped, self.layout.k)
+            if hooks.INJECTOR is None:
+                stored = self._store_last_batches(grouped, bits, edges, dest_sids, dest_layers)
+                taken = [
+                    PendingMatch(sim, layer, (stored[:, :, lo:hi],))
+                    for sim, layer, lo, hi in spans
+                ]
+            else:
+                # A fault injector's schedule follows the stores: one
+                # load per destination, in serving order.
+                taken = [
+                    PendingMatch(
+                        sim, layer, (sim.load_query_batch(grouped[lo:hi], layer, bits[:, lo:hi]),)
+                    )
+                    for sim, layer, lo, hi in spans
+                ]
             # One match pass over every destination of the call.
-            results.append(taken[0].sim.match_all(*taken))
+            result = sims[0].match_all(*taken)
 
         hit = np.zeros(count, dtype=bool)
         payload = np.zeros(count, dtype=np.int64)
         rows = np.zeros(count, dtype=np.int64)
         flush = np.zeros(count, dtype=np.int64)
-        if served:
-            positions = np.concatenate(served)
-            hit[positions] = np.concatenate([r.hit for r in results])
-            payload[positions] = np.concatenate([r.payload for r in results])
-            rows[positions] = np.concatenate([r.rows_activated for r in results])
-            flush[positions] = np.concatenate(
-                [r.etm_flush_cycles for r in results]
-            )
+        if spans:
+            hit[positions] = result.hit
+            payload[positions] = result.payload
+            rows[positions] = result.rows_activated
+            flush[positions] = result.etm_flush_cycles
 
         stats = self.stats
         stats.queries += count
@@ -301,6 +328,52 @@ class SieveDevice(QueryBackendBase):
             rows, minlength=stats.rows_histogram.size
         )
         return ResultBatch(kmers, hit, payload, sids, rows, flush)
+
+    def _store_last_batches(self, grouped, bits, edges, sids, layers):
+        """The stores of a call without a fault injector.  A
+        destination's batches of up to ``queries_per_group`` overwrite
+        the same query columns, so only its last one is written,
+        zero-padded: every destination's in one array pass, then one
+        :meth:`~repro.sieve.functional.SieveSubarraySim.store_query_blocks`
+        per subarray, its destinations in serving order.  Returns what a
+        load returns without an injector: ``bits`` broadcast over the
+        groups."""
+        layout = self.layout
+        size = layout.queries_per_group
+        # Destination d's last batch is queries lasts[d]:edges[d + 1].
+        lasts = [lo + (hi - lo - 1) // size * size for lo, hi in zip(edges, edges[1:])]
+        tails = [hi - last for last, hi in zip(lasts, edges[1:])]
+        offsets = list(accumulate(tails, initial=0))
+        # Blocks go subarray by subarray, each one's in serving order (a
+        # stable sort): query lasts[d] + s lands in slot s of block
+        # rank[d], column rank[d] * size + s of the padded row.
+        by_sim = sorted(range(len(sids)), key=sids.__getitem__)
+        rank = [0] * len(by_sim)
+        for position, d in enumerate(by_sim):
+            rank[d] = position
+        tail = np.arange(offsets[-1])
+        columns = tail + np.repeat(
+            [rank[d] * size - offset for d, offset in enumerate(offsets[:-1])], tails
+        )
+        picked = bits
+        if lasts != edges[:-1]:  # some destination spans several batches
+            picked = bits[:, tail + np.repeat([a - b for a, b in zip(lasts, offsets)], tails)]
+        padded = np.zeros((layout.kmer_rows, len(tails) * size), dtype=bool)
+        padded[:, columns] = picked
+        blocks = padded.reshape(layout.kmer_rows, len(tails), size).transpose(1, 0, 2)
+        lo = 0
+        for sid, run in groupby(by_sim, key=sids.__getitem__):
+            dests = list(run)
+            hi, last = lo + len(dests), dests[-1]
+            self.subarrays[sid].store_query_blocks(
+                [layers[d] for d in dests],
+                blocks[lo:hi],
+                grouped[lasts[last] : edges[last + 1]].tolist(),
+            )
+            lo = hi
+        return np.broadcast_to(
+            bits[:, None, :], (layout.kmer_rows, layout.num_groups, grouped.size)
+        )
 
     # -- protocol surface ------------------------------------------------------
 
@@ -376,6 +449,13 @@ class SieveDevice(QueryBackendBase):
         if self.geometry is None:
             return None
         return len(self.subarrays) / self.geometry.total_subarrays
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal ``values``."""
+    heads = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
 
 
 def _priced_ledger(

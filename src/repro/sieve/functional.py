@@ -24,10 +24,9 @@ Two match paths exist.  :meth:`SieveSubarraySim.match_slot` replays
 step 3 command by command on the last loaded batch (the reference).
 :meth:`SieveSubarraySim.match_all` computes the same outcomes, counters
 and final state analytically for the destinations it is given: each a
-:class:`PendingMatch` of the query-block cells that
-:meth:`SieveSubarraySim.load_query_batch` returned, so one pass covers
-every (subarray, layer) destination of a :meth:`SieveDevice.query
-<repro.sieve.device.SieveDevice.query>` call.  A traced run therefore
+:class:`PendingMatch` of the query-block cells its loads stored, so one
+pass covers every (subarray, layer) destination of a
+:meth:`SieveDevice.query <repro.sieve.device.SieveDevice.query>` call.  A traced run therefore
 books the whole device match, kernels aside, as the self time of
 ``sieve.functional.match_all``.
 """
@@ -35,6 +34,7 @@ books the whole device match, kernels aside, as the self time of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,14 +119,15 @@ class PendingMatch:
     """One destination's loaded query batches, as values.
 
     ``blocks`` are the stored query-block cells, ``(2k, groups,
-    queries)``, that :meth:`SieveSubarraySim.load_query_batch` returned
-    for each load into ``layer`` of ``sim``; one block may span several
-    batches of up to ``queries_per_group`` (:meth:`SieveDevice.query
-    <repro.sieve.device.SieveDevice.query>` makes one load, so one
-    block, per destination).  They are copies, or read-only broadcasts
-    of the load's transpose when no fault injector ran, so the subarray
-    can load other batches before a :meth:`SieveSubarraySim.match_all`
-    pass matches them together with other destinations.
+    queries)``, of each load into ``layer`` of ``sim``, as
+    :meth:`SieveSubarraySim.load_query_batch` returns them; one block
+    may span several batches of up to ``queries_per_group``
+    (:meth:`SieveDevice.query <repro.sieve.device.SieveDevice.query>`
+    passes one block per destination).  They are copies, or read-only
+    broadcasts of the transpose when no fault injector ran, so the
+    subarray can load other batches before a
+    :meth:`SieveSubarraySim.match_all` pass matches them together with
+    other destinations.
     """
 
     sim: "SieveSubarraySim"
@@ -138,12 +139,15 @@ class PendingMatch:
 
 
 class _PackedLayer(NamedTuple):
-    """One layer's cached match tables (:meth:`SieveSubarraySim._packed_layer`)."""
+    """One layer's cached match tables (:meth:`SieveSubarraySim._packed_layer`);
+    ``first`` is the first column's top word, which orders the layers
+    of a match pass."""
 
     words: np.ndarray
     group_bounds: np.ndarray
     payloads: np.ndarray
     ascending: bool
+    first: int
 
 
 def _int_to_bits(value: int, width: int) -> np.ndarray:
@@ -366,35 +370,52 @@ class SieveSubarraySim:
             raise FunctionalError(
                 f"query bits of shape {bits.shape}, expected {(rows, count)}"
             )
-        base = layout.layer_base_row(layer)
         size = layout.queries_per_group
         starts = range(0, count, size)
-        if hooks.INJECTOR is None:
-            self._store_query_block(base, bits[:, starts[-1] :])
-            stored = np.broadcast_to(bits[:, None, :], (rows, groups, count))
-        else:
-            # Query-major, so each batch's copy is one contiguous run.
-            cells = np.empty((count, rows, groups), dtype=np.uint8)
-            columns = layout.query_column_matrix
-            for lo in starts:
-                block = bits[:, lo : lo + size]
-                self._store_query_block(base, block)
-                cells[lo : lo + block.shape[1]] = self.array.peek_rows(
-                    base, base + rows
-                )[:, columns[:, : block.shape[1]]].transpose(2, 0, 1)
-            stored = cells.transpose(1, 2, 0)
         last = queries[starts[-1] :]
-        self._batch = last.tolist() if isinstance(last, np.ndarray) else list(last)
-        self._batch_layer = layer
-        return stored
+        last = last.tolist() if isinstance(last, np.ndarray) else list(last)
+        if hooks.INJECTOR is None:
+            self.store_query_blocks(
+                [layer], layout.query_block(bits[:, starts[-1] :])[None], last
+            )
+            return np.broadcast_to(bits[:, None, :], (rows, groups, count))
+        # Query-major, so each batch's copy is one contiguous run.
+        cells = np.empty((count, rows, groups), dtype=np.uint8)
+        columns = layout.query_column_matrix
+        base = layout.layer_base_row(layer)
+        for lo in starts:
+            block = bits[:, lo : lo + size]
+            self.store_query_blocks([layer], layout.query_block(block)[None], last)
+            cells[lo : lo + block.shape[1]] = self.array.peek_rows(
+                base, base + rows
+            )[:, columns[:, : block.shape[1]]].transpose(2, 0, 1)
+        return cells.transpose(1, 2, 0)
 
-    def _store_query_block(self, base: int, bits: np.ndarray) -> None:
-        """Write one batch's bits, zero-padded to the query block, into
-        every group's query columns from row ``base`` (one block store)."""
+    def store_query_blocks(
+        self, layers: Sequence[int], blocks: np.ndarray, batch: List[int]
+    ) -> None:
+        """Write ``blocks[i]``, a zero-padded ``(2k, queries_per_group)``
+        query block, into every group's query columns of ``layers[i]``,
+        all in one block store, and make ``batch`` (written last, into
+        ``layers[-1]``) the batch :meth:`match_slot` replays.
+
+        This is the store of every query load: :meth:`load_query_batch`
+        writes one block per store, and :meth:`SieveDevice.query
+        <repro.sieve.device.SieveDevice.query>` without a fault injector
+        writes the last batch of each of its destinations in this
+        subarray at once (layers are distinct, so no store overwrites
+        another).  Under an injector the store goes row by row and group
+        by group, in that order (:meth:`Subarray.load_bit_block
+        <repro.dram.subarray.Subarray.load_bit_block>`).
+        """
         layout = self.layout
         self.array.load_bit_block(
-            base, layout.query_column_matrix[:, 0], layout.query_block(bits)
+            [layer * layout.layer_rows for layer in layers],
+            layout.query_column_matrix[:, 0],
+            blocks,
         )
+        self._batch = batch
+        self._batch_layer = int(layers[-1])
 
     def _layer_enable(self, layer: int) -> np.ndarray:
         """Match-Enable mask: only occupied reference columns of a layer.
@@ -577,7 +598,7 @@ class SieveSubarraySim:
         ascending = words.shape[0] == 1 and bool(
             np.all(words[0, 1:] > words[0, :-1])
         )
-        cached = _PackedLayer(words, group_bounds, payloads, ascending)
+        cached = _PackedLayer(words, group_bounds, payloads, ascending, int(words[0, 0]))
         self._ref_words_cache[layer] = cached
         return cached
 
@@ -615,17 +636,20 @@ class SieveSubarraySim:
           under the ETM's one-row-late interrupt semantics and the SR
           drain (``etm_flush_cycles``) from the closed-form SR recurrence;
         * each subarray's :class:`~repro.dram.subarray.SubarrayStats`
-          counters (ACT/PRE pairs charged analytically);
+          counters (ACT/PRE pairs charged analytically, once per
+          subarray);
         * each subarray's Match-Enable mask (its last destination's
           layer) and matcher / ETM state after the final query of its
           last non-empty destination — exactly as one ``match_all``
           call per destination, in argument order, leaves it.
 
-        Per destination only O(1) numpy calls remain (its insertion
-        search, guard and charge); a fallback destination adds its own
-        sweep.  Bit-identity with the scalar replay is property-test
-        enforced (tests/test_kernels_properties.py,
-        tests/test_batched_equivalence.py).
+        The work is a fixed number of array passes over the call's
+        queries plus, per subarray, its enable mask, charge and final
+        state; a destination adds only list entries (its table, size and
+        block), and a fallback destination its own sweep.  Bit-identity
+        with the scalar replay is property-test enforced
+        (tests/test_kernels_properties.py,
+        tests/test_batched_equivalence.py, tests/test_query_load.py).
         """
         if not destinations:
             raise FunctionalError("match_all needs at least one destination")
@@ -633,27 +657,33 @@ class SieveSubarraySim:
         total_rows = layout.kmer_rows
         layers = {d.layer for d in destinations}
         batch_layer = layers.pop() if len(layers) == 1 else -1
-        last_of: Dict[SieveSubarraySim, PendingMatch] = {}
-        for d in destinations:
-            if d.sim.layout is not layout and d.sim.layout != layout:
-                raise FunctionalError("a match pass needs destinations of one layout")
-            last_of[d.sim] = d
-        for sim, d in last_of.items():
-            sim.matchers.set_enable(sim._layer_enable(d.layer))
+        # Each subarray's last destination sets its Match-Enable.
+        last_of = {d.sim: d.layer for d in destinations}
+        if any(sim.layout is not layout and sim.layout != layout for sim in last_of):
+            raise FunctionalError("a match pass needs destinations of one layout")
+        for sim, layer in last_of.items():
+            sim.matchers.set_enable(sim._layer_enable(layer))
         live = [d for d in destinations if d.blocks]
         if not live:
             return MatchBatch.from_outcomes(batch_layer, [])
-        sizes = [len(d) for d in live]
-        bounds = np.cumsum([0] + sizes)
-        num_queries = int(bounds[-1])
         blocks = [block for d in live for block in d.blocks]
-        # Group 0's replica of every query, and whether each query's
-        # groups all hold that replica.
+        sizes = [block.shape[2] for block in blocks]
+        if len(blocks) > len(live):  # a destination of several loads
+            sizes = [len(d) for d in live]
+        bounds = list(accumulate(sizes, initial=0))
+        num_queries = bounds[-1]
+        # Group 0's replica of every query, and whether each destination's
+        # groups all hold those replicas: a block broadcast over its
+        # groups (what a load without a fault injector returns) does by
+        # construction, so only stored copies are compared.
         first = np.concatenate([block[:, 0] for block in blocks], axis=1)
-        replicas = np.concatenate([_replicated(block) for block in blocks])
         tables = [d.sim._packed_layer(d.layer) for d in live]
+        fast = [table.ascending for table in tables]
+        if not all(block.strides[1] == 0 for block in blocks):
+            replicas = np.concatenate([_replicated(block) for block in blocks])
+            agree = np.logical_and.reduceat(replicas, bounds[:-1]).tolist()
+            fast = [a and b for a, b in zip(fast, agree)]
         num_refs = [table.words.shape[1] for table in tables]
-        ref_base = np.cumsum([0] + num_refs)
         seg_ids, seg_starts = live[0].sim._segments
         seg_max = np.full(
             (num_queries, live[0].sim.etm.num_segments), -1, dtype=np.int64
@@ -664,33 +694,31 @@ class SieveSubarraySim:
 
         # Sorted-neighbour fast path: both guards read stored cells, so it
         # is exact for whatever the cells hold — (a) the layer's words
-        # ascend (cached per layer) and (b) every group broadcasts the same
+        # ascend (cached per layer) and (b) every group holds the same
         # replica of each query, so group 0's replica is the only one to
         # pack.  A destination of a layer with fewer references covers a
         # prefix of the layer's segments (the reference columns ascend).
-        fast = np.logical_and.reduceat(replicas, bounds[:-1]) & np.array(
-            [table.ascending for table in tables]
+        # The runs go in the order of their first reference word: the
+        # destinations of one device hold disjoint k-mer ranges, so their
+        # words then ascend as one row, the kernel's cheapest search.
+        runs = sorted(
+            (i for i, ok in enumerate(fast) if ok), key=lambda i: tables[i].first
         )
-        if fast.any():
-            runs = np.flatnonzero(fast).tolist()
-            sel = (
-                slice(None) if fast.all() else np.flatnonzero(np.repeat(fast, sizes))
+        if runs:
+            # Run r's queries, in run order: those of destination runs[r].
+            counts = [sizes[i] for i in runs]
+            query_edges = list(accumulate(counts, initial=0))
+            sel = np.arange(query_edges[-1]) + np.repeat(
+                [bounds[i] - lo for i, lo in zip(runs, query_edges)], counts
             )
-            query_words = kernels.pack_bit_columns(first[:, sel])
-            ref_row = np.concatenate([tables[i].words[0] for i in runs])
             seg_div, hit_slot, hit = kernels.segment_divergence(
-                ref_row,
-                query_words[0],
+                np.concatenate([tables[i].words[0] for i in runs]),
+                kernels.pack_bit_columns(first[:, sel])[0],
                 total_rows,
                 seg_starts,
-                runs=(
-                    np.cumsum([0] + [num_refs[i] for i in runs]),
-                    np.cumsum([0] + [sizes[i] for i in runs]),
-                ),
+                runs=(list(accumulate([num_refs[i] for i in runs], initial=0)), query_edges),
             )
-            spread = np.full((hit.size, seg_max.shape[1]), -1, dtype=np.int64)
-            spread[:, seg_ids] = seg_div
-            seg_max[sel] = spread
+            seg_max[sel[:, None], seg_ids] = seg_div
             last_div[sel] = seg_div.max(axis=1)
             first_hit[sel] = hit_slot
             any_hit[sel] = hit
@@ -699,10 +727,10 @@ class SieveSubarraySim:
         # matrix spans a whole destination.
         fallback_latches: Dict[int, np.ndarray] = {}
         size = layout.queries_per_group
-        for i in np.flatnonzero(~fast).tolist():
+        for i in (i for i, ok in enumerate(fast) if not ok):
             table = tables[i]
             used = int(np.searchsorted(seg_starts, num_refs[i]))
-            stop = int(bounds[i])
+            stop = bounds[i]
             batches = (
                 stored[:, :, lo : lo + size]
                 for stored in live[i].blocks
@@ -731,15 +759,20 @@ class SieveSubarraySim:
             fallback_latches[i] = layout.ref_slot_columns[: num_refs[i]][hit_matrix[-1]]
 
         # Outcome synthesis for every query: the scalar path's ETM and SR
-        # closed forms.
-        etm_on = np.repeat([d.sim.etm_enabled for d in live], sizes)
-        early = etm_on & ~any_hit & (last_div <= total_rows - 2)
-        compares = np.where(any_hit | ~early, total_rows, last_div + 1)
-        rows_activated = np.where(early, last_div + 2, total_rows) + 2 * any_hit
-        # SR drain after the final row (hits consult it): the drain length
-        # counts from the lowest live SR stage.
+        # closed forms.  A query compares rows up to the one after its last
+        # divergence (every row, for a hit); stopping short of the last row
+        # means the ETM interrupted it, one row late.  A hit adds its two
+        # Region-2/3 fetches.
+        compares = np.minimum(last_div + 1, total_rows)
+        if not all(d.sim.etm_enabled for d in live):
+            etm_on = np.repeat([d.sim.etm_enabled for d in live], sizes)
+            compares = np.where(etm_on, compares, total_rows)
+        early = compares < total_rows
+        rows_activated = compares + early + 2 * any_hit
+        # The SR chain after each query's last compared row: a hit's drain
+        # (it compared every row) counts from the lowest live SR stage.
         num_segments = seg_max.shape[1]
-        live_sr = _sr_live(seg_max, total_rows)
+        live_sr = _sr_live(seg_max, compares[:, None])
         flush = np.where(
             any_hit & live_sr.any(axis=1), num_segments - live_sr.argmax(axis=1), 0
         )
@@ -748,38 +781,39 @@ class SieveSubarraySim:
         # decoded from the stored cells; the two ACT/PRE pairs are in
         # rows_activated.  The Column Finder takes the first live latch
         # (strict=False): the lowest hit column, since columns ascend.
-        hit_pos = np.flatnonzero(any_hit)
+        columns = np.where(any_hit, layout.ref_slot_columns[first_hit], 0)
         payloads = np.zeros(num_queries, dtype=np.int64)
-        columns = np.zeros(num_queries, dtype=np.int64)
+        hit_pos = np.flatnonzero(any_hit)
         if hit_pos.size:
-            slots = first_hit[hit_pos]
-            columns[hit_pos] = layout.ref_slot_columns[slots]
-            payload_table = np.concatenate([table.payloads for table in tables])
-            payloads[hit_pos] = payload_table[
-                np.repeat(ref_base[:-1], sizes)[hit_pos] + slots
+            table_base = np.repeat(list(accumulate(num_refs[:-1], initial=0)), sizes)
+            payloads[hit_pos] = np.concatenate([table.payloads for table in tables])[
+                table_base[hit_pos] + first_hit[hit_pos]
             ]
-        charges = np.add.reduceat(rows_activated, bounds[:-1]).tolist()
-        for d, charge in zip(live, charges):
-            d.sim.array.charge_untimed_accesses(charge)
 
-        # Matcher/ETM state after each subarray's last query, exactly as a
-        # scalar replay leaves it.
+        # Per subarray: the ACT/PRE pairs of all its destinations, and the
+        # matcher / ETM state after its last query, exactly as a scalar
+        # replay leaves them.
+        charges = dict.fromkeys(last_of, 0)
+        for d, charge in zip(live, np.add.reduceat(rows_activated, bounds[:-1]).tolist()):
+            charges[d.sim] += charge
         final = {d.sim: i for i, d in enumerate(live)}
-        ends = bounds[1:][list(final.values())] - 1
+        ends = np.array([bounds[i + 1] - 1 for i in final.values()])
         steps = compares[ends]
-        states = seg_max[ends]
-        segment_or = (states >= steps[:, None]).astype(np.uint8)
-        sr = _sr_live(states, steps[:, None]).astype(np.uint8)
-        for j, (sim, i) in enumerate(final.items()):
-            end = int(ends[j])
-            latches = np.zeros(layout.row_bits, dtype=np.uint8)
-            if any_hit[end]:
-                if i in fallback_latches:
-                    latches[fallback_latches[i]] = 1
-                else:
-                    latches[layout.ref_slot_columns[first_hit[end]]] = 1
-            sim.matchers.load_state(latches, int(steps[j]))
-            sim.etm.load_state(segment_or[j], sr[j], int(steps[j]))
+        segment_or = (seg_max[ends] >= steps[:, None]).astype(np.uint8)
+        sr = live_sr[ends].astype(np.uint8)
+        latches = np.zeros((ends.size, layout.row_bits), dtype=np.uint8)
+        won = np.flatnonzero(any_hit[ends])
+        latches[won, layout.ref_slot_columns[first_hit[ends[won]]]] = 1
+        for j, i in enumerate(final.values()):
+            if i in fallback_latches:
+                latches[j] = 0
+                latches[j, fallback_latches[i]] = 1
+        for sim, latch, seg, chain, step in zip(
+            final, latches, segment_or, sr, steps.tolist()
+        ):
+            sim.array.charge_untimed_accesses(charges[sim])
+            sim.matchers.load_state(latch, step)
+            sim.etm.load_state(seg, chain, step)
         return MatchBatch(
             layer=batch_layer,
             hit=any_hit,

@@ -36,6 +36,10 @@ import numpy as np
 #: Bits per packed word.
 WORD_BITS = 64
 
+#: The end bound of a run's last segment: none (the run's length cuts it).
+_NO_END = np.array([np.iinfo(np.intp).max], dtype=np.intp)
+_NO_END.setflags(write=False)
+
 
 class KernelError(ValueError):
     """Raised on invalid kernel inputs."""
@@ -115,18 +119,21 @@ def segment_divergence(
     """Max first-divergence per reference segment, sorted-neighbour form.
 
     ``ref_row`` holds one packed word per reference column and must be
-    strictly ascending; ``query_row`` holds one packed word per query;
-    both pack ``rows <= 64`` bit rows (a single-word layout, every
-    ``k <= 32``).  ``seg_starts`` are the ascending segment start
+    strictly ascending within each run (below); ``query_row`` holds one
+    packed word per query; both pack ``rows <= 64`` bit rows (a
+    single-word layout, every ``k <= 32``).  ``seg_starts`` are the ascending segment start
     offsets into ``ref_row``, the first one 0.
 
     ``runs = (ref_bounds, query_bounds)`` matches several destinations
     in one pass: run ``r`` matches ``query_row[query_bounds[r] :
     query_bounds[r + 1]]`` against its own non-empty, strictly
     ascending ``ref_row[ref_bounds[r] : ref_bounds[r + 1]]``, with
-    ``seg_starts`` counted from the run's first reference.  Only the
-    insertion search runs once per run; the rest is one pass over every
-    query.  ``None`` is the single run over all of ``ref_row``.
+    ``seg_starts`` counted from the run's first reference.  ``None`` is
+    the single run over all of ``ref_row``.  One insertion search covers
+    every run: when each run starts above the previous run's last word
+    the whole row ascends and is searched as it is; otherwise each word
+    is keyed by ``(run, word)`` (:func:`_run_keys`), one ascending key
+    space whatever order the runs come in.
 
     Against a fixed query ``q``, the first-divergence row of an
     ascending word sequence is unimodal around ``q``'s insertion point
@@ -160,53 +167,61 @@ def segment_divergence(
         runs = ((0, ref_row.size), (0, query_row.size))
     ref_bounds = np.asarray(runs[0], dtype=np.intp)
     query_bounds = np.asarray(runs[1], dtype=np.intp)
-    lengths = np.diff(ref_bounds)
-    counts = np.diff(query_bounds)
+    lengths = ref_bounds[1:] - ref_bounds[:-1]
+    counts = query_bounds[1:] - query_bounds[:-1]
     if (
         ref_bounds.shape != query_bounds.shape
         or ref_bounds[0] != 0
         or query_bounds[0] != 0
         or ref_bounds[-1] != ref_row.size
         or query_bounds[-1] != query_row.size
-        or np.any(lengths <= 0)
-        or np.any(counts < 0)
+        or min(lengths.tolist()) <= 0
+        or min(counts.tolist()) < 0
     ):
         raise KernelError(
             "runs must split ref_row into non-empty runs and query_row "
             "into as many ascending ranges"
         )
-    ins = np.empty(query_row.size, dtype=np.intp)
-    bounds = zip(
-        ref_bounds.tolist(),
-        ref_bounds[1:].tolist(),
-        query_bounds.tolist(),
-        query_bounds[1:].tolist(),
-    )
-    for ref_lo, ref_hi, query_lo, query_hi in bounds:
-        if query_hi > query_lo:
-            ins[query_lo:query_hi] = np.searchsorted(
-                ref_row[ref_lo:ref_hi], query_row[query_lo:query_hi]
-            )
-    base = np.repeat(ref_bounds[:-1], counts)[:, None]
-    length = np.repeat(lengths, counts)[:, None]
+    base = np.repeat(ref_bounds[:-1], counts)
+    length = np.repeat(lengths, counts)
+    inner = ref_bounds[1:-1]
+    if (ref_row[inner] > ref_row[inner - 1]).all():
+        # A query's insertion point in the whole ascending row, clipped
+        # into its run, is its insertion point in the run.
+        ins = np.searchsorted(ref_row, query_row) - base
+        np.minimum(np.maximum(ins, 0, out=ins), length, out=ins)
+    else:
+        ins = np.searchsorted(
+            _run_keys(np.repeat(np.arange(lengths.size), lengths), ref_row),
+            _run_keys(np.repeat(np.arange(counts.size), counts), query_row),
+        ) - base
+    # Each segment's last column within the query's run; a segment past
+    # the run's end clamps to the run's last reference, a valid index
+    # whose result is masked below.
     seg_starts = np.asarray(seg_starts, dtype=np.intp)
-    seg_next = np.append(seg_starts[1:], np.iinfo(np.intp).max)
-    seg_last = np.minimum(seg_next, length) - 1
-    # Clamp low then high: a segment past the run's end clamps to the
-    # run's last reference, a valid index whose result is masked below.
-    ins = ins[:, None]
-    left = ref_row[base + np.minimum(np.maximum(ins - 1, seg_starts), seg_last)]
-    right = ref_row[base + np.minimum(np.maximum(ins, seg_starts), seg_last)]
+    seg_last = np.concatenate((seg_starts[1:], _NO_END))
+    seg_last = np.minimum(seg_last, length[:, None]) - 1
+    offset = base[:, None]
+    left = np.maximum(ins[:, None] - 1, seg_starts)
+    left = ref_row[np.minimum(left, seg_last, out=left) + offset]
+    right = np.maximum(ins[:, None], seg_starts)
+    right = ref_row[np.minimum(right, seg_last, out=right) + offset]
     query = query_row[:, None]
     nearest = np.minimum(left ^ query, right ^ query)
-    seg_div = np.where(
-        nearest == np.uint64(0),
-        np.int64(rows),
-        WORD_BITS - bit_length64(nearest),
-    )
-    seg_div[seg_starts >= length] = -1
-    hit_slot = np.minimum(ins, length - 1)[:, 0]
-    return seg_div, hit_slot, ref_row[base[:, 0] + hit_slot] == query_row
+    seg_div = WORD_BITS - bit_length64(nearest)
+    seg_div[nearest == 0] = rows
+    seg_div[seg_starts >= length[:, None]] = -1
+    hit_slot = np.minimum(ins, length - 1)
+    return seg_div, hit_slot, ref_row[base + hit_slot] == query_row
+
+
+def _run_keys(runs: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """``(run, word)`` pairs as 16-byte big-endian strings, which numpy
+    orders byte by byte: by run, then by word."""
+    keys = np.empty((words.size, 2), dtype=">u8")
+    keys[:, 0] = runs
+    keys[:, 1] = words
+    return keys.view("S16").ravel()
 
 
 def first_divergence(

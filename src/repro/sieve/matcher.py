@@ -47,7 +47,7 @@ class MatcherArray:
             raise MatcherError(
                 f"enable mask must have shape ({self.width},), got {enable.shape}"
             )
-        self._enable = enable % 2
+        self._enable = enable & 1
 
     def reset(self) -> None:
         """Preset all enabled latches to 1 (start of a new query)."""

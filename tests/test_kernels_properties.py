@@ -238,6 +238,68 @@ class TestFirstDivergence:
             np.concatenate([hits.argmax(axis=1), short_hits.argmax(axis=1)])[found],
         )
 
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(1, kernels.WORD_BITS),
+        layout=st.sampled_from(["ascending", "shuffled", "overlapping"]),
+        num_runs=st.integers(1, 6),
+    )
+    def test_multi_run_equals_single_runs(self, seed, rows, layout, num_runs):
+        """One multi-run call equals the single-run calls concatenated:
+        runs whose words ascend across run boundaries (one search over
+        the whole row), disjoint runs out of order (several layers of
+        one subarray matched in serving order) and overlapping runs
+        (both searched in ``(run, word)`` key space), with one-reference
+        runs and runs without queries among them."""
+        rng = np.random.default_rng(seed)
+        space = 1 << rows
+        lengths = rng.integers(1, 6, size=num_runs)
+        if layout == "overlapping":
+            runs = [
+                np.unique(rng.integers(0, space, size=n, dtype=np.uint64))
+                for n in lengths
+            ]
+        else:
+            # Disjoint ranges: one sorted draw cut into consecutive runs.
+            values = np.unique(
+                rng.integers(0, space, size=lengths.sum(), dtype=np.uint64)
+            )
+            cuts = rng.choice(
+                np.arange(1, max(values.size, 2)),
+                size=min(num_runs - 1, values.size - 1),
+                replace=False,
+            )
+            runs = np.split(values, np.sort(cuts))
+            if layout == "shuffled":
+                runs = [runs[i] for i in rng.permutation(len(runs))]
+        queries = []
+        for run in runs:
+            count = int(rng.integers(0, 5))
+            probes = rng.integers(0, space, size=count, dtype=np.uint64).tolist()
+            if count:
+                probes += [int(run[0]), int(run[-1]), min(int(run[-1]) + 1, space - 1)]
+            queries.append(np.array(probes, dtype=np.uint64))
+        shift = np.uint64(kernels.WORD_BITS - rows)
+        seg_starts = np.array([0, 2, 3], dtype=np.intp)
+        got = kernels.segment_divergence(
+            np.concatenate(runs) << shift,
+            np.concatenate(queries) << shift,
+            rows,
+            seg_starts,
+            runs=(
+                np.cumsum([0] + [run.size for run in runs]),
+                np.cumsum([0] + [query.size for query in queries]),
+            ),
+        )
+        singles = [
+            kernels.segment_divergence(run << shift, query << shift, rows, seg_starts)
+            for run, query in zip(runs, queries)
+        ]
+        for column, name in enumerate(("seg_div", "hit_slot", "any_hit")):
+            want = np.concatenate([single[column] for single in singles])
+            assert np.array_equal(got[column], want), name
+
     def test_word_count_mismatch_rejected(self):
         ref = np.zeros((2, 3), dtype=np.uint64)
         query = np.zeros((1, 2), dtype=np.uint64)

@@ -241,6 +241,46 @@ class TestSegmentDirectory:
         with pytest.raises(SerializationError):
             load_segments(tmp_path)
 
+    def test_truncated_segment_raises_typed_error(self, tmp_path, tiny_database):
+        """A segment cut short no longer maps: numpy's untyped
+        ``ValueError`` becomes a ``SerializationError`` naming the file."""
+        save_segments(tiny_database, tmp_path)
+        path = tmp_path / "kmers.npy"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(SerializationError, match="kmers.npy"):
+            load_segments(tmp_path)
+
+    def test_garbled_npy_header_raises_typed_error(self, tmp_path, tiny_database):
+        """Zeroed magic bytes make numpy take the file for a pickle; the
+        open fails typed, naming the file, and never unpickles."""
+        save_segments(tiny_database, tmp_path)
+        path = tmp_path / "taxa.npy"
+        data = path.read_bytes()
+        path.write_bytes(bytes(16) + data[16:])
+        with pytest.raises(SerializationError, match="taxa.npy"):
+            load_segments(tmp_path)
+
+    @pytest.mark.parametrize(
+        "garble",
+        [
+            lambda manifest: bytes(range(256)),
+            lambda manifest: [manifest],
+            lambda manifest: {**manifest, "segments": {"kmers": 5, "taxa": 6}},
+            lambda manifest: {k: v for k, v in manifest.items() if k != "num_records"},
+            lambda manifest: {**manifest, "num_records": "many"},
+        ],
+        ids=["undecodable", "not-an-object", "entry-not-a-record", "missing-key", "wrong-type"],
+    )
+    def test_garbled_manifest_raises_typed_error(self, tmp_path, tiny_database, garble):
+        """Undecodable bytes, or JSON that is not a manifest, fail typed."""
+        damaged = garble(save_segments(tiny_database, tmp_path))
+        if not isinstance(damaged, bytes):
+            damaged = json.dumps(damaged).encode()
+        (tmp_path / MANIFEST_NAME).write_bytes(damaged)
+        with pytest.raises(SerializationError, match=MANIFEST_NAME):
+            load_segments(tmp_path)
+
     def test_mmap_device_matches_in_memory(self, tmp_path, small_dataset):
         """A SieveDevice built from the mmap view answers identically
         to one built from the in-memory database."""
