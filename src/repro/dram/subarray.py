@@ -142,7 +142,7 @@ class Subarray:
             bits = injector.on_subarray_load(self, row, col_start, bits)
         self._cells[row, col_start : col_start + len(bits)] = bits % 2
 
-    def load_bit_block(self, row, col_starts: np.ndarray, bits: np.ndarray) -> None:
+    def load_bit_block(self, row, col_starts: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Install bit blocks at several column offsets in one store.
 
         ``bits`` is one ``(rows, width)`` block, landing on rows ``[row,
@@ -150,10 +150,19 @@ class Subarray:
         block ``i`` landing from row ``row[i]``.  Each block row lands at
         columns ``[start, start + width)`` for every ``start`` in the
         evenly spaced ``col_starts`` (load path: the replicated query
-        batches of every pattern group, of one or several layers).  With
-        a fault injector installed every (row, start) goes through
+        batches of every pattern group, of one or several layers).
+
+        The blocks are stored in order, so a later block with the same
+        first row overwrites an earlier one.  Without a fault injector
+        only the last block of each first row is written, in one indexed
+        write.  With one installed every (row, start) goes through
         :meth:`load_bits`, block by block in row-major order, so the
-        injector sees exactly the calls a per-run load would make.
+        injector sees exactly the calls one store per block would make.
+
+        Returns the ``(blocks, rows, runs, width)`` cells each block
+        stored, run ``j`` being the one at ``col_starts[j]``, as they
+        were right after its store: a read-only broadcast of ``bits``
+        when no injector could corrupt them, otherwise copies.
         """
         bits = np.asarray(bits)
         if bits.ndim == 2:
@@ -165,9 +174,8 @@ class Subarray:
         count, num_rows, width = bits.shape
         if len(firsts) != count:
             raise ValueError(f"{len(firsts)} first rows for {count} blocks")
-        if not count:
-            return
-        if min(firsts) < 0 or max(firsts) + num_rows > self.rows:
+        starts = [int(start) for start in col_starts]
+        if count and (min(firsts) < 0 or max(firsts) + num_rows > self.rows):
             raise IndexError(
                 f"blocks of {num_rows} rows from {firsts} out of range [0, {self.rows})"
             )
@@ -176,9 +184,9 @@ class Subarray:
             bits = bits.view(np.uint8)
         else:
             bits = np.asarray(bits, dtype=np.uint8) & 1
-        starts = [int(start) for start in col_starts]
-        if not starts:
-            return
+        stored = np.broadcast_to(bits[:, :, None, :], (count, num_rows, len(starts), width))
+        if not count or not starts:
+            return stored
         pitch = starts[1] - starts[0] if len(starts) > 1 else width
         if min(starts) < 0 or max(starts) + width > self.cols:
             raise IndexError(
@@ -186,12 +194,6 @@ class Subarray:
             )
         if len(starts) > 2 and any(b - a != pitch for a, b in zip(starts, starts[1:])):
             raise ValueError(f"column starts {starts} are not evenly spaced")
-        if hooks.INJECTOR is not None:
-            for first, block in zip(firsts, bits):
-                for r, run in enumerate(block, first):
-                    for start in starts:
-                        self.load_bits(r, start, run)
-            return
         # The cells as (first row, block row, run, width): indexed by the
         # blocks' first rows, every block lands in one indexed write.
         view = np.ndarray(
@@ -201,7 +203,19 @@ class Subarray:
             starts[0],
             (self.cols, self.cols, pitch, 1),
         )
-        view[firsts] = bits[:, :, None, :]
+        if hooks.INJECTOR is None:
+            if len(set(firsts)) < count:  # a first row repeats: keep its last block
+                keep = sorted({first: i for i, first in enumerate(firsts)}.values())
+                firsts, bits = [firsts[i] for i in keep], bits[keep]
+            view[firsts] = bits[:, :, None, :]
+            return stored
+        stored = np.empty(stored.shape, dtype=np.uint8)
+        for i, (first, block) in enumerate(zip(firsts, bits)):
+            for r, run in enumerate(block, first):
+                for start in starts:
+                    self.load_bits(r, start, run)
+            stored[i] = view[first]
+        return stored
 
     def load_entries(self, row: int, bits: np.ndarray) -> None:
         """Install fixed-width entries row-major from column 0 of ``row``.

@@ -29,7 +29,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import hooks
 from ..api import (
     BackendCapabilities,
     BackendStats,
@@ -210,23 +209,22 @@ class SieveDevice(QueryBackendBase):
         Routing is array-wide: one :meth:`SubarrayIndex.route_many`
         search for the subarray, then one search over every subarray's
         layer firsts (which ascend across subarrays) for the layer.
-        Destinations are served in the order of their first k-mer, each
-        destination's k-mers in request order.
+        Destinations are served in (subarray, layer) order, each
+        destination's k-mers in request order: subarrays finish out of
+        order anyway (Section IV-E), so a subarray's destinations go
+        together and its highest touched layer is its last.
 
         ``batched=True`` (the default) transposes the call's routed
         k-mers once, grouped by destination (the host-side transpose of
-        Section IV-C).  Without a fault injector each destination's
-        batches overwrite the same query columns, so only its last batch
-        is written: the padded last batches of every destination are
-        built in one array pass and stored with one
+        Section IV-C), lays every destination's batches side by side,
+        its last one zero-padded, and stores all the batches of a
+        subarray with one
         :meth:`~repro.sieve.functional.SieveSubarraySim.store_query_blocks`
-        per subarray.  With an injector installed each destination makes
-        its own
-        :meth:`~repro.sieve.functional.SieveSubarraySim.load_query_batch`
-        call, in serving order, so the injector sees every batch's
-        stores as before.  Every destination of the call is then matched
-        in one :meth:`~repro.sieve.functional.SieveSubarraySim.match_all`
-        pass.  ``batched=False`` loads each batch of <= 64 on its own and
+        call, with or without a fault injector (the DRAM layer writes
+        only each destination's last batch when no injector can see the
+        others).  Every destination of the call is then matched in one
+        :meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass.
+        ``batched=False`` loads each batch of <= 64 on its own and
         replays the scalar command-by-command
         :meth:`~repro.sieve.functional.SieveSubarraySim.match_slot` path
         after it, the reference.  Both produce identical responses,
@@ -256,16 +254,11 @@ class SieveDevice(QueryBackendBase):
         pos = np.searchsorted(self._layer_firsts, kmers[routed], side="right")
         pos -= self._layer_base[sub] + 1
         layers = np.minimum(np.maximum(pos, 0), self._layer_count[sub] - 1)
-        # Destinations are served in the order of their first k-mer, each
-        # one's k-mers in request order: group by destination, then sort
-        # by the position of each k-mer's destination's first k-mer.
+        # Destinations in (subarray, layer) order, each one's k-mers in
+        # request order.
         keys = sub * self.layout.layers + layers
-        order = np.argsort(keys, kind="stable")
-        new = _run_heads(keys[order])
-        first = np.empty_like(order)
-        first[order] = order[new][np.cumsum(new) - 1]
-        serve = np.argsort(first, kind="stable")
-        starts = np.flatnonzero(_run_heads(first[serve]))
+        serve = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(_run_heads(keys[serve]))
         edges = starts.tolist() + [serve.size]
         heads = serve[starts]
         dest_sids = sub[heads].tolist()
@@ -291,21 +284,7 @@ class SieveDevice(QueryBackendBase):
         elif spans:
             # One transpose for the whole call (paper Section IV-C).
             bits = transpose_kmers(grouped, self.layout.k)
-            if hooks.INJECTOR is None:
-                stored = self._store_last_batches(grouped, bits, edges, dest_sids, dest_layers)
-                taken = [
-                    PendingMatch(sim, layer, (stored[:, :, lo:hi],))
-                    for sim, layer, lo, hi in spans
-                ]
-            else:
-                # A fault injector's schedule follows the stores: one
-                # load per destination, in serving order.
-                taken = [
-                    PendingMatch(
-                        sim, layer, (sim.load_query_batch(grouped[lo:hi], layer, bits[:, lo:hi]),)
-                    )
-                    for sim, layer, lo, hi in spans
-                ]
+            taken = self._store_batches(grouped, bits, edges, dest_sids, dest_layers)
             # One match pass over every destination of the call.
             result = sims[0].match_all(*taken)
 
@@ -329,51 +308,40 @@ class SieveDevice(QueryBackendBase):
         )
         return ResultBatch(kmers, hit, payload, sids, rows, flush)
 
-    def _store_last_batches(self, grouped, bits, edges, sids, layers):
-        """The stores of a call without a fault injector.  A
-        destination's batches of up to ``queries_per_group`` overwrite
-        the same query columns, so only its last one is written,
-        zero-padded: every destination's in one array pass, then one
+    def _store_batches(self, grouped, bits, edges, sids, layers):
+        """Store every batch of a call's destinations, served in
+        (subarray, layer) order: destination ``d`` holds queries
+        ``edges[d]:edges[d + 1]`` of ``grouped`` (``bits`` is their
+        transpose).  The batches are laid side by side, each
+        destination's last one zero-padded, in one array pass, then each
+        subarray's go out in one
         :meth:`~repro.sieve.functional.SieveSubarraySim.store_query_blocks`
-        per subarray, its destinations in serving order.  Returns what a
-        load returns without an injector: ``bits`` broadcast over the
-        groups."""
+        call.  Returns each destination's :class:`PendingMatch` of the
+        cells its batches stored."""
         layout = self.layout
         size = layout.queries_per_group
-        # Destination d's last batch is queries lasts[d]:edges[d + 1].
-        lasts = [lo + (hi - lo - 1) // size * size for lo, hi in zip(edges, edges[1:])]
-        tails = [hi - last for last, hi in zip(lasts, edges[1:])]
-        offsets = list(accumulate(tails, initial=0))
-        # Blocks go subarray by subarray, each one's in serving order (a
-        # stable sort): query lasts[d] + s lands in slot s of block
-        # rank[d], column rank[d] * size + s of the padded row.
-        by_sim = sorted(range(len(sids)), key=sids.__getitem__)
-        rank = [0] * len(by_sim)
-        for position, d in enumerate(by_sim):
-            rank[d] = position
-        tail = np.arange(offsets[-1])
-        columns = tail + np.repeat(
-            [rank[d] * size - offset for d, offset in enumerate(offsets[:-1])], tails
-        )
-        picked = bits
-        if lasts != edges[:-1]:  # some destination spans several batches
-            picked = bits[:, tail + np.repeat([a - b for a, b in zip(lasts, offsets)], tails)]
-        padded = np.zeros((layout.kmer_rows, len(tails) * size), dtype=bool)
-        padded[:, columns] = picked
-        blocks = padded.reshape(layout.kmer_rows, len(tails), size).transpose(1, 0, 2)
-        lo = 0
-        for sid, run in groupby(by_sim, key=sids.__getitem__):
+        counts = [hi - lo for lo, hi in zip(edges, edges[1:])]
+        batches = [-(-count // size) for count in counts]
+        cols = list(accumulate([b * size for b in batches], initial=0))
+        # Query i of destination d lands in column cols[d] + i - edges[d].
+        shift = np.repeat(np.subtract(cols[:-1], edges[:-1]), counts)
+        padded = np.zeros((layout.kmer_rows, cols[-1]), dtype=bool)
+        padded[:, np.arange(grouped.size) + shift] = bits
+        blocks = padded.reshape(layout.kmer_rows, -1, size).transpose(1, 0, 2)
+        taken = []
+        for sid, run in groupby(range(len(sids)), key=sids.__getitem__):
             dests = list(run)
-            hi, last = lo + len(dests), dests[-1]
-            self.subarrays[sid].store_query_blocks(
-                [layers[d] for d in dests],
-                blocks[lo:hi],
-                grouped[lasts[last] : edges[last + 1]].tolist(),
+            base, last = cols[dests[0]], dests[-1]
+            sim = self.subarrays[sid]
+            stored = sim.store_query_blocks(
+                [layers[d] for d in dests for _ in range(batches[d])],
+                blocks[base // size : cols[last + 1] // size],
+                grouped[edges[last] + (batches[last] - 1) * size : edges[last + 1]].tolist(),
             )
-            lo = hi
-        return np.broadcast_to(
-            bits[:, None, :], (layout.kmer_rows, layout.num_groups, grouped.size)
-        )
+            for d in dests:
+                lo = cols[d] - base
+                taken.append(PendingMatch(sim, layers[d], (stored[:, :, lo : lo + counts[d]],)))
+        return taken
 
     # -- protocol surface ------------------------------------------------------
 

@@ -39,7 +39,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import hooks
 from ..api import key_array
 from ..dram.subarray import Subarray
 from ..genomics.encoding import transpose_kmers
@@ -120,14 +119,15 @@ class PendingMatch:
 
     ``blocks`` are the stored query-block cells, ``(2k, groups,
     queries)``, of each load into ``layer`` of ``sim``, as
-    :meth:`SieveSubarraySim.load_query_batch` returns them; one block
+    :meth:`SieveSubarraySim.load_query_batch` and
+    :meth:`SieveSubarraySim.store_query_blocks` return them; one block
     may span several batches of up to ``queries_per_group``
     (:meth:`SieveDevice.query <repro.sieve.device.SieveDevice.query>`
-    passes one block per destination).  They are copies, or read-only
-    broadcasts of the transpose when no fault injector ran, so the
-    subarray can load other batches before a
-    :meth:`SieveSubarraySim.match_all` pass matches them together with
-    other destinations.
+    passes one block per destination).  They are what each batch stored
+    before any later batch overwrote it: copies under a fault injector,
+    otherwise read-only broadcasts of the written bits, so the subarray
+    can load other batches before a :meth:`SieveSubarraySim.match_all`
+    pass matches them together with other destinations.
     """
 
     sim: "SieveSubarraySim"
@@ -139,15 +139,12 @@ class PendingMatch:
 
 
 class _PackedLayer(NamedTuple):
-    """One layer's cached match tables (:meth:`SieveSubarraySim._packed_layer`);
-    ``first`` is the first column's top word, which orders the layers
-    of a match pass."""
+    """One layer's cached match tables (:meth:`SieveSubarraySim._packed_layer`)."""
 
     words: np.ndarray
     group_bounds: np.ndarray
     payloads: np.ndarray
     ascending: bool
-    first: int
 
 
 def _int_to_bits(value: int, width: int) -> np.ndarray:
@@ -325,35 +322,19 @@ class SieveSubarraySim:
         pos = np.searchsorted(self._layer_firsts, kmers, side="right") - 1
         return np.maximum(pos, 0)
 
-    def load_query_batch(
-        self,
-        queries: Sequence[int],
-        layer: int = 0,
-        bits: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def load_query_batch(self, queries: Sequence[int], layer: int = 0) -> np.ndarray:
         """Write ``queries`` into every group's query block of ``layer``
         as consecutive batches of up to ``queries_per_group`` (Section
         IV-A: ``layout.batch_write_commands`` prefetch-width writes per
         batch) and return the cells each batch stored.
 
-        ``bits`` is the queries' ``(2k, len(queries))``
-        :func:`~repro.genomics.encoding.transpose_kmers` image when the
-        caller already has it (:meth:`SieveDevice.query
-        <repro.sieve.device.SieveDevice.query>` transposes a whole call
-        once); otherwise it is computed here.
-
+        This is the one-destination case of :meth:`store_query_blocks`:
+        every batch, the last one zero-padded, goes out in one store.
         The returned ``(2k, groups, len(queries))`` array holds each
         query's replicas as its batch stored them, so load-time fault
         corruption is included and later loads leave it unchanged; a
         :class:`PendingMatch` of such blocks is what :meth:`match_all`
-        matches.  Without a fault injector a batch stores exactly its
-        bits in every group and each batch overwrites the same columns,
-        so only the last batch is written and the result is ``bits``
-        broadcast over the groups (a read-only view).  With an injector
-        installed every batch is written in order and its cells are
-        copied right after its own store, so the injector sees the same
-        calls as one load per batch.  :meth:`match_slot` replays the
-        last batch.
+        matches.  :meth:`match_slot` replays the last batch.
         """
         count = len(queries)
         if not count:
@@ -363,59 +344,45 @@ class SieveSubarraySim:
                 f"layer {layer} out of range [0, {self.num_layers_used})"
             )
         layout = self.layout
-        rows, groups = layout.kmer_rows, layout.num_groups
-        if bits is None:
-            bits = transpose_kmers(queries, layout.k)
-        elif bits.shape != (rows, count):
-            raise FunctionalError(
-                f"query bits of shape {bits.shape}, expected {(rows, count)}"
-            )
         size = layout.queries_per_group
-        starts = range(0, count, size)
-        last = queries[starts[-1] :]
+        batches = -(-count // size)
+        padded = np.zeros((layout.kmer_rows, batches * size), dtype=bool)
+        padded[:, :count] = transpose_kmers(queries, layout.k)
+        last = queries[(batches - 1) * size :]
         last = last.tolist() if isinstance(last, np.ndarray) else list(last)
-        if hooks.INJECTOR is None:
-            self.store_query_blocks(
-                [layer], layout.query_block(bits[:, starts[-1] :])[None], last
-            )
-            return np.broadcast_to(bits[:, None, :], (rows, groups, count))
-        # Query-major, so each batch's copy is one contiguous run.
-        cells = np.empty((count, rows, groups), dtype=np.uint8)
-        columns = layout.query_column_matrix
-        base = layout.layer_base_row(layer)
-        for lo in starts:
-            block = bits[:, lo : lo + size]
-            self.store_query_blocks([layer], layout.query_block(block)[None], last)
-            cells[lo : lo + block.shape[1]] = self.array.peek_rows(
-                base, base + rows
-            )[:, columns[:, : block.shape[1]]].transpose(2, 0, 1)
-        return cells.transpose(1, 2, 0)
+        blocks = padded.reshape(layout.kmer_rows, batches, size).transpose(1, 0, 2)
+        return self.store_query_blocks([layer] * batches, blocks, last)[:, :, :count]
 
     def store_query_blocks(
         self, layers: Sequence[int], blocks: np.ndarray, batch: List[int]
-    ) -> None:
+    ) -> np.ndarray:
         """Write ``blocks[i]``, a zero-padded ``(2k, queries_per_group)``
         query block, into every group's query columns of ``layers[i]``,
-        all in one block store, and make ``batch`` (written last, into
-        ``layers[-1]``) the batch :meth:`match_slot` replays.
+        in order and all in one :meth:`Subarray.load_bit_block
+        <repro.dram.subarray.Subarray.load_bit_block>` store, and make
+        ``batch`` (written last, into ``layers[-1]``) the batch
+        :meth:`match_slot` replays.
 
         This is the store of every query load: :meth:`load_query_batch`
-        writes one block per store, and :meth:`SieveDevice.query
-        <repro.sieve.device.SieveDevice.query>` without a fault injector
-        writes the last batch of each of its destinations in this
-        subarray at once (layers are distinct, so no store overwrites
-        another).  Under an injector the store goes row by row and group
-        by group, in that order (:meth:`Subarray.load_bit_block
-        <repro.dram.subarray.Subarray.load_bit_block>`).
+        writes the batches of one destination, and :meth:`SieveDevice.query
+        <repro.sieve.device.SieveDevice.query>` every batch of every
+        destination of a call in this subarray, layer by layer.  A later
+        batch into a layer overwrites the earlier one; without a fault
+        injector only each layer's last batch is written.
+
+        Returns the ``(2k, groups, len(blocks) * queries_per_group)``
+        cells each block stored, side by side: column ``i *
+        queries_per_group + s`` holds slot ``s`` of block ``i``.
         """
         layout = self.layout
-        self.array.load_bit_block(
+        stored = self.array.load_bit_block(
             [layer * layout.layer_rows for layer in layers],
             layout.query_column_matrix[:, 0],
             blocks,
         )
         self._batch = batch
         self._batch_layer = int(layers[-1])
+        return stored.transpose(1, 2, 0, 3).reshape(layout.kmer_rows, layout.num_groups, -1)
 
     def _layer_enable(self, layer: int) -> np.ndarray:
         """Match-Enable mask: only occupied reference columns of a layer.
@@ -598,7 +565,7 @@ class SieveSubarraySim:
         ascending = words.shape[0] == 1 and bool(
             np.all(words[0, 1:] > words[0, :-1])
         )
-        cached = _PackedLayer(words, group_bounds, payloads, ascending, int(words[0, 0]))
+        cached = _PackedLayer(words, group_bounds, payloads, ascending)
         self._ref_words_cache[layer] = cached
         return cached
 
@@ -619,7 +586,10 @@ class SieveSubarraySim:
         they span several layers).  :meth:`SieveDevice.query
         <repro.sieve.device.SieveDevice.query>` runs one such pass per
         call, so a traced run shows the whole device match under this
-        method's name.
+        method's name.  It passes its destinations in (subarray, layer)
+        order, so on a device without faults their words ascend as one
+        row, the kernel's cheapest search; any other order still takes
+        its keyed search.
 
         The per-segment first-divergence maxima come from one
         sorted-neighbour :func:`~repro.sieve.kernels.segment_divergence`
@@ -698,12 +668,7 @@ class SieveSubarraySim:
         # replica of each query, so group 0's replica is the only one to
         # pack.  A destination of a layer with fewer references covers a
         # prefix of the layer's segments (the reference columns ascend).
-        # The runs go in the order of their first reference word: the
-        # destinations of one device hold disjoint k-mer ranges, so their
-        # words then ascend as one row, the kernel's cheapest search.
-        runs = sorted(
-            (i for i, ok in enumerate(fast) if ok), key=lambda i: tables[i].first
-        )
+        runs = [i for i, ok in enumerate(fast) if ok]
         if runs:
             # Run r's queries, in run order: those of destination runs[r].
             counts = [sizes[i] for i in runs]

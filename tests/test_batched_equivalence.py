@@ -317,6 +317,57 @@ def test_load_bit_block_validation():
     assert array.peek_rows(6, 8).sum() == 16
 
 
+@pytest.mark.parametrize("flip_rate", [0.0, 0.05], ids=["clean", "faulty"])
+def test_load_bit_block_stack_equals_one_store_per_block(flip_rate, monkeypatch):
+    """A stack whose blocks repeat first rows stores as one call per
+    block, in order, does: the same cells and per-block stored cells
+    and, under a fault injector, the same ``load_bits`` calls, counters
+    and schedule."""
+    from repro.dram.subarray import Subarray
+
+    rng = np.random.default_rng(3)
+    starts = np.array([2, 14, 26])
+    firsts = [4, 0, 4, 9, 0, 4]
+    blocks = rng.integers(0, 2, (len(firsts), 3, 8)).astype(bool)
+    original = Subarray.load_bits
+    runs = []
+    for stacked in (True, False):
+        array = Subarray(16, 40)
+        calls = []
+
+        def spy(self, row, col_start, bits):
+            calls.append((row, col_start))
+            return original(self, row, col_start, bits)
+
+        injector = FaultInjector(FaultModel(bit_flip_rate=flip_rate, seed=5))
+        with monkeypatch.context() as patch, (
+            fault_injection(injector) if flip_rate else nullcontext()
+        ):
+            patch.setattr(Subarray, "load_bits", spy)
+            if stacked:
+                stored = array.load_bit_block(firsts, starts, blocks)
+            else:
+                stored = np.concatenate(
+                    [array.load_bit_block(f, starts, b) for f, b in zip(firsts, blocks)]
+                )
+        runs.append((array.peek_rows(0, 16).copy(), stored, calls, injector))
+    (cells, stored, calls, injector), (one_cells, one_stored, one_calls, one) = runs
+    assert np.array_equal(cells, one_cells)
+    assert stored.shape == (len(firsts), 3, len(starts), 8)
+    assert np.array_equal(stored, one_stored)
+    assert calls == one_calls
+    assert len(calls) == (len(firsts) * 3 * len(starts) if flip_rate else 0)
+    assert (injector.stats.loads, injector.stats.bits_flipped) == (
+        one.stats.loads,
+        one.stats.bits_flipped,
+    )
+    assert injector.schedule == one.schedule
+    if flip_rate:
+        assert injector.stats.bits_flipped > 0
+    else:
+        assert np.array_equal(stored, np.broadcast_to(blocks[:, :, None], stored.shape))
+
+
 # -- multi-batch match_all and the columnar device path ----------------------
 
 MULTI_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
@@ -538,8 +589,8 @@ def query_per_destination(device, kmers):
     destination right after its loads: the reference of the fused pass.
 
     Routes each k-mer with the scalar ``route_layer``, serves the
-    (subarray, layer) destinations in the order of their first k-mer
-    and charges :class:`DeviceStats` the way ``query`` does."""
+    (subarray, layer) destinations in that order and charges
+    :class:`DeviceStats` the way ``query`` does."""
     from repro.api import ResultBatch, key_array
 
     kmers = key_array(kmers)
@@ -555,7 +606,7 @@ def query_per_destination(device, kmers):
     rows = np.zeros(count, dtype=np.int64)
     flush = np.zeros(count, dtype=np.int64)
     size = device.layout.queries_per_group
-    for (sid, layer), positions in destinations.items():
+    for (sid, layer), positions in sorted(destinations.items()):
         sim = device.subarrays[sid]
         batches = [
             [int(kmers[p]) for p in positions[lo : lo + size]]

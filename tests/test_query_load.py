@@ -1,17 +1,17 @@
-"""Property test: one query load per destination equals the per-batch
+"""Property test: one query store per subarray equals the per-batch
 loads it replaced.
 
 ``SieveDevice.query`` transposes a call's routed k-mers once and makes
-one :meth:`~repro.sieve.functional.SieveSubarraySim.load_query_batch`
-call per (subarray, layer) destination, which writes the destination's
-batches of up to ``queries_per_group`` and returns their stored cells as
-one block.  The reference here is the per-batch algorithm, kept only as
-a test oracle: per batch one ``query_block`` image, one
-``load_bit_block`` store and one copy of the stored cells, then one
-``match_all`` pass over every destination.  Across destinations of 1,
-63, 64, 65 and 200 queries, the paper's row geometry and the small test
-layout, and canonical and plain devices, the two must agree on every
-``ResultBatch`` column, every subarray's cells, ``DeviceStats``,
+one :meth:`~repro.sieve.functional.SieveSubarraySim.store_query_blocks`
+call per subarray, which writes every batch of up to
+``queries_per_group`` of its (subarray, layer) destinations and returns
+the cells each batch stored.  The reference here is the per-batch
+algorithm, kept only as a test oracle: per batch one ``query_block``
+image, one ``load_bit_block`` store and one copy of the stored cells,
+then one ``match_all`` pass over every destination.  Across destinations
+of 1, 63, 64, 65 and 200 queries, the paper's row geometry and the small
+test layout, and canonical and plain devices, the two must agree on
+every ``ResultBatch`` column, every subarray's cells, ``DeviceStats``,
 ``SubarrayStats`` and the ``match_slot`` replay of each subarray's last
 batch — and, under a seeded bit-flip fault injector, on the injector's
 load count, flip count and fault schedule too.
@@ -73,8 +73,9 @@ def _per_batch_load(sim, batch, layer):
 
 def per_batch_query(device, kmers):
     """``device.query(kmers)`` with one load per batch of up to
-    ``queries_per_group``, then one ``match_all`` pass over every
-    destination, charging :class:`DeviceStats` the way ``query`` does."""
+    ``queries_per_group``, destinations in (subarray, layer) order, then
+    one ``match_all`` pass over every destination, charging
+    :class:`DeviceStats` the way ``query`` does."""
     kmers = key_array(kmers)
     if device.canonical:
         kmers = canonical_kmers(kmers, device.layout.k)
@@ -85,6 +86,7 @@ def per_batch_query(device, kmers):
         sim = device.subarrays[int(sids[i])]
         key = (int(sids[i]), sim.route_layer(int(kmers[i])))
         destinations.setdefault(key, []).append(i)
+    destinations = dict(sorted(destinations.items()))
     size = device.layout.queries_per_group
     taken = []
     for (sid, layer), positions in destinations.items():
@@ -315,9 +317,3 @@ class TestLoadQueryBatchArrays:
         sim = SieveSubarraySim(LAYOUTS["small"], [(5, 1)])
         with pytest.raises(FunctionalError, match="non-empty"):
             sim.load_query_batch(queries, 0)
-
-    def test_bits_must_match_queries(self):
-        layout = LAYOUTS["small"]
-        sim = SieveSubarraySim(layout, [(5, 1)])
-        with pytest.raises(FunctionalError, match="shape"):
-            sim.load_query_batch([1, 5], 0, np.zeros((layout.kmer_rows, 3), np.uint8))

@@ -15,10 +15,12 @@ fault injector they must also agree on the injector's ``loads`` and
 ``bits_flipped`` counters, its schedule, and how many answers diverge
 from a clean device.
 
-The store guard pins the shape of the fast path: with no injector a
-call makes at most one query-block store per subarray it touches; with
-an injector, the ``(subarray, row, col_start)`` stores the injector sees
-are the per-batch reference's, call for call.
+The store guard pins the shape of the fast path: with or without an
+injector a call makes one query-block store per subarray it touches;
+with an injector, the ``(subarray, row, col_start)`` stores the injector
+sees are the per-batch reference's, call for call.  Destinations are
+served in (subarray, layer) order, so a subarray's last batch is that of
+its highest touched layer.
 """
 
 from __future__ import annotations
@@ -190,13 +192,16 @@ class TestStoreGuard:
         return seen
 
     def test_one_store_per_touched_subarray(self, dataset, monkeypatch):
-        device = SieveDevice.from_database(dataset.database, layout=LAYOUT)
-        stores = self._spy(monkeypatch, device, "load_bit_block")
-        for call in _calls(device, seed=3):
-            stores.clear()
-            result = device.query(call)
-            touched = set(result.subarray_id[result.subarray_id >= 0].tolist())
-            assert sorted(sid for sid, _, _ in stores) == sorted(touched)
+        for model in (None, FaultModel(bit_flip_rate=1e-3, seed=2)):
+            with fault_injection(FaultInjector(model)) if model else nullcontext():
+                device = SieveDevice.from_database(dataset.database, layout=LAYOUT)
+                with monkeypatch.context() as patch:
+                    stores = self._spy(patch, device, "load_bit_block")
+                    for call in _calls(device, seed=3):
+                        stores.clear()
+                        result = device.query(call)
+                        touched = set(result.subarray_id[result.subarray_id >= 0].tolist())
+                        assert sorted(sid for sid, _, _ in stores) == sorted(touched)
 
     def test_injector_sees_the_per_batch_stores(self, dataset, monkeypatch):
         model = FaultModel(bit_flip_rate=1e-3, seed=2)
@@ -215,3 +220,21 @@ class TestStoreGuard:
                 logs.append(seen)
             assert logs[0] == logs[1]
             assert logs[0] or not call
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "per_batch"])
+def test_layers_served_in_index_order(dataset, batched):
+    """A call reaching a subarray's layer 1 before its layer 0 serves
+    layer 0 first: the subarray's last batch is layer 1's last one."""
+    device = SieveDevice.from_database(dataset.database, layout=LAYOUT)
+    by_destination = _destinations(device)
+    sid = min(sid for sid, layer in by_destination if layer == 1)
+    rng = np.random.default_rng(13)
+    size = LAYOUT.queries_per_group
+    upper = rng.choice(by_destination[sid, 1], size + 6).tolist()
+    lower = rng.choice(by_destination[sid, 0], 5).tolist()
+    result = device.query(upper + lower, batched=batched)
+    assert result.hit.all() and set(result.subarray_id.tolist()) == {sid}
+    sim = device.subarrays[sid]
+    assert sim._batch_layer == 1
+    assert sim._batch == upper[size:]
