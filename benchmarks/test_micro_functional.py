@@ -51,7 +51,7 @@ def test_device_lookup_throughput(benchmark, loaded_device):
     def lookup():
         q = pool[state["i"] % len(pool)]
         state["i"] += 1
-        return device.query([q], batched=False)[0]
+        return device.query_scalar([q])[0]
 
     benchmark(lookup)
 

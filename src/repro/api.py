@@ -7,14 +7,12 @@ and the row-major in-situ baseline — answers the same question: *which
 reference taxon, if any, does this k-mer belong to?*  This module
 defines the one surface they all implement:
 
-``query(kmers, *, batched=True) -> ResultBatch``
-    The batch query path.  The answer is columnar: one
-    :class:`ResultBatch` of ``queries``/``hit``/``payload`` arrays (plus
-    the device's micro-event columns), which yields a
-    :class:`BackendResult` per k-mer only when a caller indexes or
-    iterates it.  ``batched=False`` asks engines that have a distinct
-    scalar protocol (the Sieve device's command-by-command replay) to
-    use it; engines without one ignore the flag.
+``query(kmers) -> ResultBatch``
+    The batch query path, the one way to ask an engine for k-mers.  The
+    answer is columnar: one :class:`ResultBatch` of
+    ``queries``/``hit``/``payload`` arrays (plus the device's
+    micro-event columns), which yields a :class:`BackendResult` per
+    k-mer only when a caller indexes or iterates it.
 ``capabilities() -> BackendCapabilities``
     Static facts a dispatcher needs: k, canonicalization, natural batch
     size, whether the engine reports simulated device cost.
@@ -307,9 +305,7 @@ class BackendCapabilities:
 class QueryBackend(Protocol):
     """Structural type every k-mer matching engine implements."""
 
-    def query(
-        self, kmers: Sequence[int], *, batched: bool = True
-    ) -> ResultBatch:
+    def query(self, kmers: Sequence[int]) -> ResultBatch:
         """Answer a batch of packed k-mer queries, in request order."""
         ...
 
@@ -376,9 +372,7 @@ class QueryBackendBase:
     def __init__(self) -> None:
         self._backend_stats = BackendStats()
 
-    def query(
-        self, kmers: Sequence[int], *, batched: bool = True
-    ) -> ResultBatch:
+    def query(self, kmers: Sequence[int]) -> ResultBatch:
         raise NotImplementedError
 
     def capabilities(self) -> BackendCapabilities:
@@ -409,18 +403,14 @@ class ScalarQueryBackendBase(QueryBackendBase):
 
     The software classifiers (hash table, signature index, sorted list)
     answer one k-mer at a time; :meth:`query` is the loop over
-    :meth:`get`, with the shared stats accounting.  ``batched`` is
-    accepted for protocol uniformity and ignored — there is no
-    command-level batch protocol to select.
+    :meth:`get`, with the shared stats accounting.
     """
 
     def get(self, kmer: int) -> Optional[int]:
         """Taxon payload for one k-mer, or ``None`` (miss)."""
         raise NotImplementedError
 
-    def query(
-        self, kmers: Sequence[int], *, batched: bool = True
-    ) -> ResultBatch:
+    def query(self, kmers: Sequence[int]) -> ResultBatch:
         queries = key_array(kmers)
         results = ResultBatch.from_payloads(
             queries, [self.get(kmer) for kmer in queries.tolist()]

@@ -175,8 +175,7 @@ class KrakenClassifier(ScalarQueryBackendBase):
     """Kraken-style classifier: signature index + majority voting.
 
     Implements the :class:`repro.api.QueryBackend` protocol; ``query``
-    probes the signature-bucketed index per k-mer (software engines
-    have no batched command protocol, so ``batched`` is a no-op).
+    probes the signature-bucketed index per k-mer.
     """
 
     def __init__(self, database, m: int = 8) -> None:

@@ -140,7 +140,7 @@ def bench_host_lookup(quick: bool) -> Tuple[float, Dict[str, int]]:
     return wall_s, {"queries": len(queries), "hits": hits}
 
 
-def _device_lookup(quick: bool, batched: bool) -> Tuple[float, Dict[str, int]]:
+def _device_lookup(quick: bool, scalar: bool) -> Tuple[float, Dict[str, int]]:
     from ..sieve import SieveDevice, SubarrayLayout
 
     dataset = _dataset(quick)
@@ -151,8 +151,9 @@ def _device_lookup(quick: bool, batched: bool) -> Tuple[float, Dict[str, int]]:
     queries = sorted(
         {kmer for read in dataset.reads for kmer in read.kmers(dataset.k)}
     )
+    query = device.query_scalar if scalar else device.query
     start = time.perf_counter()
-    responses = device.query(queries, batched=batched)
+    responses = query(queries)
     wall_s = time.perf_counter() - start
     return wall_s, {
         "queries": device.stats.queries,
@@ -172,17 +173,18 @@ def bench_device_lookup_packed(quick: bool) -> Tuple[float, Dict[str, int]]:
     engine is bit-identical); the wall-time gap between the two
     scenarios is the end-to-end win from ``SieveSubarraySim.match_all``.
     """
-    return _device_lookup(quick, batched=True)
+    return _device_lookup(quick, scalar=False)
 
 
 def bench_device_lookup_scalar(quick: bool) -> Tuple[float, Dict[str, int]]:
-    """Same lookups through the scalar command-by-command path.
+    """Same lookups through ``SieveDevice.query_scalar``, the scalar
+    command-by-command path.
 
     Tracked so the scalar reference does not rot: its counters must stay
     identical to the batched run's, and its wall time bounds how long
     the equivalence tests can afford to be.
     """
-    return _device_lookup(quick, batched=False)
+    return _device_lookup(quick, scalar=True)
 
 
 def bench_kernel_matrix(quick: bool) -> Tuple[float, Dict[str, int]]:

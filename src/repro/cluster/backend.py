@@ -204,17 +204,13 @@ class ClusterBackend(QueryBackendBase):
 
     # -- QueryBackend surface -----------------------------------------------
 
-    def query(
-        self, kmers: Sequence[int], *, batched: bool = True
-    ) -> ResultBatch:
+    def query(self, kmers: Sequence[int]) -> ResultBatch:
         """Fan a batch out to owning workers; merge in request order.
 
         Each worker receives its slice as cache keys, so a batch is
         canonicalized once, here.  The workers' ``hit``/``payload``
         arrays are scattered straight into the returned
         :class:`~repro.api.ResultBatch`'s columns.
-        ``batched`` is accepted for protocol uniformity and ignored —
-        the wire protocol is already batch-shaped.
         """
         if self._closed:
             raise ClusterError("cluster is closed")

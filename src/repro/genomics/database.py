@@ -185,24 +185,14 @@ class KmerDatabase(QueryBackendBase):
         payload[hit] = payloads[positions[hit]]
         return hit, payload
 
-    def query(
-        self, kmers: Sequence[int], *, batched: bool = True
-    ) -> ResultBatch:
-        """Unified batch query (:class:`repro.api.QueryBackend` surface).
-
-        ``batched`` selects between the vectorized searchsorted pass and
-        a scalar per-k-mer dict probe; both produce identical answers
-        (the host has no command-level protocol to replay).  The
-        ``queries`` column echoes the k-mers as asked, not their
-        canonical form.
+    def query(self, kmers: Sequence[int]) -> ResultBatch:
+        """Unified batch query (:class:`repro.api.QueryBackend` surface):
+        the vectorized searchsorted pass of :meth:`_bulk_lookup`, whose
+        answers equal a :meth:`get` per k-mer.  The ``queries`` column
+        echoes the k-mers as asked, not their canonical form.
         """
         queries = key_array(kmers)
-        if batched:
-            results = ResultBatch(queries, *self._bulk_lookup(queries))
-        else:
-            results = ResultBatch.from_payloads(
-                queries, [self.get(kmer) for kmer in queries.tolist()]
-            )
+        results = ResultBatch(queries, *self._bulk_lookup(queries))
         self._backend_stats.record(results)
         return results
 

@@ -159,9 +159,7 @@ class RowMajorMatcher(QueryBackendBase):
 
     # -- protocol surface ------------------------------------------------------
 
-    def query(
-        self, kmers: Sequence[int], *, batched: bool = True
-    ) -> ResultBatch:
+    def query(self, kmers: Sequence[int]) -> ResultBatch:
         queries = key_array(kmers)
         outcomes = [self.match(kmer) for kmer in queries.tolist()]
         results = ResultBatch.from_payloads(

@@ -32,7 +32,7 @@ import json
 import sys
 from typing import List, Optional
 
-from ..api import QueryBackend, classification_from_results
+from ..api import QueryBackend, ResultBatch, classification_from_results
 from .client import ServiceClient
 from .config import ClusterConfig, ServiceConfig
 from .server import ClassificationService
@@ -473,16 +473,21 @@ def run_demo(args: argparse.Namespace) -> int:
     responses = asyncio.run(_serve(service, client, reads))
 
     # Sequential scalar reference on a fresh (identically faulted)
-    # replica; the cluster is checked against the very database image
-    # its workers mapped, queried one k-mer at a time.
+    # replica: a device replays its command-by-command path, any other
+    # engine (and the very database image the cluster's workers mapped)
+    # is queried one k-mer at a time.
     reference = database if cluster_backend is not None else build_replica()
     mismatches = 0
     for read, response in zip(reads, responses):
         kmers = list(read.kmers(dataset.k))
+        if hasattr(reference, "query_scalar"):
+            answers = reference.query_scalar(kmers)
+        else:
+            answers = ResultBatch.from_payloads(
+                kmers, [reference.get(kmer) for kmer in kmers]
+            )
         expected = classification_from_results(
-            read.seq_id,
-            reference.query(kmers, batched=False),
-            true_taxon=read.taxon_id,
+            read.seq_id, answers, true_taxon=read.taxon_id
         )
         if response.classification != expected:
             mismatches += 1

@@ -198,9 +198,7 @@ class SieveDevice(QueryBackendBase):
 
     # -- query paths ----------------------------------------------------------
 
-    def query(
-        self, kmers: Sequence[int], *, batched: bool = True
-    ) -> ResultBatch:
+    def query(self, kmers: Sequence[int]) -> ResultBatch:
         """The unified batch path (:class:`repro.api.QueryBackend`
         surface): route every k-mer, group them per destination
         (subarray, layer), load each destination's k-mers as batches of
@@ -214,24 +212,21 @@ class SieveDevice(QueryBackendBase):
         order anyway (Section IV-E), so a subarray's destinations go
         together and its highest touched layer is its last.
 
-        ``batched=True`` (the default) transposes the call's routed
-        k-mers once, grouped by destination (the host-side transpose of
-        Section IV-C), lays every destination's batches side by side,
-        its last one zero-padded, and stores all the batches of a
-        subarray with one
+        The call's routed k-mers are transposed once, grouped by
+        destination (the host-side transpose of Section IV-C), every
+        destination's batches are laid side by side, its last one
+        zero-padded, and all the batches of a subarray are stored with
+        one
         :meth:`~repro.sieve.functional.SieveSubarraySim.store_query_blocks`
         call, with or without a fault injector (the DRAM layer writes
         only each destination's last batch when no injector can see the
         others).  Every destination of the call is then matched in one
         :meth:`~repro.sieve.functional.SieveSubarraySim.match_all` pass.
-        ``batched=False`` loads each batch of <= 64 on its own and
-        replays the scalar command-by-command
-        :meth:`~repro.sieve.functional.SieveSubarraySim.match_slot` path
-        after it, the reference.  Both produce identical responses,
-        functional counters (``batches`` and ``write_commands`` count
-        every batch of <= 64) and per-subarray state, and under a fault
-        injector the same stores in the same order (the equivalence is
-        test-enforced).
+        :meth:`query_scalar` is the command-by-command reference: both
+        produce identical responses, functional counters (``batches``
+        and ``write_commands`` count every batch of <= 64) and
+        per-subarray state, and under a fault injector the same stores
+        in the same order (the equivalence is test-enforced).
 
         Responses are returned in request order even though requests to
         different subarrays complete out of order (Section IV-E: the host
@@ -242,10 +237,46 @@ class SieveDevice(QueryBackendBase):
         canonical device answers for the canonical k-mer, which is what
         the ``queries`` column reports.
         """
+        kmers, sids, positions, edges, dest_sids, dest_layers = self._route(kmers)
+        result = None
+        if dest_sids:
+            taken = self._store_batches(kmers[positions], edges, dest_sids, dest_layers)
+            # One match pass over every destination of the call.
+            result = taken[0].sim.match_all(*taken)
+        return self._record(kmers, sids, positions, result)
+
+    def query_scalar(self, kmers: Sequence[int]) -> ResultBatch:
+        """:meth:`query`, command by command: the reference it is tested
+        against.  Routes the call the same way, then loads each batch of
+        <= 64 on its own and replays
+        :meth:`~repro.sieve.functional.SieveSubarraySim.match_slot` after
+        it."""
+        kmers, sids, positions, edges, dest_sids, dest_layers = self._route(kmers)
+        grouped = kmers[positions]
+        size = self.layout.queries_per_group
+        outcomes = []
+        for sid, layer, lo, hi in zip(dest_sids, dest_layers, edges, edges[1:]):
+            sim = self.subarrays[sid]
+            for start in range(lo, hi, size):
+                batch = grouped[start : min(start + size, hi)].tolist()
+                sim.load_query_batch(batch, layer)
+                outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
+        return self._record(
+            kmers, sids, positions, MatchBatch.from_outcomes(-1, outcomes)
+        )
+
+    def _route(self, kmers):
+        """Route one call and charge its batches' writes.
+
+        Returns the call's k-mers (canonical on a canonical device),
+        each one's subarray (-1 where the index filters it), the request
+        positions of the routed ones in serving order, and the serving
+        order's destinations: destination ``d`` is layer
+        ``dest_layers[d]`` of subarray ``dest_sids[d]`` and serves
+        ``positions[edges[d]:edges[d + 1]]``."""
         kmers = key_array(kmers)
         if self.canonical:
             kmers = canonical_kmers(kmers, self.layout.k)
-        count = kmers.size
         sids = self.index.route_many(kmers)
         routed = np.flatnonzero(sids >= 0)
         sub = sids[routed]
@@ -261,38 +292,23 @@ class SieveDevice(QueryBackendBase):
         starts = np.flatnonzero(_run_heads(keys[serve]))
         edges = starts.tolist() + [serve.size]
         heads = serve[starts]
-        dest_sids = sub[heads].tolist()
-        dest_layers = layers[heads].tolist()
         size = self.layout.queries_per_group
         batches = sum((hi - lo + size - 1) // size for lo, hi in zip(edges, edges[1:]))
         self.stats.batches += batches
         self.stats.write_commands += batches * self.layout.batch_write_commands
-        positions = routed[serve]
-        grouped = kmers[positions]
+        return kmers, sids, routed[serve], edges, sub[heads].tolist(), layers[heads].tolist()
 
-        sims = [self.subarrays[sid] for sid in dest_sids]
-        spans = list(zip(sims, dest_layers, edges, edges[1:]))
-        if not batched:
-            outcomes = []
-            for sim, layer, lo, hi in spans:
-                requests = grouped[lo:hi].tolist()
-                for start in range(0, len(requests), size):
-                    batch = requests[start : start + size]
-                    sim.load_query_batch(batch, layer)
-                    outcomes.extend(sim.match_slot(s) for s in range(len(batch)))
-            result = MatchBatch.from_outcomes(-1, outcomes)
-        elif spans:
-            # One transpose for the whole call (paper Section IV-C).
-            bits = transpose_kmers(grouped, self.layout.k)
-            taken = self._store_batches(grouped, bits, edges, dest_sids, dest_layers)
-            # One match pass over every destination of the call.
-            result = sims[0].match_all(*taken)
-
+    def _record(self, kmers, sids, positions, result):
+        """Scatter ``result``, the match columns of the k-mers at
+        ``positions`` (``None`` when the index filtered them all), into
+        one request-order :class:`~repro.api.ResultBatch` and charge the
+        call to :class:`DeviceStats`."""
+        count = kmers.size
         hit = np.zeros(count, dtype=bool)
         payload = np.zeros(count, dtype=np.int64)
         rows = np.zeros(count, dtype=np.int64)
         flush = np.zeros(count, dtype=np.int64)
-        if spans:
+        if result is not None:
             hit[positions] = result.hit
             payload[positions] = result.payload
             rows[positions] = result.rows_activated
@@ -300,7 +316,7 @@ class SieveDevice(QueryBackendBase):
 
         stats = self.stats
         stats.queries += count
-        stats.index_filtered += count - routed.size
+        stats.index_filtered += count - positions.size
         stats.hits += int(np.count_nonzero(hit))
         stats.row_activations += int(rows.sum())
         stats.rows_histogram += np.bincount(
@@ -308,11 +324,11 @@ class SieveDevice(QueryBackendBase):
         )
         return ResultBatch(kmers, hit, payload, sids, rows, flush)
 
-    def _store_batches(self, grouped, bits, edges, sids, layers):
+    def _store_batches(self, grouped, edges, sids, layers):
         """Store every batch of a call's destinations, served in
         (subarray, layer) order: destination ``d`` holds queries
-        ``edges[d]:edges[d + 1]`` of ``grouped`` (``bits`` is their
-        transpose).  The batches are laid side by side, each
+        ``edges[d]:edges[d + 1]`` of ``grouped``.  The queries are
+        transposed once and their batches laid side by side, each
         destination's last one zero-padded, in one array pass, then each
         subarray's go out in one
         :meth:`~repro.sieve.functional.SieveSubarraySim.store_query_blocks`
@@ -326,7 +342,8 @@ class SieveDevice(QueryBackendBase):
         # Query i of destination d lands in column cols[d] + i - edges[d].
         shift = np.repeat(np.subtract(cols[:-1], edges[:-1]), counts)
         padded = np.zeros((layout.kmer_rows, cols[-1]), dtype=bool)
-        padded[:, np.arange(grouped.size) + shift] = bits
+        # One transpose for the whole call (paper Section IV-C).
+        padded[:, np.arange(grouped.size) + shift] = transpose_kmers(grouped, layout.k)
         blocks = padded.reshape(layout.kmer_rows, -1, size).transpose(1, 0, 2)
         taken = []
         for sid, run in groupby(range(len(sids)), key=sids.__getitem__):
@@ -340,7 +357,7 @@ class SieveDevice(QueryBackendBase):
             )
             for d in dests:
                 lo = cols[d] - base
-                taken.append(PendingMatch(sim, layers[d], (stored[:, :, lo : lo + counts[d]],)))
+                taken.append(PendingMatch(sim, layers[d], stored[:, :, lo : lo + counts[d]]))
         return taken
 
     # -- protocol surface ------------------------------------------------------

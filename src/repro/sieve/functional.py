@@ -117,25 +117,24 @@ class MatchBatch:
 class PendingMatch:
     """One destination's loaded query batches, as values.
 
-    ``blocks`` are the stored query-block cells, ``(2k, groups,
-    queries)``, of each load into ``layer`` of ``sim``, as
+    ``block`` holds the stored query-block cells, ``(2k, groups,
+    queries)``, of the batches of up to ``queries_per_group`` loaded
+    into ``layer`` of ``sim``, side by side in load order, as
     :meth:`SieveSubarraySim.load_query_batch` and
-    :meth:`SieveSubarraySim.store_query_blocks` return them; one block
-    may span several batches of up to ``queries_per_group``
-    (:meth:`SieveDevice.query <repro.sieve.device.SieveDevice.query>`
-    passes one block per destination).  They are what each batch stored
-    before any later batch overwrote it: copies under a fault injector,
-    otherwise read-only broadcasts of the written bits, so the subarray
-    can load other batches before a :meth:`SieveSubarraySim.match_all`
-    pass matches them together with other destinations.
+    :meth:`SieveSubarraySim.store_query_blocks` return them.  It is what
+    each batch stored before any later batch overwrote it: copies under
+    a fault injector, otherwise read-only broadcasts of the written
+    bits, so the subarray can load other batches before a
+    :meth:`SieveSubarraySim.match_all` pass matches them together with
+    other destinations.  A zero-width block is an empty destination.
     """
 
     sim: "SieveSubarraySim"
     layer: int
-    blocks: Tuple[np.ndarray, ...]
+    block: np.ndarray
 
     def __len__(self) -> int:
-        return sum(block.shape[2] for block in self.blocks)
+        return self.block.shape[2]
 
 
 class _PackedLayer(NamedTuple):
@@ -214,14 +213,12 @@ def _sr_live(seg_max: np.ndarray, steps: int) -> np.ndarray:
     return (prefix >= steps - seg_idx) | (seg_idx >= steps)
 
 
-def _replicated(block: np.ndarray) -> np.ndarray:
-    """Per query of a ``(2k, groups, n)`` stored block: do all its
-    groups hold the same replica?  A block broadcast over its groups
+def _replicated(block: np.ndarray) -> bool:
+    """Do all the groups of a ``(2k, groups, n)`` stored block hold the
+    same replica of every query?  A block broadcast over its groups
     (what a load without a fault injector returns) does by construction,
     so only stored copies are compared."""
-    if block.strides[1] == 0:
-        return np.ones(block.shape[2], dtype=bool)
-    return (block == block[:, :1]).all(axis=(0, 1))
+    return block.strides[1] == 0 or bool((block == block[:, :1]).all())
 
 
 class SieveSubarraySim:
@@ -333,7 +330,7 @@ class SieveSubarraySim:
         The returned ``(2k, groups, len(queries))`` array holds each
         query's replicas as its batch stored them, so load-time fault
         corruption is included and later loads leave it unchanged; a
-        :class:`PendingMatch` of such blocks is what :meth:`match_all`
+        :class:`PendingMatch` of such a block is what :meth:`match_all`
         matches.  :meth:`match_slot` replays the last batch.
         """
         count = len(queries)
@@ -597,7 +594,7 @@ class SieveSubarraySim:
         single-word layout (``k <= 32``) whose stored words ascend and
         whose groups hold identical query replicas — and otherwise from
         one :func:`~repro.sieve.kernels.first_divergence` sweep per
-        pattern group and loaded batch of that destination (multi-word
+        pattern group and batch of that destination (multi-word
         rows, or words or replicas corrupted by faults).  Everything
         observable is then synthesized for all queries at once, bit for
         bit as the scalar path produces it:
@@ -633,26 +630,21 @@ class SieveSubarraySim:
             raise FunctionalError("a match pass needs destinations of one layout")
         for sim, layer in last_of.items():
             sim.matchers.set_enable(sim._layer_enable(layer))
-        live = [d for d in destinations if d.blocks]
+        live = [d for d in destinations if len(d)]
         if not live:
             return MatchBatch.from_outcomes(batch_layer, [])
-        blocks = [block for d in live for block in d.blocks]
+        blocks = [d.block for d in live]
         sizes = [block.shape[2] for block in blocks]
-        if len(blocks) > len(live):  # a destination of several loads
-            sizes = [len(d) for d in live]
         bounds = list(accumulate(sizes, initial=0))
         num_queries = bounds[-1]
         # Group 0's replica of every query, and whether each destination's
-        # groups all hold those replicas: a block broadcast over its
-        # groups (what a load without a fault injector returns) does by
-        # construction, so only stored copies are compared.
+        # groups all hold those replicas.
         first = np.concatenate([block[:, 0] for block in blocks], axis=1)
         tables = [d.sim._packed_layer(d.layer) for d in live]
-        fast = [table.ascending for table in tables]
-        if not all(block.strides[1] == 0 for block in blocks):
-            replicas = np.concatenate([_replicated(block) for block in blocks])
-            agree = np.logical_and.reduceat(replicas, bounds[:-1]).tolist()
-            fast = [a and b for a, b in zip(fast, agree)]
+        fast = [
+            table.ascending and _replicated(block)
+            for table, block in zip(tables, blocks)
+        ]
         num_refs = [table.words.shape[1] for table in tables]
         seg_ids, seg_starts = live[0].sim._segments
         seg_max = np.full(
@@ -695,14 +687,10 @@ class SieveSubarraySim:
         for i in (i for i, ok in enumerate(fast) if not ok):
             table = tables[i]
             used = int(np.searchsorted(seg_starts, num_refs[i]))
-            stop = bounds[i]
-            batches = (
-                stored[:, :, lo : lo + size]
-                for stored in live[i].blocks
-                for lo in range(0, stored.shape[2], size)
-            )
-            for block in batches:
-                start, stop = stop, stop + block.shape[2]
+            for lo in range(0, sizes[i], size):
+                block = blocks[i][:, :, lo : lo + size]
+                start = bounds[i] + lo
+                stop = start + block.shape[2]
                 qwords = kernels.pack_bit_columns(
                     block.reshape(total_rows, -1)
                 ).reshape(-1, layout.num_groups, block.shape[2])

@@ -15,6 +15,7 @@ double as a protocol audit of the device-backed engines.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 from pathlib import Path
 
@@ -153,12 +154,25 @@ class TestConformance:
         assert caps.kind
         assert caps.k == small_dataset.k
 
-    def test_scalar_flag_is_equivalent(self, backend, query_set):
-        batched = backend.query(query_set, batched=True)
-        scalar = backend.query(query_set, batched=False)
-        assert [(r.query, r.hit, r.payload) for r in batched] == [
-            (r.query, r.hit, r.payload) for r in scalar
-        ]
+    def test_query_takes_only_kmers(self, backend):
+        """One ``query(kmers)`` per engine and in the protocol: no mode
+        flag or option rides along."""
+        for query in (type(backend).query, QueryBackend.query):
+            assert list(inspect.signature(query).parameters) == ["self", "kmers"]
+
+    @pytest.mark.parametrize("name", ["sieve", "database"])
+    def test_scalar_flag_is_equivalent(
+        self, name, small_dataset, small_layout, query_set
+    ):
+        """``query`` equals the engine's one-k-mer-at-a-time reference:
+        the device's command-by-command ``query_scalar``, the database's
+        per-k-mer ``get``."""
+        backend = make_backend(name, small_dataset, small_layout)
+        if name == "sieve":
+            scalar = [(r.query, r.hit, r.payload) for r in backend.query_scalar(query_set)]
+        else:
+            scalar = [(k, backend.get(k) is not None, backend.get(k)) for k in query_set]
+        assert [(r.query, r.hit, r.payload) for r in backend.query(query_set)] == scalar
 
 
 @pytest.mark.parametrize(
@@ -282,18 +296,15 @@ def test_query_batch_equals_recorded_records(
     name, small_dataset, small_layout, cluster_segments, query_set
 ):
     """Every engine's batch equals the list-returning implementation's
-    records row by row — micro-events included — batched, scalar, and
-    on an empty call."""
+    records row by row — micro-events included — batched, scalar (the
+    device's ``query_scalar``; ``query`` on the other engines), and on
+    an empty call."""
     golden = json.loads(RECORDS_GOLDEN.read_text())[name]
     reads = [k for r in small_dataset.reads[:3] for k in r.kmers(small_dataset.k)]
-    cases = [
-        ("mixed/batched", query_set, True),
-        ("mixed/scalar", query_set, False),
-        ("empty/batched", [], True),
-    ]
+    cases = [("mixed/batched", query_set), ("mixed/scalar", query_set), ("empty/batched", [])]
     if name.startswith("sieve"):
-        cases += [("reads/batched", reads, True), ("reads/scalar", reads, False)]
-    for label, kmers, batched in cases:
+        cases += [("reads/batched", reads), ("reads/scalar", reads)]
+    for label, kmers in cases:
         if name == "sieve-canonical":
             from repro.genomics.database import KmerDatabase
 
@@ -306,8 +317,9 @@ def test_query_batch_equals_recorded_records(
             backend = SieveDevice.from_database(database, layout=small_layout)
         else:
             backend = make_backend(name, small_dataset, small_layout, cluster_segments)
+        scalar = label.endswith("/scalar") and name.startswith("sieve")
         try:
-            batch = backend.query(kmers, batched=batched)
+            batch = backend.query_scalar(kmers) if scalar else backend.query(kmers)
         finally:
             close_backend(backend)
         _check_batch_rows(batch, golden[label], np.uint64)
@@ -316,15 +328,13 @@ def test_query_batch_equals_recorded_records(
             assert batch.etm_flush_cycles is not None
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
-def test_k33_device_batch_keeps_object_queries(batched):
+@pytest.mark.parametrize("label", ["batched", "scalar"])
+def test_k33_device_batch_keeps_object_queries(label):
     """Multi-word k-mers keep Python-int keys in an object column."""
     golden = json.loads(RECORDS_GOLDEN.read_text())["sieve-k33"]
     device, queries = _wide_device()
-    batch = device.query(queries, batched=batched)
-    _check_batch_rows(
-        batch, golden["wide/batched" if batched else "wide/scalar"], object
-    )
+    batch = device.query_scalar(queries) if label == "scalar" else device.query(queries)
+    _check_batch_rows(batch, golden[f"wide/{label}"], object)
     assert any(row[0] >= 1 << 64 for row in _rows(batch))
 
 
@@ -413,7 +423,7 @@ def test_cluster_cache_vote_path_builds_no_records(
     expected = [
         classification_from_results(
             read.seq_id,
-            db.query(list(read.kmers(small_dataset.k)), batched=False),
+            db.query(list(read.kmers(small_dataset.k))),
             true_taxon=read.taxon_id,
         )
         for read in reads

@@ -86,8 +86,8 @@ def outcomes_from_batch(sim, queries, batch: MatchBatch):
 
 def load_and_match(sim, layer, *batches):
     """Load ``batches`` into ``layer`` and match them as one destination."""
-    blocks = tuple(sim.load_query_batch(queries, layer) for queries in batches)
-    return sim.match_all(PendingMatch(sim, layer, blocks))
+    blocks = [sim.load_query_batch(queries, layer) for queries in batches]
+    return sim.match_all(PendingMatch(sim, layer, np.concatenate(blocks, axis=2)))
 
 
 def random_trial(rng: np.random.Generator):
@@ -229,8 +229,8 @@ def test_device_level_batched_equals_scalar(small_layout, small_dataset):
     )
     fast = SieveDevice.from_database(small_dataset.database, layout=small_layout)
     slow = SieveDevice.from_database(small_dataset.database, layout=small_layout)
-    fast_responses = fast.query(queries, batched=True)
-    slow_responses = slow.query(queries, batched=False)
+    fast_responses = fast.query(queries)
+    slow_responses = slow.query_scalar(queries)
     assert fast_responses == slow_responses
     assert fast.stats == slow.stats
     for sid in fast.subarrays:
@@ -517,7 +517,7 @@ def _device_case(case, small_dataset, small_layout):
 def test_device_batched_equals_unbatched_on_mixed_calls(
     case, small_dataset, small_layout
 ):
-    """``query(batched=True) == query(batched=False)`` on calls mixing
+    """``query == query_scalar`` on calls mixing
     hits across layers and subarrays, index-filtered gaps, random
     misses, duplicates and an empty call — responses, DeviceStats,
     every subarray's ACT/PRE counters and final latches/ETM state."""
@@ -542,8 +542,8 @@ def test_device_batched_equals_unbatched_on_mixed_calls(
         call += gaps[: size % 5 + 1] + [0, space - 1] + call[: size // 3]
         calls.append([call[int(i)] for i in rng.permutation(len(call))])
     for call in calls:
-        got = fast.query(call, batched=True)
-        want = slow.query(call, batched=False)
+        got = fast.query(call)
+        want = slow.query_scalar(call)
         assert got == want
         for query, response in zip(call, got):
             key = canonical_kmer(query, k) if fast.canonical else query
@@ -679,19 +679,21 @@ def fused_case(name, seed):
 
 
 def _run_fused_case(name, seed, flip_rate):
+    from repro.sieve import SieveDevice
+
     layout, records, calls = fused_case(name, seed)
+    modes = {
+        "fused": SieveDevice.query,
+        "per_destination": query_per_destination,
+        "scalar": SieveDevice.query_scalar,
+    }
     runs = {}
-    for mode in ("fused", "per_destination", "scalar"):
+    for mode, query in modes.items():
         # No injector at rate 0: the pristine block-store load path.
         injector = FaultInjector(FaultModel(bit_flip_rate=flip_rate, seed=seed))
         with fault_injection(injector) if flip_rate else nullcontext():
             device = _device_from_records(layout, records)
-            answers = []
-            for call in calls:
-                if mode == "per_destination":
-                    answers.append(query_per_destination(device, call))
-                else:
-                    answers.append(device.query(call, batched=mode == "fused"))
+            answers = [query(device, call) for call in calls]
         runs[mode] = (answers, device, injector)
     return calls, runs
 
@@ -800,8 +802,8 @@ def test_match_all_over_detached_destinations():
     taken, want, outcomes = [], [], []
     for layer, keys in enumerate(layer_keys):
         batches = [keys[lo : lo + size] for lo in range(0, len(keys), size)]
-        blocks = tuple(fused.load_query_batch(batch, layer) for batch in batches)
-        taken.append(PendingMatch(fused, layer, blocks))
+        blocks = [fused.load_query_batch(batch, layer) for batch in batches]
+        taken.append(PendingMatch(fused, layer, np.concatenate(blocks, axis=2)))
         want.append(load_and_match(plain, layer, *batches))
         for batch in batches:
             scalar.load_query_batch(batch, layer)
@@ -812,8 +814,9 @@ def test_match_all_over_detached_destinations():
     # An empty destination last: only the Match-Enable follows it.
     with pytest.raises(FunctionalError):
         fused.match_all()
-    taken.append(PendingMatch(fused, 0, ()))
-    want.append(plain.match_all(PendingMatch(plain, 0, ())))
+    empty = np.zeros((layout.kmer_rows, layout.num_groups, 0), dtype=bool)
+    taken.append(PendingMatch(fused, 0, empty))
+    want.append(plain.match_all(PendingMatch(plain, 0, empty)))
     got = fused.match_all(*taken)
     assert got.layer == -1 and [len(t) for t in taken] == [3, 5, 0]
     for reference in (want, [MatchBatch.from_outcomes(-1, outcomes)]):

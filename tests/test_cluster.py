@@ -58,7 +58,7 @@ def reference_classifications(dataset):
         out.append(
             classification_from_results(
                 read.seq_id,
-                dataset.database.query(kmers, batched=False),
+                dataset.database.query(kmers),
                 true_taxon=read.taxon_id,
             )
         )
@@ -116,7 +116,7 @@ class TestClusterBitIdentity:
         with make_cluster(segments) as backend:
             results = backend.query(kmers)
         assert [r.query for r in results] == kmers
-        expected = small_dataset.database.query(kmers, batched=False)
+        expected = small_dataset.database.query(kmers)
         assert [(r.hit, r.payload) for r in results] == [
             (r.hit, r.payload) for r in expected
         ]
@@ -201,7 +201,7 @@ class TestPartitionStore:
         assert not db.canonical
         hit, payload = store.query(np.asarray(kmers, dtype=np.uint64))
         assert hit.dtype == np.bool_ and payload.dtype == np.int64
-        expected = db.query(kmers, batched=False)
+        expected = db.query(kmers)
         assert hit.tolist() == [r.hit for r in expected]
         assert [p if h else None for h, p in zip(hit.tolist(), payload.tolist())] == [
             r.payload for r in expected
@@ -259,7 +259,7 @@ class TestStaticPlacement:
         with make_cluster(str(tmp_path), workers=3) as backend:
             for kmers in (forward.tolist(), reverse.tolist()):
                 got = backend.query(kmers)
-                expected = database.query(kmers, batched=False)
+                expected = database.query(kmers)
                 # The raw k-mers echo back; the answers are the
                 # shared canonical record's.
                 assert [r.query for r in got] == kmers

@@ -120,7 +120,7 @@ class TestEdgeCases:
         )
         device = SieveDevice.from_database(db, layout=layout)
         for kmer in kmers[:10]:
-            scalar = device.query([kmer], batched=False)[0]
+            scalar = device.query_scalar([kmer])[0]
             assert scalar.payload == db.get(kmer)
 
     def test_adjacent_kmers_distinguished(self):

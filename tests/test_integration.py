@@ -54,9 +54,7 @@ class TestClassifierEquivalence:
             "dict": ds.database.get,
             "clark": ClarkClassifier(ds.database).get,
             "kraken": KrakenClassifier(ds.database, m=4).get,
-            "sieve": lambda kmer: pipeline_device.query(
-                [kmer], batched=False
-            )[0].payload,
+            "sieve": lambda kmer: pipeline_device.query_scalar([kmer])[0].payload,
         }
         baseline = classify_reads(ds.reads, ds.k, engines["dict"])
         for name, lookup in engines.items():
@@ -69,7 +67,7 @@ class TestClassifierEquivalence:
         ds = pipeline_dataset
         results = classify_reads(
             ds.reads, ds.k,
-            lambda kmer: pipeline_device.query([kmer], batched=False)[0].payload,
+            lambda kmer: pipeline_device.query_scalar([kmer])[0].payload,
         )
         summary = summarize(results)
         # Reads sourced from reference genomes should mostly classify

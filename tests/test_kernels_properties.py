@@ -445,7 +445,7 @@ class TestEngineBitIdentity:
                 )
                 layer = sim.route_layer(queries[0])
                 block = sim.load_query_batch(queries, layer)
-                outcomes = match(sim, PendingMatch(sim, layer, (block,)))
+                outcomes = match(sim, PendingMatch(sim, layer, block))
             return sim, outcomes, injector
 
         scalar, s_out, s_inj = build(
@@ -495,7 +495,7 @@ class TestFastPathGuards:
             with fault_injection(injector):
                 sim = SieveSubarraySim(layout, records)
                 block = sim.load_query_batch(queries, 0)
-                outcomes = match(sim, PendingMatch(sim, 0, (block,)))
+                outcomes = match(sim, PendingMatch(sim, 0, block))
             return sim, outcomes, injector
 
         scalar, s_out, s_inj = build(

@@ -91,13 +91,13 @@ def per_batch_query(device, kmers):
     taken = []
     for (sid, layer), positions in destinations.items():
         sim = device.subarrays[sid]
-        blocks = tuple(
+        blocks = [
             _per_batch_load(sim, kmers[positions[lo : lo + size]].tolist(), layer)
             for lo in range(0, len(positions), size)
-        )
+        ]
         device.stats.batches += len(blocks)
         device.stats.write_commands += len(blocks) * device.layout.batch_write_commands
-        taken.append(PendingMatch(sim, layer, blocks))
+        taken.append(PendingMatch(sim, layer, np.concatenate(blocks, axis=2)))
     hit = np.zeros(count, dtype=bool)
     payload = np.zeros(count, dtype=np.int64)
     rows = np.zeros(count, dtype=np.int64)

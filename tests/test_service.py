@@ -88,7 +88,7 @@ class TestCoalescingIdentity:
             kmers = list(read.kmers(small_dataset.k))
             expected = classification_from_results(
                 read.seq_id,
-                reference.query(kmers, batched=False),
+                reference.query_scalar(kmers),
                 true_taxon=read.taxon_id,
             )
             assert response.classification == expected
@@ -223,9 +223,7 @@ class TestAdmission:
             assert response.coalesced_requests == len(good)
             expected = classification_from_results(
                 read.seq_id,
-                reference.query(
-                    list(read.kmers(small_dataset.k)), batched=False
-                ),
+                reference.query_scalar(list(read.kmers(small_dataset.k))),
                 true_taxon=read.taxon_id,
             )
             assert response.classification == expected
@@ -527,7 +525,7 @@ class TestPipelinedDispatch:
             kmers = list(read.kmers(small_dataset.k))
             expected = classification_from_results(
                 read.seq_id,
-                reference.query(kmers, batched=False),
+                reference.query_scalar(kmers),
                 true_taxon=read.taxon_id,
             )
             assert response.classification == expected
@@ -600,9 +598,7 @@ class TestPipelinedDispatch:
         for read, response in zip(reads, responses):
             expected = classification_from_results(
                 read.seq_id,
-                reference.query(
-                    list(read.kmers(small_dataset.k)), batched=False
-                ),
+                reference.query_scalar(list(read.kmers(small_dataset.k))),
                 true_taxon=read.taxon_id,
             )
             assert response.classification == expected
@@ -631,10 +627,10 @@ class _GatedBackend:
     def batch_cost(self, delta):
         return self.inner.batch_cost(delta)
 
-    def query(self, kmers, batched=True):
+    def query(self, kmers):
         if not self.opened:
             self.opened.append(self.gate.wait(self.timeout_s))
-        return self.inner.query(kmers, batched=batched)
+        return self.inner.query(kmers)
 
 
 class _CoalesceSpy(hooks.Observer):
@@ -711,7 +707,7 @@ class TestHotKmerCache:
             kmers = list(read.kmers(small_dataset.k))
             expected = classification_from_results(
                 read.seq_id,
-                reference.query(kmers, batched=False),
+                reference.query_scalar(kmers),
                 true_taxon=read.taxon_id,
             )
             assert response.classification == expected
@@ -1052,9 +1048,7 @@ class TestInteractionMatrix:
         for read, response in zip(reads, responses):
             expected = classification_from_results(
                 read.seq_id,
-                reference.query(
-                    list(read.kmers(small_dataset.k)), batched=False
-                ),
+                reference.query_scalar(list(read.kmers(small_dataset.k))),
                 true_taxon=read.taxon_id,
             )
             assert response.classification == expected

@@ -45,7 +45,7 @@ class TestFromDatabase:
 class TestLookup:
     def test_every_database_kmer_resolves(self, small_device, small_dataset):
         for kmer, taxon in small_dataset.database.sorted_records():
-            response = small_device.query([kmer], batched=False)[0]
+            response = small_device.query_scalar([kmer])[0]
             assert response.hit
             assert response.payload == taxon
             assert response.subarray_id is not None
@@ -56,7 +56,7 @@ class TestLookup:
             q = int(rng.integers(0, 4**small_dataset.k))
             if q in stored:
                 continue
-            response = small_device.query([q], batched=False)[0]
+            response = small_device.query_scalar([q])[0]
             assert not response.hit
             assert response.payload is None
 
@@ -66,9 +66,7 @@ class TestLookup:
         if top == 4**small_dataset.k - 1:
             pytest.skip("keyspace saturated")
         before = small_device.stats.row_activations
-        response = small_device.query(
-            [4**small_dataset.k - 1], batched=False
-        )[0]
+        response = small_device.query_scalar([4**small_dataset.k - 1])[0]
         assert response.subarray_id is None
         assert response.rows_activated == 0
         assert small_device.stats.row_activations == before
@@ -79,7 +77,7 @@ class TestLookup:
         )
         kmers = small_dataset.database.sorted_kmers()[:5]
         for kmer in kmers:
-            device.query([kmer], batched=False)
+            device.query_scalar([kmer])
         assert device.stats.queries == 5
         assert device.stats.hits == 5
         assert device.stats.hit_rate == 1.0
@@ -106,7 +104,7 @@ class TestLookupMany:
         )
         queries = [k for r in small_dataset.reads[:5] for k in r.kmers(small_dataset.k)]
         batch = device_a.query(queries)
-        single = [device_b.query([q], batched=False)[0] for q in queries]
+        single = [device_b.query_scalar([q])[0] for q in queries]
         assert [(r.hit, r.payload) for r in batch] == [
             (r.hit, r.payload) for r in single
         ]
@@ -124,7 +122,7 @@ class TestLookupMany:
         queries = small_dataset.database.sorted_kmers()[: small_layout.queries_per_group]
         device_a.query(queries)
         for q in queries:
-            device_b.query([q], batched=False)
+            device_b.query_scalar([q])
         assert device_a.stats.write_commands < device_b.stats.write_commands
         assert device_a.stats.batches < device_b.stats.batches
 
@@ -153,8 +151,8 @@ class TestLookupMany:
         device = SieveDevice.from_database(ds.database, layout=layout)
         assert device.canonical
         for kmer in list(ds.reads[0].kmers(9))[:10]:
-            forward = device.query([kmer], batched=False)[0]
-            reverse = device.query([revcomp_value(kmer, 9)], batched=False)[0]
+            forward = device.query_scalar([kmer])[0]
+            reverse = device.query_scalar([revcomp_value(kmer, 9)])[0]
             assert forward.hit and reverse.hit
             assert forward.payload == reverse.payload == ds.database.get(kmer)
 

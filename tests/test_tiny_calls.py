@@ -1,12 +1,12 @@
 """Tiny device calls on the ``serve_zipf_open`` geometry.
 
-``SieveDevice.query(batched=True)`` without a fault injector stores the
-query blocks of every subarray a call touches in one store per subarray
-and matches every destination in one ``match_all`` pass;
-``batched=False`` loads each batch of up to 64 on its own and replays
-``match_slot`` after it, the reference.  On the benchmark's open-loop
-layout (1,152-bit rows, 256 rows, ``with_max_layers()``: two layers per
-subarray), calls of 1, 2, 8 and 46 k-mers — calls whose every k-mer
+``SieveDevice.query`` without a fault injector stores the query blocks
+of every subarray a call touches in one store per subarray and matches
+every destination in one ``match_all`` pass; ``query_scalar`` loads
+each batch of up to 64 on its own and replays ``match_slot`` after it,
+the reference.  On the benchmark's open-loop layout (1,152-bit rows,
+256 rows, ``with_max_layers()``: two layers per subarray), calls of 1,
+2, 8 and 46 k-mers — calls whose every k-mer
 lands in a different destination among them, on a plain and a canonical
 device — must agree on the answers, ``DeviceStats``, every subarray's
 cells and ``SubarrayStats``, the matcher and ETM state, and the
@@ -118,11 +118,11 @@ def _columns(batch):
     )
 
 
-def _run(database, calls, batched, flip_rate, seed):
+def _run(database, calls, query, flip_rate, seed):
     injector = FaultInjector(FaultModel(bit_flip_rate=flip_rate, seed=seed))
     with fault_injection(injector) if flip_rate else nullcontext():
         device = SieveDevice.from_database(database, layout=LAYOUT)
-        answers = [device.query(call, batched=batched) for call in calls]
+        answers = [query(device, call) for call in calls]
     return device, answers, injector
 
 
@@ -145,15 +145,16 @@ def test_tiny_calls_match_per_batch_replay(dataset, canonical):
     assert LAYOUT.layers == 2 and len(probe.subarrays) >= 4
     calls = _calls(probe, seed=11 + canonical)
     _assert_same(
-        _run(database, calls, True, 0.0, 0), _run(database, calls, False, 0.0, 0)
+        _run(database, calls, SieveDevice.query, 0.0, 0),
+        _run(database, calls, SieveDevice.query_scalar, 0.0, 0),
     )
 
 
 def test_tiny_calls_match_per_batch_replay_under_faults(dataset):
     database = dataset.database
     calls = _calls(SieveDevice.from_database(database, layout=LAYOUT), seed=5)
-    fused = _run(database, calls, True, 2e-3, 7)
-    reference = _run(database, calls, False, 2e-3, 7)
+    fused = _run(database, calls, SieveDevice.query, 2e-3, 7)
+    reference = _run(database, calls, SieveDevice.query_scalar, 2e-3, 7)
     _assert_same(fused, reference)
     (_, answers, injector), (_, expected, twin) = fused, reference
     assert injector.stats.bits_flipped > 0
@@ -222,8 +223,10 @@ class TestStoreGuard:
             assert logs[0] or not call
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "per_batch"])
-def test_layers_served_in_index_order(dataset, batched):
+@pytest.mark.parametrize(
+    "query", [SieveDevice.query, SieveDevice.query_scalar], ids=["batched", "per_batch"]
+)
+def test_layers_served_in_index_order(dataset, query):
     """A call reaching a subarray's layer 1 before its layer 0 serves
     layer 0 first: the subarray's last batch is layer 1's last one."""
     device = SieveDevice.from_database(dataset.database, layout=LAYOUT)
@@ -233,7 +236,7 @@ def test_layers_served_in_index_order(dataset, batched):
     size = LAYOUT.queries_per_group
     upper = rng.choice(by_destination[sid, 1], size + 6).tolist()
     lower = rng.choice(by_destination[sid, 0], 5).tolist()
-    result = device.query(upper + lower, batched=batched)
+    result = query(device, upper + lower)
     assert result.hit.all() and set(result.subarray_id.tolist()) == {sid}
     sim = device.subarrays[sid]
     assert sim._batch_layer == 1
