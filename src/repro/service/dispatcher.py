@@ -209,6 +209,11 @@ class ShardWorker:
             maxsize=config.queue_depth
         )
         self._batch_index = 0
+        #: The host turn while :meth:`run` serves executor-less at
+        #: depth 0 (``None`` otherwise), and the same lock while this
+        #: shard holds it.
+        self._turn: Optional[asyncio.Lock] = None
+        self._held: Optional[asyncio.Lock] = None
         #: Accumulated simulated device cost across this shard's batches.
         self.sim_time_ns = 0.0
         self.sim_energy_nj = 0.0
@@ -233,7 +238,7 @@ class ShardWorker:
 
     # -- dispatch loop --------------------------------------------------------
 
-    async def run(self) -> None:
+    async def run(self, turn: Optional[asyncio.Lock] = None) -> None:
         """Serve until cancelled (or chaos-crashed).
 
         One pass per batch: accept, coalesce, consult chaos, prepare,
@@ -247,6 +252,18 @@ class ShardWorker:
         :class:`~repro.analysiskit.ScheduleSanitizer` invariants) and
         responses are identical; only the host/device overlap changes.
 
+        Executor-less at depth 0, the loop yields once after every
+        retire, so that batch's callers get their answers before the
+        next batch starts.  The *host turn* ``turn`` (one lock the
+        service shares between its shards; a standalone worker makes
+        its own) keeps the batch schedule a strictly serial loop's: the
+        shard takes it when it wakes with a request, keeps it across
+        its batches and post-retire yields, and gives it up only where
+        it waits on something else — the idle accept on an empty
+        queue, the linger window, a chaos stall, the crash failover —
+        and on exit.  Other shards run only then, as they would with no
+        yield at all.
+
         A chaos crash retires the in-flight batch, then fails the new
         one *before* executing it (requests are never half-answered),
         hands every orphan to the failover callback, and exits.  On
@@ -256,6 +273,8 @@ class ShardWorker:
         """
         loop = asyncio.get_running_loop()
         depth = 1 if self.config.pipelined else 0
+        if depth == 0 and self._executor is None:
+            self._turn = turn if turn is not None else asyncio.Lock()
         batch: List[Request] = []
         inflight: Optional[_InFlight] = None
         getter: Optional["asyncio.Task[Request]"] = None
@@ -264,7 +283,10 @@ class ShardWorker:
                 if inflight is None:
                     # Idle accept: blocks until the next request arrives,
                     # by design unbounded (shutdown is via cancellation).
+                    if self.queue.empty():
+                        self._give_turn()
                     batch = [await self.queue.get()]  # lint: disable=SV010 (idle accept; cancelled on stop)
+                    await self._take_turn()
                 else:
                     # Wake on whichever lands first: the next request
                     # (coalesce batch N+1) or the in-flight batch N.
@@ -300,12 +322,15 @@ class ShardWorker:
                     self.health.state = "stalled"
                     self.health.stalls += 1
                     self.metrics.counter("shard_stalls_total").inc()
+                    self._give_turn()
                     await asyncio.sleep(action.stall_s)
+                    await self._take_turn()
                     self.health.state = "healthy"
                 if action is not None and action.crash:
                     if inflight is not None:
                         await self._retire(inflight, loop)
                         inflight = None
+                    self._give_turn()
                     await self._fail(batch)
                     return
                 live, flat = self._prepare(batch, loop)
@@ -316,7 +341,10 @@ class ShardWorker:
                 if depth == 0 or inflight.future is None:
                     await self._retire(inflight, loop)
                     inflight = None
+                    if self._turn is not None:
+                        await asyncio.sleep(0)  # hand this batch's answers out
         finally:
+            self._give_turn()
             if getter is not None:
                 if getter.done() and not getter.cancelled():
                     batch.append(getter.result())
@@ -325,6 +353,18 @@ class ShardWorker:
             if inflight is not None:
                 self._release(inflight.batch)
             self.release_queued()
+
+    async def _take_turn(self) -> None:
+        """Wait for the host turn (no-op when not serving serially)."""
+        if self._turn is not None and self._held is None:
+            await self._turn.acquire()
+            self._held = self._turn
+
+    def _give_turn(self) -> None:
+        """Let another shard's batches run while this one waits."""
+        if self._held is not None:
+            self._held.release()
+            self._held = None
 
     def _launch(
         self,
@@ -486,16 +526,19 @@ class ShardWorker:
             return
         loop = asyncio.get_running_loop()
         close_at = loop.time() + self.config.max_linger_s
+        if gathered < target:
+            self._give_turn()  # other shards run while this one lingers
         while gathered < target:
             remaining = close_at - loop.time()
             if remaining <= 0:
-                return
+                break
             try:
                 nxt = await asyncio.wait_for(self.queue.get(), remaining)
             except asyncio.TimeoutError:
-                return
+                break
             batch.append(nxt)
             gathered += nxt.num_kmers
+        await self._take_turn()
 
     def _prepare(
         self, batch: List[Request], loop: "asyncio.AbstractEventLoop"

@@ -121,8 +121,12 @@ class ClassificationService:
         if self._tasks:
             raise ServiceError("service already started")
         self._draining = False
+        # One host turn for every shard that serves executor-less at
+        # depth 0 (see ShardWorker.run): their batches run in the order
+        # a strictly serial loop gives.
+        turn = asyncio.Lock()
         self._tasks = [
-            asyncio.ensure_future(shard.run()) for shard in self.shards
+            asyncio.ensure_future(shard.run(turn)) for shard in self.shards
         ]
 
     async def drain(self) -> None:
